@@ -1,10 +1,11 @@
 """Fiducial vectors whose Weyl-Heisenberg orbits form SIC-POVMs, d = 2..8.
 
 d = 2 and d = 3 are the closed-form solutions; d = 4..8 were obtained by
-minimizing the squared deviation of all pairwise overlaps from 1/(d+1)
-over the displacement orbit (see scripts/find_sic_fiducials.py) and are
-frozen here to 17 significant digits.  Every vector is re-verified against
-the overlap condition before first use (see measurement.build_sic_set).
+numerically minimizing the squared deviation of all pairwise overlaps
+from 1/(d+1) over the displacement orbit; the search is not shipped, and
+the results are frozen here to 17 significant digits.  Every vector is
+re-verified against the overlap condition before first use (see
+measurement.build_sic_set).
 """
 
 from __future__ import annotations

@@ -20,10 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._mub_tables import mub_bases
-from ._mub_tables import SUPPORTED_DIMS as MUB_DIMS
 from ._rng import as_rng
 from ._sic_fiducials import fiducial
-from ._sic_fiducials import SUPPORTED_DIMS as SIC_DIMS
 from .errors import (
     DimensionMismatch,
     InvalidDistribution,
@@ -31,7 +29,7 @@ from .errors import (
     NotHermitian,
     OutcomeImpossible,
 )
-from .qcore import QuantumObject, density_matrix
+from .qcore import HERMITIAN_TOL, QuantumObject, density_matrix
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
@@ -52,6 +50,10 @@ _POL = {
 class MeasurementSet:
     """Ordered POVM elements plus the partition into completeness groups.
 
+    The elements live in one read-only (K, d, d) complex array ``stack``;
+    ``elements`` holds views into it.  The constructor copies a sequence of
+    d x d operators into a new stack, or adopts and freezes a (K, d, d) array.
+
     ``groups`` lists index tuples; the elements of each tuple sum to the
     identity.  Sets without a completeness structure (e.g. Stoke) leave it
     empty.
@@ -60,30 +62,45 @@ class MeasurementSet:
     kind: str
     elements: tuple[QuantumObject, ...]
     groups: tuple[tuple[int, ...], ...] = ()
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    # linear-inversion data, built by the first reconstruction from this set
+    _inversion: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mats = self.elements
+        if not isinstance(mats, np.ndarray):
+            mats = [QuantumObject(e).data for e in mats]
+            if len({m.shape for m in mats}) != 1:
+                raise DimensionMismatch(f"elements have shapes {[m.shape for m in mats]}")
+        stack = np.ascontiguousarray(mats, dtype=complex)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
+            raise DimensionMismatch(f"element stack has shape {stack.shape}, want (K, d, d)")
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "elements", tuple(QuantumObject._view(m) for m in stack))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.stack.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.stack.shape[1]
 
     def validate(self, psd_tol: float = PSD_TOL,
                  completeness_tol: float = COMPLETENESS_TOL) -> None:
         """Check PSD-ness of every element and completeness of every group."""
-        d = self.dim
-        for i, e in enumerate(self.elements):
-            if e.shape != (d, d):
-                raise DimensionMismatch(f"element {i} has shape {e.shape}, want ({d},{d})")
-            if not e.is_hermitian():
+        s = self.stack
+        asym = np.max(np.abs(s - s.conj().transpose(0, 2, 1)), axis=(1, 2))
+        lo = np.linalg.eigvalsh(s).min(axis=1)
+        bad = np.flatnonzero((asym > HERMITIAN_TOL) | (lo < -psd_tol))
+        if bad.size:
+            i = bad[0]
+            if asym[i] > HERMITIAN_TOL:
                 raise NotHermitian(f"element {i} is not Hermitian")
-            lo = np.linalg.eigvalsh(e.data).min()
-            if lo < -psd_tol:
-                raise InvalidParameter(f"element {i} has eigenvalue {lo:.3e} < -{psd_tol}")
-        eye = np.eye(d)
+            raise InvalidParameter(f"element {i} has eigenvalue {lo[i]:.3e} < -{psd_tol}")
+        eye = np.eye(self.dim)
         for g, idx in enumerate(self.groups):
-            s = sum(self.elements[i].data for i in idx)
-            dev = np.max(np.abs(s - eye))
+            dev = np.max(np.abs(s[list(idx)].sum(axis=0) - eye))
             if dev > completeness_tol:
                 raise InvalidParameter(f"group {g} misses identity by {dev:.3e}")
 
@@ -132,21 +149,18 @@ def probabilities(state, observables) -> np.ndarray:
     1e-10 (non-Hermitian operator on a state) raises.
     """
     rho = density_matrix(state)
-    if isinstance(observables, MeasurementSet):
-        elements = observables.elements
-    else:
-        elements = [QuantumObject(o) for o in observables]
-    out = np.empty(len(elements), dtype=float)
-    for i, e in enumerate(elements):
-        if e.data.shape != rho.shape:
-            raise DimensionMismatch(
-                f"operator {i} has shape {e.data.shape}, state has {rho.shape}"
-            )
-        v = np.einsum("ij,ji->", e.data, rho)
-        if abs(v.imag) > 1e-10:
-            raise NotHermitian(f"tr(E rho) has imaginary residue {v.imag:.3e}")
-        out[i] = v.real
-    return out
+    if not isinstance(observables, MeasurementSet):
+        observables = MeasurementSet(kind="custom", elements=tuple(observables))
+    stack = observables.stack
+    if stack.shape[1:] != rho.shape:
+        raise DimensionMismatch(f"operators have shape {stack.shape[1:]}, state has {rho.shape}")
+    # the batched form of the per-element trace: bit-identical to it, and
+    # its cost grows with K d^2 without a BLAS call's fixed overhead
+    v = np.einsum("kij,ji->k", stack, rho)
+    residue = np.abs(v.imag)
+    if residue.max() > 1e-10:
+        raise NotHermitian(f"tr(E rho) has imaginary residue {v.imag[residue.argmax()]:.3e}")
+    return v.real.copy()
 
 
 def post_measurement_state(state, kraus) -> tuple[QuantumObject, float]:
@@ -155,27 +169,36 @@ def post_measurement_state(state, kraus) -> tuple[QuantumObject, float]:
     m = QuantumObject(kraus).data
     if m.shape != rho.shape:
         raise DimensionMismatch(f"kraus shape {m.shape}, state shape {rho.shape}")
-    p = float(np.real(np.einsum("ij,ji->", m.conj().T @ m, rho)))
+    out = measure(rho, [m])
+    p = float(out.probabilities[0])
     if p <= 1e-14:
         raise OutcomeImpossible(f"outcome probability {p:.3e} is (numerically) zero")
-    return QuantumObject(m @ rho @ m.conj().T / p), p
+    return out.post_states[0], p
 
 
 def measure(state, kraus_ops: Sequence) -> MeasurementOutcome:
     """Full general measurement: probabilities and conditional states."""
     rho = density_matrix(state)
-    mats = [QuantumObject(m).data for m in kraus_ops]
-    probs = np.array(
-        [np.real(np.einsum("ij,ji->", m.conj().T @ m, rho)) for m in mats]
-    )
-    posts: list[QuantumObject | None] = []
-    for m, p in zip(mats, probs):
-        posts.append(QuantumObject(m @ rho @ m.conj().T / p) if p > 1e-14 else None)
-    return MeasurementOutcome(probabilities=probs, post_states=tuple(posts))
+    ks = np.array([QuantumObject(m).data for m in kraus_ops])
+    unnormalized = ks @ rho @ ks.conj().transpose(0, 2, 1)     # M rho M^dag
+    probs = np.real(np.trace(unnormalized, axis1=1, axis2=2))
+    posts = tuple(QuantumObject(s / p) if p > 1e-14 else None
+                  for s, p in zip(unnormalized, probs))
+    return MeasurementOutcome(probabilities=probs, post_states=posts)
 
 
-def _projector(vec: np.ndarray) -> QuantumObject:
-    return QuantumObject(np.outer(vec, vec.conj()))
+def _projectors(kets: np.ndarray) -> np.ndarray:
+    """(K, d, d) stack of the outer products |v><v| of the rows of ``kets``."""
+    return kets[:, :, None] * kets.conj()[:, None, :]
+
+
+def _product_kets(letters: str, n: int) -> np.ndarray:
+    """Kronecker products of the single-qubit kets named by ``letters`` over
+    every n-letter word, one row per word in itertools.product order."""
+    kets = single = np.array([_POL[c] for c in letters])
+    for _ in range(n - 1):
+        kets = np.einsum("ai,bj->abij", kets, single).reshape(len(kets) * len(single), -1)
+    return kets
 
 
 def build_pauli_set(n: int) -> MeasurementSet:
@@ -186,25 +209,13 @@ def build_pauli_set(n: int) -> MeasurementSet:
     """
     if n < 1:
         raise InvalidParameter(f"need n >= 1 qubits, got {n}")
-    order = "HVDALR"
-    kets = [_POL[c] for c in order]
-    elements = []
-    for combo in itertools.product(range(6), repeat=n):
-        v = kets[combo[0]]
-        for c in combo[1:]:
-            v = np.kron(v, kets[c])
-        elements.append(_projector(v))
-    groups = []
-    for bases_combo in itertools.product(range(3), repeat=n):
-        idx = []
-        for bits in itertools.product(range(2), repeat=n):
-            digits = [2 * b + o for b, o in zip(bases_combo, bits)]
-            k = 0
-            for dgt in digits:
-                k = 6 * k + dgt
-            idx.append(k)
-        groups.append(tuple(idx))
-    return MeasurementSet(kind="pauli", elements=tuple(elements), groups=tuple(groups))
+    # outcome o of basis b is letter 2b + o; an element's letters are its
+    # index in base 6, most significant first
+    bases = np.array(list(itertools.product(range(3), repeat=n)))
+    bits = np.array(list(itertools.product(range(2), repeat=n)))
+    index = (2 * bases[:, None, :] + bits[None, :, :]) @ 6 ** np.arange(n - 1, -1, -1)
+    return MeasurementSet(kind="pauli", elements=_projectors(_product_kets("HVDALR", n)),
+                          groups=tuple(tuple(map(int, row)) for row in index))
 
 
 def build_stoke_set(n: int) -> MeasurementSet:
@@ -215,14 +226,7 @@ def build_stoke_set(n: int) -> MeasurementSet:
     """
     if n < 1:
         raise InvalidParameter(f"need n >= 1 qubits, got {n}")
-    kets = [_POL[c] for c in "HVDR"]
-    elements = []
-    for combo in itertools.product(range(4), repeat=n):
-        v = kets[combo[0]]
-        for c in combo[1:]:
-            v = np.kron(v, kets[c])
-        elements.append(_projector(v))
-    return MeasurementSet(kind="stoke", elements=tuple(elements), groups=())
+    return MeasurementSet(kind="stoke", elements=_projectors(_product_kets("HVDR", n)))
 
 
 def build_mub_set(d: int) -> MeasurementSet:
@@ -231,14 +235,9 @@ def build_mub_set(d: int) -> MeasurementSet:
     Supported at d in {2, 3, 4, 5, 7}.
     """
     bases = mub_bases(d)
-    elements = []
-    groups = []
-    for B in bases:
-        start = len(elements)
-        for k in range(d):
-            elements.append(_projector(B[:, k]))
-        groups.append(tuple(range(start, start + d)))
-    return MeasurementSet(kind="mub", elements=tuple(elements), groups=tuple(groups))
+    groups = tuple(tuple(range(g * d, (g + 1) * d)) for g in range(len(bases)))
+    return MeasurementSet(kind="mub", elements=_projectors(np.concatenate([B.T for B in bases])),
+                          groups=groups)
 
 
 def weyl_displacement(d: int, j: int, k: int) -> QuantumObject:
@@ -269,29 +268,20 @@ def build_sic_set(d: int) -> MeasurementSet:
     |<h|h'>|^2 = 1/(d+1) before the set is handed out.
     """
     phi = fiducial(d)
-    vecs = [weyl_displacement(d, j, k).data @ phi for j in range(d) for k in range(d)]
+    vecs = np.array([weyl_displacement(d, j, k).data @ phi
+                     for j in range(d) for k in range(d)])
     if d not in _VERIFIED_SIC:
         target = 1.0 / (d + 1)
-        for a in range(len(vecs)):
-            for b in range(a + 1, len(vecs)):
-                ov = abs(np.vdot(vecs[a], vecs[b])) ** 2
-                if abs(ov - target) > 1e-6:
-                    raise InvalidParameter(
-                        f"embedded d={d} fiducial fails the SIC condition: "
-                        f"|overlap|^2 = {ov:.3e}, want {target:.3e}"
-                    )
+        overlaps = (np.abs(vecs.conj() @ vecs.T) ** 2)[~np.eye(d * d, dtype=bool)]
+        worst = overlaps[np.argmax(np.abs(overlaps - target))]
+        if abs(worst - target) > 1e-6:
+            raise InvalidParameter(
+                f"embedded d={d} fiducial fails the SIC condition: "
+                f"|overlap|^2 = {worst:.3e}, want {target:.3e}"
+            )
         _VERIFIED_SIC.add(d)
-    elements = tuple(QuantumObject(np.outer(v, v.conj()) / d) for v in vecs)
-    return MeasurementSet(kind="sic", elements=elements,
+    return MeasurementSet(kind="sic", elements=_projectors(vecs) / d,
                           groups=(tuple(range(d * d)),))
-
-
-_BUILDERS: dict[str, Callable[[int], MeasurementSet]] = {
-    "pauli": build_pauli_set,
-    "stoke": build_stoke_set,
-    "mub": build_mub_set,
-    "sic": build_sic_set,
-}
 
 
 def sample_mc(p: float, iterations: int, rng=None) -> float:
@@ -336,10 +326,13 @@ def sample_cdf_discrete(probs, shots: int, rng=None) -> np.ndarray:
     p = np.clip(p, 0.0, None)
     cum = np.cumsum(p / p.sum())
     r = (np.arange(shots) + g.random(shots)) / shots
-    # scale keeps r strictly inside the support so zero-width (p = 0)
-    # intervals can never be hit, even at the top boundary
-    idx = np.searchsorted(cum, r * cum[-1], side="right")
-    return np.bincount(idx, minlength=p.size)
+    # the stratified uniforms are sorted, so outcome k counts the draws in
+    # [cum[k-1], cum[k]); scaling by cum[-1] keeps zero-width (p = 0)
+    # intervals empty, and a draw that rounds up to cum[-1] goes to the
+    # last outcome of nonzero probability
+    below = np.searchsorted(r * cum[-1], cum, side="left")
+    below[cum >= cum[-1]] = shots
+    return np.diff(below, prepend=0)
 
 
 def measure_and_sample(state, mset: MeasurementSet, backend: SamplerBackend,
@@ -357,24 +350,18 @@ def measure_and_sample(state, mset: MeasurementSet, backend: SamplerBackend,
     if n < 1:
         raise InvalidParameter(f"shots must be >= 1, got {n}")
     g = backend.rng()
-    freqs = np.zeros(len(mset), dtype=float)
     if backend.method == "mc":
-        for k, p in enumerate(probs):
-            freqs[k] = sample_mc(min(max(p, 0.0), 1.0), n, g)
-        return freqs
-    covered: set[int] = set()
+        return np.array([sample_mc(p, n, g) for p in np.clip(probs, 0.0, 1.0)])
+    freqs = np.zeros(len(mset), dtype=float)
+    covered = np.zeros(len(mset), dtype=bool)
     for idx in mset.groups:
-        pg = np.clip(probs[list(idx)], 0.0, None)
-        counts = sample_cdf_discrete(pg / pg.sum(), n, g)
-        for i, k in enumerate(idx):
-            freqs[k] = counts[i] / n
-        covered.update(idx)
-    for k, p in enumerate(probs):
-        if k in covered:
-            continue
-        p = min(max(p, 0.0), 1.0)
-        counts = sample_cdf_discrete(np.array([1.0 - p, p]), n, g)
-        freqs[k] = counts[1] / n
+        idx = list(idx)
+        pg = np.clip(probs[idx], 0.0, None)
+        freqs[idx] = sample_cdf_discrete(pg / pg.sum(), n, g) / n
+        covered[idx] = True
+    for k in np.flatnonzero(~covered):
+        p = min(max(probs[k], 0.0), 1.0)
+        freqs[k] = sample_cdf_discrete(np.array([1.0 - p, p]), n, g)[1] / n
     return freqs
 
 

@@ -47,6 +47,10 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
 
     F = sum_k (d p_k / d phi)^2 / p_k with the derivative taken by central
     differences of step ``dphi``; outcomes with p_k < 1e-12 are dropped.
+
+    A MeasurementSet with several groups (e.g. MUB) is scored as the
+    uniform mixture of its groups, one picked at random per shot: the mean
+    of the per-group values, each of which is at most the quantum one.
     """
     if dphi <= 0:
         raise InvalidParameter(f"finite-difference step must be > 0, got {dphi}")
@@ -54,8 +58,11 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
     p_plus = probabilities(rho_of_phi(phi + dphi), mset)
     p_minus = probabilities(rho_of_phi(phi - dphi), mset)
     dp = (p_plus - p_minus) / (2 * dphi)
-    mask = p0 > 1e-12
-    return float(np.sum(dp[mask] ** 2 / p0[mask]))
+    terms = np.divide(dp**2, p0, out=np.zeros_like(p0), where=p0 > 1e-12)
+    groups = mset.groups if isinstance(mset, MeasurementSet) else ()
+    if len(groups) > 1:
+        return float(np.mean([terms[list(idx)].sum() for idx in groups]))
+    return float(np.sum(terms))
 
 
 def quantum_fisher(rho, generator) -> float:

@@ -68,6 +68,13 @@ class QuantumObject:
         arr.flags.writeable = False
         self._data = arr
 
+    @classmethod
+    def _view(cls, arr: np.ndarray) -> "QuantumObject":
+        """Wrap an already frozen 2-D complex array without copying it."""
+        q = cls.__new__(cls)
+        q._data = arr
+        return q
+
     @property
     def data(self) -> np.ndarray:
         """Read-only view of the underlying matrix."""

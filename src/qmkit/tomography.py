@@ -3,6 +3,7 @@ inversion with a PSD projection, and score with trace distance / fidelity."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,25 +58,56 @@ def fidelity(rho, sigma) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def _traceless_hermitian_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal (Hilbert-Schmidt) basis of traceless Hermitian d x d matrices."""
-    out = []
-    for i in range(d):
-        for jj in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, jj] = m[jj, i] = 1 / np.sqrt(2)
-            out.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, jj] = -1j / np.sqrt(2)
-            m[jj, i] = 1j / np.sqrt(2)
-            out.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        for i in range(l):
-            m[i, i] = 1.0
-        m[l, l] = -l
-        out.append(m / np.sqrt(l * (l + 1)))
-    return out
+@functools.lru_cache(maxsize=8)
+def _real_basis(d: int) -> np.ndarray:
+    """Orthonormal (Hilbert-Schmidt) basis B_a of traceless Hermitian d x d
+    matrices, one row per element with its entries as interleaved (re, im)
+    pairs; taking any complex X the same way, Re tr(X B_a) = row_a . X.
+
+    Rows: for each pair i < j the symmetric element (|i><j| + |j><i|)/sqrt2
+    and the antisymmetric one (-i|i><j| + i|j><i|)/sqrt2, then the d - 1
+    diagonal elements (1, ..., 1, -l, 0, ..., 0)/sqrt(l(l+1)).
+    """
+    i, j = np.triu_indices(d, 1)
+    sym, anti = 2 * np.arange(len(i)), 2 * np.arange(len(i)) + 1
+    basis = np.zeros((d * d - 1, d, d), dtype=complex)
+    basis[sym, i, j] = basis[sym, j, i] = 1 / np.sqrt(2)
+    basis[anti, i, j], basis[anti, j, i] = -1j / np.sqrt(2), 1j / np.sqrt(2)
+    l, p = np.arange(1, d)[:, None], np.arange(d)
+    basis[2 * len(i):, p, p] = np.where(p < l, 1.0, np.where(p == l, -l, 0.0)) / np.sqrt(l * (l + 1))
+    real = basis.view(float).reshape(d * d - 1, 2 * d * d)
+    real.flags.writeable = False
+    return real
+
+
+def _inversion_map(mset: MeasurementSet) -> tuple:
+    """What linear inversion needs of a set, built on first use and kept on
+    the set: (offsets, gram_inv, members, owner).
+
+    With off_k = tr(E_k)/d and M[k, a] = Re tr(E_k B_a), rho - 1/d has the
+    least-squares coordinates x = (M^T M)^{-1} M^T (f - off), and
+    M^T (f - off) = Re tr(A B_a) with A = sum_k (f_k - off_k) E_k, so M is
+    never kept.  ``gram_inv`` is (M^T M)^{-1}, or None when M^T M is
+    singular; ``members`` concatenates the groups' element indices and
+    ``owner`` gives the group of each.
+    """
+    if mset._inversion is not None:
+        return mset._inversion
+    d = mset.dim
+    basis = _real_basis(d)
+    gram = np.zeros((d * d - 1, d * d - 1))
+    for start in range(0, len(mset), 64):      # row blocks: M is never held whole
+        rows = mset.stack[start:start + 64]
+        m = rows.view(float).reshape(len(rows), -1) @ basis.T
+        gram += m.T @ m
+    full_rank = np.linalg.matrix_rank(gram, hermitian=True) == d * d - 1
+    sizes = [len(idx) for idx in mset.groups]
+    inv = (np.trace(mset.stack, axis1=1, axis2=2).real / d,
+           np.linalg.inv(gram) if full_rank else None,
+           np.array([i for idx in mset.groups for i in idx], dtype=int),
+           np.repeat(np.arange(len(sizes)), sizes))
+    object.__setattr__(mset, "_inversion", inv)
+    return inv
 
 
 def reconstruct_linear_inversion(freqs, mset: MeasurementSet) -> QuantumObject:
@@ -85,32 +117,25 @@ def reconstruct_linear_inversion(freqs, mset: MeasurementSet) -> QuantumObject:
     Frequencies of grouped sets are renormalized per group first.  The
     projection clips negative eigenvalues to zero and renormalizes the
     trace.  Raises :class:`RankDeficientSet` when the elements do not span
-    the traceless operator space.
+    the traceless operator space, i.e. when the Gram matrix M^T M of the
+    design matrix is numerically singular.
     """
     f = np.asarray(freqs, dtype=float).copy()
     if len(f) != len(mset):
         raise DimensionMismatch(f"{len(f)} frequencies for {len(mset)} elements")
-    for idx in mset.groups:
-        s = f[list(idx)].sum()
-        if s > 0:
-            f[list(idx)] /= s
     d = mset.dim
-    basis = _traceless_hermitian_basis(d)
-    M = np.empty((len(mset), len(basis)), dtype=float)
-    offset = np.empty(len(mset), dtype=float)
-    for k, e in enumerate(mset.elements):
-        offset[k] = np.trace(e.data).real / d
-        for a, B in enumerate(basis):
-            M[k, a] = np.real(np.einsum("ij,ji->", e.data, B))
-    if np.linalg.matrix_rank(M) < d * d - 1:
+    offsets, gram_inv, members, owner = _inversion_map(mset)
+    if gram_inv is None:
         raise RankDeficientSet(
             f"{mset.kind} set with {len(mset)} elements does not determine a "
             f"{d}-dimensional state"
         )
-    x, *_ = np.linalg.lstsq(M, f - offset, rcond=None)
-    rho = np.eye(d, dtype=complex) / d
-    for a, B in enumerate(basis):
-        rho += x[a] * B
+    sums = np.bincount(owner, weights=f[members], minlength=len(mset.groups))
+    f[members] /= np.where(sums > 0, sums, 1.0)[owner]
+    basis = _real_basis(d)
+    a = (f - offsets) @ mset.stack.view(float).reshape(len(f), -1)   # A, interleaved
+    x = gram_inv @ (basis @ a)
+    rho = np.eye(d, dtype=complex) / d + (x @ basis).view(complex).reshape(d, d)
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
     vals = np.clip(vals, 0.0, None)
     vals /= vals.sum()

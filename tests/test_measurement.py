@@ -33,6 +33,7 @@ from qmkit.errors import (
     DimensionMismatch,
     InvalidDistribution,
     InvalidParameter,
+    NotHermitian,
     OutcomeImpossible,
     UnsupportedDimension,
 )
@@ -382,3 +383,146 @@ def test_cdf_counts_sum_to_shots(seed, k, shots):
     counts = sample_cdf_discrete(p, shots, rng)
     assert counts.sum() == shots
     assert len(counts) == k
+
+
+# ---------------------------------------------------------------------------
+# stacked sets: the element loops of the original implementation, kept here
+# as references
+# ---------------------------------------------------------------------------
+
+_KETS = {
+    "H": np.array([1, 0], dtype=complex),
+    "V": np.array([0, 1], dtype=complex),
+    "D": np.array([1, 1], dtype=complex) / np.sqrt(2),
+    "A": np.array([1, -1], dtype=complex) / np.sqrt(2),
+    "L": np.array([1, 1j], dtype=complex) / np.sqrt(2),
+    "R": np.array([1, -1j], dtype=complex) / np.sqrt(2),
+}
+
+
+def _product_projectors(letters, n):
+    out = []
+    for combo in itertools.product(letters, repeat=n):
+        v = _KETS[combo[0]]
+        for c in combo[1:]:
+            v = np.kron(v, _KETS[c])
+        out.append(np.outer(v, v.conj()))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_product_stacks_follow_itertools_kron_order(n):
+    np.testing.assert_array_equal(build_pauli_set(n).stack, _product_projectors("HVDALR", n))
+    np.testing.assert_array_equal(build_stoke_set(n).stack, _product_projectors("HVDR", n))
+
+
+def test_pauli_groups_pair_basis_outcomes():
+    ms = build_pauli_set(2)
+    for idx in ms.groups:
+        total = ms.stack[list(idx)].sum(axis=0)
+        np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
+    assert sorted(k for idx in ms.groups for k in idx) == list(range(36))
+
+
+@pytest.mark.parametrize("ms", [build_pauli_set(2), build_mub_set(3), build_sic_set(4),
+                                MeasurementSet(kind="custom",
+                                               elements=(pauli("x"), pauli("z")))])
+def test_elements_are_read_only_views_of_the_stack(ms):
+    assert ms.stack.shape == (len(ms), ms.dim, ms.dim)
+    assert not ms.stack.flags.writeable
+    for i, e in enumerate(ms.elements):
+        assert not e.data.flags.writeable
+        assert np.shares_memory(e.data, ms.stack)
+        np.testing.assert_array_equal(e.data, ms.stack[i])
+    with pytest.raises(ValueError):
+        ms.elements[0].data[0, 0] = 2.0
+
+
+def test_set_hashes_without_its_stack():
+    ms = build_pauli_set(1)
+    assert ms == ms and hash(ms) == hash(ms)
+    assert "stack" not in repr(ms)
+
+
+def test_set_rejects_mixed_or_empty_elements():
+    with pytest.raises(DimensionMismatch):
+        MeasurementSet(kind="custom", elements=(identity(2), identity(3)))
+    with pytest.raises(DimensionMismatch):
+        MeasurementSet(kind="custom", elements=())
+
+
+def test_validate_reports_first_bad_element():
+    bad = MeasurementSet(kind="custom",
+                         elements=(identity(2), -identity(2), np.array([[0, 1], [0, 0]])))
+    with pytest.raises(InvalidParameter, match="element 1"):
+        bad.validate()
+    skew = MeasurementSet(kind="custom", elements=(np.array([[0, 1], [0, 0]]), -identity(2)))
+    with pytest.raises(NotHermitian, match="element 0"):
+        skew.validate()
+
+
+def _loop_measure_and_sample(state, mset, backend, shots):
+    probs = probabilities(state, mset)
+    g = backend.rng()
+    freqs = np.zeros(len(mset), dtype=float)
+    if backend.method == "mc":
+        for k, p in enumerate(probs):
+            freqs[k] = sample_mc(min(max(p, 0.0), 1.0), shots, g)
+        return freqs
+    covered = set()
+    for idx in mset.groups:
+        pg = np.clip(probs[list(idx)], 0.0, None)
+        counts = sample_cdf_discrete(pg / pg.sum(), shots, g)
+        for i, k in enumerate(idx):
+            freqs[k] = counts[i] / shots
+        covered.update(idx)
+    for k, p in enumerate(probs):
+        if k not in covered:
+            p = min(max(p, 0.0), 1.0)
+            freqs[k] = sample_cdf_discrete(np.array([1.0 - p, p]), shots, g)[1] / shots
+    return freqs
+
+
+@pytest.mark.parametrize("method", ("mc", "cdf"))
+@pytest.mark.parametrize("make_set", [lambda: build_pauli_set(2), lambda: build_stoke_set(2),
+                                      lambda: build_sic_set(4)])
+def test_measure_and_sample_matches_element_loop(method, make_set):
+    ms = make_set()
+    rng = np.random.default_rng(8)
+    for seed in (0, 1, 77):
+        state = random_density(rng, ms.dim)
+        backend = SamplerBackend(method=method, seed=seed)
+        np.testing.assert_array_equal(measure_and_sample(state, ms, backend, 300),
+                                      _loop_measure_and_sample(state, ms, backend, 300))
+
+
+def _bincount_cdf_counts(probs, shots, rng):
+    p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    cum = np.cumsum(p / p.sum())
+    r = (np.arange(shots) + rng.random(shots)) / shots
+    return np.bincount(np.searchsorted(cum, r * cum[-1], side="right"), minlength=p.size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.lists(st.booleans(), min_size=1, max_size=8),
+       st.integers(1, 3000))
+def test_cdf_counts_match_bincount_formula(seed, nonzero, shots):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(size=len(nonzero)) * np.array(nonzero)
+    if p.sum() == 0:
+        p[0] = 1.0
+    p /= p.sum()
+    counts = sample_cdf_discrete(p, shots, np.random.default_rng(seed + 1))
+    np.testing.assert_array_equal(counts, _bincount_cdf_counts(p, shots, np.random.default_rng(seed + 1)))
+
+
+class _TopStratumGenerator(np.random.Generator):
+    """Uniform draws just below 1, so the last stratum rounds up to 1.0."""
+
+    def random(self, size=None):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_cdf_top_stratum_stays_in_range():
+    counts = sample_cdf_discrete([0.5, 0.5, 0.0], 1000, _TopStratumGenerator(np.random.PCG64(0)))
+    assert len(counts) == 3 and counts.sum() == 1000 and counts[2] == 0

@@ -8,6 +8,7 @@ from qmkit import (
     MeasurementSet,
     MetrologyScenario,
     basis,
+    build_mub_set,
     cat_state,
     classical_fisher,
     cramer_rao_bounds,
@@ -94,6 +95,26 @@ def test_cfi_bounded_by_qfi(rng):
         f = classical_fisher(lambda p: encode_phase(psi, h, p), mset, phi,
                              dphi=1e-4)
         assert f <= q + 1e-6 + 1e-4
+
+
+def test_grouped_cfi_is_mean_of_group_cfis(rng):
+    mub2 = build_mub_set(2)
+    h = 0.5 * pauli("z")
+    for _ in range(10):
+        psi = random_ket(rng, 2)
+        phi = float(rng.uniform(0.2, 2.0))
+
+        def rho_of(p):
+            return encode_phase(psi, h, p)
+
+        per_group = [classical_fisher(rho_of, MeasurementSet(kind="custom",
+                                                             elements=mub2.stack[list(idx)]),
+                                      phi, dphi=1e-4)
+                     for idx in mub2.groups]
+        q = quantum_fisher(rho_of(phi), h)
+        f = classical_fisher(rho_of, mub2, phi, dphi=1e-4)
+        assert f == pytest.approx(np.mean(per_group), abs=1e-12)
+        assert max(per_group) <= q + 1e-6 + 1e-4
 
 
 def test_qfi_pure_equals_four_variance(rng):

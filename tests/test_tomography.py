@@ -12,6 +12,7 @@ from qmkit import (
     MeasurementSet,
     SamplerBackend,
     basis,
+    build_mub_set,
     build_pauli_set,
     build_sic_set,
     build_stoke_set,
@@ -131,6 +132,81 @@ def test_rank_deficient_set_rejected():
     )
     with pytest.raises(RankDeficientSet):
         reconstruct_linear_inversion([0.5, 0.5], incomplete)
+
+
+def _loop_basis(d):
+    """Traceless Hermitian basis built element by element."""
+    out = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = m[j, i] = 1 / np.sqrt(2)
+            out.append(m)
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j], m[j, i] = -1j / np.sqrt(2), 1j / np.sqrt(2)
+            out.append(m)
+    for l in range(1, d):
+        m = np.diag([1.0] * l + [-l] + [0.0] * (d - l - 1)).astype(complex)
+        out.append(m / np.sqrt(l * (l + 1)))
+    return out
+
+
+def _lstsq_reconstruction(freqs, mset):
+    """Reference linear inversion: np.linalg.lstsq on the explicit design
+    matrix, then the same PSD clip-and-renormalize."""
+    f = np.asarray(freqs, dtype=float).copy()
+    for idx in mset.groups:
+        f[list(idx)] /= f[list(idx)].sum()
+    d = mset.dim
+    B = _loop_basis(d)
+    M = np.array([[np.real(np.trace(e.data @ b)) for b in B] for e in mset.elements])
+    offset = np.array([np.trace(e.data).real / d for e in mset.elements])
+    x, *_ = np.linalg.lstsq(M, f - offset, rcond=None)
+    rho = np.eye(d) / d + sum(xa * b for xa, b in zip(x, B))
+    vals, vecs = np.linalg.eigh(rho)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * (vals / vals.sum())) @ vecs.conj().T
+
+
+def _noisy_frequencies(rng, mset):
+    probs = probabilities(random_density(rng, mset.dim), mset)
+    return np.clip(probs + rng.normal(0, 0.01, len(probs)), 0.0, 1.0)
+
+
+_ORACLE_SETS = ([(build_pauli_set, n) for n in (1, 2, 3)]
+                + [(build_stoke_set, n) for n in (1, 2, 3)]
+                + [(build_mub_set, d) for d in (2, 3, 4, 5, 7)]
+                + [(build_sic_set, d) for d in range(2, 9)])
+
+
+@pytest.mark.parametrize("builder,param", _ORACLE_SETS)
+def test_inversion_matches_lstsq_oracle(builder, param):
+    mset = builder(param)
+    rng = np.random.default_rng(param)
+    for _ in range(3):
+        f = _noisy_frequencies(rng, mset)
+        rec = reconstruct_linear_inversion(f, mset)
+        np.testing.assert_allclose(rec.data, _lstsq_reconstruction(f, mset), rtol=0, atol=1e-12)
+
+
+def test_inversion_map_is_kept_per_set(rng):
+    pauli2, sic4 = build_pauli_set(2), build_sic_set(4)
+    # same dimension and size as pauli2, different elements and groups
+    order = rng.permutation(len(pauli2))
+    shuffled = MeasurementSet(kind="custom", elements=pauli2.stack[order][::-1].copy())
+    sets = (pauli2, sic4, shuffled)
+    for _ in range(3):
+        for mset in sets:
+            f = _noisy_frequencies(rng, mset)
+            np.testing.assert_allclose(reconstruct_linear_inversion(f, mset).data,
+                                       _lstsq_reconstruction(f, mset), rtol=0, atol=1e-12)
+
+
+def test_rank_deficient_set_rejected_on_every_call():
+    incomplete = MeasurementSet(kind="custom", elements=build_pauli_set(1).stack[:4].copy())
+    for _ in range(3):
+        with pytest.raises(RankDeficientSet):
+            reconstruct_linear_inversion([0.5, 0.5, 0.5, 0.5], incomplete)
 
 
 def test_reconstruction_is_physical(rng):
