@@ -83,15 +83,9 @@ def quantum_fisher(rho, generator) -> float:
     q = np.clip(q, 0.0, None)
     q = q / q.sum()
     ht = v.conj().T @ h.data @ v
-    total = 0.0
-    d = len(q)
-    for m in range(d):
-        for n in range(d):
-            s = q[m] + q[n]
-            if s <= 1e-12:
-                continue
-            total += (q[m] - q[n]) ** 2 / s * abs(ht[m, n]) ** 2
-    return 2.0 * total
+    s = q[:, None] + q[None, :]
+    ratio = np.divide((q[:, None] - q[None, :]) ** 2, s, out=np.zeros_like(s), where=s > 1e-12)
+    return 2.0 * float(np.sum(ratio * np.abs(ht) ** 2))
 
 
 def cramer_rao_bounds(F: float, Q: float, N: int = 1) -> tuple[float, float]:

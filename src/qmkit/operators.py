@@ -18,12 +18,14 @@ def identity(d: int) -> QuantumObject:
     return QuantumObject(np.eye(d, dtype=complex))
 
 
-def _check_spin(s) -> int:
-    """Validate spin s in {0, 1/2, 1, ...}; return 2s as int."""
-    two_s = round(2 * s)
-    if abs(2 * s - two_s) > 1e-9 or two_s < 0:
-        raise InvalidQuantumNumber(f"spin must be a non-negative half-integer, got {s}")
-    return int(two_s)
+def _twice(x, name: str = "spin", signed: bool = False) -> int:
+    """Validate a half-integer x, non-negative unless ``signed`` (a
+    projection m may be negative, an angular momentum not); return 2x."""
+    t = round(2 * x)
+    if abs(2 * x - t) > 1e-9 or (t < 0 and not signed):
+        kind = "a half-integer" if signed else "a non-negative half-integer"
+        raise InvalidQuantumNumber(f"{name} must be {kind}, got {x}")
+    return int(t)
 
 
 def spin(s, axis: str | None = None):
@@ -32,31 +34,17 @@ def spin(s, axis: str | None = None):
     With ``axis`` in {'x','y','z','+','-'} returns that single matrix;
     without it returns the (Sx, Sy, Sz) triple.
     """
-    two_s = _check_spin(s)
+    two_s = _twice(s)
     d = two_s + 1
     ms = np.array([s - i for i in range(d)], dtype=float)
     sz = np.diag(ms).astype(complex)
-    sp = np.zeros((d, d), dtype=complex)
-    for i in range(1, d):
-        m = ms[i]
-        sp[i - 1, i] = np.sqrt(s * (s + 1) - m * (m + 1))
+    sp = np.diag(np.sqrt(s * (s + 1) - ms[1:] * (ms[1:] + 1)), 1).astype(complex)
     sm = sp.conj().T
+    ops = {"x": (sp + sm) / 2, "y": (sp - sm) / 2j, "z": sz, "+": sp, "-": sm}
     if axis is None:
-        return (
-            QuantumObject((sp + sm) / 2),
-            QuantumObject((sp - sm) / 2j),
-            QuantumObject(sz),
-        )
-    if axis == "x":
-        return QuantumObject((sp + sm) / 2)
-    if axis == "y":
-        return QuantumObject((sp - sm) / 2j)
-    if axis == "z":
-        return QuantumObject(sz)
-    if axis == "+":
-        return QuantumObject(sp)
-    if axis == "-":
-        return QuantumObject(sm)
+        return tuple(QuantumObject(ops[a]) for a in "xyz")
+    if axis in ops:
+        return QuantumObject(ops[axis])
     raise InvalidParameter(f"axis must be one of {_AXES}, got {axis!r}")
 
 

@@ -1,6 +1,6 @@
 """Husimi and Wigner quasi-probability maps on planar and spherical grids,
-plus the angular-momentum utilities they need (Clebsch-Gordan coefficients
-and spherical harmonics).
+plus angular-momentum utilities (Clebsch-Gordan coefficients, spherical
+harmonics and spin multipoles).
 
 Grid values are stored row-major with the slow index being y (planar) or
 theta (spherical); the CSV grid format mirrors that order.
@@ -8,6 +8,7 @@ theta (spherical); the CSV grid format mirrors that order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,21 +22,14 @@ from .errors import (
     InvalidParameter,
     InvalidQuantumNumber,
 )
-from .operators import displacement
-from .qcore import QuantumObject, density_matrix
-from .states import spin_coherent
+from .operators import _twice, spin
+from .qcore import density_matrix
+from .states import _coherent_amplitudes, _spin_coherent_magnitudes
 
 
 # ---------------------------------------------------------------------------
 # angular-momentum utilities
 # ---------------------------------------------------------------------------
-
-def _twice(x, name: str) -> int:
-    t = round(2 * x)
-    if abs(2 * x - t) > 1e-9:
-        raise InvalidQuantumNumber(f"{name}={x} is not a half-integer")
-    return int(t)
-
 
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     """Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M> (Condon-Shortley).
@@ -44,11 +38,9 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     accurate at any angular momentum the factorials can express.  Returns
     0 for violated selection rules; raises for non-half-integer inputs.
     """
-    tj1, tm1 = _twice(j1, "j1"), _twice(m1, "m1")
-    tj2, tm2 = _twice(j2, "j2"), _twice(m2, "m2")
-    tJ, tM = _twice(J, "J"), _twice(M, "M")
-    if tj1 < 0 or tj2 < 0 or tJ < 0:
-        raise InvalidQuantumNumber("angular momenta must be non-negative")
+    tj1, tm1 = _twice(j1, "j1"), _twice(m1, "m1", signed=True)
+    tj2, tm2 = _twice(j2, "j2"), _twice(m2, "m2", signed=True)
+    tJ, tM = _twice(J, "J"), _twice(M, "M", signed=True)
     # selection rules (violations yield a vanishing coefficient)
     if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tJ + tM) % 2:
         return 0.0
@@ -211,110 +203,129 @@ def read_grid(path) -> PhaseSpaceGrid:
 # planar maps
 # ---------------------------------------------------------------------------
 
-def _coherent_matrix(d: int, alphas: np.ndarray) -> np.ndarray:
-    """Rows are truncated, renormalized coherent vectors for each alpha."""
-    out = np.empty((alphas.size, d), dtype=complex)
-    out[:, 0] = 1.0
-    for n in range(1, d):
-        out[:, n] = out[:, n - 1] * alphas / math.sqrt(n)
-    out *= np.exp(-np.abs(alphas) ** 2 / 2)[:, None]
-    out /= np.linalg.norm(out, axis=1)[:, None]
-    return out
+def _square_density(rho) -> np.ndarray:
+    dm = density_matrix(rho)
+    if dm.shape[0] != dm.shape[1]:
+        raise DimensionMismatch(f"need a square density matrix, got {dm.shape}")
+    return dm
 
 
 def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
-    """Husimi function Q(alpha) = <alpha|rho|alpha> / pi on a planar grid.
+    """Husimi function Q(alpha) = <alpha|rho|alpha> / pi on a planar grid,
+    normalized to integrate to 1 over the plane.
 
-    Coherent states are truncated at the state's own dimension, so the
-    caller controls accuracy through the cutoff of ``rho``.
+    Coherent states are truncated at the state's own dimension and
+    renormalized, so the caller controls accuracy through the cutoff of
+    ``rho``; they are made and contracted 256 grid points at a time.
     """
-    dm = density_matrix(rho)
-    d = dm.shape[0]
-    xs, ys = grid.xs, grid.ys
-    alphas = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
-    c = _coherent_matrix(d, alphas)
-    q = np.real(np.einsum("pi,ij,pj->p", c.conj(), dm, c)) / math.pi
-    return PhaseSpaceGrid("husimi", "planar", ys, xs, q.reshape(grid.ny, grid.nx))
+    dm = _square_density(rho)
+    alphas = (grid.xs[None, :] + 1j * grid.ys[:, None]).reshape(-1)
+    q = np.empty(alphas.size)
+    for start in range(0, alphas.size, 256):
+        c = _coherent_amplitudes(len(dm), alphas[start:start + 256])
+        c /= np.linalg.norm(c, axis=1)[:, None]
+        q[start:start + 256] = np.real(np.sum((c.conj() @ dm) * c, axis=1)) / math.pi
+    return PhaseSpaceGrid("husimi", "planar", grid.ys, grid.xs, q.reshape(grid.ny, grid.nx))
+
+
+def _laguerre_diagonal(order: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[n] (-1)^n sqrt(order! n! / (order + n)!) L_n^(order)(x)
+    by the Clenshaw recurrence, for at least two coefficients."""
+    y0, y1 = coeffs[-2], coeffs[-1]
+    for k in range(len(coeffs) - 1, 1, -1):
+        y0, y1 = (coeffs[k - 2] - y1 * math.sqrt((k - 1) * (order + k - 1) / ((order + k) * k)),
+                  y0 - y1 * (((order + 2 * k - 1) - x) / math.sqrt((order + k) * k)))
+    return y0 - y1 * ((order + 1) - x) / math.sqrt(order + 1)
 
 
 def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
-    """Wigner function from the displaced-number-state series,
-    W(alpha) = (2/pi) sum_k (-1)^k <alpha,k|rho|alpha,k>, truncated at the
-    state's dimension."""
-    dm = density_matrix(rho)
-    d = dm.shape[0]
-    xs, ys = grid.xs, grid.ys
-    signs = (-1.0) ** np.arange(d)
-    vals = np.empty((grid.ny, grid.nx), dtype=float)
-    for i, y in enumerate(ys):
-        for j, x in enumerate(xs):
-            dd = displacement(d, x + 1j * y).data
-            diag = np.einsum("ik,ij,jk->k", dd.conj(), dm, dd)
-            vals[i, j] = 2.0 / math.pi * float(np.real(signs @ diag))
-    return PhaseSpaceGrid("wigner", "planar", ys, xs, vals)
+    """Wigner function in the Laguerre form (Cahill & Glauber 1969),
+    W(alpha) = (2/pi) e^{-2|alpha|^2} sum_{m<=n} (2 - delta_mn) Re[rho_mn
+    (-1)^m sqrt(m!/n!) (2 alpha)^(n-m) L_m^(n-m)(4|alpha|^2)], normalized to
+    integrate to 1 over the plane.
+
+    Each diagonal of rho is summed by a Clenshaw recurrence and the
+    diagonals are nested by Horner's rule in 2 alpha, as in QuTiP.  The
+    series is exact for the truncated state at any alpha.
+    """
+    dm = _square_density(rho)
+    a2 = 2.0 * (grid.xs[None, :] + 1j * grid.ys[:, None])
+    b = np.abs(a2) ** 2
+    doubled = 2.0 * dm - np.diag(np.diag(dm))      # off-diagonals count twice
+    acc = np.full(a2.shape, doubled[0, -1], dtype=complex)
+    for order in range(len(dm) - 2, -1, -1):
+        acc = _laguerre_diagonal(order, b, np.diagonal(doubled, order)) \
+            + acc * a2 / math.sqrt(order + 1)
+    vals = 2.0 / math.pi * np.real(acc) * np.exp(-b / 2)
+    return PhaseSpaceGrid("wigner", "planar", grid.ys, grid.xs, vals)
 
 
 # ---------------------------------------------------------------------------
 # spherical maps
 # ---------------------------------------------------------------------------
 
-def _spin_j(dm: np.ndarray) -> float:
-    d = dm.shape[0]
-    if dm.shape[0] != dm.shape[1]:
-        raise DimensionMismatch(f"need a square density matrix, got {dm.shape}")
-    return (d - 1) / 2.0
+def _axial_map(dm: np.ndarray, kernels: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Re sum_ab rho_ab G_ab(theta) e^{-i(b-a) phi} on the grid, for real
+    symmetric ``kernels`` G(theta) of shape (ntheta, d, d).  As phi enters
+    through b - a alone, the diagonals of rho o G(theta) are summed first."""
+    offsets = np.arange(1 - len(dm), len(dm))
+    sums = np.stack([np.diagonal(kernels, k, axis1=1, axis2=2) @ np.diagonal(dm, k)
+                     for k in offsets], axis=1)
+    return np.real(sums @ np.exp(-1j * np.outer(offsets, phis)))
 
 
 def husimi_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGrid:
-    """Spin Husimi function Q(theta, phi) = <theta,phi|rho|theta,phi> / pi."""
-    dm = density_matrix(rho)
-    j = _spin_j(dm)
-    thetas, phis = grid.thetas, grid.phis
-    vals = np.empty((grid.ntheta, grid.nphi), dtype=float)
-    for a, th in enumerate(thetas):
-        for b, ph in enumerate(phis):
-            v = spin_coherent(j, th, ph).data.reshape(-1)
-            vals[a, b] = float(np.real(v.conj() @ dm @ v)) / math.pi
-    return PhaseSpaceGrid("husimi", "spherical", thetas, phis, vals)
+    """Spin Husimi function Q(theta, phi) = <theta,phi|rho|theta,phi> / pi,
+    integrating to 4/(2j+1) over the sphere (dOmega = sin(theta) dtheta dphi).
+    The amplitudes of ``spin_coherent`` are c_i(theta) e^{-i i phi}, so Q is
+    :func:`_axial_map` with G(theta) = c c^T / pi."""
+    dm = _square_density(rho)
+    c = _spin_coherent_magnitudes(len(dm) - 1, grid.thetas)
+    vals = _axial_map(dm, c[:, :, None] * c[:, None, :] / math.pi, grid.phis)
+    return PhaseSpaceGrid("husimi", "spherical", grid.thetas, grid.phis, vals)
 
 
 def spherical_multipole(rho, k: int, q: int) -> complex:
     """Multipole component rho_kq = sum_{m} rho_{m, m-q} (-1)^{j-m-q}
     <j, m; j, -(m-q) | k, q> of a spin state."""
-    dm = density_matrix(rho)
-    j = _spin_j(dm)
-    tj = round(2 * j)
+    dm = _square_density(rho)
+    tj = len(dm) - 1
     total = 0.0 + 0.0j
-    for i in range(tj + 1):
-        m = j - i                      # row index i = j - m
-        m2 = m - q                     # column must satisfy m - m' = q
-        i2 = round(j - m2)
-        if not (0 <= i2 <= tj):
-            continue
-        cg = clebsch_gordan(j, m, j, -m2, k, q)
-        if cg == 0.0:
-            continue
-        total += dm[i, i2] * (-1.0) ** round(j - m - q) * cg
+    for i in range(tj + 1):            # row i = j - m, column i + q = j - (m - q)
+        if 0 <= i + q <= tj:
+            cg = clebsch_gordan(tj / 2, tj / 2 - i, tj / 2, q - tj / 2 + i, k, q)
+            total += dm[i, round(i + q)] * (-1.0) ** round(i - q) * cg
     return total
 
 
-def wigner_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGrid:
-    """Spherical Wigner map W(theta, phi) = sum_{k=0}^{2j} sum_q rho_kq Y_kq.
+@functools.lru_cache(maxsize=8)
+def _stratonovich_kernel(two_j: int) -> tuple:
+    """(lam, vec, delta0): J_y = vec diag(lam) vec^dag, and the Wigner kernel
+    at the north pole, delta0_m = (-1)^{j-m} sum_k sqrt((2k+1)/4pi)
+    <j m; j -m | k 0> for m = j..-j."""
+    j = two_j / 2
+    lam, vec = np.linalg.eigh(spin(j, "y").data)
+    delta0 = np.array([(-1.0) ** i * sum(math.sqrt((2 * k + 1) / (4 * math.pi))
+                                         * clebsch_gordan(j, j - i, j, i - j, k, 0)
+                                         for k in range(two_j + 1))
+                       for i in range(two_j + 1)])
+    lam.flags.writeable = vec.flags.writeable = delta0.flags.writeable = False
+    return lam, vec, delta0
 
-    The multipole expansion uses the Clebsch-Gordan contraction of
-    :func:`spherical_multipole`; for Hermitian input the imaginary residue
-    of the sum is at roundoff level and only the real part is returned.
+
+def wigner_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGrid:
+    """Spherical Wigner map W = tr(rho U Delta_0 U^dag): the Stratonovich
+    kernel Delta_0 = diag(delta0_m) at the north pole (Agarwal, Phys. Rev. A
+    24, 2889 (1981)), rotated by U = exp(i phi J_z) exp(-i theta J_y).
+
+    U takes |j, j> to ``spin_coherent(j, theta, phi)``, so this map and
+    :func:`husimi_spherical` place a state at the same point.  In standard
+    harmonics W = sum_kq rho_kq Y_kq(theta, -phi) (see
+    :func:`spherical_multipole`); it integrates to sqrt(4 pi/(2j+1)) over the
+    sphere.  It is :func:`_axial_map` with G = d Delta_0 d^T, d = exp(-i theta J_y).
     """
-    dm = density_matrix(rho)
-    j = _spin_j(dm)
-    tj = round(2 * j)
-    thetas, phis = grid.thetas, grid.phis
-    TH, PH = np.meshgrid(thetas, phis, indexing="ij")
-    acc = np.zeros(TH.shape, dtype=complex)
-    for k in range(0, tj + 1):
-        for q in range(-k, k + 1):
-            r_kq = spherical_multipole(dm, k, q)
-            if abs(r_kq) < 1e-300:
-                continue
-            acc += r_kq * spherical_harmonic(k, q, TH, PH)
-    return PhaseSpaceGrid("wigner", "spherical", thetas, phis, np.real(acc))
+    dm = _square_density(rho)
+    lam, vec, delta0 = _stratonovich_kernel(len(dm) - 1)
+    rot = np.real((vec * np.exp(-1j * grid.thetas[:, None, None] * lam)) @ vec.conj().T)
+    vals = _axial_map(dm, (rot * delta0) @ rot.transpose(0, 2, 1), grid.phis)
+    return PhaseSpaceGrid("wigner", "spherical", grid.thetas, grid.phis, vals)

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from ._rng import as_rng
 from .errors import (
@@ -14,7 +15,7 @@ from .errors import (
     InvalidParameter,
     InvalidQuantumNumber,
 )
-from .operators import _check_spin, displacement, lowering, squeezing
+from .operators import _twice, displacement, lowering, squeezing
 from .qcore import Kind, QuantumObject, dot, normalize, to_operator
 
 
@@ -36,24 +37,28 @@ def dual_basis(d: int, k: int) -> QuantumObject:
 
 def zeeman(j, m) -> QuantumObject:
     """Zeeman / Dicke basis ket |j, m>, dimension 2j+1, ordered m = j..-j."""
-    two_j = _check_spin(j)
-    two_m = round(2 * m)
-    if abs(2 * m - two_m) > 1e-9 or (two_j - two_m) % 2 != 0 or abs(two_m) > two_j:
+    two_j, two_m = _twice(j), _twice(m, "m", signed=True)
+    if (two_j - two_m) % 2 != 0 or abs(two_m) > two_j:
         raise InvalidQuantumNumber(f"m={m} invalid for j={j}")
-    return basis(two_j + 1, (two_j - int(two_m)) // 2)
+    return basis(two_j + 1, (two_j - two_m) // 2)
+
+
+def _coherent_amplitudes(d: int, alphas: np.ndarray) -> np.ndarray:
+    """Rows e^{-|alpha|^2/2} alpha^n / sqrt(n!), n < d, one per alpha in the
+    1-D array ``alphas``; not renormalized to the truncation."""
+    out = np.empty((alphas.size, d), dtype=complex)
+    out[:, 0] = 1.0
+    for n in range(1, d):
+        out[:, n] = out[:, n - 1] * alphas / math.sqrt(n)
+    out *= np.exp(-np.abs(alphas) ** 2 / 2)[:, None]
+    return out
 
 
 def coherent(d: int, alpha: complex) -> QuantumObject:
     """Coherent state truncated at d Fock levels and renormalized."""
     if d < 1:
         raise InvalidParameter(f"dimension must be >= 1, got {d}")
-    alpha = complex(alpha)
-    amps = np.empty(d, dtype=complex)
-    amps[0] = 1.0
-    for n in range(1, d):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    amps *= math.exp(-abs(alpha) ** 2 / 2)
-    return normalize(QuantumObject(amps.reshape(-1, 1)))
+    return normalize(QuantumObject(_coherent_amplitudes(d, np.array([complex(alpha)])).T))
 
 
 def squeezed(d: int, alpha: complex, beta: complex) -> QuantumObject:
@@ -81,25 +86,26 @@ def position_state(d: int, x: float) -> QuantumObject:
     return QuantumObject(v.reshape(-1, 1))
 
 
+def _spin_coherent_magnitudes(two_j: int, thetas: np.ndarray) -> np.ndarray:
+    """Rows c_i(theta) = sqrt(C(2j, i)) cos^(2j-i)(theta/2) sin^i(theta/2),
+    i = j - m, one per theta: in log space, so nothing overflows at large j
+    (``xlogy`` gives 0 log 0 = 0 at the poles), then signed by cos and sin."""
+    i = np.arange(two_j + 1)
+    c, s = np.cos(thetas / 2)[:, None], np.sin(thetas / 2)[:, None]
+    log_binom = gammaln(two_j + 1) - gammaln(i + 1) - gammaln(two_j - i + 1)
+    mags = np.exp(0.5 * log_binom + xlogy(two_j - i, np.abs(c)) + xlogy(i, np.abs(s)))
+    return mags * np.sign(c) ** (two_j - i) * np.sign(s) ** i
+
+
 def spin_coherent(j, theta: float, phi: float) -> QuantumObject:
     """Spin-j coherent state pointing along (theta, phi).
 
     Amplitude on |j, m> is
     sqrt(C(2j, j-m)) cos^(j+m)(theta/2) sin^(j-m)(theta/2) e^{-i(j-m) phi}.
     """
-    two_j = _check_spin(j)
-    d = two_j + 1
-    amps = np.empty(d, dtype=complex)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    for i in range(d):
-        # i = j - m
-        amps[i] = (
-            math.sqrt(math.comb(two_j, i))
-            * c ** (two_j - i)
-            * s**i
-            * np.exp(-1j * i * phi)
-        )
-    return QuantumObject(amps.reshape(-1, 1))
+    two_j = _twice(j)
+    mags = _spin_coherent_magnitudes(two_j, np.array([float(theta)]))
+    return QuantumObject((mags * np.exp(-1j * np.arange(two_j + 1) * phi)).T)
 
 
 def random_haar(d: int, rng=None) -> QuantumObject:

@@ -40,6 +40,15 @@ def test_state_dicke_amplitudes(tmp_path):
     assert amps[3] == pytest.approx(1 / math.sqrt(3))
 
 
+def test_state_spin_coherent_large_j(tmp_path):
+    out = tmp_path / "sc.csv"
+    assert run_cli(["state", "--name", "spin-coherent", "--j", "600", "--theta", "1.0",
+                    "--out", str(out)]) == 0
+    amps = np.array([[float(v) for v in r.split(",")] for r in data_lines(out)])
+    assert amps.shape == (1201, 2)
+    assert np.sum(amps ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_state_white_noise_density_matrix(tmp_path):
     out = tmp_path / "noisy.csv"
     assert run_cli(["state", "--name", "ghz", "--n", "3",

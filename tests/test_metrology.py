@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_ket
+from conftest import random_density, random_hermitian, random_ket
 from qmkit import (
     MeasurementSet,
     MetrologyScenario,
@@ -157,6 +157,31 @@ def test_qfi_invariant_under_encoding():
 def test_qfi_requires_hermitian_generator():
     with pytest.raises(NotHermitian):
         quantum_fisher(basis(2, 0), [[0, 1], [0, 0]])
+
+
+def _qfi_loop(rho, h):
+    """The spectral-form double loop over eigenvalue pairs."""
+    q, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    q = np.clip(q, 0.0, None)
+    q = q / q.sum()
+    ht = v.conj().T @ h @ v
+    total = 0.0
+    for m in range(len(q)):
+        for n in range(len(q)):
+            s = q[m] + q[n]
+            if s <= 1e-12:
+                continue
+            total += (q[m] - q[n]) ** 2 / s * abs(ht[m, n]) ** 2
+    return 2.0 * total
+
+
+def test_quantum_fisher_matches_pairwise_loop():
+    rng = np.random.default_rng(13)
+    for d in range(2, 13):
+        h = random_hermitian(rng, d)
+        for rank in (d, max(1, d // 2), 1):
+            rho = random_density(rng, d, rank).data
+            assert quantum_fisher(rho, h) == pytest.approx(_qfi_loop(rho, h), rel=1e-12)
 
 
 def test_cramer_rao_bounds():

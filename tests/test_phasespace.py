@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from qmkit import (
     basis,
     clebsch_gordan,
     coherent,
+    displacement,
     husimi_planar,
     husimi_spherical,
     identity,
@@ -25,7 +27,7 @@ from qmkit import (
     write_grid,
     zeeman,
 )
-from qmkit.errors import InvalidParameter, InvalidQuantumNumber
+from qmkit.errors import DimensionMismatch, InvalidParameter, InvalidQuantumNumber
 from qmkit.phasespace import spherical_multipole
 
 
@@ -51,6 +53,14 @@ def test_cg_selection_rules():
 def test_cg_rejects_non_half_integers():
     with pytest.raises(InvalidQuantumNumber):
         clebsch_gordan(0.3, 0.3, 1, 0, 1, 0.3)
+
+
+def test_cg_validation_names_the_argument():
+    with pytest.raises(InvalidQuantumNumber, match="m2"):
+        clebsch_gordan(1, 0, 1, 0.3, 1, 0)
+    with pytest.raises(InvalidQuantumNumber, match="J must be a non-negative"):
+        clebsch_gordan(1, 0, 1, 0, -1, 0)
+    assert clebsch_gordan(1, -1, 1, 1, 1, 0) != 0.0   # negative projections are fine
 
 
 def test_cg_against_sympy():
@@ -174,6 +184,64 @@ def test_wigner_single_photon_negative_origin():
     assert out.values[1, 1] == pytest.approx(-2 / math.pi, abs=1e-10)
 
 
+def test_wigner_planar_coherent_analytic_whole_grid():
+    # the Laguerre series is exact for the truncated state, so the default
+    # grid's corners (|alpha - alpha0| up to 4.6) are as good as its centre
+    alpha0 = 1 + 0.5j
+    grid = PlanarGrid()
+    out = wigner_planar(coherent(30, alpha0), grid)
+    pts = grid.xs[None, :] + 1j * grid.ys[:, None]
+    analytic = 2 / math.pi * np.exp(-2 * np.abs(pts - alpha0) ** 2)
+    assert np.max(np.abs(out.values - analytic)) <= 1e-12
+
+
+def _displaced_parity_wigner(rho, pts, cutoff):
+    """The displaced-parity sum W(alpha) = (2/pi) sum_k (-1)^k
+    <k|D(alpha)^dag rho D(alpha)|k> with D(alpha) the exponential of the
+    truncated generator at ``cutoff``, for every point at once.
+
+    alpha a^dag - alpha* a = R (|alpha| K) R^dag with K = a^dag - a and
+    R = exp(i arg(alpha) n), so D(alpha)^dag = R exp(-|alpha| K) R^dag and
+    one eigendecomposition of the Hermitian iK serves the whole grid.
+    """
+    d = rho.shape[0]
+    lam, small = np.linalg.eigh(rho)
+    vecs = np.zeros((cutoff, d), dtype=complex)
+    vecs[:d] = small
+    n = np.arange(cutoff)
+    a = np.diag(np.sqrt(n[1:]), 1)
+    mu, v = np.linalg.eigh(1j * (a.T - a))        # K = -i v diag(mu) v^dag
+    r, arg = np.abs(pts)[:, None], np.angle(pts)[:, None]
+    out = np.zeros(pts.size)
+    for weight, psi in zip(lam, vecs.T):
+        shifted = ((np.exp(-1j * arg * n) * psi) @ v.conj() * np.exp(1j * r * mu)) @ v.T
+        shifted *= np.exp(1j * arg * n)
+        out += weight * (np.abs(shifted) ** 2 @ (-1.0) ** n)
+    return 2 / math.pi * out
+
+
+def test_displaced_parity_oracle_matches_displacement_operator():
+    rng = np.random.default_rng(11)
+    rho = random_density(rng, 5).data
+    pts = np.array([0.3 - 0.2j, -1.5 + 2.5j, 3 - 3j])
+    ref = _displaced_parity_wigner(rho, pts, 40)
+    for alpha, w in zip(pts, ref):
+        dd = displacement(40, alpha).data[:5]
+        diag = np.einsum("ik,ij,jk->k", dd.conj(), rho, dd)
+        assert w == pytest.approx(2 / math.pi * np.real((-1.0) ** np.arange(40) @ diag),
+                                  abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_wigner_planar_matches_displaced_parity_at_cutoff_80(d):
+    rng = np.random.default_rng(40 + d)
+    rho = random_density(rng, d).data
+    grid = PlanarGrid()
+    pts = (grid.xs[None, :] + 1j * grid.ys[:, None]).reshape(-1)
+    ref = _displaced_parity_wigner(rho, pts, 80).reshape(grid.ny, grid.nx)
+    assert np.max(np.abs(wigner_planar(rho, grid).values - ref)) <= 1e-9
+
+
 def test_husimi_normalization_riemann():
     grid = PlanarGrid(x_range=(-5, 5), y_range=(-5, 5), nx=161, ny=161)
     out = husimi_planar(coherent(40, 1.0), grid)
@@ -224,6 +292,53 @@ def test_spin_husimi_dicke_ring():
     assert np.max(out.values[-1, :]) <= 1e-12  # south pole
     imax = np.unravel_index(np.argmax(out.values), out.values.shape)[0]
     assert 0 < imax < 40
+
+
+@pytest.mark.parametrize("j", [0.5, 3, 10])
+def test_husimi_spherical_matches_coherent_state_loop(j):
+    rng = np.random.default_rng(round(4 * j))
+    rho = random_density(rng, round(2 * j + 1)).data
+    grid = SphericalGrid()
+    loop = np.empty((grid.ntheta, grid.nphi))
+    for a, th in enumerate(grid.thetas):
+        for b, ph in enumerate(grid.phis):
+            v = spin_coherent(j, th, ph).data.reshape(-1)
+            loop[a, b] = np.real(v.conj() @ rho @ v) / math.pi
+    assert np.max(np.abs(husimi_spherical(rho, grid).values - loop)) <= 1e-14
+
+
+def test_spherical_maps_place_a_coherent_state_at_the_same_point():
+    rho = to_operator(spin_coherent(5, 1.1, 2.3))
+    peaks = [np.unravel_index(np.argmax(fn(rho).values), (61, 61))
+             for fn in (husimi_spherical, wigner_spherical)]
+    assert peaks[0] == peaks[1]
+    grid = SphericalGrid()
+    a, b = peaks[0]
+    assert abs(grid.thetas[a] - 1.1) < grid.thetas[1] and abs(grid.phis[b] - 2.3) < grid.phis[1]
+
+
+def test_wigner_spherical_is_the_multipole_sum_at_minus_phi():
+    rng = np.random.default_rng(17)
+    grid = SphericalGrid(theta_range=(0.1, 3.0), phi_range=(0.3, 5.9), ntheta=7, nphi=9)
+    TH, PH = np.meshgrid(grid.thetas, grid.phis, indexing="ij")
+    for d in (2, 3, 4, 6):
+        rho = random_density(rng, d)
+        ref = sum(spherical_multipole(rho, k, q) * spherical_harmonic(k, q, TH, -PH)
+                  for k in range(d) for q in range(-k, k + 1))
+        assert np.max(np.abs(wigner_spherical(rho, grid).values - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("j", [0.5, 3, 10])
+def test_spherical_map_normalisation(j):
+    # int W dOmega = sqrt(4 pi / (2j+1)) and int Q dOmega = 4 / (2j+1)
+    d = round(2 * j + 1)
+    rho = random_density(np.random.default_rng(d), d)
+    grid = SphericalGrid(ntheta=401, nphi=4 * d + 1)
+    for fn, expected in ((wigner_spherical, math.sqrt(4 * math.pi / d)),
+                         (husimi_spherical, 4 / d)):
+        per_theta = scipy.integrate.trapezoid(fn(rho, grid).values, grid.phis, axis=1)
+        total = scipy.integrate.simpson(per_theta * np.sin(grid.thetas), x=grid.thetas)
+        assert total == pytest.approx(expected, abs=1e-7)
 
 
 def test_spherical_multipole_k0_is_trace_term():
@@ -308,6 +423,12 @@ def test_grid_validation():
         SphericalGrid(theta_range=(0.0, 4.0))
     with pytest.raises(InvalidParameter):
         PlanarGrid(nx=1)
+
+
+@pytest.mark.parametrize("fn", [husimi_planar, wigner_planar, husimi_spherical, wigner_spherical])
+def test_maps_reject_non_square_operators(fn):
+    with pytest.raises(DimensionMismatch):
+        fn(np.ones((2, 3)) / 2)
 
 
 def test_grid_file_roundtrip(tmp_path):

@@ -121,6 +121,23 @@ def test_spin_coherent_norm_binomial_identity():
     assert l2norm(spin_coherent(10, 0.3, 1.1)) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_spin_coherent_large_j_unit_norm():
+    # C(1200, 600) overflows a float; the log-space amplitudes do not
+    assert l2norm(spin_coherent(600, 1.0, 0.3)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spin_coherent_matches_closed_form():
+    for j in (0.5, 1, 3, 7.5, 10, 20):
+        two_j = round(2 * j)
+        for theta in (0.0, math.pi, 4.0, -0.5, 1.3):
+            phi = 0.7 * theta + 0.2
+            c, s = math.cos(theta / 2), math.sin(theta / 2)
+            expected = [math.sqrt(math.comb(two_j, i)) * c ** (two_j - i) * s**i
+                        * np.exp(-1j * i * phi) for i in range(two_j + 1)]
+            np.testing.assert_allclose(spin_coherent(j, theta, phi).data.reshape(-1),
+                                       expected, rtol=0, atol=1e-14)
+
+
 def test_spin_coherent_overlap_law():
     j, theta = 7.5, 1.1
     sc = spin_coherent(j, theta, 0.0)
