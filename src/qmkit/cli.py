@@ -41,7 +41,7 @@ from .measurement import (
     timed_measurement,
 )
 from .operators import pauli, spin
-from .qcore import Kind, QuantumObject
+from .qcore import Kind, QuantumObject, _write_lines
 
 DEFAULT_SEED = 0
 
@@ -55,11 +55,10 @@ def _fmt(x: float) -> str:
 
 
 def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        _write_lines(lines, out)
 
 
 def _emit_json(payload, out: str | None) -> None:

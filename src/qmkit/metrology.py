@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -18,22 +17,23 @@ from .errors import (
     NotPositive,
 )
 from .measurement import MeasurementSet, probabilities
-from .qcore import Kind, QuantumObject, density_matrix, mat_exp, normalize
+from .qcore import Kind, QuantumObject, _write_lines, density_matrix, normalize
 from .states import spin_coherent
 
 DERIVATIVE_CUTOFF = 1e-12
 
 
 def encode_phase(state, generator, phi: float) -> QuantumObject:
-    """Evolve a state under U(phi) = exp(-i phi H).
-
-    Kets map to U|psi>, operators to U rho U^dag.
-    """
+    """Evolve a state under U(phi) = exp(-i phi H) = V e^{-i phi L} V^dag for a
+    Hermitian H = V L V^dag: kets map to U|psi>, operators to U rho U^dag."""
     st = QuantumObject(state)
     h = QuantumObject(generator)
     if h.shape[0] != h.shape[1] or h.shape[0] != st.dim:
         raise DimensionMismatch(f"generator {h.shape} vs state dimension {st.dim}")
-    u = mat_exp(QuantumObject(-1j * phi * h.data)).data
+    if not h.is_hermitian():
+        raise NotHermitian("generator must be Hermitian")
+    lam, v = np.linalg.eigh(h.data)
+    u = (v * np.exp(-1j * phi * lam)) @ v.conj().T
     if st.kind is Kind.KET:
         return QuantumObject(u @ st.data)
     if st.kind is Kind.BRA:
@@ -215,5 +215,4 @@ def curve_lines(curve: PrecisionCurve) -> list[str]:
 
 
 def write_curve_csv(curve: PrecisionCurve, path) -> None:
-    Path(path).write_text("\n".join(curve_lines(curve)) + "\n",
-                          encoding="utf-8", newline="\n")
+    _write_lines(curve_lines(curve), path)

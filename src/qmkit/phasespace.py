@@ -15,7 +15,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import scipy.special
 
 from .errors import (
     DimensionMismatch,
@@ -23,7 +22,7 @@ from .errors import (
     InvalidQuantumNumber,
 )
 from .operators import _twice, spin
-from .qcore import density_matrix
+from .qcore import _write_lines, density_matrix
 from .states import _coherent_amplitudes, _spin_coherent_magnitudes
 
 
@@ -93,6 +92,7 @@ def spherical_harmonic(k: int, q: int, theta, phi):
     k, q = int(k), int(q)
     if k < 0 or abs(q) > k:
         raise InvalidQuantumNumber(f"need 0 <= |q| <= k, got k={k}, q={q}")
+    import scipy.special  # on first use, so that ``import qmkit`` does not load SciPy
     return scipy.special.sph_harm_y(k, q, theta, phi)
 
 
@@ -177,8 +177,7 @@ def grid_lines(grid: PhaseSpaceGrid) -> list[str]:
 
 
 def write_grid(grid: PhaseSpaceGrid, path) -> None:
-    Path(path).write_text("\n".join(grid_lines(grid)) + "\n",
-                          encoding="utf-8", newline="\n")
+    _write_lines(grid_lines(grid), path)
 
 
 def read_grid(path) -> PhaseSpaceGrid:

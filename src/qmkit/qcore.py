@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -221,6 +221,23 @@ def density_matrix(x: ArrayLike) -> np.ndarray:
     return to_operator(x).data
 
 
+def _require_state(x: ArrayLike) -> QuantumObject:
+    """Density matrix of ``x``; raises unless Hermitian, unit-trace and PSD."""
+    q = to_operator(x)
+    if not q.is_hermitian():
+        raise NotHermitian("a state must be a Hermitian operator")
+    if abs((tr := np.trace(q.data).real) - 1.0) > 1e-8:
+        raise InvalidObject(f"a state must have unit trace, got {tr:.6g}")
+    if (low := np.linalg.eigvalsh(q.data)[0]) < -1e-10:
+        raise NotPositive(f"state has eigenvalue {low:.3e} < -1e-10")
+    return q
+
+
+def _write_lines(lines: Sequence[str], path) -> None:
+    """Write ``lines`` to a UTF-8 file, each ended by a bare newline."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
 def dot(*factors: ArrayLike):
     """Matrix product of two or more objects, left to right.
 
@@ -296,6 +313,7 @@ def ground(x: ArrayLike) -> QuantumObject:
 
 def mat_exp(x: ArrayLike) -> QuantumObject:
     """Matrix exponential (scaling-and-squaring)."""
+    import scipy.linalg  # on first use, so that ``import qmkit`` does not load SciPy
     q = QuantumObject(x)
     if q.shape[0] != q.shape[1]:
         raise InvalidObject(f"mat_exp needs a square matrix, got {q.shape}")

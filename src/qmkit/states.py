@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from ._rng import as_rng
 from .errors import (
@@ -16,7 +15,7 @@ from .errors import (
     InvalidQuantumNumber,
 )
 from .operators import _twice, displacement, lowering, squeezing
-from .qcore import Kind, QuantumObject, dot, normalize, to_operator
+from .qcore import Kind, QuantumObject, _fix_phase, dot, normalize, to_operator
 
 
 def basis(d: int, k: int) -> QuantumObject:
@@ -80,20 +79,21 @@ def position_state(d: int, x: float) -> QuantumObject:
     xop = (a + a.conj().T) / math.sqrt(2)
     vals, vecs = np.linalg.eigh(xop)
     i = int(np.argmin(np.abs(vals - x)))
-    v = vecs[:, i]
-    k = int(np.argmax(np.abs(v)))
-    v = v * (abs(v[k]) / v[k])
-    return QuantumObject(v.reshape(-1, 1))
+    return QuantumObject(_fix_phase(vecs[:, i]).reshape(-1, 1))
 
 
 def _spin_coherent_magnitudes(two_j: int, thetas: np.ndarray) -> np.ndarray:
     """Rows c_i(theta) = sqrt(C(2j, i)) cos^(2j-i)(theta/2) sin^i(theta/2),
     i = j - m, one per theta: in log space, so nothing overflows at large j
-    (``xlogy`` gives 0 log 0 = 0 at the poles), then signed by cos and sin."""
+    (with 0 log 0 = 0 at the poles), then signed by cos and sin."""
     i = np.arange(two_j + 1)
     c, s = np.cos(thetas / 2)[:, None], np.sin(thetas / 2)[:, None]
-    log_binom = gammaln(two_j + 1) - gammaln(i + 1) - gammaln(two_j - i + 1)
-    mags = np.exp(0.5 * log_binom + xlogy(two_j - i, np.abs(c)) + xlogy(i, np.abs(s)))
+    k = np.arange(1, two_j + 1)      # log C(2j, i) = sum_{k <= i} log((2j - k + 1) / k)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log((two_j - k + 1) / k))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_c = np.where(two_j - i == 0, 0.0, (two_j - i) * np.log(np.abs(c)))
+        log_s = np.where(i == 0, 0.0, i * np.log(np.abs(s)))
+    mags = np.exp(0.5 * log_binom + log_c + log_s)
     return mags * np.sign(c) ** (two_j - i) * np.sign(s) ** i
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,7 +16,8 @@ from .errors import (
     RankDeficientSet,
 )
 from .measurement import MeasurementSet, SamplerBackend, measure_and_sample, probabilities
-from .qcore import Kind, QuantumObject, density_matrix, mat_sqrt
+from .qcore import (Kind, QuantumObject, _require_state, _write_lines, density_matrix,
+                    mat_sqrt)
 
 
 def trace_distance_pure(psi, phi) -> float:
@@ -183,7 +183,7 @@ def run_tomography(true_state, mset: MeasurementSet, shots: int | None = None,
     ``shots = None`` bypasses sampling and feeds exact probabilities to the
     estimator (default: linear inversion + PSD projection).
     """
-    rho_true = QuantumObject(density_matrix(true_state))
+    rho_true = _require_state(true_state)
     if shots is None:
         freqs = probabilities(rho_true, mset)
         backend_name, seed = "exact", 0
@@ -224,12 +224,10 @@ def report_lines(runs: Sequence[TomographyRun]) -> list[str]:
 
 
 def write_reports_csv(runs: Sequence[TomographyRun], path) -> None:
-    Path(path).write_text("\n".join(report_lines(runs)) + "\n",
-                          encoding="utf-8", newline="\n")
+    _write_lines(report_lines(runs), path)
 
 
 def write_reports_json(runs: Sequence[TomographyRun], path) -> None:
     reports = [r.report() for r in runs]
     payload = reports[0] if len(reports) == 1 else reports
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n",
-                          encoding="utf-8", newline="\n")
+    _write_lines([json.dumps(payload, indent=2)], path)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmkit
 from qmkit.cli import main
 
 
@@ -296,3 +301,36 @@ def test_stdout_output(capsys):
     out = capsys.readouterr().out
     rows = [l for l in out.splitlines() if not l.startswith("#")]
     assert len(rows) == 2
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+_NO_SCIPY = """
+import sys
+import qmkit, qmkit.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), scipy_modules()[:5]
+for argv in (["state", "--name", "ghz", "--n", "3"],
+             ["phasespace", "--name", "spin-coherent", "--j", "10", "--theta", "1.0",
+              "--map", "husimi", "--coords", "spherical"],
+             ["metrology", "--j", "3", "--points", "10"]):
+    argv += ["--out-dir", "."] if argv[0] == "metrology" else ["--out", argv[0] + ".csv"]
+    assert qmkit.cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv[0], scipy_modules()[:5])
+"""
+
+
+def test_cli_commands_do_not_load_scipy(tmp_path):
+    src = str(Path(qmkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    res = subprocess.run([sys.executable, "-c", _NO_SCIPY], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "phasespace.csv").exists()
+    assert len(list(tmp_path.glob("cat_theta_*.csv"))) == 4

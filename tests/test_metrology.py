@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_density, random_hermitian, random_ket
 from qmkit import (
@@ -60,6 +61,23 @@ def test_encode_phase_preserves_trace(rng):
     h = spin(1.5, "z")
     out = encode_phase(rho, h, 0.7)
     assert np.trace(out.data).real == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_encode_phase_matches_expm(rng, d):
+    h = random_hermitian(rng, d)
+    phi = float(rng.uniform(-2.0, 2.0))
+    u = scipy.linalg.expm(-1j * phi * h)
+    psi, rho = random_ket(rng, d), random_density(rng, d)
+    np.testing.assert_allclose(encode_phase(psi, h, phi).data, u @ psi.data,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(encode_phase(rho, h, phi).data, u @ rho.data @ u.conj().T,
+                               rtol=0, atol=1e-12)
+
+
+def test_encode_phase_requires_hermitian_generator():
+    with pytest.raises(NotHermitian):
+        encode_phase(_plus(), [[0, 1], [0, 0]], 0.3)
 
 
 def test_classical_fisher_ramsey():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from qmkit.errors import (
     InvalidQuantumNumber,
 )
 from qmkit.operators import lowering
-from qmkit.states import NoiseSpec
+from qmkit.states import NoiseSpec, _spin_coherent_magnitudes
 from qmkit.tomography import fidelity
 
 
@@ -124,6 +125,26 @@ def test_spin_coherent_norm_binomial_identity():
 def test_spin_coherent_large_j_unit_norm():
     # C(1200, 600) overflows a float; the log-space amplitudes do not
     assert l2norm(spin_coherent(600, 1.0, 0.3)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("two_j", [1, 20, 1200])
+def test_spin_coherent_log_binomial_term(two_j):
+    # at theta = pi/2 the trig factors are known, so log c_i gives the
+    # log-binomial term back: 2 (log c_i - (2j - i) log cos - i log sin)
+    mags = _spin_coherent_magnitudes(two_j, np.array([math.pi / 2]))[0]
+    i = np.arange(two_j + 1)
+    term = 2 * (np.log(mags) - (two_j - i) * math.log(math.cos(math.pi / 4))
+                - i * math.log(math.sin(math.pi / 4)))
+    exact = [math.log(math.comb(two_j, k)) for k in range(two_j + 1)]
+    np.testing.assert_allclose(term, exact, rtol=0, atol=1e-11)
+
+
+def test_spin_coherent_poles_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mags = _spin_coherent_magnitudes(6, np.array([0.0, math.pi]))   # sin(0) = 0 exactly
+    np.testing.assert_array_equal(mags[0], np.eye(7)[0])
+    np.testing.assert_allclose(mags[1], np.eye(7)[6], rtol=0, atol=1e-15)
 
 
 def test_spin_coherent_matches_closed_form():

@@ -27,7 +27,14 @@ from qmkit import (
     trace_distance,
     trace_distance_pure,
 )
-from qmkit.errors import DimensionMismatch, RankDeficientSet
+from qmkit.errors import (
+    DimensionMismatch,
+    InvalidObject,
+    NotHermitian,
+    NotPositive,
+    QmkitError,
+    RankDeficientSet,
+)
 from qmkit.tomography import report_lines, write_reports_csv, write_reports_json
 
 
@@ -284,6 +291,29 @@ def test_fuchs_relation_on_runs():
         run = run_tomography(ghz(1), mset, shots=200,
                              backend=SamplerBackend("cdf", seed))
         assert 1 - run.fidelity <= run.trace_distance + 1e-8
+
+
+@pytest.mark.parametrize("operator, error", [
+    (np.diag([2.0, 0.0]), InvalidObject),                # trace 2
+    (np.diag([1.5, -0.5]), NotPositive),                 # unit trace, not PSD
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitian),  # unit trace, not Hermitian
+])
+def test_run_tomography_rejects_non_states(operator, error):
+    assert issubclass(error, QmkitError)
+    for shots in (None, 100):
+        with pytest.raises(error):
+            run_tomography(operator, build_pauli_set(1), shots=shots)
+
+
+def test_run_tomography_state_tolerances():
+    ket = 2.0 * basis(2, 0)                              # kets are normalized first
+    assert run_tomography(ket, build_pauli_set(1)).fidelity == pytest.approx(1.0)
+    run_tomography(np.diag([0.5 + 5e-9, 0.5]), build_pauli_set(1))
+    run_tomography(np.diag([1.0 + 5e-11, -5e-11]), build_pauli_set(1))
+    with pytest.raises(InvalidObject):
+        run_tomography(np.diag([0.5 + 2e-8, 0.5]), build_pauli_set(1))
+    with pytest.raises(NotPositive):
+        run_tomography(np.diag([1.0 + 2e-10, -2e-10]), build_pauli_set(1))
 
 
 def test_report_serialization(tmp_path):
