@@ -82,7 +82,6 @@ from .qcore import (
     transpose,
 )
 from .states import (
-    NoiseSpec,
     add_random_noise,
     add_white_noise,
     basis,

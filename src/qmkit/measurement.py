@@ -28,11 +28,13 @@ from .errors import (
     InvalidParameter,
     NotHermitian,
     OutcomeImpossible,
+    UnsupportedDimension,
 )
 from .qcore import HERMITIAN_TOL, QuantumObject, density_matrix
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
+MAX_STACK_BYTES = 2**30    # largest (K, d, d) product-set stack: Pauli n <= 5, Stoke n <= 6
 
 # single-qubit polarization kets: horizontal/vertical, diagonal/antidiagonal,
 # left/right circular
@@ -192,13 +194,18 @@ def _projectors(kets: np.ndarray) -> np.ndarray:
     return kets[:, :, None] * kets.conj()[:, None, :]
 
 
-def _product_kets(letters: str, n: int) -> np.ndarray:
-    """Kronecker products of the single-qubit kets named by ``letters`` over
-    every n-letter word, one row per word in itertools.product order."""
+def _product_projectors(letters: str, n: int) -> np.ndarray:
+    """(K, d, d) projectors onto the Kronecker products of the kets named by
+    ``letters``, one per n-letter word in itertools.product order; refused
+    over MAX_STACK_BYTES before anything is built."""
+    nbytes = (len(letters) * 4) ** n * 16          # K d^2 complex entries
+    if nbytes > MAX_STACK_BYTES:
+        raise UnsupportedDimension(f"a {n}-qubit {letters} product set needs a "
+                                   f"{nbytes / 2**30:.3g} GiB stack, over the 1 GiB limit")
     kets = single = np.array([_POL[c] for c in letters])
     for _ in range(n - 1):
         kets = np.einsum("ai,bj->abij", kets, single).reshape(len(kets) * len(single), -1)
-    return kets
+    return _projectors(kets)
 
 
 def build_pauli_set(n: int) -> MeasurementSet:
@@ -209,12 +216,13 @@ def build_pauli_set(n: int) -> MeasurementSet:
     """
     if n < 1:
         raise InvalidParameter(f"need n >= 1 qubits, got {n}")
+    elements = _product_projectors("HVDALR", n)
     # outcome o of basis b is letter 2b + o; an element's letters are its
     # index in base 6, most significant first
     bases = np.array(list(itertools.product(range(3), repeat=n)))
     bits = np.array(list(itertools.product(range(2), repeat=n)))
     index = (2 * bases[:, None, :] + bits[None, :, :]) @ 6 ** np.arange(n - 1, -1, -1)
-    return MeasurementSet(kind="pauli", elements=_projectors(_product_kets("HVDALR", n)),
+    return MeasurementSet(kind="pauli", elements=elements,
                           groups=tuple(tuple(map(int, row)) for row in index))
 
 
@@ -226,7 +234,7 @@ def build_stoke_set(n: int) -> MeasurementSet:
     """
     if n < 1:
         raise InvalidParameter(f"need n >= 1 qubits, got {n}")
-    return MeasurementSet(kind="stoke", elements=_projectors(_product_kets("HVDR", n)))
+    return MeasurementSet(kind="stoke", elements=_product_projectors("HVDR", n))
 
 
 def build_mub_set(d: int) -> MeasurementSet:

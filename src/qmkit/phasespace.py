@@ -23,7 +23,7 @@ from .errors import (
 )
 from .operators import _twice, spin
 from .qcore import _write_lines, density_matrix
-from .states import _coherent_amplitudes, _spin_coherent_magnitudes
+from .states import _spin_coherent_magnitudes
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +209,44 @@ def _square_density(rho) -> np.ndarray:
     return dm
 
 
+def _radial(grid: PlanarGrid, scale: float) -> tuple:
+    """scale * alpha at each grid point (row-major), the unique values of
+    |scale * alpha|^2, and the index with radii[inverse] = |alphas|^2."""
+    alphas = scale * (grid.xs[None, :] + 1j * grid.ys[:, None]).reshape(-1)
+    radii, inverse = np.unique(np.abs(alphas) ** 2, return_inverse=True)
+    return alphas, radii, inverse
+
+
 def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     """Husimi function Q(alpha) = <alpha|rho|alpha> / pi on a planar grid,
     normalized to integrate to 1 over the plane.
 
     Coherent states are truncated at the state's own dimension and
     renormalized, so the caller controls accuracy through the cutoff of
-    ``rho``; they are made and contracted 256 grid points at a time.
+    ``rho``: with x = |alpha|^2, Q = Re sum_k w_k alpha^k D_k(x) / (pi sum_{n<d}
+    x^n / n!), D_k(x) = sum_m rho_{m,m+k} x^m / sqrt(m! (m+k)!), w_0 = 1 and
+    w_{k>0} = 2.  Each D_k is taken once per radius; Horner's rule nests them.
     """
     dm = _square_density(rho)
-    alphas = (grid.xs[None, :] + 1j * grid.ys[:, None]).reshape(-1)
-    q = np.empty(alphas.size)
-    for start in range(0, alphas.size, 256):
-        c = _coherent_amplitudes(len(dm), alphas[start:start + 256])
-        c /= np.linalg.norm(c, axis=1)[:, None]
-        q[start:start + 256] = np.real(np.sum((c.conj() @ dm) * c, axis=1)) / math.pi
+    d = len(dm)
+    alphas, radii, inverse = _radial(grid, 1.0)
+    # terms[m] = e^{-x/2} x^m / m! on the radii; they sum to the truncation norm
+    terms = np.empty((d, radii.size))
+    terms[0] = np.exp(-radii / 2)
+    for m in range(1, d):
+        terms[m] = terms[m - 1] * radii / m
+    # coeffs[k, m] = w_k rho_{m,m+k} sqrt(m! k! / (m+k)!), zero past the corner
+    k, m = np.indices((d, d))
+    ratios = np.sqrt(np.where(m > 0, m / np.maximum(m + k, 1), 1.0))
+    coeffs = np.where(m + k < d, dm[m, np.minimum(m + k, d - 1)], 0.0) \
+        * np.cumprod(ratios, axis=1) * np.where(k > 0, 2.0, 1.0)
+    sums = (coeffs.real.copy() @ terms).astype(complex)   # w_k sqrt(k!) D_k e^{-x/2}
+    sums.imag = coeffs.imag.copy() @ terms
+    acc = sums[d - 1][inverse]
+    for order in range(d - 2, -1, -1):
+        acc *= alphas * (1.0 / math.sqrt(order + 1))
+        acc += sums[order][inverse]
+    q = np.real(acc) / (math.pi * terms.sum(axis=0)[inverse])
     return PhaseSpaceGrid("husimi", "planar", grid.ys, grid.xs, q.reshape(grid.ny, grid.nx))
 
 
@@ -243,20 +266,19 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     (-1)^m sqrt(m!/n!) (2 alpha)^(n-m) L_m^(n-m)(4|alpha|^2)], normalized to
     integrate to 1 over the plane.
 
-    Each diagonal of rho is summed by a Clenshaw recurrence and the
-    diagonals are nested by Horner's rule in 2 alpha, as in QuTiP.  The
-    series is exact for the truncated state at any alpha.
+    Each diagonal of rho is summed by a Clenshaw recurrence once per radius
+    |2 alpha|, and the diagonals are nested by Horner's rule in 2 alpha, as in
+    QuTiP.  The series is exact for the truncated state at any alpha.
     """
     dm = _square_density(rho)
-    a2 = 2.0 * (grid.xs[None, :] + 1j * grid.ys[:, None])
-    b = np.abs(a2) ** 2
+    a2, radii, inverse = _radial(grid, 2.0)
     doubled = 2.0 * dm - np.diag(np.diag(dm))      # off-diagonals count twice
     acc = np.full(a2.shape, doubled[0, -1], dtype=complex)
     for order in range(len(dm) - 2, -1, -1):
-        acc = _laguerre_diagonal(order, b, np.diagonal(doubled, order)) \
+        acc = _laguerre_diagonal(order, radii, np.diagonal(doubled, order))[inverse] \
             + acc * a2 / math.sqrt(order + 1)
-    vals = 2.0 / math.pi * np.real(acc) * np.exp(-b / 2)
-    return PhaseSpaceGrid("wigner", "planar", grid.ys, grid.xs, vals)
+    vals = 2.0 / math.pi * np.real(acc) * np.exp(-radii / 2)[inverse]
+    return PhaseSpaceGrid("wigner", "planar", grid.ys, grid.xs, vals.reshape(grid.ny, grid.nx))
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +311,29 @@ def spherical_multipole(rho, k: int, q: int) -> complex:
     <j, m; j, -(m-q) | k, q> of a spin state."""
     dm = _square_density(rho)
     tj = len(dm) - 1
-    total = 0.0 + 0.0j
-    for i in range(tj + 1):            # row i = j - m, column i + q = j - (m - q)
-        if 0 <= i + q <= tj:
-            cg = clebsch_gordan(tj / 2, tj / 2 - i, tj / 2, q - tj / 2 + i, k, q)
-            total += dm[i, round(i + q)] * (-1.0) ** round(i - q) * cg
-    return total
+    return sum((dm[i, round(i + q)] * (-1.0) ** round(i - q)   # row i = j - m
+                * clebsch_gordan(tj / 2, tj / 2 - i, tj / 2, q - tj / 2 + i, k, q)
+                for i in range(tj + 1) if 0 <= i + q <= tj), 0.0 + 0.0j)
 
 
 @functools.lru_cache(maxsize=8)
 def _stratonovich_kernel(two_j: int) -> tuple:
     """(lam, vec, delta0): J_y = vec diag(lam) vec^dag, and the Wigner kernel
     at the north pole, delta0_m = (-1)^{j-m} sum_k sqrt((2k+1)/4pi)
-    <j m; j -m | k 0> for m = j..-j."""
+    <j m; j -m | k 0> for m = j..-j.  (-1)^{j-m} <j m; j -m | k 0> is p_k(m),
+    the degree-k polynomial orthonormal over m = j..-j with a positive leading
+    coefficient; Lanczos on diag(m) with full re-orthogonalisation builds the
+    p_k stably at any j."""
     j = two_j / 2
     lam, vec = np.linalg.eigh(spin(j, "y").data)
-    delta0 = np.array([(-1.0) ** i * sum(math.sqrt((2 * k + 1) / (4 * math.pi))
-                                         * clebsch_gordan(j, j - i, j, i - j, k, 0)
-                                         for k in range(two_j + 1))
-                       for i in range(two_j + 1)])
+    m = j - np.arange(two_j + 1)
+    polys = np.full((two_j + 1, two_j + 1), 1.0 / math.sqrt(two_j + 1))   # row 0 is p_0
+    for k in range(1, two_j + 1):
+        v = m * polys[k - 1]
+        for _ in range(2):                       # twice is enough
+            v -= polys[:k].T @ (polys[:k] @ v)
+        polys[k] = v / np.linalg.norm(v)
+    delta0 = np.sqrt((2 * np.arange(two_j + 1) + 1) / (4 * math.pi)) @ polys
     lam.flags.writeable = vec.flags.writeable = delta0.flags.writeable = False
     return lam, vec, delta0
 

@@ -4,7 +4,6 @@ coherent states, entangled qubit families, and the two noise channels."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,22 +41,17 @@ def zeeman(j, m) -> QuantumObject:
     return basis(two_j + 1, (two_j - two_m) // 2)
 
 
-def _coherent_amplitudes(d: int, alphas: np.ndarray) -> np.ndarray:
-    """Rows e^{-|alpha|^2/2} alpha^n / sqrt(n!), n < d, one per alpha in the
-    1-D array ``alphas``; not renormalized to the truncation."""
-    out = np.empty((alphas.size, d), dtype=complex)
-    out[:, 0] = 1.0
-    for n in range(1, d):
-        out[:, n] = out[:, n - 1] * alphas / math.sqrt(n)
-    out *= np.exp(-np.abs(alphas) ** 2 / 2)[:, None]
-    return out
-
-
 def coherent(d: int, alpha: complex) -> QuantumObject:
-    """Coherent state truncated at d Fock levels and renormalized."""
+    """Coherent state truncated at d Fock levels and renormalized:
+    amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!), n < d."""
     if d < 1:
         raise InvalidParameter(f"dimension must be >= 1, got {d}")
-    return normalize(QuantumObject(_coherent_amplitudes(d, np.array([complex(alpha)])).T))
+    alphas = np.array([complex(alpha)])
+    out = np.ones((d, 1), dtype=complex)
+    for n in range(1, d):
+        out[n] = out[n - 1] * alphas / math.sqrt(n)
+    out *= np.exp(-np.abs(alphas) ** 2 / 2)
+    return normalize(QuantumObject(out))
 
 
 def squeezed(d: int, alpha: complex, beta: complex) -> QuantumObject:
@@ -180,30 +174,3 @@ def add_white_noise(state: QuantumObject, p: float = 0.0) -> QuantumObject:
     rho = to_operator(state).data
     d = rho.shape[0]
     return QuantumObject((1 - p) * rho + p * np.eye(d) / d)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Declarative noise channel used by the CLI.
-
-    variant 'random_amplitude' carries (mean, stdev) of the complex
-    amplitude noise; variant 'white' carries the mixing weight p.
-    """
-
-    variant: str
-    mean: float = 0.0
-    stdev: float = 0.0
-    p: float = 0.0
-
-    def __post_init__(self):
-        if self.variant not in ("random_amplitude", "white"):
-            raise InvalidParameter(f"unknown noise variant {self.variant!r}")
-        if self.variant == "white" and not (0.0 <= self.p <= 1.0):
-            raise InvalidParameter(f"white-noise weight must be in [0, 1], got {self.p}")
-        if self.variant == "random_amplitude" and self.stdev < 0:
-            raise InvalidParameter(f"stdev must be >= 0, got {self.stdev}")
-
-    def apply(self, state: QuantumObject, rng=None) -> QuantumObject:
-        if self.variant == "white":
-            return add_white_noise(state, self.p)
-        return add_random_noise(state, self.mean, self.stdev, rng)

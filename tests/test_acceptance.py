@@ -9,12 +9,11 @@ runtime budget.
 import itertools
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian, random_ket
+from conftest import racah_clebsch_gordan, random_density, random_hermitian, random_ket
 from qmkit import (
     MeasurementSet,
     MetrologyScenario,
@@ -325,32 +324,13 @@ def test_criterion_07_metrology_sql_claim():
     _elapsed_ok(7, dt, 10.0)
 
 
-def _clebsch_gordan(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
-    """<j1 m1; j2 m2 | J M> for integer arguments by the Racah formula,
-    summed exactly in Fractions (Condon-Shortley phase)."""
-    if m1 + m2 != M or not abs(j1 - j2) <= J <= j1 + j2:
-        return 0.0
-    f = math.factorial
-    total = Fraction(0)
-    for k in range(j1 + j2 - J + 1):
-        args = (k, j1 + j2 - J - k, j1 - m1 - k, j2 + m2 - k,
-                J - j2 + m1 + k, J - j1 - m2 + k)
-        if min(args) >= 0:
-            total += Fraction((-1) ** k, math.prod(f(a) for a in args))
-    norm = Fraction((2 * J + 1) * f(J + j1 - j2) * f(J - j1 + j2)
-                    * f(j1 + j2 - J), f(j1 + j2 + J + 1))
-    norm *= (f(J + M) * f(J - M) * f(j1 - m1) * f(j1 + m1)
-             * f(j2 - m2) * f(j2 + m2))
-    return math.copysign(math.sqrt(total * total * norm), total)
-
-
 def _dicke_wigner_pole(j: int, m: int, south: bool) -> float:
     """Spherical Wigner value of |j, m> at a pole:
     sum_k sqrt((2k+1)/4pi) (+-1)^k (-1)^{j-m} <j m; j -m | k 0>."""
     sign = -1 if south else 1
     return sum(
         math.sqrt((2 * k + 1) / (4 * math.pi)) * sign**k * (-1) ** (j - m)
-        * _clebsch_gordan(j, m, j, -m, k, 0)
+        * racah_clebsch_gordan(j, m, j, -m, k, 0)
         for k in range(2 * j + 1)
     )
 

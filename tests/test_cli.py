@@ -257,6 +257,14 @@ def test_tomography_shots_validation(tmp_path, capsys):
     assert code == 2
 
 
+def test_tomography_oversized_product_set_exit_3(tmp_path, capsys):
+    # the 6-qubit Pauli stack would take 2.85 GiB; it is refused before it is built
+    code = run_cli(["tomography", "--name", "ghz", "--n", "6", "--set", "pauli",
+                    "--shots", "exact", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "UnsupportedDimension" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # metrology
 # ---------------------------------------------------------------------------

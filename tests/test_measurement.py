@@ -416,6 +416,14 @@ def test_product_stacks_follow_itertools_kron_order(n):
     np.testing.assert_array_equal(build_stoke_set(n).stack, _product_projectors("HVDR", n))
 
 
+@pytest.mark.parametrize("build, n", [(build_pauli_set, 6), (build_stoke_set, 7),
+                                      (build_pauli_set, 40)])
+def test_product_sets_over_the_size_limit_are_refused(build, n):
+    # Pauli n = 6 would need 3.1 GB and Stoke n = 7 4.3 GB; nothing is allocated
+    with pytest.raises(UnsupportedDimension, match="GiB"):
+        build(n)
+
+
 def test_pauli_groups_pair_basis_outcomes():
     ms = build_pauli_set(2)
     for idx in ms.groups:

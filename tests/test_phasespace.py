@@ -7,7 +7,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density
+from conftest import racah_clebsch_gordan, random_density
 from qmkit import (
     PlanarGrid,
     SphericalGrid,
@@ -28,7 +28,7 @@ from qmkit import (
     zeeman,
 )
 from qmkit.errors import DimensionMismatch, InvalidParameter, InvalidQuantumNumber
-from qmkit.phasespace import spherical_multipole
+from qmkit.phasespace import _stratonovich_kernel, spherical_multipole
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +168,21 @@ def test_husimi_vacuum_origin():
     grid = PlanarGrid(x_range=(-1, 1), y_range=(-1, 1), nx=3, ny=3)
     out = husimi_planar(basis(20, 0), grid)
     assert out.values[1, 1] == pytest.approx(1 / math.pi, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12, 30])
+@pytest.mark.parametrize("grid", [
+    PlanarGrid(),
+    PlanarGrid(x_range=(-2.0, 3.5), y_range=(-4.0, 1.0), nx=23, ny=17),
+])
+def test_husimi_planar_matches_coherent_state_loop(d, grid):
+    rho = random_density(np.random.default_rng(70 + d), d).data
+    ref = np.empty((grid.ny, grid.nx))
+    for iy, y in enumerate(grid.ys):
+        for ix, x in enumerate(grid.xs):
+            ket = coherent(d, complex(x, y)).data[:, 0]
+            ref[iy, ix] = np.real(np.vdot(ket, rho @ ket)) / math.pi
+    assert np.max(np.abs(husimi_planar(rho, grid).values - ref)) <= 1e-13
 
 
 def test_wigner_vacuum_gaussian():
@@ -348,6 +363,31 @@ def test_spherical_multipole_k0_is_trace_term():
         rho = random_density(rng, d)
         r00 = spherical_multipole(rho, 0, 0)
         assert r00 == pytest.approx(1 / math.sqrt(d), abs=1e-10)
+
+
+@pytest.mark.parametrize("two_j", range(1, 21))
+def test_stratonovich_kernel_matches_racah_sum(two_j):
+    j = two_j / 2
+    ref = [(-1) ** i * sum(math.sqrt((2 * k + 1) / (4 * math.pi))
+                           * racah_clebsch_gordan(j, j - i, j, i - j, k, 0)
+                           for k in range(two_j + 1))
+           for i in range(two_j + 1)]
+    assert np.max(np.abs(_stratonovich_kernel(two_j)[2] - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("two_j", [100, 200])
+def test_stratonovich_kernel_trace_at_large_j(two_j):
+    # only the k = 0 polynomial has a nonzero sum over m
+    delta0 = _stratonovich_kernel(two_j)[2]
+    assert abs(delta0.sum() - math.sqrt((two_j + 1) / (4 * math.pi))) <= 1e-12
+
+
+def test_stratonovich_kernel_cache_is_read_only():
+    for arr in _stratonovich_kernel(6):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert _stratonovich_kernel(6)[2] is _stratonovich_kernel(6)[2]
 
 
 def test_wigner_spherical_maximally_mixed_constant():

@@ -29,7 +29,7 @@ from qmkit.errors import (
     InvalidQuantumNumber,
 )
 from qmkit.operators import lowering
-from qmkit.states import NoiseSpec, _spin_coherent_magnitudes
+from qmkit.states import _spin_coherent_magnitudes
 from qmkit.tomography import fidelity
 
 
@@ -272,10 +272,8 @@ def test_factories_produce_unit_kets(seed, d):
     assert l2norm(spin_coherent(j, theta, phi)) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_noise_spec_validation_and_apply():
+def test_noise_channels_reject_out_of_range_parameters():
     with pytest.raises(InvalidParameter):
-        NoiseSpec(variant="white", p=2.0)
+        add_white_noise(basis(2, 0), p=2.0)
     with pytest.raises(InvalidParameter):
-        NoiseSpec(variant="random_amplitude", stdev=-1.0)
-    spec = NoiseSpec(variant="white", p=0.1)
-    np.testing.assert_allclose(spec.apply(basis(2, 0)).data, np.diag([0.95, 0.05]))
+        add_random_noise(basis(2, 0), stdev=-1.0)
