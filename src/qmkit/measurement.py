@@ -12,7 +12,9 @@ shot budget.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -35,6 +37,9 @@ from .qcore import HERMITIAN_TOL, QuantumObject, density_matrix
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
 MAX_STACK_BYTES = 2**30    # largest (K, d, d) product-set stack: Pauli n <= 5, Stoke n <= 6
+# cost of one CDF crossing on the cdf sampler's skip path, in draws of its full
+# path; a row with more than shots / SKIP crossings is drawn in full
+SKIP = 640
 
 # single-qubit polarization kets: horizontal/vertical, diagonal/antidiagonal,
 # left/right circular
@@ -135,8 +140,7 @@ class SamplerBackend:
     def __post_init__(self):
         if self.method not in ("mc", "cdf"):
             raise InvalidParameter(f"backend method must be 'mc' or 'cdf', got {self.method!r}")
-        if self.iterations < 1:
-            raise InvalidParameter(f"iteration count must be >= 1, got {self.iterations}")
+        _count(self.iterations, "iteration count")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -292,6 +296,22 @@ def build_sic_set(d: int) -> MeasurementSet:
                           groups=(tuple(range(d * d)),))
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int >= 1 (NumPy integers pass), else InvalidParameter."""
+    try:
+        if (n := operator.index(value)) >= 1:
+            return n
+    except TypeError:
+        pass
+    raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _can_skip(g: np.random.Generator) -> bool:
+    """Whether advance(n) leaves g where n random() doubles would (PCG64, no half-word)."""
+    return (type(g) is np.random.Generator and type(g.bit_generator) is np.random.PCG64
+            and not g.bit_generator.state["has_uint32"])
+
+
 def sample_mc(p: float, iterations: int, rng=None) -> float:
     """Accept/reject frequency estimate of a probability p.
 
@@ -300,18 +320,74 @@ def sample_mc(p: float, iterations: int, rng=None) -> float:
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidParameter(f"probability must be in [0, 1], got {p}")
-    if iterations < 1:
-        raise InvalidParameter(f"iterations must be >= 1, got {iterations}")
+    iterations = _count(iterations, "iterations")
     g = as_rng(rng)
+    if (p == 0.0 or p == 1.0) and _can_skip(g):
+        g.bit_generator.advance(iterations)     # every draw would agree
+        return float(p == 1.0)
     return float(np.count_nonzero(g.random(iterations) < p)) / iterations
 
 
 def sample_cdf_continuous(inverse_cdf: Callable, shots: int, rng=None) -> np.ndarray:
     """Inverse-transform draws y_i = F^{-1}(r_i) from i.i.d. uniforms."""
-    if shots < 1:
-        raise InvalidParameter(f"shots must be >= 1, got {shots}")
-    g = as_rng(rng)
-    return np.asarray(inverse_cdf(g.random(shots)))
+    return np.asarray(inverse_cdf(as_rng(rng).random(_count(shots, "shots"))))
+
+
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """Row-wise CDFs of the (R, K) distributions ``p``, each row checked to
+    be finite, non-negative and to sum to 1."""
+    if not p.min() >= -1e-12:
+        raise InvalidDistribution(f"negative or NaN probability {p.min():.3e}")
+    total = p.sum(axis=1)
+    if (off := np.abs(total - 1.0)).max() > 1e-8:
+        raise InvalidDistribution(f"probabilities sum to {total[off.argmax()]:.10f}, not 1")
+    p = np.maximum(p, 0.0)
+    return np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+
+
+def _stratified_counts(cum: np.ndarray, shots: int, g: np.random.Generator) -> np.ndarray:
+    """Counts of the stratified uniforms r_i = (i + u_i)/shots under each row
+    of the (R, K) CDFs ``cum``, rows taking ``shots`` uniforms each from g.
+    The r_i are sorted, so below[k] = #{i: r_i * cum[-1] < cum[k]} is where
+    they cross cum[k]; if g can skip, a sparse row draws only around there."""
+    below = np.full(cum.shape, shots)
+    bitgen, random, skip = g.bit_generator, g.random, _can_skip(g)
+    pos, w = 0, []                           # draws taken; the last ones, up to pos
+    for r, row in enumerate(cum.tolist()):
+        base, t = r * shots, row[-1]
+        # cum[:m] < t are the crossed boundaries; the rest count every draw, so
+        # one that rounds up to t goes to the last outcome of nonzero probability
+        m = bisect.bisect_left(row, t)
+        if not (skip and m * SKIP <= shots):
+            if base > pos:
+                bitgen.advance(base - pos)
+            a = ((np.arange(shots) + random(shots)) / shots) * t
+            below[r, :m] = np.searchsorted(a, cum[r, :m], side="left")
+            pos = base + shots
+            continue
+        for k, c in enumerate(row[:m]):
+            # r_i * t < c exactly when i + u_i < x = c / t * shots: the crossing
+            # is at floor(x) or one past it.  Rounding moves x and i + u_i by a
+            # few ulps of shots, far below a stratum, so [est - 2, est + 3)
+            # holds it with a draw on either side; both sides are checked.
+            est = int(c / t * shots)
+            lo = est - 2 if est > 2 else 0
+            hi = est + 3 if est + 3 < shots else shots
+            start, end = base + lo, base + hi
+            if start > pos:
+                bitgen.advance(start - pos)
+                pos = start
+            # reuse draws [start, pos): only one row's windows overlap, below 5 / shots
+            w = w[len(w) - (pos - start):] + random(end - pos).tolist()
+            pos = end
+            a = [((i + u) / shots) * t for i, u in enumerate(w, lo)]
+            if (lo and not a[0] < c) or (hi < shots and not a[-1] >= c):
+                raise RuntimeError(f"stratified draws do not cross {c!r} inside [{lo}, {hi})")
+            below[r, k] = lo + bisect.bisect_left(a, c)
+    if pos < len(cum) * shots:
+        bitgen.advance(len(cum) * shots - pos)
+    below[:, 1:] -= below[:, :-1]       # NumPy buffers the overlapping operands
+    return below
 
 
 def sample_cdf_discrete(probs, shots: int, rng=None) -> np.ndarray:
@@ -324,23 +400,7 @@ def sample_cdf_discrete(probs, shots: int, rng=None) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistribution("probability vector must be 1-d and non-empty")
-    if np.min(p) < -1e-12:
-        raise InvalidDistribution(f"negative probability {np.min(p):.3e}")
-    if abs(p.sum() - 1.0) > 1e-8:
-        raise InvalidDistribution(f"probabilities sum to {p.sum():.10f}, not 1")
-    if shots < 1:
-        raise InvalidParameter(f"shots must be >= 1, got {shots}")
-    g = as_rng(rng)
-    p = np.clip(p, 0.0, None)
-    cum = np.cumsum(p / p.sum())
-    r = (np.arange(shots) + g.random(shots)) / shots
-    # the stratified uniforms are sorted, so outcome k counts the draws in
-    # [cum[k-1], cum[k]); scaling by cum[-1] keeps zero-width (p = 0)
-    # intervals empty, and a draw that rounds up to cum[-1] goes to the
-    # last outcome of nonzero probability
-    below = np.searchsorted(r * cum[-1], cum, side="left")
-    below[cum >= cum[-1]] = shots
-    return np.diff(below, prepend=0)
+    return _stratified_counts(_cumulative(p[None]), _count(shots, "shots"), as_rng(rng))[0]
 
 
 def measure_and_sample(state, mset: MeasurementSet, backend: SamplerBackend,
@@ -350,26 +410,26 @@ def measure_and_sample(state, mset: MeasurementSet, backend: SamplerBackend,
     Exact probabilities are computed first, then simulated per back-end:
     'mc' estimates each element independently; 'cdf' samples each declared
     group as one discrete distribution (ungrouped elements fall back to a
-    two-outcome {E, 1-E} distribution).  ``shots`` defaults to the
-    backend's iteration count.
+    two-outcome {1-E, E} distribution).  ``shots`` defaults to the
+    backend's iteration count.  The stream runs over the groups, then the
+    ungrouped elements, ``shots`` uniforms each.
     """
     probs = probabilities(state, mset)
-    n = shots if shots is not None else backend.iterations
-    if n < 1:
-        raise InvalidParameter(f"shots must be >= 1, got {n}")
+    n = _count(shots if shots is not None else backend.iterations, "shots")
     g = backend.rng()
     if backend.method == "mc":
-        return np.array([sample_mc(p, n, g) for p in np.clip(probs, 0.0, 1.0)])
-    freqs = np.zeros(len(mset), dtype=float)
-    covered = np.zeros(len(mset), dtype=bool)
-    for idx in mset.groups:
-        idx = list(idx)
+        return np.array([sample_mc(p, n, g) for p in np.clip(probs, 0.0, 1.0).tolist()])
+    freqs = np.full(len(mset), np.nan)      # NaN until sampled
+    groups = mset.groups             # equal-size groups are sampled as one (G, K) block
+    for idx in [np.array(groups)] if len(set(map(len, groups))) == 1 else \
+            [np.array([i]) for i in groups]:
         pg = np.clip(probs[idx], 0.0, None)
-        freqs[idx] = sample_cdf_discrete(pg / pg.sum(), n, g) / n
-        covered[idx] = True
-    for k in np.flatnonzero(~covered):
-        p = min(max(probs[k], 0.0), 1.0)
-        freqs[k] = sample_cdf_discrete(np.array([1.0 - p, p]), n, g)[1] / n
+        freqs[idx] = _stratified_counts(_cumulative(pg / pg.sum(axis=1, keepdims=True)), n, g) / n
+    rest = np.flatnonzero(np.isnan(freqs))
+    if rest.size:
+        p = np.clip(probs[rest], 0.0, 1.0)
+        cum = _cumulative(np.stack([1.0 - p, p], axis=1))
+        freqs[rest] = _stratified_counts(cum, n, g)[:, 1] / n
     return freqs
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from qmkit import (
     build_pauli_set,
     build_sic_set,
     build_stoke_set,
+    dicke,
     ghz,
     identity,
     measure,
@@ -25,8 +27,10 @@ from qmkit import (
     sample_cdf_continuous,
     sample_cdf_discrete,
     sample_mc,
+    spin_coherent,
     timed_measurement,
     to_operator,
+    w,
     weyl_displacement,
 )
 from qmkit.errors import (
@@ -37,6 +41,7 @@ from qmkit.errors import (
     OutcomeImpossible,
     UnsupportedDimension,
 )
+from qmkit.measurement import _cumulative, _stratified_counts
 
 MUB_DIMS = (2, 3, 4, 5, 7)
 SIC_DIMS = (2, 3, 4, 5, 6, 7, 8)
@@ -534,3 +539,293 @@ class _TopStratumGenerator(np.random.Generator):
 def test_cdf_top_stratum_stays_in_range():
     counts = sample_cdf_discrete([0.5, 0.5, 0.0], 1000, _TopStratumGenerator(np.random.PCG64(0)))
     assert len(counts) == 3 and counts.sum() == 1000 and counts[2] == 0
+
+
+# ---------------------------------------------------------------------------
+# skipping the stream: the cdf sampler draws only around each CDF crossing
+# and the mc sampler draws nothing at p = 0 or 1, where the generator allows
+# it; counts, frequencies and the generator's final state must equal those
+# of drawing every uniform
+# ---------------------------------------------------------------------------
+
+def _full_draw_counts(probs, shots, g):
+    """The stratified cdf sampler with every uniform drawn."""
+    p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    cum = np.cumsum(p / p.sum())
+    below = np.searchsorted(((np.arange(shots) + g.random(shots)) / shots) * cum[-1], cum,
+                            side="left")
+    below[cum >= cum[-1]] = shots
+    return np.diff(below, prepend=0)
+
+
+def _generator(kind, seed):
+    if kind == "mt19937":
+        return np.random.Generator(np.random.MT19937(seed))
+    g = np.random.default_rng(seed)
+    if kind == "pcg64-half-word":
+        g.integers(0, 10, dtype=np.int32)          # leaves a buffered 32-bit half-word
+    return g
+
+
+def _same_state(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+_GENERATORS = ("pcg64", "pcg64-half-word", "mt19937")
+_WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-9, 1e-4), st.floats(1e-3, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.lists(_WEIGHTS, min_size=1, max_size=48), st.integers(0, 8),
+       st.sampled_from((1, 2, 10_000, 100_000, 123_457)), st.integers(0, 2**31 - 1),
+       st.sampled_from(_GENERATORS))
+def test_cdf_skip_path_matches_full_draw(lead, weights, trail, shots, seed, kind):
+    p = np.array([0.0] * lead + weights + [0.0] * trail)
+    if p.sum() == 0:
+        p[lead] = 1.0
+    p /= p.sum()
+    g, oracle = _generator(kind, seed), _generator(kind, seed)
+    np.testing.assert_array_equal(sample_cdf_discrete(p, shots, g),
+                                  _full_draw_counts(p, shots, oracle))
+    assert _same_state(g.bit_generator.state, oracle.bit_generator.state)
+
+
+@pytest.mark.parametrize("kind", _GENERATORS)
+def test_cdf_windows_overlap_below_five_strata(kind):
+    # outcomes far below 5 / shots put several crossings in one window
+    p = np.array([0.0, 1e-7, 2e-7, 0.3, 1e-6, 0.0, 3e-6, 0.7 - 4.3e-6, 0.0])
+    for seed in range(20):
+        g, oracle = _generator(kind, seed), _generator(kind, seed)
+        np.testing.assert_array_equal(sample_cdf_discrete(p, 123_457, g),
+                                      _full_draw_counts(p, 123_457, oracle))
+        assert _same_state(g.bit_generator.state, oracle.bit_generator.state)
+
+
+def test_cdf_skip_path_keeps_ties_at_a_crossing():
+    # put a CDF boundary exactly on a draw's value, and one ulp either side:
+    # the windows must evaluate r_i * cum[-1] with the full draw's roundings
+    shots = 10_000
+    u = np.random.default_rng(21).random(shots)
+    for i in range(5_000, shots, 250):
+        exact = ((i + u[i]) / shots) * 1.0
+        for c in (exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0)):
+            p = np.array([c, 1.0 - c])
+            assert p.sum() == 1.0
+            counts = sample_cdf_discrete(p, shots, np.random.default_rng(21))
+            np.testing.assert_array_equal(counts,
+                                          _full_draw_counts(p, shots, np.random.default_rng(21)))
+            assert counts[0] == i + (c > exact)
+
+
+def test_cdf_top_stratum_generator_takes_the_full_draw():
+    p = [0.5, 0.25, 0.25, 0.0]
+    g = _TopStratumGenerator(np.random.PCG64(3))
+    oracle = _TopStratumGenerator(np.random.PCG64(3))
+    np.testing.assert_array_equal(sample_cdf_discrete(p, 100_000, g),
+                                  _full_draw_counts(p, 100_000, oracle))
+    assert _same_state(g.bit_generator.state, oracle.bit_generator.state)
+
+
+def test_cdf_skip_path_never_draws_the_whole_stream():
+    # 10^12 uniforms would take 8 TB; the skip path draws a few windows
+    shots = 10**12
+    g = np.random.default_rng(4)
+    counts = sample_cdf_discrete([0.25, 0.0, 0.75], shots, g)
+    assert counts.sum() == shots and counts[1] == 0
+    assert abs(counts[0] - shots // 4) <= 1
+    skipped = np.random.default_rng(4)
+    skipped.bit_generator.advance(shots)
+    assert g.bit_generator.state == skipped.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", _GENERATORS)
+@pytest.mark.parametrize("p", (0.0, 1.0, -0.0, 0.5))
+def test_mc_endpoints_leave_the_stream_of_a_full_draw(kind, p):
+    g, oracle = _generator(kind, 9), _generator(kind, 9)
+    f = sample_mc(p, 12_345, g)
+    assert f == float(np.count_nonzero(oracle.random(12_345) < p)) / 12_345
+    assert _same_state(g.bit_generator.state, oracle.bit_generator.state)
+
+
+def test_mc_endpoints_never_draw_the_whole_stream():
+    g = np.random.default_rng(6)
+    assert sample_mc(1.0, 10**12, g) == 1.0 and sample_mc(0.0, 10**12, g) == 0.0
+    skipped = np.random.default_rng(6)
+    skipped.bit_generator.advance(2 * 10**12)
+    assert g.bit_generator.state == skipped.bit_generator.state
+
+
+def _full_draw_measure_and_sample(state, mset, shots, seed):
+    probs = probabilities(state, mset)
+    g = np.random.default_rng(seed)
+    freqs = np.zeros(len(mset))
+    for idx in mset.groups:
+        pg = np.clip(probs[list(idx)], 0.0, None)
+        freqs[list(idx)] = _full_draw_counts(pg / pg.sum(), shots, g) / shots
+    grouped = {k for idx in mset.groups for k in idx}
+    for k in sorted(set(range(len(mset))) - grouped):
+        p = min(max(probs[k], 0.0), 1.0)
+        freqs[k] = _full_draw_counts(np.array([1.0 - p, p]), shots, g)[1] / shots
+    return freqs
+
+
+def _ragged_set():
+    # groups of two and three outcomes, then two ungrouped elements
+    z0, z1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    third = np.eye(2) / 3
+    return MeasurementSet(kind="custom", elements=(z0, z1, third, third, third, z0, pauli("x")),
+                          groups=((0, 1), (2, 3, 4)))
+
+
+@pytest.mark.parametrize("make_set", [lambda: build_pauli_set(3), lambda: build_stoke_set(3),
+                                      lambda: build_mub_set(7), lambda: build_sic_set(8),
+                                      _ragged_set])
+def test_measure_and_sample_skip_path_matches_full_draw(make_set):
+    ms = make_set()
+    rng = np.random.default_rng(12)
+    states = [random_density(rng, ms.dim), random_density(rng, ms.dim, rank=1)]
+    if ms.dim == 8:
+        states += [ghz(3), w(3)]
+    for seed, state in enumerate(states):
+        for shots in (3, 10_000, 54_321):
+            backend = SamplerBackend(method="cdf", seed=seed)
+            np.testing.assert_array_equal(measure_and_sample(state, ms, backend, shots),
+                                          _full_draw_measure_and_sample(state, ms, shots, seed))
+
+
+def test_measure_and_sample_mixes_full_and_skipped_rows():
+    # at 3,500 shots the Z-basis groups of |D>|H>(sqrt(1-a)|V> + sqrt(a)|H>) have few
+    # crossings and skip, the ZX/ZY groups are drawn in full, and group XZZ's first
+    # outcome, of probability a, crosses within two strata of its block's start
+    a = 5e-4
+    state = np.kron(np.kron([1.0, 1.0], [1.0, 0.0]) / np.sqrt(2), [np.sqrt(a), np.sqrt(1 - a)])
+    ms = build_pauli_set(3)
+    for seed in range(12):
+        backend = SamplerBackend(method="cdf", seed=seed)
+        np.testing.assert_array_equal(measure_and_sample(state, ms, backend, 3_500),
+                                      _full_draw_measure_and_sample(state, ms, 3_500, seed))
+
+
+@st.composite
+def _blocks(draw):
+    """shots and a block of rows mixing those the sampler skips and draws in full."""
+    shots = draw(st.sampled_from((1, 1_000, 3_500, 10_000)))
+    rows = st.one_of(
+        st.lists(_WEIGHTS, min_size=1, max_size=12),
+        st.integers(7, 12).map(lambda k: [1.0] * k),        # drawn in full up to 3,500 shots
+        # after zeros, a crossing within six strata of the row's start
+        st.tuples(st.integers(0, 3), st.floats(0.0, 6.0)).map(
+            lambda z: [0.0] * z[0] + [z[1] / shots, 1.0]),
+    )
+    return shots, draw(st.lists(rows, min_size=1, max_size=8))
+
+
+def _rows_block(rows):
+    p = np.zeros((len(rows), max(map(len, rows))))
+    for r, row in enumerate(rows):
+        p[r, :len(row)] = row
+        if p[r].sum() == 0:
+            p[r, 0] = 1.0
+    return p / p.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", _GENERATORS)
+@pytest.mark.parametrize("rows", (
+    [[0.5, 0.5], [1 / 8] * 8, [1e-4, 1 - 1e-4]],          # skipped, full, skipped from stratum 0
+    [[1 / 8] * 8, [0.0, 1e-5, 0.2, 0.8 - 1e-5], [1 / 8] * 8, [2e-4, 0.0, 1 - 2e-4]],
+))
+def test_cdf_block_of_full_and_skipped_rows_matches_full_draw(rows, kind):
+    p = _rows_block(rows)
+    for seed in range(10):
+        g, oracle = _generator(kind, seed), _generator(kind, seed)
+        np.testing.assert_array_equal(_stratified_counts(_cumulative(p), 3_500, g),
+                                      [_full_draw_counts(row, 3_500, oracle) for row in p])
+        assert _same_state(g.bit_generator.state, oracle.bit_generator.state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks(), st.integers(0, 2**31 - 1), st.sampled_from(_GENERATORS))
+def test_cdf_blocks_of_rows_match_full_draw(block, seed, kind):
+    shots, rows = block
+    p = _rows_block(rows)
+    g, oracle = _generator(kind, seed), _generator(kind, seed)
+    np.testing.assert_array_equal(_stratified_counts(_cumulative(p), shots, g),
+                                  [_full_draw_counts(row, shots, oracle) for row in p])
+    assert _same_state(g.bit_generator.state, oracle.bit_generator.state)
+
+
+# sha256 of the float64 little-endian frequencies, recorded before the skip
+# paths existed: a change to any sampled stream shows here
+_GOLDEN = {
+    ("pauli3", "mc"): "cba57626a0c2e98f073f2424d75a90b4db111670b58e651c8af0a1b1da3fe92a",
+    ("pauli3", "cdf"): "2e25aaea275f65bd2ab74d369963799482f133dce6bcbf81a2adb28ec8054bb4",
+    ("stoke3", "mc"): "ed9fa334bf2c51e7dd69d7ac3c35c429a9fb7e6e781860caad1f447ce4579826",
+    ("stoke3", "cdf"): "665aa4fe3e543eb858604adfdc808846fa7bb1e0c422aa954728a773d86fc92d",
+    ("mub7", "mc"): "34707c49f8ce2d9065ff6073787e2821cf8c301df1bbde9134b852c1616a3d5c",
+    ("mub7", "cdf"): "ad8cd44faff77b8c18e5886ed22516b5dfb59ef3fb6c3e143ac8f5859aa5ac15",
+    ("sic8", "mc"): "9750336fca8e42bd422e27b2862d7917b6443c0e3b43a56ef57a783533e27d95",
+    ("sic8", "cdf"): "0bddb39e62d3363bdbe0dbf0dbddeea5da843142666b1f094db60b836e52dbd4",
+    ("pauli4", "mc"): "1effbad7922434c8686ec095822bad107b051c1842912aebabb444dcafbae941",
+    ("pauli4", "cdf"): "298566d0255331b00fabedabc6d29df51df6169c2d8a15d0ca5eec03311a4d6e",
+}
+_GOLDEN_CASES = {
+    "pauli3": (lambda: build_pauli_set(3), lambda: ghz(3)),
+    "stoke3": (lambda: build_stoke_set(3), lambda: w(3)),
+    "mub7": (lambda: build_mub_set(7), lambda: spin_coherent(3, 0.7, 0.3)),
+    "sic8": (lambda: build_sic_set(8), lambda: spin_coherent(3.5, 1.1, 2.0)),
+    "pauli4": (lambda: build_pauli_set(4), lambda: dicke(4, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_measure_and_sample_golden_digests(case):
+    make_set, make_state = _GOLDEN_CASES[case[0]]
+    freqs = measure_and_sample(make_state(), make_set(), SamplerBackend(method=case[1], seed=2024),
+                               10_000)
+    digest = hashlib.sha256(np.ascontiguousarray(freqs, dtype="<f8").tobytes()).hexdigest()
+    assert digest == _GOLDEN[case]
+
+
+@pytest.mark.parametrize("bad", ([np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 1.0],
+                                 [-np.inf, 1.0]))
+def test_cdf_rejects_non_finite_probabilities(bad):
+    with pytest.raises(InvalidDistribution):
+        sample_cdf_discrete(bad, 10, 1)
+
+
+@pytest.mark.parametrize("make_set", [lambda: build_pauli_set(1), lambda: build_stoke_set(1)])
+def test_measure_and_sample_rejects_nan_states(make_set):
+    nan_state = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidDistribution):
+        measure_and_sample(nan_state, make_set(), SamplerBackend(method="cdf"), 10)
+    with pytest.raises(InvalidParameter):
+        measure_and_sample(nan_state, make_set(), SamplerBackend(method="mc"), 10)
+
+
+def test_non_integer_shot_counts_raise_invalid_parameter():
+    with pytest.raises(InvalidParameter):
+        sample_mc(0.5, 10.5)
+    with pytest.raises(InvalidParameter):
+        sample_cdf_discrete([0.5, 0.5], 10.5)
+    with pytest.raises(InvalidParameter):
+        sample_cdf_continuous(lambda r: r, 10.5)
+    with pytest.raises(InvalidParameter):
+        SamplerBackend(method="cdf", iterations=10.5)
+    ms, state = build_pauli_set(1), basis(2, 0)
+    for method in ("mc", "cdf"):
+        for shots in (10.5, "10", np.float64(10.0)):
+            with pytest.raises(InvalidParameter):
+                measure_and_sample(state, ms, SamplerBackend(method=method), shots)
+
+
+def test_numpy_integer_shot_counts_pass():
+    assert sample_mc(0.5, np.int64(100), 3) == sample_mc(0.5, 100, 3)
+    np.testing.assert_array_equal(sample_cdf_discrete([0.2, 0.8], np.int32(1000), 3),
+                                  sample_cdf_discrete([0.2, 0.8], 1000, 3))
+    ms, state = build_sic_set(2), basis(2, 1)
+    for method in ("mc", "cdf"):
+        backend = SamplerBackend(method=method, seed=5, iterations=np.int64(700))
+        np.testing.assert_array_equal(measure_and_sample(state, ms, backend, np.uint16(700)),
+                                      measure_and_sample(state, ms, backend, 700))
