@@ -371,7 +371,10 @@ def cmd_tomography(args) -> int:
 
 
 def cmd_metrology(args) -> int:
-    thetas = [float(t) for t in args.thetas_pi.split(",")]
+    try:
+        thetas = [float(t) for t in args.thetas_pi.split(",")]
+    except ValueError:
+        raise _UsageError(f"--thetas-pi must be a comma list of numbers, got {args.thetas_pi!r}")
     j = args.j
     sy = spin(j, "y")
     sz = spin(j, "z")

@@ -146,14 +146,23 @@ class MetrologyScenario:
     repetitions: int = 1
 
     def __post_init__(self):
-        if not QuantumObject(self.generator).is_hermitian():
+        probe, h, a = (QuantumObject(x) for x in (self.probe, self.generator, self.observable))
+        d = probe.dim
+        if (probe.kind is Kind.OPER and probe.shape != (d, d)) or {h.shape, a.shape} != {(d, d)}:
+            raise DimensionMismatch(f"probe {probe.shape}, generator {h.shape} and "
+                                    f"observable {a.shape} must share one dimension")
+        if d < 2:
+            raise InvalidParameter(f"a scenario needs dimension >= 2, got {d}")
+        if not h.is_hermitian():
             raise NotHermitian("generator must be Hermitian")
-        if not QuantumObject(self.observable).is_hermitian():
+        if not a.is_hermitian():
             raise NotHermitian("observable must be Hermitian")
         phis = np.asarray(self.phis, dtype=float)
         if phis.size < 2 or np.any(np.diff(phis) <= 0):
             raise InvalidParameter("phase grid must be strictly increasing")
-        object.__setattr__(self, "phis", phis)
+        for name, value in (("probe", probe), ("generator", h), ("observable", a),
+                            ("phis", phis)):
+            object.__setattr__(self, name, value)
         if self.repetitions < 1:
             raise InvalidParameter(f"repetitions must be >= 1, got {self.repetitions}")
 
@@ -174,25 +183,24 @@ class PrecisionCurve:
 def run_scenario(scenario: MetrologyScenario) -> PrecisionCurve:
     """Evaluate the error-propagation precision curve of a scenario.
 
-    The spin count for SQL/HL levels is n = 2j = dim - 1, i.e. the number
-    of two-level constituents of the collective spin.
+    One eigendecomposition H = V L V^dag serves the whole phase grid: in
+    that basis rho(phi)_mn = u_m rho_mn conj(u_n) with u = exp(-i phi L),
+    so <A> and <A^2> are quadratic forms in u.  The spin count for the
+    SQL/HL levels is n = 2j = dim - 1, i.e. the number of two-level
+    constituents of the collective spin.
     """
-    a = QuantumObject(scenario.observable).data
-    a2 = a @ a
-    e1 = np.empty(scenario.phis.size)
-    e2 = np.empty(scenario.phis.size)
-    for i, phi in enumerate(scenario.phis):
-        st = encode_phase(scenario.probe, scenario.generator, float(phi))
-        dm = density_matrix(st)
-        e1[i] = float(np.real(np.einsum("ij,ji->", a, dm)))
-        e2[i] = float(np.real(np.einsum("ij,ji->", a2, dm)))
-    delta = error_propagation(scenario.phis, e1, e2)
-    n_spins = QuantumObject(scenario.generator).shape[0] - 1
+    lam, v = np.linalg.eigh(scenario.generator.data)
+    rho = v.conj().T @ density_matrix(scenario.probe) @ v
+    a = v.conj().T @ scenario.observable.data @ v
+    u = np.exp(-1j * np.outer(scenario.phis, lam))
+    forms = np.stack([a.T * rho, (a @ a).T * rho])
+    e1, e2 = np.einsum("pm,kmn,pn->kp", u, forms, u.conj()).real
+    n_spins = lam.size - 1
     return PrecisionCurve(
         phis=scenario.phis,
         expectation=e1,
         variance=e2 - e1**2,
-        delta_phi=delta,
+        delta_phi=error_propagation(scenario.phis, e1, e2),
         sql=1.0 / math.sqrt(n_spins),
         hl=1.0 / n_spins,
     )

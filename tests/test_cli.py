@@ -300,6 +300,16 @@ def test_metrology_deterministic(tmp_path):
         assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_metrology_single_level_exit_4(tmp_path, capsys):
+    assert run_cli(["metrology", "--j", "0", "--out-dir", str(tmp_path)]) == 4
+    assert "InvalidParameter" in capsys.readouterr().err
+
+
+def test_metrology_bad_thetas_is_usage_error(tmp_path, capsys):
+    assert run_cli(["metrology", "--thetas-pi", "abc", "--out-dir", str(tmp_path)]) == 2
+    assert "--thetas-pi" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # stdout path
 # ---------------------------------------------------------------------------

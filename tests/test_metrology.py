@@ -8,6 +8,8 @@ from conftest import random_density, random_hermitian, random_ket
 from qmkit import (
     MeasurementSet,
     MetrologyScenario,
+    add_white_noise,
+    adjoint,
     basis,
     build_mub_set,
     cat_state,
@@ -27,7 +29,7 @@ from qmkit import (
     to_operator,
     zeeman,
 )
-from qmkit.errors import InvalidParameter, NotHermitian
+from qmkit.errors import DimensionMismatch, InvalidParameter, NotHermitian
 from qmkit.metrology import curve_lines
 
 
@@ -310,14 +312,56 @@ def test_run_scenario_respects_single_shot_qcrb():
     assert curve.delta_phi[0] == pytest.approx(bound, rel=1e-3)
 
 
+def _moments_by_encoding(scenario):
+    """<A> and <A^2> from one encode_phase per phase point."""
+    a = scenario.observable.data
+    e1, e2 = [], []
+    for phi in scenario.phis:
+        rho = to_operator(encode_phase(scenario.probe, scenario.generator, float(phi))).data
+        e1.append(np.trace(a @ rho).real)
+        e2.append(np.trace(a @ a @ rho).real)
+    return np.array(e1), np.array(e2)
+
+
+@pytest.mark.parametrize("generator", ["z", "x", "random"])
+def test_run_scenario_matches_per_point_encoding(generator):
+    j = 2
+    h = (random_hermitian(np.random.default_rng(8), 2 * j + 1) if generator == "random"
+         else spin(j, generator))
+    ket = cat_state(j, 0.3)
+    for probe in (ket, adjoint(ket), add_white_noise(ket, 0.2)):
+        scenario = MetrologyScenario(probe=probe, generator=h,
+                                     phis=np.linspace(-0.5, 2.0, 37),
+                                     observable=spin(j, "y"))
+        curve = run_scenario(scenario)
+        e1, e2 = _moments_by_encoding(scenario)
+        np.testing.assert_allclose(curve.expectation, e1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curve.variance, e2 - e1**2, rtol=0, atol=1e-12)
+
+
 def test_scenario_validation():
     j = 1
     with pytest.raises(NotHermitian):
         MetrologyScenario(probe=zeeman(j, 1), generator=spin(j, "+"),
                           phis=np.array([0.0, 0.1]), observable=spin(j, "y"))
+    with pytest.raises(NotHermitian):
+        MetrologyScenario(probe=zeeman(j, 1), generator=spin(j, "z"),
+                          phis=np.array([0.0, 0.1]), observable=spin(j, "+"))
     with pytest.raises(InvalidParameter):
         MetrologyScenario(probe=zeeman(j, 1), generator=spin(j, "z"),
                           phis=np.array([0.1, 0.1]), observable=spin(j, "y"))
+    # probe, generator and observable must share one dimension
+    for probe, h, a in ((cat_state(2, 0.3), spin(2, "z"), spin(1, "y")),
+                        (cat_state(2, 0.3), spin(1, "z"), spin(2, "y")),
+                        (zeeman(j, 1), spin(2, "z"), spin(2, "y")),
+                        (np.ones((3, 4)), spin(j, "z"), spin(j, "y"))):
+        with pytest.raises(DimensionMismatch):
+            MetrologyScenario(probe=probe, generator=h, phis=np.array([0.0, 0.1]),
+                              observable=a)
+    # a single level has no spins to count for the SQL and HL levels
+    with pytest.raises(InvalidParameter):
+        MetrologyScenario(probe=cat_state(0, 0.3), generator=spin(0, "z"),
+                          phis=np.array([0.0, 0.1]), observable=spin(0, "y"))
 
 
 def test_curve_csv_lines_mark_undefined_empty():
