@@ -41,7 +41,8 @@ from .measurement import (
     timed_measurement,
 )
 from .operators import pauli, spin
-from .qcore import Kind, QuantumObject, _write_lines
+from .qcore import Kind, QuantumObject, _csv_row
+from .qcore import _write_lines as _emit   # perfbench/tracing.py wraps cli._emit by name
 
 DEFAULT_SEED = 0
 
@@ -52,13 +53,6 @@ class _UsageError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _emit(lines: list[str], out: str | None) -> None:
-    if out is None:
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        _write_lines(lines, out)
 
 
 def _emit_json(payload, out: str | None) -> None:
@@ -151,14 +145,6 @@ def _build_set(name: str, dim: int) -> MeasurementSet:
     raise _UsageError(f"unknown measurement set {name!r}")
 
 
-def _group_of(mset: MeasurementSet) -> dict[int, int]:
-    owner = {}
-    for g, idx in enumerate(mset.groups):
-        for k in idx:
-            owner[k] = g
-    return owner
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -204,30 +190,23 @@ def cmd_measure(args) -> int:
         backend = SamplerBackend(method=args.backend, seed=args.seed,
                                  iterations=args.shots)
         freqs = measure_and_sample(st, mset, backend, args.shots)
-    owner = _group_of(mset)
+    cols = {"element_index": range(len(mset)),
+            "group": [None if g < 0 else g for g in mset.group_of.tolist()],
+            "probability": probs}
+    if freqs is not None:
+        cols["frequency"] = freqs
+    rows = [dict(zip(cols, row)) for row in zip(*cols.values())]
     if args.format == "json":
-        rows = []
-        for k, p in enumerate(probs):
-            row = {"element_index": k, "group": owner.get(k), "probability": p}
-            if freqs is not None:
-                row["frequency"] = freqs[k]
-            rows.append(row)
         _emit_json({"set": mset.kind, "dimension": mset.dim,
                     "backend": args.backend, "seed": args.seed,
                     "shots": args.shots if args.backend != "exact" else None,
                     "outcomes": rows}, args.out)
         return 0
-    cols = "element_index,group,probability" + (",frequency" if freqs is not None else "")
     lines = [
         f"# set={mset.kind} dimension={mset.dim} backend={args.backend} seed={args.seed}",
-        f"# {cols}",
+        "# " + ",".join(cols),
     ]
-    for k, p in enumerate(probs):
-        g = owner.get(k)
-        cells = [str(k), "" if g is None else str(g), _fmt(p)]
-        if freqs is not None:
-            cells.append(_fmt(freqs[k]))
-        lines.append(",".join(cells))
+    lines += [_csv_row(row.values()) for row in rows]
     _emit(lines, args.out)
     return 0
 
@@ -362,11 +341,8 @@ def cmd_tomography(args) -> int:
     for i in range(args.repeats):
         backend = SamplerBackend(method=args.backend, seed=args.seed + i)
         runs.append(tomography.run_tomography(st, mset, shots, backend))
-    if args.format == "json":
-        reports = [r.report() for r in runs]
-        _emit_json(reports[0] if len(reports) == 1 else reports, args.out)
-        return 0
-    _emit(tomography.report_lines(runs), args.out)
+    write = tomography.write_reports_json if args.format == "json" else tomography.write_reports_csv
+    write(runs, args.out)
     return 0
 
 
@@ -390,8 +366,7 @@ def cmd_metrology(args) -> int:
         path = out_dir / f"cat_theta_{t:g}pi.csv"
         metrology.write_curve_csv(curve, path)
         written.append(str(path))
-    for p in written:
-        sys.stdout.write(p + "\n")
+    _emit(written)
     return 0
 
 

@@ -61,15 +61,21 @@ class MeasurementSet:
     ``elements`` holds views into it.  The constructor copies a sequence of
     d x d operators into a new stack, or adopts and freezes a (K, d, d) array.
 
-    ``groups`` lists index tuples; the elements of each tuple sum to the
-    identity.  Sets without a completeness structure (e.g. Stoke) leave it
-    empty.
+    ``groups`` lists disjoint, non-empty index tuples whose elements sum to
+    the identity (none for sets without that structure, e.g. Stoke); any
+    other groups raise InvalidParameter.  They are stored as int tuples,
+    and ``group_of`` holds each element's group, or -1.
     """
 
     kind: str
     elements: tuple[QuantumObject, ...]
     groups: tuple[tuple[int, ...], ...] = ()
     stack: np.ndarray = field(init=False, repr=False, compare=False)
+    group_of: np.ndarray = field(init=False, repr=False, compare=False)
+    # grouped element indices in group order, and the index rows the cdf
+    # sampler draws: one (G, L) block when all groups have L elements
+    _members: np.ndarray = field(init=False, repr=False, compare=False)
+    _blocks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     # linear-inversion data, built by the first reconstruction from this set
     _inversion: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -85,6 +91,34 @@ class MeasurementSet:
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "elements", tuple(QuantumObject._view(m) for m in stack))
+        try:
+            groups = tuple(tuple(operator.index(i) for i in idx) for idx in self.groups)
+            members = np.array([i for idx in groups for i in idx], dtype=int)
+        except (TypeError, OverflowError):
+            raise InvalidParameter("groups must be sequences of integer indices") from None
+        k, sizes = len(self), [len(idx) for idx in groups]
+        if 0 in sizes:
+            raise InvalidParameter(f"group {sizes.index(0)} is empty")
+        if (bad := members[(members < 0) | (members >= k)]).size:
+            raise InvalidParameter(f"group index {bad[0]} is outside 0..{k - 1}")
+        if (seen := np.bincount(members, minlength=k)).max() > 1:
+            raise InvalidParameter(f"element {seen.argmax()} is in more than one group")
+        group_of = np.full(k, -1)
+        group_of[members] = np.repeat(np.arange(len(groups)), sizes)
+        blocks = ((members.reshape(len(groups), -1),) if len(set(sizes)) == 1 else
+                  tuple(np.array([idx]) for idx in groups))
+        for a in (members, group_of, *blocks):
+            a.flags.writeable = False
+        for name, value in (("groups", groups), ("group_of", group_of),
+                            ("_members", members), ("_blocks", blocks)):
+            object.__setattr__(self, name, value)
+
+    def group_sums(self, values) -> np.ndarray:
+        """(G,) sums of ``values`` (one per element) over each group, each
+        added up in its group's element order."""
+        m = self._members
+        return np.bincount(self.group_of[m], weights=np.asarray(values, dtype=float)[m],
+                           minlength=len(self.groups))
 
     def __len__(self) -> int:
         return self.stack.shape[0]
@@ -226,8 +260,7 @@ def build_pauli_set(n: int) -> MeasurementSet:
     bases = np.array(list(itertools.product(range(3), repeat=n)))
     bits = np.array(list(itertools.product(range(2), repeat=n)))
     index = (2 * bases[:, None, :] + bits[None, :, :]) @ 6 ** np.arange(n - 1, -1, -1)
-    return MeasurementSet(kind="pauli", elements=elements,
-                          groups=tuple(tuple(map(int, row)) for row in index))
+    return MeasurementSet(kind="pauli", elements=elements, groups=index)
 
 
 def build_stoke_set(n: int) -> MeasurementSet:
@@ -247,9 +280,8 @@ def build_mub_set(d: int) -> MeasurementSet:
     Supported at d in {2, 3, 4, 5, 7}.
     """
     bases = mub_bases(d)
-    groups = tuple(tuple(range(g * d, (g + 1) * d)) for g in range(len(bases)))
     return MeasurementSet(kind="mub", elements=_projectors(np.concatenate([B.T for B in bases])),
-                          groups=groups)
+                          groups=np.arange(len(bases) * d).reshape(-1, d))
 
 
 def weyl_displacement(d: int, j: int, k: int) -> QuantumObject:
@@ -419,13 +451,11 @@ def measure_and_sample(state, mset: MeasurementSet, backend: SamplerBackend,
     g = backend.rng()
     if backend.method == "mc":
         return np.array([sample_mc(p, n, g) for p in np.clip(probs, 0.0, 1.0).tolist()])
-    freqs = np.full(len(mset), np.nan)      # NaN until sampled
-    groups = mset.groups             # equal-size groups are sampled as one (G, K) block
-    for idx in [np.array(groups)] if len(set(map(len, groups))) == 1 else \
-            [np.array([i]) for i in groups]:
+    freqs = np.empty(len(mset))
+    for idx in mset._blocks:
         pg = np.clip(probs[idx], 0.0, None)
         freqs[idx] = _stratified_counts(_cumulative(pg / pg.sum(axis=1, keepdims=True)), n, g) / n
-    rest = np.flatnonzero(np.isnan(freqs))
+    rest = np.flatnonzero(mset.group_of < 0)
     if rest.size:
         p = np.clip(probs[rest], 0.0, 1.0)
         cum = _cumulative(np.stack([1.0 - p, p], axis=1))

@@ -16,8 +16,9 @@ from .errors import (
     NotHermitian,
     NotPositive,
 )
-from .measurement import MeasurementSet, probabilities
-from .qcore import Kind, QuantumObject, _write_lines, density_matrix, normalize
+from .measurement import MeasurementSet, _count, probabilities
+from .qcore import (Kind, QuantumObject, _csv_row, _require_state, _write_lines, density_matrix,
+                    normalize)
 from .states import spin_coherent
 
 DERIVATIVE_CUTOFF = 1e-12
@@ -59,9 +60,8 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
     p_minus = probabilities(rho_of_phi(phi - dphi), mset)
     dp = (p_plus - p_minus) / (2 * dphi)
     terms = np.divide(dp**2, p0, out=np.zeros_like(p0), where=p0 > 1e-12)
-    groups = mset.groups if isinstance(mset, MeasurementSet) else ()
-    if len(groups) > 1:
-        return float(np.mean([terms[list(idx)].sum() for idx in groups]))
+    if isinstance(mset, MeasurementSet) and len(mset.groups) > 1:
+        return float(np.mean(mset.group_sums(terms)))
     return float(np.sum(terms))
 
 
@@ -110,6 +110,12 @@ def cat_state(j, theta: float, phi: float = 0.0) -> QuantumObject:
     return normalize(spin_coherent(j, theta, phi) + spin_coherent(j, math.pi - theta, phi))
 
 
+def _check_grid(phis: np.ndarray) -> None:
+    """Raise unless ``phis`` holds at least two finite, strictly increasing phases."""
+    if phis.size < 2 or not (np.isfinite(phis).all() and (np.diff(phis) > 0).all()):
+        raise InvalidParameter("phase grid must be finite and strictly increasing")
+
+
 def error_propagation(phis, expectation, second_moment) -> np.ndarray:
     """Precision Delta phi = sqrt(<A^2> - <A>^2) / |d<A>/d phi| on a grid.
 
@@ -122,8 +128,7 @@ def error_propagation(phis, expectation, second_moment) -> np.ndarray:
     e2 = np.asarray(second_moment, dtype=float)
     if phis.shape != e1.shape or phis.shape != e2.shape:
         raise DimensionMismatch("phase grid and moment arrays must align")
-    if phis.size < 2 or np.any(np.diff(phis) <= 0):
-        raise InvalidParameter("phase grid must be strictly increasing")
+    _check_grid(phis)
     deriv = np.gradient(e1, phis)
     sigma = np.sqrt(np.clip(e2 - e1**2, 0.0, None))
     out = np.full(phis.shape, np.nan)
@@ -136,7 +141,9 @@ def error_propagation(phis, expectation, second_moment) -> np.ndarray:
 class MetrologyScenario:
     """Probe + generator + phase grid + readout observable.
 
-    ``repetitions`` is the N used when reporting Cramer-Rao bounds.
+    The probe must be a state: a ket or bra (normalised on use) or a
+    density matrix.  ``repetitions``, an integer >= 1, is the N used when
+    reporting Cramer-Rao bounds.
     """
 
     probe: QuantumObject
@@ -157,14 +164,13 @@ class MetrologyScenario:
             raise NotHermitian("generator must be Hermitian")
         if not a.is_hermitian():
             raise NotHermitian("observable must be Hermitian")
+        _require_state(probe)
         phis = np.asarray(self.phis, dtype=float)
-        if phis.size < 2 or np.any(np.diff(phis) <= 0):
-            raise InvalidParameter("phase grid must be strictly increasing")
+        _check_grid(phis)
         for name, value in (("probe", probe), ("generator", h), ("observable", a),
                             ("phis", phis)):
             object.__setattr__(self, name, value)
-        if self.repetitions < 1:
-            raise InvalidParameter(f"repetitions must be >= 1, got {self.repetitions}")
+        object.__setattr__(self, "repetitions", _count(self.repetitions, "repetitions"))
 
 
 @dataclass(frozen=True)
@@ -211,15 +217,10 @@ def curve_lines(curve: PrecisionCurve) -> list[str]:
 
     Undefined precision points serialize as an empty field.
     """
-    lines = ["# phi,expectation,variance,delta_phi,sql,hl"]
-    for i in range(curve.phis.size):
-        dp = curve.delta_phi[i]
-        dp_cell = "" if np.isnan(dp) else f"{dp:.17g}"
-        lines.append(
-            f"{curve.phis[i]:.17g},{curve.expectation[i]:.17g},"
-            f"{curve.variance[i]:.17g},{dp_cell},{curve.sql:.17g},{curve.hl:.17g}"
-        )
-    return lines
+    dp = [None if np.isnan(v) else v for v in curve.delta_phi]
+    return ["# phi,expectation,variance,delta_phi,sql,hl"] + [
+        _csv_row((*row, curve.sql, curve.hl))
+        for row in zip(curve.phis, curve.expectation, curve.variance, dp)]
 
 
 def write_curve_csv(curve: PrecisionCurve, path) -> None:

@@ -8,6 +8,7 @@ built from the pure functions defined here.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -233,9 +234,20 @@ def _require_state(x: ArrayLike) -> QuantumObject:
     return q
 
 
-def _write_lines(lines: Sequence[str], path) -> None:
-    """Write ``lines`` to a UTF-8 file, each ended by a bare newline."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_lines(lines: Sequence[str], path=None) -> None:
+    """Write ``lines``, each ended by a bare newline, to a UTF-8 file or to
+    stdout when ``path`` is None."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _csv_row(values: Iterable) -> str:
+    """One CSV line: floats at 17 significant digits, None as an empty cell."""
+    return ",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                    for v in values)
 
 
 def dot(*factors: ArrayLike):

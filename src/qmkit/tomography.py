@@ -12,12 +12,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidDistribution,
     NotPositive,
     RankDeficientSet,
 )
 from .measurement import MeasurementSet, SamplerBackend, measure_and_sample, probabilities
-from .qcore import (Kind, QuantumObject, _require_state, _write_lines, density_matrix,
-                    mat_sqrt)
+from .qcore import (Kind, QuantumObject, _csv_row, _require_state, _write_lines,
+                    density_matrix, mat_sqrt)
 
 
 def trace_distance_pure(psi, phi) -> float:
@@ -82,14 +83,13 @@ def _real_basis(d: int) -> np.ndarray:
 
 def _inversion_map(mset: MeasurementSet) -> tuple:
     """What linear inversion needs of a set, built on first use and kept on
-    the set: (offsets, gram_inv, members, owner).
+    the set: (offsets, gram_inv).
 
     With off_k = tr(E_k)/d and M[k, a] = Re tr(E_k B_a), rho - 1/d has the
     least-squares coordinates x = (M^T M)^{-1} M^T (f - off), and
     M^T (f - off) = Re tr(A B_a) with A = sum_k (f_k - off_k) E_k, so M is
     never kept.  ``gram_inv`` is (M^T M)^{-1}, or None when M^T M is
-    singular; ``members`` concatenates the groups' element indices and
-    ``owner`` gives the group of each.
+    singular.
     """
     if mset._inversion is not None:
         return mset._inversion
@@ -101,11 +101,8 @@ def _inversion_map(mset: MeasurementSet) -> tuple:
         m = rows.view(float).reshape(len(rows), -1) @ basis.T
         gram += m.T @ m
     full_rank = np.linalg.matrix_rank(gram, hermitian=True) == d * d - 1
-    sizes = [len(idx) for idx in mset.groups]
     inv = (np.trace(mset.stack, axis1=1, axis2=2).real / d,
-           np.linalg.inv(gram) if full_rank else None,
-           np.array([i for idx in mset.groups for i in idx], dtype=int),
-           np.repeat(np.arange(len(sizes)), sizes))
+           np.linalg.inv(gram) if full_rank else None)
     object.__setattr__(mset, "_inversion", inv)
     return inv
 
@@ -114,24 +111,28 @@ def reconstruct_linear_inversion(freqs, mset: MeasurementSet) -> QuantumObject:
     """Least-squares inversion of tr(E_k rho) = f_k over unit-trace Hermitian
     matrices, followed by a PSD projection.
 
-    Frequencies of grouped sets are renormalized per group first.  The
-    projection clips negative eigenvalues to zero and renormalizes the
-    trace.  Raises :class:`RankDeficientSet` when the elements do not span
-    the traceless operator space, i.e. when the Gram matrix M^T M of the
-    design matrix is numerically singular.
+    Frequencies must be finite (else :class:`InvalidDistribution`); those
+    of grouped sets are renormalized per group first.  The projection
+    clips negative eigenvalues to zero and renormalizes the trace.  Raises
+    :class:`RankDeficientSet` when the elements do not span the traceless
+    operator space, i.e. when the Gram matrix M^T M of the design matrix
+    is numerically singular.
     """
     f = np.asarray(freqs, dtype=float).copy()
     if len(f) != len(mset):
         raise DimensionMismatch(f"{len(f)} frequencies for {len(mset)} elements")
+    if not np.isfinite(f).all():
+        raise InvalidDistribution(f"frequency {f[~np.isfinite(f)][0]} is not finite")
     d = mset.dim
-    offsets, gram_inv, members, owner = _inversion_map(mset)
+    offsets, gram_inv = _inversion_map(mset)
     if gram_inv is None:
         raise RankDeficientSet(
             f"{mset.kind} set with {len(mset)} elements does not determine a "
             f"{d}-dimensional state"
         )
-    sums = np.bincount(owner, weights=f[members], minlength=len(mset.groups))
-    f[members] /= np.where(sums > 0, sums, 1.0)[owner]
+    sums = mset.group_sums(f)
+    # each element over its group's sum; an ungrouped one (group -1) over the trailing 1.0
+    f /= np.append(np.where(sums > 0, sums, 1.0), 1.0)[mset.group_of]
     basis = _real_basis(d)
     a = (f - offsets) @ mset.stack.view(float).reshape(len(f), -1)   # A, interleaved
     x = gram_inv @ (basis @ a)
@@ -212,22 +213,15 @@ _REPORT_COLUMNS = ("dimension", "set_kind", "shots", "backend", "seed",
 
 def report_lines(runs: Sequence[TomographyRun]) -> list[str]:
     """CSV content: one row per run, floats at 17 significant digits."""
-    lines = ["# " + ",".join(_REPORT_COLUMNS)]
-    for r in runs:
-        rep = r.report()
-        cells = []
-        for c in _REPORT_COLUMNS:
-            v = rep[c]
-            cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    return lines
+    rows = [_csv_row(map(r.report().get, _REPORT_COLUMNS)) for r in runs]
+    return ["# " + ",".join(_REPORT_COLUMNS)] + rows
 
 
-def write_reports_csv(runs: Sequence[TomographyRun], path) -> None:
+def write_reports_csv(runs: Sequence[TomographyRun], path=None) -> None:
     _write_lines(report_lines(runs), path)
 
 
-def write_reports_json(runs: Sequence[TomographyRun], path) -> None:
+def write_reports_json(runs: Sequence[TomographyRun], path=None) -> None:
     reports = [r.report() for r in runs]
     payload = reports[0] if len(reports) == 1 else reports
     _write_lines([json.dumps(payload, indent=2)], path)

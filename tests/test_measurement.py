@@ -464,6 +464,37 @@ def test_set_rejects_mixed_or_empty_elements():
         MeasurementSet(kind="custom", elements=())
 
 
+@pytest.mark.parametrize("groups, match", [(((0, 5),), "index 5 is outside"),
+                                           (((-1, 0),), "index -1 is outside"),
+                                           (((0, 1), (1, 0)), "element 0 is in more"),
+                                           (((),), "group 0 is empty"),
+                                           (((0.5, 1),), "integer")])
+def test_set_rejects_malformed_groups(groups, match):
+    with pytest.raises(InvalidParameter, match=match):
+        MeasurementSet(kind="custom", elements=(pauli("x"), pauli("y"), pauli("z")),
+                       groups=groups)
+
+
+def test_set_groups_accept_tuples_lists_or_an_int_array():
+    elements = build_pauli_set(2).stack
+    rows = [(0, 1), (2, 3), (12, 13), (4, 5), (6, 7)]
+    sets = [MeasurementSet(kind="custom", elements=elements, groups=g)
+            for g in (tuple(rows), [list(r) for r in rows], np.array(rows))]
+    for ms in sets:
+        assert ms.groups == tuple(rows) and type(ms.groups[0][0]) is int
+    expected = np.full(36, -1)
+    for g, idx in enumerate(rows):
+        expected[list(idx)] = g
+    for ms in sets:
+        np.testing.assert_array_equal(ms.group_of, expected)
+        assert not ms.group_of.flags.writeable
+    for method in ("cdf", "mc"):
+        freqs = [measure_and_sample(dicke(2, 1), ms, SamplerBackend(method, seed=5), 700)
+                 for ms in sets]
+        for f in freqs[1:]:
+            np.testing.assert_array_equal(f, freqs[0])
+
+
 def test_validate_reports_first_bad_element():
     bad = MeasurementSet(kind="custom",
                          elements=(identity(2), -identity(2), np.array([[0, 1], [0, 0]])))
@@ -679,9 +710,18 @@ def _ragged_set():
                           groups=((0, 1), (2, 3, 4)))
 
 
+def _ragged_sic_set():
+    # the SIC POVM of d = 3 (nine outcomes) listed backwards, beside one basis
+    # whose group lists its outcomes out of order, and one ungrouped element
+    sic = build_sic_set(3).stack[::-1]
+    z = np.eye(3)[:, :, None] * np.eye(3)[:, None, :]
+    return MeasurementSet(kind="custom", elements=np.concatenate([z[:1], sic, z[1:], z[:1]]),
+                          groups=(tuple(range(1, 10)), (10, 0, 11)))
+
+
 @pytest.mark.parametrize("make_set", [lambda: build_pauli_set(3), lambda: build_stoke_set(3),
                                       lambda: build_mub_set(7), lambda: build_sic_set(8),
-                                      _ragged_set])
+                                      _ragged_set, _ragged_sic_set])
 def test_measure_and_sample_skip_path_matches_full_draw(make_set):
     ms = make_set()
     rng = np.random.default_rng(12)

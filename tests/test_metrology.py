@@ -29,7 +29,7 @@ from qmkit import (
     to_operator,
     zeeman,
 )
-from qmkit.errors import DimensionMismatch, InvalidParameter, NotHermitian
+from qmkit.errors import DimensionMismatch, InvalidObject, InvalidParameter, NotHermitian
 from qmkit.metrology import curve_lines
 
 
@@ -347,9 +347,21 @@ def test_scenario_validation():
     with pytest.raises(NotHermitian):
         MetrologyScenario(probe=zeeman(j, 1), generator=spin(j, "z"),
                           phis=np.array([0.0, 0.1]), observable=spin(j, "+"))
-    with pytest.raises(InvalidParameter):
-        MetrologyScenario(probe=zeeman(j, 1), generator=spin(j, "z"),
-                          phis=np.array([0.1, 0.1]), observable=spin(j, "y"))
+    for phis in ([0.1, 0.1], [0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(InvalidParameter):
+            MetrologyScenario(probe=zeeman(j, 1), generator=spin(j, "z"),
+                              phis=np.array(phis), observable=spin(j, "y"))
+        with pytest.raises(InvalidParameter):
+            error_propagation(np.array(phis), np.zeros(2), np.ones(2))
+    # the probe must be a state, and repetitions an integer >= 1
+    with pytest.raises(InvalidObject):
+        MetrologyScenario(probe=2 * identity(3) / 3, generator=spin(j, "z"),
+                          phis=np.array([0.0, 0.1]), observable=spin(j, "y"))
+    for reps in (1.5, 0):
+        with pytest.raises(InvalidParameter):
+            MetrologyScenario(probe=zeeman(j, 1), generator=spin(j, "z"),
+                              phis=np.array([0.0, 0.1]), observable=spin(j, "y"),
+                              repetitions=reps)
     # probe, generator and observable must share one dimension
     for probe, h, a in ((cat_state(2, 0.3), spin(2, "z"), spin(1, "y")),
                         (cat_state(2, 0.3), spin(1, "z"), spin(2, "y")),

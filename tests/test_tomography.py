@@ -29,6 +29,7 @@ from qmkit import (
 )
 from qmkit.errors import (
     DimensionMismatch,
+    InvalidDistribution,
     InvalidObject,
     NotHermitian,
     NotPositive,
@@ -314,6 +315,14 @@ def test_run_tomography_state_tolerances():
         run_tomography(np.diag([0.5 + 2e-8, 0.5]), build_pauli_set(1))
     with pytest.raises(NotPositive):
         run_tomography(np.diag([1.0 + 2e-10, -2e-10]), build_pauli_set(1))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_inversion_rejects_non_finite_frequencies(bad):
+    freqs = np.full(6, 0.5)
+    freqs[3] = bad
+    with pytest.raises(InvalidDistribution):
+        reconstruct_linear_inversion(freqs, build_pauli_set(1))
 
 
 def test_report_serialization(tmp_path):
