@@ -17,8 +17,8 @@ from .errors import (
     NotPositive,
 )
 from .measurement import MeasurementSet, _count, probabilities
-from .qcore import (Kind, QuantumObject, _csv_row, _require_state, _write_lines, density_matrix,
-                    normalize)
+from .qcore import (Kind, QuantumObject, _csv_row, _evolution, _require_state, _write_lines,
+                    density_matrix, normalize)
 from .states import spin_coherent
 
 DERIVATIVE_CUTOFF = 1e-12
@@ -33,8 +33,7 @@ def encode_phase(state, generator, phi: float) -> QuantumObject:
         raise DimensionMismatch(f"generator {h.shape} vs state dimension {st.dim}")
     if not h.is_hermitian():
         raise NotHermitian("generator must be Hermitian")
-    lam, v = np.linalg.eigh(h.data)
-    u = (v * np.exp(-1j * phi * lam)) @ v.conj().T
+    u = _evolution(h.data, phi)
     if st.kind is Kind.KET:
         return QuantumObject(u @ st.data)
     if st.kind is Kind.BRA:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter, InvalidQuantumNumber
-from .qcore import QuantumObject, mat_exp
+from .qcore import QuantumObject, _evolution
 
 _AXES = ("x", "y", "z", "+", "-")
 
@@ -66,10 +66,7 @@ def lowering(d: int) -> QuantumObject:
     """Truncated annihilation operator: a|n> = sqrt(n)|n-1>."""
     if d < 2:
         raise InvalidParameter(f"dimension must be >= 2, got {d}")
-    a = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        a[n - 1, n] = np.sqrt(n)
-    return QuantumObject(a)
+    return QuantumObject(np.diag(np.sqrt(np.arange(1, d)), 1))
 
 
 def raising(d: int) -> QuantumObject:
@@ -80,7 +77,7 @@ def raising(d: int) -> QuantumObject:
 def displacement(d: int, alpha: complex) -> QuantumObject:
     """Displacement operator exp(alpha a^dag - alpha* a) at cutoff d.
 
-    Built by exponentiating the truncated generator, so the result is
+    The truncated generator G is anti-Hermitian, so exp(G) = exp(-i (iG)) is
     exactly unitary at any cutoff (accuracy vs. the infinite-dimensional
     operator still needs d well above |alpha|^2).
     """
@@ -90,14 +87,18 @@ def displacement(d: int, alpha: complex) -> QuantumObject:
         return identity(1)
     a = lowering(d).data
     gen = alpha * a.conj().T - np.conj(alpha) * a
-    return mat_exp(QuantumObject(gen))
+    return QuantumObject(_evolution(1j * gen))
 
 
 def squeezing(d: int, beta: complex) -> QuantumObject:
-    """Squeezing operator exp((beta* a^2 - beta a^dag^2)/2) at cutoff d."""
+    """Squeezing operator exp((beta* a^2 - beta a^dag^2)/2) at cutoff d, one
+    Fock parity at a time: the generator couples n to n +- 2 only."""
     if d < 2:
         raise InvalidParameter(f"dimension must be >= 2, got {d}")
     a = lowering(d).data
     ad = a.conj().T
     gen = (np.conj(beta) * (a @ a) - beta * (ad @ ad)) / 2.0
-    return mat_exp(QuantumObject(gen))
+    u = np.zeros((d, d), dtype=complex)
+    for block in (np.s_[0::2], np.s_[1::2]):
+        u[block, block] = _evolution(1j * gen[block, block])
+    return QuantumObject(u)

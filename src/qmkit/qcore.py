@@ -210,8 +210,7 @@ def to_operator(x: ArrayLike) -> QuantumObject:
     q = QuantumObject(x)
     if q.kind is Kind.OPER:
         return q
-    v = q.data.reshape(-1)
-    v = v / np.linalg.norm(v)
+    v = normalize(q).data.reshape(-1)
     if q.kind is Kind.BRA:
         v = v.conj()
     return QuantumObject(np.outer(v, v.conj()))
@@ -321,6 +320,12 @@ def ground(x: ArrayLike) -> QuantumObject:
     vals, vecs = np.linalg.eigh(q.data)
     # eigh sorts ascending, so column 0 is the ground space (first on ties)
     return QuantumObject(_fix_phase(vecs[:, 0]).reshape(-1, 1))
+
+
+def _evolution(h: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(-i t H) = V e^{-i t L} V^dag for a Hermitian ndarray H = V L V^dag."""
+    lam, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * t * lam)) @ v.conj().T
 
 
 def mat_exp(x: ArrayLike) -> QuantumObject:

@@ -42,16 +42,15 @@ def zeeman(j, m) -> QuantumObject:
 
 
 def coherent(d: int, alpha: complex) -> QuantumObject:
-    """Coherent state truncated at d Fock levels and renormalized:
-    amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!), n < d."""
+    """Coherent state truncated at d Fock levels and renormalized: amplitudes
+    alpha^n / sqrt(n!), n < d, in log space so none underflows at large |alpha|."""
     if d < 1:
         raise InvalidParameter(f"dimension must be >= 1, got {d}")
-    alphas = np.array([complex(alpha)])
-    out = np.ones((d, 1), dtype=complex)
-    for n in range(1, d):
-        out[n] = out[n - 1] * alphas / math.sqrt(n)
-    out *= np.exp(-np.abs(alphas) ** 2 / 2)
-    return normalize(QuantumObject(out))
+    if alpha == 0:
+        return basis(d, 0)
+    n = np.arange(d)
+    log_mag = n * math.log(abs(alpha)) - 0.5 * np.array([math.lgamma(k + 1) for k in n])
+    return normalize(QuantumObject(np.exp(log_mag - log_mag.max() + 1j * n * np.angle(alpha))))
 
 
 def squeezed(d: int, alpha: complex, beta: complex) -> QuantumObject:

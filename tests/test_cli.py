@@ -334,6 +334,9 @@ def scipy_modules():
 
 assert not scipy_modules(), scipy_modules()[:5]
 for argv in (["state", "--name", "ghz", "--n", "3"],
+             ["state", "--name", "squeezed", "--d", "30", "--alpha", "0.5+0.3j", "--beta", "0.3"],
+             ["phasespace", "--name", "squeezed", "--d", "30", "--alpha", "0.5+0.3j", "--beta",
+              "0.3", "--map", "wigner", "--coords", "planar", "--nx", "11", "--ny", "11"],
              ["phasespace", "--name", "spin-coherent", "--j", "10", "--theta", "1.0",
               "--map", "husimi", "--coords", "spherical"],
              ["metrology", "--j", "3", "--points", "10"]):

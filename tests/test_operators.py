@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qmkit import (
     coherent,
@@ -114,6 +115,19 @@ def test_displacement_unitary():
     d, alpha = 30, 1.2 - 0.4j  # d >= 4|alpha|^2 + 20
     u = displacement(d, alpha).data
     np.testing.assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-8)
+
+
+@pytest.mark.parametrize("d", [2, 30, 60])
+def test_displacement_and_squeezing_match_expm(d):
+    alpha, beta = 0.9 - 0.6j, 0.4 * np.exp(0.7j)
+    a = lowering(d).data
+    ad = a.conj().T
+    np.testing.assert_allclose(displacement(d, alpha).data,
+                               scipy.linalg.expm(alpha * ad - np.conj(alpha) * a),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(squeezing(d, beta).data,
+                               scipy.linalg.expm((np.conj(beta) * a @ a - beta * ad @ ad) / 2),
+                               rtol=0, atol=1e-13)
 
 
 def test_squeezing_identity_at_zero():

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -65,6 +66,19 @@ def test_coherent_vacuum():
 def test_coherent_amplitude_ratio():
     v = coherent(40, 0.7 + 0.2j).data.reshape(-1)
     assert v[1] / v[0] == pytest.approx(0.7 + 0.2j, abs=1e-12)
+
+
+@pytest.mark.parametrize("d, alpha", [(30, 15), (30, 20), (5, 9), (40, 0.7 + 0.2j),
+                                      (10, -2j), (1, 3)])
+def test_coherent_matches_lgamma_oracle(d, alpha):
+    """Far from the origin the Poisson weight e^{-|alpha|^2/2} underflows,
+    so the amplitudes alpha^n / sqrt(n!) are compared in log space."""
+    logs = [n * math.log(abs(alpha)) - 0.5 * math.lgamma(n + 1) for n in range(d)]
+    top = max(logs)
+    phase = cmath.phase(alpha)
+    ref = np.array([cmath.exp(x - top + 1j * n * phase) for n, x in enumerate(logs)])
+    ref /= np.linalg.norm(ref)
+    np.testing.assert_allclose(coherent(d, alpha).data.reshape(-1), ref, rtol=1e-12, atol=0)
 
 
 def test_coherent_mean_occupation():

@@ -35,6 +35,7 @@ from qmkit.errors import (
     NotPositive,
     QmkitError,
     RankDeficientSet,
+    ZeroNorm,
 )
 from qmkit.tomography import report_lines, write_reports_csv, write_reports_json
 
@@ -298,6 +299,7 @@ def test_fuchs_relation_on_runs():
     (np.diag([2.0, 0.0]), InvalidObject),                # trace 2
     (np.diag([1.5, -0.5]), NotPositive),                 # unit trace, not PSD
     (np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitian),  # unit trace, not Hermitian
+    (np.zeros(2), ZeroNorm),                             # zero ket
 ])
 def test_run_tomography_rejects_non_states(operator, error):
     assert issubclass(error, QmkitError)
