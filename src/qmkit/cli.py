@@ -17,7 +17,6 @@ inherent exception, since their payload is measured time.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -41,7 +40,7 @@ from .measurement import (
     timed_measurement,
 )
 from .operators import pauli, spin
-from .qcore import Kind, QuantumObject, _csv_row
+from .qcore import Kind, QuantumObject, _csv_row, _write_json
 from .qcore import _write_lines as _emit   # perfbench/tracing.py wraps cli._emit by name
 
 DEFAULT_SEED = 0
@@ -51,24 +50,38 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _emit_json(payload, out: str | None) -> None:
-    _emit([json.dumps(payload, indent=2)], out)
+def _count(text: str) -> int:
+    """argparse type of a count flag (--repeats, --samples, --points)."""
+    try:
+        if (n := int(text)) >= 1:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
 # state specification shared by several subcommands
 # ---------------------------------------------------------------------------
 
-STATE_NAMES = ("basis", "zeeman", "coherent", "squeezed", "position",
-               "spin-coherent", "random", "ghz", "w", "dicke")
+# state name -> (library factory, the flags it takes in order); "rng" stands
+# for the seeded generator
+STATES = {
+    "basis": (states.basis, ("--d", "--k")),
+    "zeeman": (states.zeeman, ("--j", "--m")),
+    "coherent": (states.coherent, ("--d", "--alpha")),
+    "squeezed": (states.squeezed, ("--d", "--alpha", "--beta")),
+    "position": (states.position_state, ("--d", "--x")),
+    "spin-coherent": (states.spin_coherent, ("--j", "--theta", "--phi")),
+    "random": (states.random_haar, ("--d", "rng")),
+    "ghz": (states.ghz, ("--n",)),
+    "w": (states.w, ("--n",)),
+    "dicke": (states.dicke, ("--n", "--k")),
+}
 
 
 def _add_state_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--name", required=True, choices=STATE_NAMES,
+    p.add_argument("--name", required=True, choices=tuple(STATES),
                    help="which state to construct")
     p.add_argument("--d", type=int, help="Hilbert-space dimension / cutoff")
     p.add_argument("--k", type=int, help="basis index or excitation count")
@@ -76,10 +89,12 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--j", type=float, help="spin quantum number")
     p.add_argument("--m", type=float, help="magnetic quantum number")
     p.add_argument("--x", type=float, help="position eigenvalue")
-    p.add_argument("--alpha", type=complex, help="coherent amplitude, e.g. '1+0.5j'")
-    p.add_argument("--beta", type=complex, help="squeezing parameter")
+    p.add_argument("--alpha", type=complex,
+                   help="coherent amplitude, e.g. '1+0.5j'; write a negative one as --alpha=-2j")
+    p.add_argument("--beta", type=complex,
+                   help="squeezing parameter; write a negative one as --beta=-0.5+0.3j")
     p.add_argument("--theta", type=float, help="polar angle (radians)")
-    p.add_argument("--phi", type=float, help="azimuthal angle (radians)")
+    p.add_argument("--phi", type=float, default=0.0, help="azimuthal angle (radians)")
     p.add_argument("--white-noise", type=float, default=None, metavar="P",
                    help="mix with I/d at weight P (output becomes a density matrix)")
     p.add_argument("--noise-mean", type=float, default=None,
@@ -96,29 +111,8 @@ def _need(args, flag: str):
 
 
 def _build_state(args, rng) -> QuantumObject:
-    name = args.name
-    if name == "basis":
-        st = states.basis(_need(args, "--d"), _need(args, "--k"))
-    elif name == "zeeman":
-        st = states.zeeman(_need(args, "--j"), _need(args, "--m"))
-    elif name == "coherent":
-        st = states.coherent(_need(args, "--d"), _need(args, "--alpha"))
-    elif name == "squeezed":
-        st = states.squeezed(_need(args, "--d"), _need(args, "--alpha"),
-                             _need(args, "--beta"))
-    elif name == "position":
-        st = states.position_state(_need(args, "--d"), _need(args, "--x"))
-    elif name == "spin-coherent":
-        st = states.spin_coherent(_need(args, "--j"), _need(args, "--theta"),
-                                  args.phi if args.phi is not None else 0.0)
-    elif name == "random":
-        st = states.random_haar(_need(args, "--d"), rng)
-    elif name == "ghz":
-        st = states.ghz(_need(args, "--n"))
-    elif name == "w":
-        st = states.w(_need(args, "--n"))
-    else:  # dicke
-        st = states.dicke(_need(args, "--n"), _need(args, "--k"))
+    factory, flags = STATES[args.name]
+    st = factory(*(rng if f == "rng" else _need(args, f) for f in flags))
     if args.noise_mean is not None or args.noise_std is not None:
         st = states.add_random_noise(st, args.noise_mean or 0.0,
                                      args.noise_std or 0.0, rng)
@@ -127,22 +121,22 @@ def _build_state(args, rng) -> QuantumObject:
     return st
 
 
-def _build_set(name: str, dim: int) -> MeasurementSet:
-    if name == "xyz":
-        return MeasurementSet(kind="custom",
-                              elements=(pauli("x"), pauli("y"), pauli("z")))
-    if name in ("pauli", "stoke"):
-        n = dim.bit_length() - 1
-        if 2**n != dim:
-            raise UnsupportedDimension(
-                f"{name} set needs a 2^n-dimensional state, got d={dim}"
-            )
-        return build_pauli_set(n) if name == "pauli" else build_stoke_set(n)
-    if name == "mub":
-        return build_mub_set(dim)
-    if name == "sic":
-        return build_sic_set(dim)
-    raise _UsageError(f"unknown measurement set {name!r}")
+def _qubits(name: str, dim: int) -> int:
+    n = dim.bit_length() - 1
+    if 2**n != dim:
+        raise UnsupportedDimension(f"{name} set needs a 2^n-dimensional state, got d={dim}")
+    return n
+
+
+# set name -> set constructor, called with the dimension
+SETS = {
+    "pauli": lambda d: build_pauli_set(_qubits("pauli", d)),
+    "stoke": lambda d: build_stoke_set(_qubits("stoke", d)),
+    "mub": build_mub_set,
+    "sic": build_sic_set,
+    "xyz": lambda d: MeasurementSet(kind="custom",
+                                    elements=(pauli("x"), pauli("y"), pauli("z"))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +157,15 @@ def cmd_state(args) -> int:
                 "state": args.name, "kind": st.kind.value, "dimension": st.dim,
                 "amplitudes": [[z.real, z.imag] for z in st.data.reshape(-1)],
             }
-        _emit_json(payload, args.out)
+        _write_json(payload, args.out)
         return 0
     lines = [f"# state={args.name} kind={st.kind.value} dimension={st.dim}"]
     if st.kind is Kind.OPER:
         lines[0] += " columns=row,col,re,im"
-        for i in range(st.shape[0]):
-            for j in range(st.shape[1]):
-                z = st.data[i, j]
-                lines.append(f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}")
+        lines += [_csv_row((i, j, z.real, z.imag)) for (i, j), z in np.ndenumerate(st.data)]
     else:
         lines[0] += " columns=re,im"
-        for z in st.data.reshape(-1):
-            lines.append(f"{_fmt(z.real)},{_fmt(z.imag)}")
+        lines += [_csv_row((z.real, z.imag)) for z in st.data.reshape(-1)]
     _emit(lines, args.out)
     return 0
 
@@ -183,7 +173,7 @@ def cmd_state(args) -> int:
 def cmd_measure(args) -> int:
     rng = np.random.default_rng(args.seed)
     st = _build_state(args, rng)
-    mset = _build_set(args.set, st.dim)
+    mset = SETS[args.set](st.dim)
     probs = probabilities(st, mset)
     freqs = None
     if args.backend != "exact":
@@ -197,10 +187,10 @@ def cmd_measure(args) -> int:
         cols["frequency"] = freqs
     rows = [dict(zip(cols, row)) for row in zip(*cols.values())]
     if args.format == "json":
-        _emit_json({"set": mset.kind, "dimension": mset.dim,
-                    "backend": args.backend, "seed": args.seed,
-                    "shots": args.shots if args.backend != "exact" else None,
-                    "outcomes": rows}, args.out)
+        _write_json({"set": mset.kind, "dimension": mset.dim,
+                     "backend": args.backend, "seed": args.seed,
+                     "shots": args.shots if args.backend != "exact" else None,
+                     "outcomes": rows}, args.out)
         return 0
     lines = [
         f"# set={mset.kind} dimension={mset.dim} backend={args.backend} seed={args.seed}",
@@ -211,36 +201,24 @@ def cmd_measure(args) -> int:
     return 0
 
 
-BENCH_PAULI_QUBITS = (1, 2, 3)
-BENCH_MUB_DIMS = (2, 3, 4, 5, 7)
-BENCH_SIC_DIMS = (2, 3, 4, 5, 6, 7, 8)
+BENCH_SETS = (("pauli", 2), ("stoke", 2), ("pauli", 4), ("stoke", 4), ("pauli", 8),
+              ("stoke", 8), *(("mub", d) for d in (2, 3, 4, 5, 7)),
+              *(("sic", d) for d in range(2, 9)))
 
 
 def cmd_bench_povm(args) -> int:
     rng = np.random.default_rng(args.seed)
-    jobs = []
-    for n in BENCH_PAULI_QUBITS:
-        jobs.append(("pauli", 2**n, build_pauli_set(n)))
-        jobs.append(("stoke", 2**n, build_stoke_set(n)))
-    for d in BENCH_MUB_DIMS:
-        jobs.append(("mub", d, build_mub_set(d)))
-    for d in BENCH_SIC_DIMS:
-        jobs.append(("sic", d, build_sic_set(d)))
-    rows = []
-    for kind, d, mset in jobs:
-        total = 0.0
-        for _ in range(args.repeats):
-            st = states.random_haar(d, rng)
-            _, dt = timed_measurement(st, mset)
-            total += dt
-        rows.append((kind, d, total / args.repeats))
+    jobs = [(kind, d, SETS[kind](d)) for kind, d in BENCH_SETS]
+    rows = [(kind, d, sum(timed_measurement(states.random_haar(d, rng), mset)[1]
+                          for _ in range(args.repeats)) / args.repeats)
+            for kind, d, mset in jobs]
     if args.format == "json":
-        _emit_json({"repeats": args.repeats,
-                    "rows": [{"set": k, "dimension": d, "mean_seconds": t}
-                             for k, d, t in rows]}, args.out)
+        _write_json({"repeats": args.repeats,
+                     "rows": [{"set": k, "dimension": d, "mean_seconds": t}
+                              for k, d, t in rows]}, args.out)
         return 0
     lines = [f"# repeats={args.repeats}", "# set,dimension,mean_seconds"]
-    lines += [f"{k},{d},{_fmt(t)}" for k, d, t in rows]
+    lines += [_csv_row(row) for row in rows]
     _emit(lines, args.out)
     return 0
 
@@ -258,21 +236,19 @@ def cmd_backend_compare(args) -> int:
     mc_mae = float(np.mean(np.abs(mc_est - exact)))
     cdf_mae = float(np.mean(np.abs(cdf_est - exact)))
     if args.format == "json":
-        payload = {
+        _write_json({
             "samples": args.samples, "iterations": args.iterations,
             "seed": args.seed, "mc_mae": mc_mae, "cdf_mae": cdf_mae,
             "rows": [{"x": float(x), "exact": float(e), "mc": float(m), "cdf": float(c)}
                      for x, e, m, c in zip(xs, exact, mc_est, cdf_est)],
-        }
-        _emit_json(payload, args.out)
+        }, args.out)
     else:
         lines = [
             f"# samples={args.samples} iterations={args.iterations} seed={args.seed}",
-            f"# mc_mae={_fmt(mc_mae)} cdf_mae={_fmt(cdf_mae)}",
+            f"# mc_mae={mc_mae:.17g} cdf_mae={cdf_mae:.17g}",
             "# x,exact,mc,cdf",
         ]
-        for x, e, m, c in zip(xs, exact, mc_est, cdf_est):
-            lines.append(f"{_fmt(x)},{_fmt(e)},{_fmt(m)},{_fmt(c)}")
+        lines += [_csv_row(row) for row in zip(xs, exact, mc_est, cdf_est)]
         _emit(lines, args.out)
     if args.no_timing:
         return 0
@@ -285,7 +261,7 @@ def cmd_backend_compare(args) -> int:
         for p in exact:
             sample_cdf_discrete(np.array([1.0 - p, p]), ite, rng)
         t2 = time.perf_counter()
-        t_lines.append(f"{ite},{_fmt(t1 - t0)},{_fmt(t2 - t1)}")
+        t_lines.append(_csv_row((ite, t1 - t0, t2 - t1)))
     timing_out = args.timing_out
     if timing_out is None and args.out is not None:
         p = Path(args.out)
@@ -313,7 +289,7 @@ def cmd_phasespace(args) -> int:
               else phasespace.wigner_spherical)
     result = fn(st, grid)
     if args.format == "json":
-        _emit_json({
+        _write_json({
             "kind": result.kind, "coords": result.coords,
             "axis1": [float(v) for v in result.axis1],
             "axis2": [float(v) for v in result.axis2],
@@ -327,7 +303,7 @@ def cmd_phasespace(args) -> int:
 def cmd_tomography(args) -> int:
     rng = np.random.default_rng(args.seed)
     st = _build_state(args, rng)
-    mset = _build_set(args.set, st.dim)
+    mset = SETS[args.set](st.dim)
     if args.shots == "exact":
         shots = None
     else:
@@ -394,21 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="measure a state with a built-in set")
     common(p)
     _add_state_args(p)
-    p.add_argument("--set", required=True,
-                   choices=("pauli", "stoke", "mub", "sic", "xyz"))
+    p.add_argument("--set", required=True, choices=tuple(SETS))
     p.add_argument("--backend", choices=("exact", "mc", "cdf"), default="exact")
     p.add_argument("--shots", type=int, default=1000)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("bench-povm", help="mean measurement time per set and dimension")
     common(p)
-    p.add_argument("--repeats", type=int, default=100)
+    p.add_argument("--repeats", type=_count, default=100)
     p.set_defaults(func=cmd_bench_povm)
 
     p = sub.add_parser("backend-compare",
                        help="mc and cdf back-ends against f(x) = exp(-x)")
     common(p)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count, default=1000)
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--timing-out", default=None,
                    help="path of the duration-vs-iterations table")
@@ -438,11 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomography", help="simulate, reconstruct and score")
     common(p)
     _add_state_args(p)
-    p.add_argument("--set", required=True, choices=("pauli", "stoke", "mub", "sic"))
+    p.add_argument("--set", required=True, choices=tuple(s for s in SETS if s != "xyz"))
     p.add_argument("--shots", default="exact",
                    help="shot count per group, or 'exact'")
     p.add_argument("--backend", choices=("mc", "cdf"), default="cdf")
-    p.add_argument("--repeats", type=int, default=1,
+    p.add_argument("--repeats", type=_count, default=1,
                    help="number of runs (seeds seed, seed+1, ...)")
     p.set_defaults(func=cmd_tomography)
 
@@ -453,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of cat angles in units of pi")
     p.add_argument("--t-max", type=float, default=0.2,
                    help="phase grid upper end in units of pi")
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_count, default=100)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_metrology)
 

@@ -53,7 +53,7 @@ _POL = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
     """Ordered POVM elements plus the partition into completeness groups.
 
@@ -65,19 +65,21 @@ class MeasurementSet:
     the identity (none for sets without that structure, e.g. Stoke); any
     other groups raise InvalidParameter.  They are stored as int tuples,
     and ``group_of`` holds each element's group, or -1.
+
+    A set equals and hashes as itself only: two builds of one set are unequal.
     """
 
     kind: str
     elements: tuple[QuantumObject, ...]
     groups: tuple[tuple[int, ...], ...] = ()
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
-    group_of: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
+    group_of: np.ndarray = field(init=False, repr=False)
     # grouped element indices in group order, and the index rows the cdf
     # sampler draws: one (G, L) block when all groups have L elements
-    _members: np.ndarray = field(init=False, repr=False, compare=False)
-    _blocks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _members: np.ndarray = field(init=False, repr=False)
+    _blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
     # linear-inversion data, built by the first reconstruction from this set
-    _inversion: object = field(default=None, init=False, repr=False, compare=False)
+    _inversion: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mats = self.elements

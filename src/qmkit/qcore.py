@@ -8,6 +8,7 @@ built from the pure functions defined here.
 from __future__ import annotations
 
 import enum
+import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,6 +242,11 @@ def _write_lines(lines: Sequence[str], path=None) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _write_json(payload, path=None) -> None:
+    """Write ``payload`` as JSON indented by two spaces, through ``_write_lines``."""
+    _write_lines([json.dumps(payload, indent=2)], path)
 
 
 def _csv_row(values: Iterable) -> str:

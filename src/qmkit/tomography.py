@@ -4,7 +4,6 @@ inversion with a PSD projection, and score with trace distance / fidelity."""
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,8 +16,8 @@ from .errors import (
     RankDeficientSet,
 )
 from .measurement import MeasurementSet, SamplerBackend, measure_and_sample, probabilities
-from .qcore import (Kind, QuantumObject, _csv_row, _require_state, _write_lines,
-                    density_matrix, mat_sqrt)
+from .qcore import (Kind, QuantumObject, _csv_row, _require_state, _write_json,
+                    _write_lines, density_matrix, mat_sqrt)
 
 
 def trace_distance_pure(psi, phi) -> float:
@@ -223,5 +222,4 @@ def write_reports_csv(runs: Sequence[TomographyRun], path=None) -> None:
 
 def write_reports_json(runs: Sequence[TomographyRun], path=None) -> None:
     reports = [r.report() for r in runs]
-    payload = reports[0] if len(reports) == 1 else reports
-    _write_lines([json.dumps(payload, indent=2)], path)
+    _write_json(reports[0] if len(reports) == 1 else reports, path)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qmkit
-from qmkit.cli import main
+from qmkit.cli import STATES, main
 
 
 def run_cli(args):
@@ -86,6 +86,45 @@ def test_state_missing_parameter_is_usage_error(capsys):
     assert "requires --n" in capsys.readouterr().err
 
 
+# one valid value of each state flag, as the library takes it
+_STATE_FLAG_VALUES = {"--d": 6, "--k": 2, "--n": 3, "--j": 1.5, "--m": 0.5, "--x": 0.4,
+                      "--alpha": 0.5 + 0.3j, "--beta": 0.2, "--theta": 1.1, "--phi": 0.7}
+
+
+@pytest.mark.parametrize("name", list(STATES))
+def test_state_table_entry_matches_library(name, tmp_path, capsys):
+    factory, flags = STATES[name]
+    given = [f for f in flags if f != "rng"]
+    argv = ["state", "--name", name]
+    for f in given:
+        argv += [f, str(_STATE_FLAG_VALUES[f])]
+    out = tmp_path / "s.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    amps = np.array([complex(*map(float, r.split(","))) for r in data_lines(out)])
+    rng = np.random.default_rng(0)  # the CLI's default seed
+    want = factory(*(rng if f == "rng" else _STATE_FLAG_VALUES[f] for f in flags))
+    np.testing.assert_array_equal(amps, want.data.reshape(-1))
+    for f in given:
+        if f == "--phi":  # defaults to 0
+            continue
+        i = argv.index(f)
+        assert run_cli(argv[:i] + argv[i + 2:]) == 2, f
+        assert f"requires {f}" in capsys.readouterr().err
+
+
+def test_state_negative_complex_value_after_equals_sign(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "c.csv"
+    assert run_cli(["state", "--name", "coherent", "--d", "10", "--alpha=-2j",
+                    "--out", str(out)]) == 0
+    amps = np.array([complex(*map(float, r.split(","))) for r in data_lines(out)])
+    np.testing.assert_array_equal(amps, qmkit.coherent(10, -2j).data.reshape(-1))
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["state", "--help"])
+    assert exc.value.code == 0
+    assert "--alpha=-2j" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
@@ -143,12 +182,31 @@ def test_bench_povm_rows(tmp_path):
     out = tmp_path / "bench.csv"
     assert run_cli(["bench-povm", "--repeats", "2", "--out", str(out)]) == 0
     rows = [r.split(",") for r in data_lines(out)]
-    table = {(r[0], int(r[1])) for r in rows}
-    assert {("pauli", 2), ("pauli", 4), ("pauli", 8)} <= table
-    assert {("stoke", d) for d in (2, 4, 8)} <= table
-    assert {("mub", d) for d in (2, 3, 4, 5, 7)} <= table
-    assert {("sic", d) for d in range(2, 9)} <= table
+    assert [(r[0], int(r[1])) for r in rows] == [
+        ("pauli", 2), ("stoke", 2), ("pauli", 4), ("stoke", 4), ("pauli", 8), ("stoke", 8),
+        *(("mub", d) for d in (2, 3, 4, 5, 7)), *(("sic", d) for d in range(2, 9))]
     assert all(float(r[2]) >= 0 for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench-povm", "--repeats", "0"],
+    ["bench-povm", "--repeats", "-1"],
+    ["bench-povm", "--repeats", "abc"],
+    ["backend-compare", "--samples", "-2"],
+    ["backend-compare", "--samples", "0"],
+    ["backend-compare", "--samples", "1.5"],
+    ["metrology", "--points", "-1"],
+    ["metrology", "--points", "0"],
+    ["tomography", "--name", "ghz", "--n", "1", "--set", "sic", "--repeats", "0"],
+], ids=" ".join)
+def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out-dir" if argv[0] == "metrology" else "--out",
+                        str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be an integer >= 1, got '{argv[-1]}'" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_backend_compare_exact_column(tmp_path):

@@ -453,7 +453,8 @@ def test_elements_are_read_only_views_of_the_stack(ms):
 
 def test_set_hashes_without_its_stack():
     ms = build_pauli_set(1)
-    assert ms == ms and hash(ms) == hash(ms)
+    assert ms == ms and hash(ms) == hash(ms) and ms in {ms}
+    assert ms != build_pauli_set(1)  # equality is identity
     assert "stack" not in repr(ms)
 
 
