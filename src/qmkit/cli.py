@@ -128,14 +128,19 @@ def _qubits(name: str, dim: int) -> int:
     return n
 
 
+def _xyz(dim: int) -> MeasurementSet:
+    if dim != 2:
+        raise UnsupportedDimension(f"xyz set needs a qubit (d=2), got d={dim}")
+    return MeasurementSet(kind="custom", elements=(pauli("x"), pauli("y"), pauli("z")))
+
+
 # set name -> set constructor, called with the dimension
 SETS = {
     "pauli": lambda d: build_pauli_set(_qubits("pauli", d)),
     "stoke": lambda d: build_stoke_set(_qubits("stoke", d)),
     "mub": build_mub_set,
     "sic": build_sic_set,
-    "xyz": lambda d: MeasurementSet(kind="custom",
-                                    elements=(pauli("x"), pauli("y"), pauli("z"))),
+    "xyz": _xyz,
 }
 
 

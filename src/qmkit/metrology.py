@@ -111,7 +111,9 @@ def cat_state(j, theta: float, phi: float = 0.0) -> QuantumObject:
 
 def _check_grid(phis: np.ndarray) -> None:
     """Raise unless ``phis`` holds at least two finite, strictly increasing phases."""
-    if phis.size < 2 or not (np.isfinite(phis).all() and (np.diff(phis) > 0).all()):
+    if phis.size < 2:
+        raise InvalidParameter(f"phase grid needs at least two points, got {phis.size}")
+    if not (np.isfinite(phis).all() and (np.diff(phis) > 0).all()):
         raise InvalidParameter("phase grid must be finite and strictly increasing")
 
 

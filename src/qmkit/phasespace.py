@@ -100,6 +100,12 @@ def spherical_harmonic(k: int, q: int, theta, phi):
 # grids
 # ---------------------------------------------------------------------------
 
+def _tuple_ranges(grid, *names: str) -> None:
+    """Store a frozen grid's ranges as tuples, so grids built from lists hash."""
+    for name in names:
+        object.__setattr__(grid, name, tuple(getattr(grid, name)))
+
+
 @dataclass(frozen=True)
 class PlanarGrid:
     """Rectangular grid in alpha = x + iy."""
@@ -110,8 +116,11 @@ class PlanarGrid:
     ny: int = 61
 
     def __post_init__(self):
+        _tuple_ranges(self, "x_range", "y_range")
         if self.nx < 2 or self.ny < 2:
             raise InvalidParameter("planar grid needs at least 2 points per axis")
+        if not all(math.isfinite(v) for v in (*self.x_range, *self.y_range)):
+            raise InvalidParameter(f"planar ranges {self.x_range}, {self.y_range} must be finite")
 
     @property
     def xs(self) -> np.ndarray:
@@ -132,6 +141,7 @@ class SphericalGrid:
     nphi: int = 61
 
     def __post_init__(self):
+        _tuple_ranges(self, "theta_range", "phi_range")
         if self.ntheta < 2 or self.nphi < 2:
             raise InvalidParameter("spherical grid needs at least 2 points per axis")
         if not (0.0 <= self.theta_range[0] <= self.theta_range[1] <= math.pi + 1e-12):
@@ -209,12 +219,48 @@ def _square_density(rho) -> np.ndarray:
     return dm
 
 
-def _radial(grid: PlanarGrid, scale: float) -> tuple:
-    """scale * alpha at each grid point (row-major), the unique values of
-    |scale * alpha|^2, and the index with radii[inverse] = |alphas|^2."""
-    alphas = scale * (grid.xs[None, :] + 1j * grid.ys[:, None]).reshape(-1)
+# Each map's state-independent kernel is built once per (dimension, grid axes)
+# and kept, read-only, in a small LRU cache.  A grid axis enters a cache key as
+# its dtype and bytes, so two grids share an entry only if their axes are
+# bitwise equal (0.0 and -0.0 ends compare equal as numbers, not as bytes).
+
+_KERNELS = 4     # entries per cache
+
+
+def _bits(axis: np.ndarray) -> tuple:
+    return axis.dtype.str, axis.tobytes()
+
+
+def _axis(bits: tuple) -> np.ndarray:
+    return np.frombuffer(bits[1], dtype=bits[0])
+
+
+def _frozen(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=_KERNELS)
+def _radial(xs: tuple, ys: tuple, scale: float) -> tuple:
+    """scale * alpha at each point of the grid with axes ``_bits`` xs, ys
+    (row-major), the unique values of |scale * alpha|^2, and the index with
+    radii[inverse] = |alphas|^2."""
+    alphas = scale * (_axis(xs)[None, :] + 1j * _axis(ys)[:, None]).reshape(-1)
     radii, inverse = np.unique(np.abs(alphas) ** 2, return_inverse=True)
-    return alphas, radii, inverse
+    return _frozen(alphas, radii, inverse)
+
+
+@functools.lru_cache(maxsize=_KERNELS)
+def _husimi_terms(d: int, xs: tuple, ys: tuple) -> tuple:
+    """terms[m] = e^{-x/2} x^m / m! for m < d on the radii x of ``_radial``,
+    and pi times their sum (the truncation norm) at each grid point."""
+    _, radii, inverse = _radial(xs, ys, 1.0)
+    terms = np.empty((d, radii.size))
+    terms[0] = np.exp(-radii / 2)
+    for m in range(1, d):
+        terms[m] = terms[m - 1] * radii / m
+    return _frozen(terms, math.pi * terms.sum(axis=0)[inverse])
 
 
 def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
@@ -229,12 +275,9 @@ def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     """
     dm = _square_density(rho)
     d = len(dm)
-    alphas, radii, inverse = _radial(grid, 1.0)
-    # terms[m] = e^{-x/2} x^m / m! on the radii; they sum to the truncation norm
-    terms = np.empty((d, radii.size))
-    terms[0] = np.exp(-radii / 2)
-    for m in range(1, d):
-        terms[m] = terms[m - 1] * radii / m
+    xs, ys = _bits(grid.xs), _bits(grid.ys)
+    alphas, _, inverse = _radial(xs, ys, 1.0)
+    terms, norm = _husimi_terms(d, xs, ys)
     # coeffs[k, m] = w_k rho_{m,m+k} sqrt(m! k! / (m+k)!), zero past the corner
     k, m = np.indices((d, d))
     ratios = np.sqrt(np.where(m > 0, m / np.maximum(m + k, 1), 1.0))
@@ -246,7 +289,7 @@ def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     for order in range(d - 2, -1, -1):
         acc *= alphas * (1.0 / math.sqrt(order + 1))
         acc += sums[order][inverse]
-    q = np.real(acc) / (math.pi * terms.sum(axis=0)[inverse])
+    q = np.real(acc) / norm
     return PhaseSpaceGrid("husimi", "planar", grid.ys, grid.xs, q.reshape(grid.ny, grid.nx))
 
 
@@ -271,7 +314,7 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     QuTiP.  The series is exact for the truncated state at any alpha.
     """
     dm = _square_density(rho)
-    a2, radii, inverse = _radial(grid, 2.0)
+    a2, radii, inverse = _radial(_bits(grid.xs), _bits(grid.ys), 2.0)
     doubled = 2.0 * dm - np.diag(np.diag(dm))      # off-diagonals count twice
     acc = np.full(a2.shape, doubled[0, -1], dtype=complex)
     for order in range(len(dm) - 2, -1, -1):
@@ -285,14 +328,23 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
 # spherical maps
 # ---------------------------------------------------------------------------
 
-def _axial_map(dm: np.ndarray, kernels: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Re sum_ab rho_ab G_ab(theta) e^{-i(b-a) phi} on the grid, for real
-    symmetric ``kernels`` G(theta) of shape (ntheta, d, d).  As phi enters
-    through b - a alone, the diagonals of rho o G(theta) are summed first."""
+def _axial_map(dm: np.ndarray, diagonals: tuple, phis: np.ndarray) -> np.ndarray:
+    """Re sum_ab rho_ab G_ab(theta) e^{-i(b-a) phi} on the grid, for a real
+    kernel G(theta) given by its diagonals k = 1-d .. d-1, each of shape
+    (ntheta, d-|k|).  As phi enters through b - a alone, the diagonals of
+    rho o G(theta) are summed first."""
     offsets = np.arange(1 - len(dm), len(dm))
-    sums = np.stack([np.diagonal(kernels, k, axis1=1, axis2=2) @ np.diagonal(dm, k)
-                     for k in offsets], axis=1)
+    sums = np.stack([g @ np.diagonal(dm, k) for g, k in zip(diagonals, offsets)], axis=1)
     return np.real(sums @ np.exp(-1j * np.outer(offsets, phis)))
+
+
+@functools.lru_cache(maxsize=_KERNELS)
+def _husimi_diagonals(two_j: int, thetas: tuple) -> tuple:
+    """Diagonals k = -2j .. 2j of G(theta) = c c^T / pi on the ``_bits``
+    thetas.  G is symmetric bit for bit, so diagonal -k is diagonal k."""
+    c = _spin_coherent_magnitudes(two_j, _axis(thetas))
+    upper = _frozen(*((c[:, :two_j + 1 - k] * c[:, k:]) / math.pi for k in range(two_j + 1)))
+    return upper[:0:-1] + upper
 
 
 def husimi_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGrid:
@@ -301,8 +353,7 @@ def husimi_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
     The amplitudes of ``spin_coherent`` are c_i(theta) e^{-i i phi}, so Q is
     :func:`_axial_map` with G(theta) = c c^T / pi."""
     dm = _square_density(rho)
-    c = _spin_coherent_magnitudes(len(dm) - 1, grid.thetas)
-    vals = _axial_map(dm, c[:, :, None] * c[:, None, :] / math.pi, grid.phis)
+    vals = _axial_map(dm, _husimi_diagonals(len(dm) - 1, _bits(grid.thetas)), grid.phis)
     return PhaseSpaceGrid("husimi", "spherical", grid.thetas, grid.phis, vals)
 
 
@@ -334,8 +385,18 @@ def _stratonovich_kernel(two_j: int) -> tuple:
             v -= polys[:k].T @ (polys[:k] @ v)
         polys[k] = v / np.linalg.norm(v)
     delta0 = np.sqrt((2 * np.arange(two_j + 1) + 1) / (4 * math.pi)) @ polys
-    lam.flags.writeable = vec.flags.writeable = delta0.flags.writeable = False
-    return lam, vec, delta0
+    return _frozen(lam, vec, delta0)
+
+
+@functools.lru_cache(maxsize=_KERNELS)
+def _wigner_diagonals(two_j: int, thetas: tuple) -> tuple:
+    """Diagonals k = -2j .. 2j of G(theta) = d Delta_0 d^T on the ``_bits``
+    thetas.  Both triangles are kept: they differ in rounding."""
+    lam, vec, delta0 = _stratonovich_kernel(two_j)
+    rot = np.real((vec * np.exp(-1j * _axis(thetas)[:, None, None] * lam)) @ vec.conj().T)
+    kernel = (rot * delta0) @ rot.transpose(0, 2, 1)
+    return _frozen(*(np.diagonal(kernel, k, axis1=1, axis2=2).copy()
+                     for k in range(-two_j, two_j + 1)))
 
 
 def wigner_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGrid:
@@ -350,7 +411,5 @@ def wigner_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
     sphere.  It is :func:`_axial_map` with G = d Delta_0 d^T, d = exp(-i theta J_y).
     """
     dm = _square_density(rho)
-    lam, vec, delta0 = _stratonovich_kernel(len(dm) - 1)
-    rot = np.real((vec * np.exp(-1j * grid.thetas[:, None, None] * lam)) @ vec.conj().T)
-    vals = _axial_map(dm, (rot * delta0) @ rot.transpose(0, 2, 1), grid.phis)
+    vals = _axial_map(dm, _wigner_diagonals(len(dm) - 1, _bits(grid.thetas)), grid.phis)
     return PhaseSpaceGrid("wigner", "spherical", grid.thetas, grid.phis, vals)

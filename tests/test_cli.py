@@ -174,6 +174,13 @@ def test_measure_pauli_on_non_qubit_dimension_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_measure_xyz_on_non_qubit_dimension_exit_3(tmp_path, capsys):
+    code = run_cli(["measure", "--name", "coherent", "--d", "3", "--alpha", "1",
+                    "--set", "xyz", "--backend", "exact", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "UnsupportedDimension: xyz set needs a qubit" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench-povm / backend-compare
 # ---------------------------------------------------------------------------
@@ -282,6 +289,15 @@ def test_phasespace_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("bound", [["--xmin", "nan"], ["--ymax", "inf"], ["--xmax=-inf"]])
+def test_phasespace_non_finite_planar_range_exit_4(tmp_path, capsys, bound):
+    out = tmp_path / "w.csv"
+    assert run_cli(["phasespace", "--name", "coherent", "--d", "10", "--alpha", "1",
+                    "--map", "wigner", "--coords", "planar", *bound, "--out", str(out)]) == 4
+    assert "InvalidParameter" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # tomography
 # ---------------------------------------------------------------------------
@@ -361,6 +377,11 @@ def test_metrology_deterministic(tmp_path):
 def test_metrology_single_level_exit_4(tmp_path, capsys):
     assert run_cli(["metrology", "--j", "0", "--out-dir", str(tmp_path)]) == 4
     assert "InvalidParameter" in capsys.readouterr().err
+
+
+def test_metrology_one_point_grid_exit_4(tmp_path, capsys):
+    assert run_cli(["metrology", "--j", "2", "--points", "1", "--out-dir", str(tmp_path)]) == 4
+    assert "phase grid needs at least two points, got 1" in capsys.readouterr().err
 
 
 def test_metrology_bad_thetas_is_usage_error(tmp_path, capsys):

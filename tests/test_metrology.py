@@ -353,6 +353,10 @@ def test_scenario_validation():
                               phis=np.array(phis), observable=spin(j, "y"))
         with pytest.raises(InvalidParameter):
             error_propagation(np.array(phis), np.zeros(2), np.ones(2))
+    for phis in ([], [0.1]):
+        with pytest.raises(InvalidParameter, match="at least two points"):
+            MetrologyScenario(probe=zeeman(j, 1), generator=spin(j, "z"),
+                              phis=np.array(phis), observable=spin(j, "y"))
     # the probe must be a state, and repetitions an integer >= 1
     with pytest.raises(InvalidObject):
         MetrologyScenario(probe=2 * identity(3) / 3, generator=spin(j, "z"),

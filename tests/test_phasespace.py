@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -12,6 +13,7 @@ from qmkit import (
     PlanarGrid,
     SphericalGrid,
     basis,
+    cat_state,
     clebsch_gordan,
     coherent,
     displacement,
@@ -21,6 +23,7 @@ from qmkit import (
     read_grid,
     spherical_harmonic,
     spin_coherent,
+    squeezed,
     to_operator,
     wigner_planar,
     wigner_spherical,
@@ -28,7 +31,15 @@ from qmkit import (
     zeeman,
 )
 from qmkit.errors import DimensionMismatch, InvalidParameter, InvalidQuantumNumber
-from qmkit.phasespace import _stratonovich_kernel, spherical_multipole
+from qmkit.phasespace import (
+    _bits,
+    _husimi_diagonals,
+    _husimi_terms,
+    _radial,
+    _stratonovich_kernel,
+    _wigner_diagonals,
+    spherical_multipole,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +474,10 @@ def test_grid_validation():
         SphericalGrid(theta_range=(0.0, 4.0))
     with pytest.raises(InvalidParameter):
         PlanarGrid(nx=1)
+    for ranges in (dict(x_range=(math.nan, 1.0)), dict(y_range=(-1.0, math.inf)),
+                   dict(x_range=[-math.inf, 0.0])):
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            PlanarGrid(**ranges)
 
 
 @pytest.mark.parametrize("fn", [husimi_planar, wigner_planar, husimi_spherical, wigner_spherical])
@@ -495,3 +510,177 @@ def test_husimi_nonnegative_random_states(seed):
     assert husimi_planar(rho, grid).values.min() >= -1e-12
     sgrid = SphericalGrid(ntheta=5, nphi=5)
     assert husimi_spherical(rho, sgrid).values.min() >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# cached map kernels
+# ---------------------------------------------------------------------------
+
+MAPS = (husimi_planar, wigner_planar, husimi_spherical, wigner_spherical)
+_KERNEL_CACHES = (_radial, _husimi_terms, _husimi_diagonals, _wigner_diagonals)
+
+
+def _clear_caches():
+    for cache in (*_KERNEL_CACHES, _stratonovich_kernel):
+        cache.cache_clear()
+
+
+def _map_arrays(out):
+    return out.axis1, out.axis2, out.values
+
+
+def _same_bits(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in zip(_map_arrays(a), _map_arrays(b)))
+
+
+def _map_digest(out) -> str:
+    h = hashlib.sha256()
+    for a in _map_arrays(out):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _platform_digest() -> str:
+    """Bits of the NumPy math, BLAS and LAPACK calls that the maps make, on
+    fixed inputs: the map digests below hold only where these match."""
+    x = np.linspace(0.05, 3.0, 41)
+    lam, vec = np.linalg.eigh(np.add.outer(x, x) + 1j * np.subtract.outer(x, x))
+    rot = np.real((vec * np.exp(-1j * x[:, None, None] * lam)) @ vec.conj().T)
+    parts = (np.exp(-x), np.cos(x), np.sin(x), np.log(x), np.sqrt(x), np.abs(vec),
+             np.unique(np.abs(x + 1j * x[::-1]) ** 2), (rot * x) @ rot.transpose(0, 2, 1),
+             rot[:, 0] @ (x + 1j * x[::-1]), np.outer(x, x) @ np.exp(-1j * np.outer(x, x)))
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in parts)).hexdigest()
+
+
+# recorded, with the maps' axes and values, on NumPy 2.4.6 / x86-64 (AVX-512)
+# before the grid kernels were cached
+_PLATFORM_DIGEST = "9f77b20025423ab47be60b0ac130b5130c583c67c2bbb5ef53916d5076fbd044"
+_DIGEST_STATES = {
+    "coherent": lambda: coherent(30, 1 + 0.5j),
+    "squeezed": lambda: squeezed(30, 0.3 - 0.2j, 0.4),
+    "spin_coherent10": lambda: spin_coherent(10, 1.1, 2.3),
+    "cat10": lambda: cat_state(10, 0.7, 0.4),
+    "zeeman10": lambda: zeeman(10, 3),
+    "cat20": lambda: cat_state(20, 1.2, 5.0),
+}
+_MAP_DIGESTS = {
+    "husimi_planar:coherent":
+        "c576806f204af504dc693f646f013914f0ea4deb002cc4dea588f18b4847b8ce",
+    "wigner_planar:coherent":
+        "8584f9ce4e97a5889398efba3f5f26e0ba0491d0bf12b689fc7d274cdc042ba9",
+    "husimi_planar:squeezed":
+        "7de2e455cf0e8cc781998b209f36d9d760b5e2c33a3fcde29717490dfa1218c0",
+    "wigner_planar:squeezed":
+        "b96bf5f54b74dcd7cb0f218bcc7f5d4ee34be736e27d34db1e8d5c1e1b2ef065",
+    "husimi_spherical:spin_coherent10":
+        "f7e25be80e5efb00e0286bf8506fdaef05fcabd5ced2989b6360124528f3af73",
+    "wigner_spherical:spin_coherent10":
+        "0c4f2b32718cad02152052c4a52091333ecf5f99aa74a83070e1f8bde32b85b0",
+    "husimi_spherical:cat10":
+        "820c3cdb5a8e9fa95b8c54a37b13b3c0a4bc53be989ee67e560e0dca9dfe1061",
+    "wigner_spherical:cat10":
+        "a1cfb97fe2c86ba345b801f1cf32034afa894c43337d88ece3fceab533ba304a",
+    "husimi_spherical:zeeman10":
+        "aa2c44c36da862b0700574a5fd45e01dbb44fc1ee0c0b4382d544de3a15fb1b8",
+    "wigner_spherical:zeeman10":
+        "ba70622c3296c9333599404c61be7d0cc99ef64a8d11d66d3e8b89b7c577fc08",
+    "husimi_spherical:cat20":
+        "3501d8045e5c7c5a8c7d17561bfb017bb117fdeb15e2feacb39ac3eea595eeda",
+    "wigner_spherical:cat20":
+        "ce25373a75df6b942825107c6cd00b0f1a6336b6ae6705a742ae51af8caf75b5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MAP_DIGESTS))
+def test_maps_keep_the_bits_recorded_before_caching(case):
+    if _platform_digest() != _PLATFORM_DIGEST:
+        pytest.skip("map bits depend on NumPy's SIMD math and the BLAS/LAPACK build")
+    fn, state = case.split(":")
+    assert _map_digest(globals()[fn](_DIGEST_STATES[state]())) == _MAP_DIGESTS[case]
+
+
+_CACHE_CASES = [(husimi_planar, lambda: squeezed(12, 0.3, 0.2)),
+                (wigner_planar, lambda: squeezed(12, 0.3, 0.2)),
+                (husimi_spherical, lambda: cat_state(3, 0.7, 0.4)),
+                (wigner_spherical, lambda: cat_state(3, 0.7, 0.4))]
+
+
+@pytest.mark.parametrize("fn, make", _CACHE_CASES)
+def test_cold_call_equals_warm_call_bitwise(fn, make):
+    rho = make()
+    _clear_caches()
+    cold = fn(rho)
+    assert _same_bits(cold, fn(rho))
+
+
+@pytest.mark.parametrize("fn, make", _CACHE_CASES)
+def test_mutating_a_returned_map_leaves_the_next_call_unchanged(fn, make):
+    rho = make()
+    first = fn(rho)
+    kept = type(first)(first.kind, first.coords, *(a.copy() for a in _map_arrays(first)))
+    for a in _map_arrays(first):
+        a[...] = 7.0                  # writable, so it is no view of a cached kernel
+    assert _same_bits(fn(rho), kept)
+
+
+def test_cached_kernels_are_read_only():
+    pgrid, sgrid = PlanarGrid(nx=5, ny=4), SphericalGrid(ntheta=6, nphi=3)
+    rho, spin_rho = squeezed(6, 0.3, 0.2), cat_state(2, 0.7, 0.4)
+    for fn in MAPS[:2]:
+        fn(rho, pgrid)
+    for fn in MAPS[2:]:
+        fn(spin_rho, sgrid)
+    xs, ys, thetas = _bits(pgrid.xs), _bits(pgrid.ys), _bits(sgrid.thetas)
+    cached = [*_radial(xs, ys, 1.0), *_radial(xs, ys, 2.0), *_husimi_terms(6, xs, ys),
+              *_husimi_diagonals(4, thetas), *_wigner_diagonals(4, thetas)]
+    assert len(cached) == 3 + 3 + 2 + 9 + 9
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
+def test_caches_stay_at_their_bound():
+    _clear_caches()
+    for n in range(2, 8):
+        pgrid, sgrid = PlanarGrid(nx=n, ny=3), SphericalGrid(ntheta=n, nphi=3)
+        for fn in MAPS[:2]:
+            fn(basis(n, 1), pgrid)
+        for fn in MAPS[2:]:
+            fn(zeeman(n / 2, n / 2), sgrid)
+    for cache in _KERNEL_CACHES:
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize == 4
+
+
+def test_grids_share_a_kernel_only_with_bitwise_equal_axes():
+    rho = squeezed(8, 0.3, 0.2)
+    pos = PlanarGrid(x_range=(-1.0, 0.0), y_range=(-1.0, 0.0), nx=3, ny=3)
+    neg = PlanarGrid(x_range=(-1.0, -0.0), y_range=(-1.0, -0.0), nx=3, ny=3)
+    same = PlanarGrid(x_range=[-1, 0], y_range=[-1, 0], nx=3, ny=3)
+    assert pos == neg == same             # equal as numbers, but -0.0 is other bits
+    _clear_caches()
+    for grid in (pos, neg, same):
+        wigner_planar(rho, grid)
+    assert _radial.cache_info()[:2] == (1, 2)       # (hits, misses)
+    assert wigner_planar(rho, neg).axis2[-1].tobytes() == np.float64(-0.0).tobytes()
+    # the spherical kernels depend on theta alone
+    for phi_range in ((0.0, 1.0), (0.5, 2.0)):
+        husimi_spherical(zeeman(2, 1), SphericalGrid(ntheta=4, nphi=3, phi_range=phi_range))
+    assert _husimi_diagonals.cache_info()[:2] == (1, 1)
+
+
+def test_list_ranges_give_the_tuple_grid():
+    rho = squeezed(8, 0.3, 0.2)
+    lists = PlanarGrid(x_range=[-2, 2], y_range=[-1, 1.5], nx=7, ny=5)
+    tuples = PlanarGrid(x_range=(-2.0, 2.0), y_range=(-1.0, 1.5), nx=7, ny=5)
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert lists.x_range == (-2, 2)
+    for fn in MAPS[:2]:
+        assert _same_bits(fn(rho, lists), fn(rho, tuples))
+    spin_rho = cat_state(2, 0.7, 0.4)
+    lists = SphericalGrid(theta_range=[0.5, 2], phi_range=[0, 3], ntheta=5, nphi=4)
+    tuples = SphericalGrid(theta_range=(0.5, 2.0), phi_range=(0.0, 3.0), ntheta=5, nphi=4)
+    assert lists == tuples and hash(lists) == hash(tuples)
+    for fn in MAPS[2:]:
+        assert _same_bits(fn(spin_rho, lists), fn(spin_rho, tuples))
