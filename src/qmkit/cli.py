@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrology, phasespace, states, tomography
-from .errors import QmkitError, UnsupportedDimension
+from . import metrology, phasespace, qcore, states, tomography
+from ._rng import as_rng
+from .errors import InvalidParameter, QmkitError, UnsupportedDimension
 from .measurement import (
     MeasurementSet,
     SamplerBackend,
@@ -50,14 +51,12 @@ class _UsageError(Exception):
     pass
 
 
-def _count(text: str) -> int:
-    """argparse type of a count flag (--repeats, --samples, --points)."""
+def _count(text: str, least: int = 1) -> int:
+    """argparse type of an integer flag: the library's count rule on ``text``."""
     try:
-        if (n := int(text)) >= 1:
-            return n
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        return qcore._count(int(text), "flag", least)
+    except (ValueError, InvalidParameter):
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +148,7 @@ SETS = {
 # ---------------------------------------------------------------------------
 
 def cmd_state(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = as_rng(args.seed)
     st = _build_state(args, rng)
     if args.format == "json":
         if st.kind is Kind.OPER:
@@ -176,7 +175,7 @@ def cmd_state(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = as_rng(args.seed)
     st = _build_state(args, rng)
     mset = SETS[args.set](st.dim)
     probs = probabilities(st, mset)
@@ -212,7 +211,7 @@ BENCH_SETS = (("pauli", 2), ("stoke", 2), ("pauli", 4), ("stoke", 4), ("pauli", 
 
 
 def cmd_bench_povm(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = as_rng(args.seed)
     jobs = [(kind, d, SETS[kind](d)) for kind, d in BENCH_SETS]
     rows = [(kind, d, sum(timed_measurement(states.random_haar(d, rng), mset)[1]
                           for _ in range(args.repeats)) / args.repeats)
@@ -231,7 +230,7 @@ def cmd_bench_povm(args) -> int:
 def cmd_backend_compare(args) -> int:
     xs = np.linspace(0.0, 5.0, args.samples)
     exact = np.exp(-xs)
-    rng = np.random.default_rng(args.seed)
+    rng = as_rng(args.seed)
     mc_est = np.array([sample_mc(p, args.iterations, rng) for p in exact])
     cdf_est = np.array([
         sample_cdf_discrete(np.array([1.0 - p, p]), args.iterations, rng)[1]
@@ -276,7 +275,7 @@ def cmd_backend_compare(args) -> int:
 
 
 def cmd_phasespace(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = as_rng(args.seed)
     st = _build_state(args, rng)
     if args.coords == "planar":
         grid = phasespace.PlanarGrid(
@@ -306,18 +305,13 @@ def cmd_phasespace(args) -> int:
 
 
 def cmd_tomography(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = as_rng(args.seed)
     st = _build_state(args, rng)
     mset = SETS[args.set](st.dim)
-    if args.shots == "exact":
-        shots = None
-    else:
-        try:
-            shots = int(args.shots)
-        except ValueError:
-            raise _UsageError(f"--shots must be an integer or 'exact', got {args.shots!r}")
-        if shots < 1:
-            raise _UsageError(f"--shots must be >= 1, got {shots}")
+    try:
+        shots = None if args.shots == "exact" else _count(args.shots)
+    except argparse.ArgumentTypeError:
+        raise _UsageError(f"--shots must be 'exact' or an integer >= 1, got {args.shots!r}")
     runs = []
     for i in range(args.repeats):
         backend = SamplerBackend(method=args.backend, seed=args.seed + i)
@@ -363,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=lambda text: _count(text, least=0), default=DEFAULT_SEED)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -377,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_args(p)
     p.add_argument("--set", required=True, choices=tuple(SETS))
     p.add_argument("--backend", choices=("exact", "mc", "cdf"), default="exact")
-    p.add_argument("--shots", type=int, default=1000)
+    p.add_argument("--shots", type=_count, default=1000)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("bench-povm", help="mean measurement time per set and dimension")
@@ -389,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mc and cdf back-ends against f(x) = exp(-x)")
     common(p)
     p.add_argument("--samples", type=_count, default=1000)
-    p.add_argument("--iterations", type=int, default=1000)
+    p.add_argument("--iterations", type=_count, default=1000)
     p.add_argument("--timing-out", default=None,
                    help="path of the duration-vs-iterations table")
     p.add_argument("--no-timing", action="store_true",

@@ -32,7 +32,7 @@ from .errors import (
     OutcomeImpossible,
     UnsupportedDimension,
 )
-from .qcore import HERMITIAN_TOL, QuantumObject, density_matrix
+from .qcore import HERMITIAN_TOL, QuantumObject, _count, density_matrix
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
@@ -51,6 +51,19 @@ _POL = {
     "L": np.array([1, 1j], dtype=complex) / np.sqrt(2),
     "R": np.array([1, -1j], dtype=complex) / np.sqrt(2),
 }
+
+
+def _stack(ops) -> np.ndarray:
+    """(K, d, d) complex array of the operators ``ops``: a sequence of d x d
+    operators is copied into a new array, a (K, d, d) array is adopted."""
+    if not isinstance(ops, np.ndarray):
+        ops = [QuantumObject(e).data for e in ops]
+        if len({m.shape for m in ops}) != 1:
+            raise DimensionMismatch(f"elements have shapes {[m.shape for m in ops]}")
+    stack = np.ascontiguousarray(ops, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
+        raise DimensionMismatch(f"element stack has shape {stack.shape}, want (K, d, d)")
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +95,7 @@ class MeasurementSet:
     _inversion: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        mats = self.elements
-        if not isinstance(mats, np.ndarray):
-            mats = [QuantumObject(e).data for e in mats]
-            if len({m.shape for m in mats}) != 1:
-                raise DimensionMismatch(f"elements have shapes {[m.shape for m in mats]}")
-        stack = np.ascontiguousarray(mats, dtype=complex)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
-            raise DimensionMismatch(f"element stack has shape {stack.shape}, want (K, d, d)")
+        stack = _stack(self.elements)
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "elements", tuple(QuantumObject._view(m) for m in stack))
@@ -176,10 +182,11 @@ class SamplerBackend:
     def __post_init__(self):
         if self.method not in ("mc", "cdf"):
             raise InvalidParameter(f"backend method must be 'mc' or 'cdf', got {self.method!r}")
-        _count(self.iterations, "iteration count")
+        for name, least in (("seed", 0), ("iterations", 1)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
 
     def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+        return as_rng(self.seed)
 
 
 def probabilities(state, observables) -> np.ndarray:
@@ -191,9 +198,7 @@ def probabilities(state, observables) -> np.ndarray:
     1e-10 (non-Hermitian operator on a state) raises.
     """
     rho = density_matrix(state)
-    if not isinstance(observables, MeasurementSet):
-        observables = MeasurementSet(kind="custom", elements=tuple(observables))
-    stack = observables.stack
+    stack = observables.stack if isinstance(observables, MeasurementSet) else _stack(observables)
     if stack.shape[1:] != rho.shape:
         raise DimensionMismatch(f"operators have shape {stack.shape[1:]}, state has {rho.shape}")
     # the batched form of the per-element trace: bit-identical to it, and
@@ -207,11 +212,7 @@ def probabilities(state, observables) -> np.ndarray:
 
 def post_measurement_state(state, kraus) -> tuple[QuantumObject, float]:
     """Conditional state M rho M^dag / p and its probability p = tr(M^dag M rho)."""
-    rho = density_matrix(state)
-    m = QuantumObject(kraus).data
-    if m.shape != rho.shape:
-        raise DimensionMismatch(f"kraus shape {m.shape}, state shape {rho.shape}")
-    out = measure(rho, [m])
+    out = measure(state, [kraus])
     p = float(out.probabilities[0])
     if p <= 1e-14:
         raise OutcomeImpossible(f"outcome probability {p:.3e} is (numerically) zero")
@@ -221,7 +222,9 @@ def post_measurement_state(state, kraus) -> tuple[QuantumObject, float]:
 def measure(state, kraus_ops: Sequence) -> MeasurementOutcome:
     """Full general measurement: probabilities and conditional states."""
     rho = density_matrix(state)
-    ks = np.array([QuantumObject(m).data for m in kraus_ops])
+    ks = _stack(kraus_ops)
+    if ks.shape[1:] != rho.shape:
+        raise DimensionMismatch(f"kraus shape {ks.shape[1:]}, state shape {rho.shape}")
     unnormalized = ks @ rho @ ks.conj().transpose(0, 2, 1)     # M rho M^dag
     probs = np.real(np.trace(unnormalized, axis1=1, axis2=2))
     posts = tuple(QuantumObject(s / p) if p > 1e-14 else None
@@ -254,8 +257,7 @@ def build_pauli_set(n: int) -> MeasurementSet:
     Single-qubit factors run over H, V, D, A, L, R in that order; groups
     pair the two outcomes of each of the 3^n basis choices.
     """
-    if n < 1:
-        raise InvalidParameter(f"need n >= 1 qubits, got {n}")
+    n = _count(n, "qubit count")
     elements = _product_projectors("HVDALR", n)
     # outcome o of basis b is letter 2b + o; an element's letters are its
     # index in base 6, most significant first
@@ -271,8 +273,7 @@ def build_stoke_set(n: int) -> MeasurementSet:
     The four single-qubit projectors do not resolve the identity, so no
     completeness groups are declared.
     """
-    if n < 1:
-        raise InvalidParameter(f"need n >= 1 qubits, got {n}")
+    n = _count(n, "qubit count")
     return MeasurementSet(kind="stoke", elements=_product_projectors("HVDR", n))
 
 
@@ -281,6 +282,7 @@ def build_mub_set(d: int) -> MeasurementSet:
 
     Supported at d in {2, 3, 4, 5, 7}.
     """
+    d = _count(d, "dimension")
     bases = mub_bases(d)
     return MeasurementSet(kind="mub", elements=_projectors(np.concatenate([B.T for B in bases])),
                           groups=np.arange(len(bases) * d).reshape(-1, d))
@@ -293,6 +295,7 @@ def weyl_displacement(d: int, j: int, k: int) -> QuantumObject:
     omega = exp(2 pi i / d); the half-integer power of omega is taken on
     the principal branch.  All D_{j,k} are unitary.
     """
+    d = _count(d, "dimension")
     if not (0 <= j < d and 0 <= k < d):
         raise InvalidParameter(f"need 0 <= j,k < d, got j={j}, k={k}, d={d}")
     om = np.exp(2j * np.pi / d)
@@ -313,6 +316,7 @@ def build_sic_set(d: int) -> MeasurementSet:
     dimension re-verifies the pairwise overlap condition
     |<h|h'>|^2 = 1/(d+1) before the set is handed out.
     """
+    d = _count(d, "dimension")
     phi = fiducial(d)
     vecs = np.array([weyl_displacement(d, j, k).data @ phi
                      for j in range(d) for k in range(d)])
@@ -328,16 +332,6 @@ def build_sic_set(d: int) -> MeasurementSet:
         _VERIFIED_SIC.add(d)
     return MeasurementSet(kind="sic", elements=_projectors(vecs) / d,
                           groups=(tuple(range(d * d)),))
-
-
-def _count(value, name: str) -> int:
-    """``value`` as an int >= 1 (NumPy integers pass), else InvalidParameter."""
-    try:
-        if (n := operator.index(value)) >= 1:
-            return n
-    except TypeError:
-        pass
-    raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _can_skip(g: np.random.Generator) -> bool:

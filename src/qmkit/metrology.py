@@ -16,9 +16,9 @@ from .errors import (
     NotHermitian,
     NotPositive,
 )
-from .measurement import MeasurementSet, _count, probabilities
-from .qcore import (Kind, QuantumObject, _csv_row, _evolution, _require_state, _write_lines,
-                    density_matrix, normalize)
+from .measurement import MeasurementSet, probabilities
+from .qcore import (Kind, QuantumObject, _count, _csv_row, _evolution, _require_state,
+                    _write_lines, density_matrix, normalize)
 from .states import spin_coherent
 
 DERIVATIVE_CUTOFF = 1e-12
@@ -94,8 +94,7 @@ def cramer_rao_bounds(F: float, Q: float, N: int = 1) -> tuple[float, float]:
     """
     if F < -1e-12 or Q < -1e-12:
         raise InvalidParameter("Fisher information must be non-negative")
-    if N < 1:
-        raise InvalidParameter(f"repetition count must be >= 1, got {N}")
+    N = _count(N, "repetition count")
     ccrb = 1.0 / math.sqrt(N * F) if F > 0 else math.inf
     qcrb = 1.0 / math.sqrt(N * Q) if Q > 0 else math.inf
     return ccrb, qcrb
@@ -159,8 +158,7 @@ class MetrologyScenario:
         if (probe.kind is Kind.OPER and probe.shape != (d, d)) or {h.shape, a.shape} != {(d, d)}:
             raise DimensionMismatch(f"probe {probe.shape}, generator {h.shape} and "
                                     f"observable {a.shape} must share one dimension")
-        if d < 2:
-            raise InvalidParameter(f"a scenario needs dimension >= 2, got {d}")
+        _count(d, "scenario dimension", least=2)
         if not h.is_hermitian():
             raise NotHermitian("generator must be Hermitian")
         if not a.is_hermitian():

@@ -6,15 +6,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter, InvalidQuantumNumber
-from .qcore import QuantumObject, _evolution
+from .qcore import QuantumObject, _count, _evolution
 
 _AXES = ("x", "y", "z", "+", "-")
 
 
 def identity(d: int) -> QuantumObject:
     """d-dimensional identity matrix."""
-    if d < 1:
-        raise InvalidParameter(f"dimension must be >= 1, got {d}")
+    d = _count(d, "dimension")
     return QuantumObject(np.eye(d, dtype=complex))
 
 
@@ -64,8 +63,7 @@ def pauli(axis: str) -> QuantumObject:
 
 def lowering(d: int) -> QuantumObject:
     """Truncated annihilation operator: a|n> = sqrt(n)|n-1>."""
-    if d < 2:
-        raise InvalidParameter(f"dimension must be >= 2, got {d}")
+    d = _count(d, "dimension", least=2)
     return QuantumObject(np.diag(np.sqrt(np.arange(1, d)), 1))
 
 
@@ -81,8 +79,7 @@ def displacement(d: int, alpha: complex) -> QuantumObject:
     exactly unitary at any cutoff (accuracy vs. the infinite-dimensional
     operator still needs d well above |alpha|^2).
     """
-    if d < 1:
-        raise InvalidParameter(f"dimension must be >= 1, got {d}")
+    d = _count(d, "dimension")
     if d == 1:
         return identity(1)
     a = lowering(d).data
@@ -93,8 +90,7 @@ def displacement(d: int, alpha: complex) -> QuantumObject:
 def squeezing(d: int, beta: complex) -> QuantumObject:
     """Squeezing operator exp((beta* a^2 - beta a^dag^2)/2) at cutoff d, one
     Fock parity at a time: the generator couples n to n +- 2 only."""
-    if d < 2:
-        raise InvalidParameter(f"dimension must be >= 2, got {d}")
+    d = _count(d, "dimension", least=2)
     a = lowering(d).data
     ad = a.conj().T
     gen = (np.conj(beta) * (a @ a) - beta * (ad @ ad)) / 2.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +23,7 @@ from .errors import (
     InvalidQuantumNumber,
 )
 from .operators import _twice, spin
-from .qcore import _write_lines, density_matrix
+from .qcore import _count, _write_lines, density_matrix
 from .states import _spin_coherent_magnitudes
 
 
@@ -101,9 +102,17 @@ def spherical_harmonic(k: int, q: int, theta, phi):
 # ---------------------------------------------------------------------------
 
 def _tuple_ranges(grid, *names: str) -> None:
-    """Store a frozen grid's ranges as tuples, so grids built from lists hash."""
+    """Store a frozen grid's ranges as tuples, so grids built from lists hash;
+    raise InvalidParameter unless each is a pair of real numbers."""
     for name in names:
-        object.__setattr__(grid, name, tuple(getattr(grid, name)))
+        value = getattr(grid, name)
+        try:
+            pair = tuple(value)
+        except TypeError:
+            pair = ()
+        if len(pair) != 2 or not all(isinstance(v, numbers.Real) for v in pair):
+            raise InvalidParameter(f"{name} must be a pair of real numbers, got {value!r}")
+        object.__setattr__(grid, name, pair)
 
 
 @dataclass(frozen=True)
@@ -117,8 +126,8 @@ class PlanarGrid:
 
     def __post_init__(self):
         _tuple_ranges(self, "x_range", "y_range")
-        if self.nx < 2 or self.ny < 2:
-            raise InvalidParameter("planar grid needs at least 2 points per axis")
+        for name in ("nx", "ny"):
+            object.__setattr__(self, name, _count(getattr(self, name), name, least=2))
         if not all(math.isfinite(v) for v in (*self.x_range, *self.y_range)):
             raise InvalidParameter(f"planar ranges {self.x_range}, {self.y_range} must be finite")
 
@@ -142,8 +151,8 @@ class SphericalGrid:
 
     def __post_init__(self):
         _tuple_ranges(self, "theta_range", "phi_range")
-        if self.ntheta < 2 or self.nphi < 2:
-            raise InvalidParameter("spherical grid needs at least 2 points per axis")
+        for name in ("ntheta", "nphi"):
+            object.__setattr__(self, name, _count(getattr(self, name), name, least=2))
         if not (0.0 <= self.theta_range[0] <= self.theta_range[1] <= math.pi + 1e-12):
             raise InvalidParameter(f"theta range {self.theta_range} not within [0, pi]")
         if not (0.0 <= self.phi_range[0] <= self.phi_range[1] <= 2 * math.pi + 1e-12):

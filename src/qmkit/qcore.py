@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidObject,
+    InvalidParameter,
     NotDiagonalizable,
     NotHermitian,
     NotPositive,
@@ -220,6 +222,16 @@ def to_operator(x: ArrayLike) -> QuantumObject:
 def density_matrix(x: ArrayLike) -> np.ndarray:
     """Plain ndarray density matrix of a ket, bra, or oper input."""
     return to_operator(x).data
+
+
+def _count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int >= ``least`` (NumPy integers pass), else InvalidParameter."""
+    try:
+        if (n := operator.index(value)) >= least:
+            return n
+    except TypeError:
+        pass
+    raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _require_state(x: ArrayLike) -> QuantumObject:

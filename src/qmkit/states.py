@@ -14,13 +14,12 @@ from .errors import (
     InvalidQuantumNumber,
 )
 from .operators import _twice, displacement, lowering, squeezing
-from .qcore import Kind, QuantumObject, _fix_phase, dot, normalize, to_operator
+from .qcore import Kind, QuantumObject, _count, _fix_phase, dot, normalize, to_operator
 
 
 def basis(d: int, k: int) -> QuantumObject:
     """Computational basis ket |k> in d dimensions."""
-    if d < 1:
-        raise InvalidParameter(f"dimension must be >= 1, got {d}")
+    d = _count(d, "dimension")
     if not (0 <= k < d):
         raise IndexOutOfRange(f"index {k} outside 0..{d - 1}")
     v = np.zeros((d, 1), dtype=complex)
@@ -44,8 +43,7 @@ def zeeman(j, m) -> QuantumObject:
 def coherent(d: int, alpha: complex) -> QuantumObject:
     """Coherent state truncated at d Fock levels and renormalized: amplitudes
     alpha^n / sqrt(n!), n < d, in log space so none underflows at large |alpha|."""
-    if d < 1:
-        raise InvalidParameter(f"dimension must be >= 1, got {d}")
+    d = _count(d, "dimension")
     if alpha == 0:
         return basis(d, 0)
     n = np.arange(d)
@@ -55,8 +53,7 @@ def coherent(d: int, alpha: complex) -> QuantumObject:
 
 def squeezed(d: int, alpha: complex, beta: complex) -> QuantumObject:
     """Displaced squeezed vacuum D(alpha) S(beta) |0>, renormalized."""
-    if d < 1:
-        raise InvalidParameter(f"dimension must be >= 1, got {d}")
+    d = _count(d, "dimension")
     if d == 1:
         return basis(1, 0)
     vac = basis(d, 0)
@@ -66,8 +63,6 @@ def squeezed(d: int, alpha: complex, beta: complex) -> QuantumObject:
 
 def position_state(d: int, x: float) -> QuantumObject:
     """Eigenstate of the truncated quadrature (a + a^dag)/sqrt(2) nearest to x."""
-    if d < 2:
-        raise InvalidParameter(f"dimension must be >= 2, got {d}")
     a = lowering(d).data
     xop = (a + a.conj().T) / math.sqrt(2)
     vals, vecs = np.linalg.eigh(xop)
@@ -103,8 +98,7 @@ def spin_coherent(j, theta: float, phi: float) -> QuantumObject:
 
 def random_haar(d: int, rng=None) -> QuantumObject:
     """Haar-random ket: normalized vector of i.i.d. standard complex Gaussians."""
-    if d < 1:
-        raise InvalidParameter(f"dimension must be >= 1, got {d}")
+    d = _count(d, "dimension")
     g = as_rng(rng)
     v = g.normal(size=d) + 1j * g.normal(size=d)
     return normalize(QuantumObject(v.reshape(-1, 1)))
@@ -112,9 +106,7 @@ def random_haar(d: int, rng=None) -> QuantumObject:
 
 def ghz(n: int) -> QuantumObject:
     """GHZ state (|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    if n < 1:
-        raise InvalidQuantumNumber(f"need n >= 1 qubits, got {n}")
-    d = 2**n
+    d = 2 ** _count(n, "qubit count")
     v = np.zeros((d, 1), dtype=complex)
     v[0, 0] = v[d - 1, 0] = 1 / math.sqrt(2)
     return QuantumObject(v)
@@ -122,8 +114,7 @@ def ghz(n: int) -> QuantumObject:
 
 def w(n: int) -> QuantumObject:
     """W state: equal superposition of the n one-hot bitstrings."""
-    if n < 1:
-        raise InvalidQuantumNumber(f"need n >= 1 qubits, got {n}")
+    n = _count(n, "qubit count")
     v = np.zeros((2**n, 1), dtype=complex)
     for i in range(n):
         v[1 << (n - 1 - i), 0] = 1 / math.sqrt(n)
@@ -132,8 +123,7 @@ def w(n: int) -> QuantumObject:
 
 def dicke(n: int, k: int) -> QuantumObject:
     """Dicke state: equal superposition of all weight-k bitstrings on n qubits."""
-    if n < 1:
-        raise InvalidQuantumNumber(f"need n >= 1 qubits, got {n}")
+    n = _count(n, "qubit count")
     if not (0 <= k <= n):
         raise InvalidQuantumNumber(f"excitation count {k} outside 0..{n}")
     v = np.zeros((2**n, 1), dtype=complex)

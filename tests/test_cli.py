@@ -205,6 +205,9 @@ def test_bench_povm_rows(tmp_path):
     ["metrology", "--points", "-1"],
     ["metrology", "--points", "0"],
     ["tomography", "--name", "ghz", "--n", "1", "--set", "sic", "--repeats", "0"],
+    ["backend-compare", "--iterations", "0"],
+    ["measure", "--name", "ghz", "--n", "1", "--set", "xyz", "--shots", "0"],
+    ["state", "--name", "ghz", "--n", "2", "--seed", "-1"],
 ], ids=" ".join)
 def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -212,7 +215,8 @@ def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys):
                         str(tmp_path / "x")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {argv[-2]}: must be an integer >= 1, got '{argv[-1]}'" in err
+    least = 0 if argv[-2] == "--seed" else 1
+    assert f"argument {argv[-2]}: must be an integer >= {least}, got '{argv[-1]}'" in err
     assert not (tmp_path / "x").exists()
 
 

@@ -103,6 +103,10 @@ def test_measure_returns_outcome_bundle():
     np.testing.assert_allclose(out.probabilities, [0.5, 0.5], atol=1e-12)
     assert len(out.post_states) == 2
     assert all(s is not None for s in out.post_states)
+    # Kraus operators of mixed sizes, or of another size than the state
+    for kraus in ([identity(2), identity(3)], [identity(3)]):
+        with pytest.raises(DimensionMismatch):
+            measure(ghz(1), kraus)
 
 
 # ---------------------------------------------------------------------------

@@ -375,7 +375,7 @@ def test_scenario_validation():
             MetrologyScenario(probe=probe, generator=h, phis=np.array([0.0, 0.1]),
                               observable=a)
     # a single level has no spins to count for the SQL and HL levels
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match="scenario dimension must be an integer >= 2"):
         MetrologyScenario(probe=cat_state(0, 0.3), generator=spin(0, "z"),
                           phis=np.array([0.0, 0.1]), observable=spin(0, "y"))
 

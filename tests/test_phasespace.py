@@ -478,6 +478,12 @@ def test_grid_validation():
                    dict(x_range=[-math.inf, 0.0])):
         with pytest.raises(InvalidParameter, match="must be finite"):
             PlanarGrid(**ranges)
+    for grid, ranges in ((PlanarGrid, dict(x_range=3)), (SphericalGrid, dict(theta_range=3)),
+                         (PlanarGrid, dict(x_range=("a", "b"))), (PlanarGrid, dict(x_range=(1,))),
+                         (PlanarGrid, dict(y_range=(1, 2, 3))),
+                         (PlanarGrid, dict(x_range=(0, 1j)))):
+        with pytest.raises(InvalidParameter, match="must be a pair of real numbers"):
+            grid(**ranges)
 
 
 @pytest.mark.parametrize("fn", [husimi_planar, wigner_planar, husimi_spherical, wigner_spherical])

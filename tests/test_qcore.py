@@ -6,28 +6,50 @@ from hypothesis import strategies as st
 from conftest import random_complex_matrix, random_hermitian, random_psd
 from qmkit import (
     Kind,
+    MeasurementSet,
+    MetrologyScenario,
+    PlanarGrid,
     QuantumObject,
+    SamplerBackend,
+    SphericalGrid,
     adjoint,
+    build_mub_set,
+    build_pauli_set,
+    build_sic_set,
+    build_stoke_set,
     classify,
+    coherent,
     conjugate,
+    cramer_rao_bounds,
     diagonalize,
+    dicke,
+    displacement,
     dot,
     eigen,
     ground,
     l2norm,
+    lowering,
     mat_exp,
     mat_sqrt,
     normalize,
     partial_trace,
+    position_state,
+    random_haar,
+    squeezed,
+    squeezing,
     tensor,
     to_operator,
     trace,
     transpose,
+    w,
+    weyl_displacement,
 )
+from qmkit._rng import as_rng
 from qmkit.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidObject,
+    InvalidParameter,
     NotDiagonalizable,
     NotHermitian,
     NotPositive,
@@ -311,3 +333,57 @@ def test_eigen_reconstructs_hermitian(seed, d):
     # orthonormality
     vmat = np.column_stack([v.data.reshape(-1) for v in dec.vectors])
     np.testing.assert_allclose(vmat.conj().T @ vmat, np.eye(d), atol=1e-8)
+
+
+# every count, dimension, qubit count, grid size and seed goes through qcore._count:
+# (call taking the checked value, least admitted value, a valid value)
+_COUNTED = {
+    "identity": (identity, 1, 3),
+    "lowering": (lowering, 2, 3),
+    "displacement": (lambda d: displacement(d, 0.5 - 0.2j), 1, 3),
+    "squeezing": (lambda d: squeezing(d, 0.3), 2, 3),
+    "basis": (lambda d: basis(d, 1), 1, 3),
+    "coherent": (lambda d: coherent(d, 0.7j), 1, 3),
+    "squeezed": (lambda d: squeezed(d, 0.5, 0.3), 1, 3),
+    "position_state": (lambda d: position_state(d, 0.4), 2, 3),
+    "random_haar": (lambda d: random_haar(d, 5), 1, 3),
+    "ghz": (ghz, 1, 2),
+    "w": (w, 1, 2),
+    "dicke": (lambda n: dicke(n, 1), 1, 2),
+    "build_pauli_set": (build_pauli_set, 1, 1),
+    "build_stoke_set": (build_stoke_set, 1, 1),
+    "build_mub_set": (build_mub_set, 1, 3),
+    "build_sic_set": (build_sic_set, 1, 3),
+    "weyl_displacement": (lambda d: weyl_displacement(d, 1, 0), 1, 3),
+    "cramer_rao_bounds": (lambda n: cramer_rao_bounds(2.0, 3.0, n), 1, 3),
+    "MetrologyScenario.repetitions": (lambda n: MetrologyScenario(
+        probe=basis(2, 0), generator=pauli("z"), phis=[0.0, 0.1], observable=pauli("x"),
+        repetitions=n).repetitions, 1, 3),
+    "PlanarGrid.nx": (lambda n: PlanarGrid(nx=n), 2, 3),
+    "PlanarGrid.ny": (lambda n: PlanarGrid(ny=n), 2, 3),
+    "SphericalGrid.ntheta": (lambda n: SphericalGrid(ntheta=n), 2, 3),
+    "SphericalGrid.nphi": (lambda n: SphericalGrid(nphi=n), 2, 3),
+    "as_rng": (as_rng, 0, 3),
+    "SamplerBackend.seed": (lambda s: SamplerBackend("cdf", seed=s).rng(), 0, 3),
+    "SamplerBackend.iterations": (lambda n: SamplerBackend("mc", iterations=n), 1, 3),
+}
+
+
+def _bits(x):
+    """Bytes of what ``x`` holds: a matrix, a stack, four draws, or its repr."""
+    if isinstance(x, QuantumObject):
+        return x.data.tobytes()
+    if isinstance(x, MeasurementSet):
+        return x.stack.tobytes()
+    if isinstance(x, np.random.Generator):
+        return x.random(4).tobytes()
+    return repr(x)
+
+
+@pytest.mark.parametrize("name", _COUNTED)
+def test_counts_must_be_integers_at_or_above_their_floor(name):
+    call, least, valid = _COUNTED[name]
+    for bad in (2.5, 2.0, "3", least - 1, np.float64(valid)):
+        with pytest.raises(InvalidParameter, match=f"must be an integer >= {least}, got"):
+            call(bad)
+    assert _bits(call(np.int64(valid))) == _bits(call(valid))
