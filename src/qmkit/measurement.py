@@ -296,7 +296,7 @@ def weyl_displacement(d: int, j: int, k: int) -> QuantumObject:
     the principal branch.  All D_{j,k} are unitary.
     """
     d = _count(d, "dimension")
-    if not (0 <= j < d and 0 <= k < d):
+    if not (_count(j, "j", least=0) < d and _count(k, "k", least=0) < d):
         raise InvalidParameter(f"need 0 <= j,k < d, got j={j}, k={k}, d={d}")
     om = np.exp(2j * np.pi / d)
     mat = np.zeros((d, d), dtype=complex)

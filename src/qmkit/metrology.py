@@ -10,15 +10,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    NotHermitian,
-    NotPositive,
-)
+from .errors import DimensionMismatch, InvalidParameter, NotPositive
 from .measurement import MeasurementSet, probabilities
 from .qcore import (Kind, QuantumObject, _count, _csv_row, _evolution, _require_state,
-                    _write_lines, density_matrix, normalize)
+                    _square, _write_lines, density_matrix, normalize)
 from .states import spin_coherent
 
 DERIVATIVE_CUTOFF = 1e-12
@@ -28,12 +23,9 @@ def encode_phase(state, generator, phi: float) -> QuantumObject:
     """Evolve a state under U(phi) = exp(-i phi H) = V e^{-i phi L} V^dag for a
     Hermitian H = V L V^dag: kets map to U|psi>, operators to U rho U^dag."""
     st = QuantumObject(state)
-    h = QuantumObject(generator)
-    if h.shape[0] != h.shape[1] or h.shape[0] != st.dim:
-        raise DimensionMismatch(f"generator {h.shape} vs state dimension {st.dim}")
-    if not h.is_hermitian():
-        raise NotHermitian("generator must be Hermitian")
-    u = _evolution(h.data, phi)
+    if st.kind is Kind.OPER:
+        _square(st, "state")
+    u = _evolution(_square(generator, "generator", st.dim, hermitian=True), phi)
     if st.kind is Kind.KET:
         return QuantumObject(u @ st.data)
     if st.kind is Kind.BRA:
@@ -71,17 +63,13 @@ def quantum_fisher(rho, generator) -> float:
     |<m|H|n>|^2, skipping eigenvalue pairs with q_m + q_n <= 1e-12.
     """
     dm = density_matrix(rho)
-    h = QuantumObject(generator)
-    if not h.is_hermitian():
-        raise NotHermitian("generator must be Hermitian")
-    if h.shape != dm.shape:
-        raise DimensionMismatch(f"generator {h.shape} vs state {dm.shape}")
+    h = _square(generator, "generator", len(dm), hermitian=True)
     q, v = np.linalg.eigh((dm + dm.conj().T) / 2)
     if np.min(q) < -1e-10:
         raise NotPositive(f"state has eigenvalue {np.min(q):.3e}")
     q = np.clip(q, 0.0, None)
     q = q / q.sum()
-    ht = v.conj().T @ h.data @ v
+    ht = v.conj().T @ h @ v
     s = q[:, None] + q[None, :]
     ratio = np.divide((q[:, None] - q[None, :]) ** 2, s, out=np.zeros_like(s), where=s > 1e-12)
     return 2.0 * float(np.sum(ratio * np.abs(ht) ** 2))
@@ -154,15 +142,9 @@ class MetrologyScenario:
 
     def __post_init__(self):
         probe, h, a = (QuantumObject(x) for x in (self.probe, self.generator, self.observable))
-        d = probe.dim
-        if (probe.kind is Kind.OPER and probe.shape != (d, d)) or {h.shape, a.shape} != {(d, d)}:
-            raise DimensionMismatch(f"probe {probe.shape}, generator {h.shape} and "
-                                    f"observable {a.shape} must share one dimension")
-        _count(d, "scenario dimension", least=2)
-        if not h.is_hermitian():
-            raise NotHermitian("generator must be Hermitian")
-        if not a.is_hermitian():
-            raise NotHermitian("observable must be Hermitian")
+        for name, op in (("generator", h), ("observable", a)):
+            _square(op, name, probe.dim, hermitian=True)
+        _count(probe.dim, "scenario dimension", least=2)
         _require_state(probe)
         phis = np.asarray(self.phis, dtype=float)
         _check_grid(phis)

@@ -20,11 +20,14 @@ def identity(d: int) -> QuantumObject:
 def _twice(x, name: str = "spin", signed: bool = False) -> int:
     """Validate a half-integer x, non-negative unless ``signed`` (a
     projection m may be negative, an angular momentum not); return 2x."""
-    t = round(2 * x)
-    if abs(2 * x - t) > 1e-9 or (t < 0 and not signed):
-        kind = "a half-integer" if signed else "a non-negative half-integer"
-        raise InvalidQuantumNumber(f"{name} must be {kind}, got {x}")
-    return int(t)
+    try:
+        t = round(2 * x)
+        if abs(2 * x - t) <= 1e-9 and (t >= 0 or signed):
+            return int(t)
+    except (TypeError, ValueError, OverflowError):     # a string, None, NaN or +-inf
+        pass
+    kind = "a half-integer" if signed else "a non-negative half-integer"
+    raise InvalidQuantumNumber(f"{name} must be {kind}, got {x}")
 
 
 def spin(s, axis: str | None = None):

@@ -17,11 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    InvalidQuantumNumber,
-)
+from .errors import InvalidParameter, InvalidQuantumNumber
 from .operators import _twice, spin
 from .qcore import _count, _write_lines, density_matrix
 from .states import _spin_coherent_magnitudes
@@ -82,15 +78,21 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     return mag if total > 0 else -mag
 
 
+def _integer_labels(k, q) -> tuple[int, int]:
+    """(k, q) as ints; InvalidQuantumNumber unless both are whole numbers."""
+    two_k, two_q = _twice(k, "k", signed=True), _twice(q, "q", signed=True)
+    if two_k % 2 or two_q % 2:
+        raise InvalidQuantumNumber(f"k={k}, q={q} must be integers")
+    return two_k // 2, two_q // 2
+
+
 def spherical_harmonic(k: int, q: int, theta, phi):
     """Orthonormal spherical harmonic Y_kq(theta, phi), Condon-Shortley phase.
 
     ``theta`` is the polar (colatitude) angle; scalar and array arguments
     are both accepted.
     """
-    if k != int(k) or q != int(q):
-        raise InvalidQuantumNumber(f"k={k}, q={q} must be integers")
-    k, q = int(k), int(q)
+    k, q = _integer_labels(k, q)
     if k < 0 or abs(q) > k:
         raise InvalidQuantumNumber(f"need 0 <= |q| <= k, got k={k}, q={q}")
     import scipy.special  # on first use, so that ``import qmkit`` does not load SciPy
@@ -221,13 +223,6 @@ def read_grid(path) -> PhaseSpaceGrid:
 # planar maps
 # ---------------------------------------------------------------------------
 
-def _square_density(rho) -> np.ndarray:
-    dm = density_matrix(rho)
-    if dm.shape[0] != dm.shape[1]:
-        raise DimensionMismatch(f"need a square density matrix, got {dm.shape}")
-    return dm
-
-
 # Each map's state-independent kernel is built once per (dimension, grid axes)
 # and kept, read-only, in a small LRU cache.  A grid axis enters a cache key as
 # its dtype and bytes, so two grids share an entry only if their axes are
@@ -282,7 +277,7 @@ def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     x^n / n!), D_k(x) = sum_m rho_{m,m+k} x^m / sqrt(m! (m+k)!), w_0 = 1 and
     w_{k>0} = 2.  Each D_k is taken once per radius; Horner's rule nests them.
     """
-    dm = _square_density(rho)
+    dm = density_matrix(rho)
     d = len(dm)
     xs, ys = _bits(grid.xs), _bits(grid.ys)
     alphas, _, inverse = _radial(xs, ys, 1.0)
@@ -322,7 +317,7 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     |2 alpha|, and the diagonals are nested by Horner's rule in 2 alpha, as in
     QuTiP.  The series is exact for the truncated state at any alpha.
     """
-    dm = _square_density(rho)
+    dm = density_matrix(rho)
     a2, radii, inverse = _radial(_bits(grid.xs), _bits(grid.ys), 2.0)
     doubled = 2.0 * dm - np.diag(np.diag(dm))      # off-diagonals count twice
     acc = np.full(a2.shape, doubled[0, -1], dtype=complex)
@@ -361,7 +356,7 @@ def husimi_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
     integrating to 4/(2j+1) over the sphere (dOmega = sin(theta) dtheta dphi).
     The amplitudes of ``spin_coherent`` are c_i(theta) e^{-i i phi}, so Q is
     :func:`_axial_map` with G(theta) = c c^T / pi."""
-    dm = _square_density(rho)
+    dm = density_matrix(rho)
     vals = _axial_map(dm, _husimi_diagonals(len(dm) - 1, _bits(grid.thetas)), grid.phis)
     return PhaseSpaceGrid("husimi", "spherical", grid.thetas, grid.phis, vals)
 
@@ -369,9 +364,10 @@ def husimi_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
 def spherical_multipole(rho, k: int, q: int) -> complex:
     """Multipole component rho_kq = sum_{m} rho_{m, m-q} (-1)^{j-m-q}
     <j, m; j, -(m-q) | k, q> of a spin state."""
-    dm = _square_density(rho)
+    k, q = _integer_labels(k, q)
+    dm = density_matrix(rho)
     tj = len(dm) - 1
-    return sum((dm[i, round(i + q)] * (-1.0) ** round(i - q)   # row i = j - m
+    return sum((dm[i, i + q] * (-1.0) ** (i - q)   # row i = j - m
                 * clebsch_gordan(tj / 2, tj / 2 - i, tj / 2, q - tj / 2 + i, k, q)
                 for i in range(tj + 1) if 0 <= i + q <= tj), 0.0 + 0.0j)
 
@@ -419,6 +415,6 @@ def wigner_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
     :func:`spherical_multipole`); it integrates to sqrt(4 pi/(2j+1)) over the
     sphere.  It is :func:`_axial_map` with G = d Delta_0 d^T, d = exp(-i theta J_y).
     """
-    dm = _square_density(rho)
+    dm = density_matrix(rho)
     vals = _axial_map(dm, _wigner_diagonals(len(dm) - 1, _bits(grid.thetas)), grid.phis)
     return PhaseSpaceGrid("wigner", "spherical", grid.thetas, grid.phis, vals)

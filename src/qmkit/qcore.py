@@ -183,10 +183,9 @@ def adjoint(x: ArrayLike) -> QuantumObject:
 def trace(x: ArrayLike) -> complex:
     """Trace of a square operator."""
     q = QuantumObject(x)
-    r, c = q.shape
-    if q.kind is not Kind.OPER or r != c:
-        raise InvalidObject(f"trace needs a square oper, got {q.kind.value} {q.shape}")
-    return complex(np.trace(q.data))
+    if q.kind is not Kind.OPER:
+        raise InvalidObject(f"trace needs an oper, got a {q.kind.value}")
+    return complex(np.trace(_square(q, "trace operand")))
 
 
 def l2norm(x: ArrayLike) -> float:
@@ -220,25 +219,39 @@ def to_operator(x: ArrayLike) -> QuantumObject:
 
 
 def density_matrix(x: ArrayLike) -> np.ndarray:
-    """Plain ndarray density matrix of a ket, bra, or oper input."""
-    return to_operator(x).data
+    """Plain ndarray density matrix of a ket, bra, or square oper input."""
+    return _square(to_operator(x), "state")
 
 
-def _count(value, name: str, least: int = 1) -> int:
-    """``value`` as an int >= ``least`` (NumPy integers pass), else InvalidParameter."""
+def _square(x: ArrayLike, name: str, d: int | None = None, hermitian: bool = False) -> np.ndarray:
+    """The matrix of ``x``: DimensionMismatch unless it is square (d x d when
+    ``d`` is given), NotHermitian if ``hermitian`` and it is not Hermitian."""
+    q = QuantumObject(x)
+    if q.shape[0] != q.shape[1] or d not in (None, q.shape[0]):
+        size = "" if d is None else f" of dimension {d}"
+        raise DimensionMismatch(f"{name} must be a square matrix{size}, got shape {q.shape}")
+    if hermitian and not q.is_hermitian():
+        raise NotHermitian(f"{name} must be Hermitian")
+    return q.data
+
+
+def _count(value, name: str, least: int | None = 1) -> int:
+    """``value`` as an int (NumPy integers pass), >= ``least`` unless that is
+    None; else InvalidParameter."""
     try:
-        if (n := operator.index(value)) >= least:
+        n = operator.index(value)
+        if least is None or n >= least:
             return n
     except TypeError:
         pass
-    raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}")
+    floor = "" if least is None else f" >= {least}"
+    raise InvalidParameter(f"{name} must be an integer{floor}, got {value!r}")
 
 
 def _require_state(x: ArrayLike) -> QuantumObject:
     """Density matrix of ``x``; raises unless Hermitian, unit-trace and PSD."""
     q = to_operator(x)
-    if not q.is_hermitian():
-        raise NotHermitian("a state must be a Hermitian operator")
+    _square(q, "state", hermitian=True)
     if abs((tr := np.trace(q.data).real) - 1.0) > 1e-8:
         raise InvalidObject(f"a state must have unit trace, got {tr:.6g}")
     if (low := np.linalg.eigvalsh(q.data)[0]) < -1e-10:
@@ -315,9 +328,7 @@ def eigen(x: ArrayLike) -> EigenDecomposition:
     phase is fixed (largest component real positive) for reproducibility.
     """
     q = QuantumObject(x)
-    r, c = q.shape
-    if r != c:
-        raise InvalidObject(f"eigen needs a square matrix, got {q.shape}")
+    _square(q, "eigen input")
     if q.is_hermitian():
         vals, vecs = np.linalg.eigh(q.data)
         vals = vals.astype(float)
@@ -326,16 +337,13 @@ def eigen(x: ArrayLike) -> EigenDecomposition:
     order = np.lexsort((-np.imag(vals), -np.real(vals)))
     vals = vals[order]
     vecs = vecs[:, order]
-    kets = tuple(QuantumObject(_fix_phase(vecs[:, i]).reshape(-1, 1)) for i in range(r))
+    kets = tuple(QuantumObject(_fix_phase(vecs[:, i]).reshape(-1, 1)) for i in range(len(vals)))
     return EigenDecomposition(values=vals, vectors=kets)
 
 
 def ground(x: ArrayLike) -> QuantumObject:
     """Eigenvector of the minimal eigenvalue of a Hermitian matrix."""
-    q = QuantumObject(x)
-    if not q.is_hermitian():
-        raise NotHermitian("ground state requires a Hermitian Hamiltonian")
-    vals, vecs = np.linalg.eigh(q.data)
+    vals, vecs = np.linalg.eigh(_square(x, "Hamiltonian", hermitian=True))
     # eigh sorts ascending, so column 0 is the ground space (first on ties)
     return QuantumObject(_fix_phase(vecs[:, 0]).reshape(-1, 1))
 
@@ -349,10 +357,7 @@ def _evolution(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 def mat_exp(x: ArrayLike) -> QuantumObject:
     """Matrix exponential (scaling-and-squaring)."""
     import scipy.linalg  # on first use, so that ``import qmkit`` does not load SciPy
-    q = QuantumObject(x)
-    if q.shape[0] != q.shape[1]:
-        raise InvalidObject(f"mat_exp needs a square matrix, got {q.shape}")
-    return QuantumObject(scipy.linalg.expm(q.data))
+    return QuantumObject(scipy.linalg.expm(_square(x, "mat_exp input")))
 
 
 def mat_sqrt(x: ArrayLike) -> QuantumObject:
@@ -361,10 +366,7 @@ def mat_sqrt(x: ArrayLike) -> QuantumObject:
     Eigenvalues in [-1e-10, 0) are clipped to zero; anything more negative
     raises :class:`NotPositive`.
     """
-    q = QuantumObject(x)
-    if not q.is_hermitian():
-        raise NotHermitian("mat_sqrt requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh(q.data)
+    vals, vecs = np.linalg.eigh(_square(x, "mat_sqrt input", hermitian=True))
     if np.min(vals) < -1e-10:
         raise NotPositive(f"matrix has eigenvalue {np.min(vals):.3e} < -1e-10")
     vals = np.clip(vals, 0.0, None)
@@ -378,9 +380,7 @@ def diagonalize(x: ArrayLike) -> QuantumObject:
     (numerically) singular, i.e. the input is defective.
     """
     q = QuantumObject(x)
-    r, c = q.shape
-    if r != c:
-        raise InvalidObject(f"diagonalize needs a square matrix, got {q.shape}")
+    _square(q, "diagonalize input")
     if q.is_hermitian():
         return QuantumObject(np.diag(eigen(q).values.astype(complex)))
     vals, vecs = np.linalg.eig(q.data)
@@ -397,14 +397,11 @@ def partial_trace(x: ArrayLike, traced: Iterable[int]) -> QuantumObject:
     Remaining qubits keep their original (ascending) order.  Only qubit
     systems are supported.
     """
-    q = QuantumObject(x)
-    r, c = q.shape
-    if r != c:
-        raise InvalidObject(f"partial_trace needs a square oper, got {q.shape}")
-    n = r.bit_length() - 1
-    if 2**n != r:
-        raise NotQubitSystem(f"dimension {r} is not a power of two")
-    traced = list(traced)
+    m = _square(x, "partial_trace input")
+    n = len(m).bit_length() - 1
+    if 2**n != len(m):
+        raise NotQubitSystem(f"dimension {len(m)} is not a power of two")
+    traced = [_count(t, "subsystem index", least=None) for t in traced]
     if len(set(traced)) != len(traced):
         raise IndexOutOfRange(f"repeated subsystem index in {traced}")
     for t in traced:
@@ -413,7 +410,7 @@ def partial_trace(x: ArrayLike, traced: Iterable[int]) -> QuantumObject:
     keep = [s for s in range(1, n + 1) if s not in set(traced)]
     traced = sorted(traced)
 
-    arr = q.data.reshape([2] * (2 * n))
+    arr = m.reshape([2] * (2 * n))
     row_axes = [s - 1 for s in keep] + [s - 1 for s in traced]
     perm = row_axes + [n + a for a in row_axes]
     arr = arr.transpose(perm)

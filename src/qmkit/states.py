@@ -14,13 +14,13 @@ from .errors import (
     InvalidQuantumNumber,
 )
 from .operators import _twice, displacement, lowering, squeezing
-from .qcore import Kind, QuantumObject, _count, _fix_phase, dot, normalize, to_operator
+from .qcore import Kind, QuantumObject, _count, _fix_phase, density_matrix, dot, normalize
 
 
 def basis(d: int, k: int) -> QuantumObject:
     """Computational basis ket |k> in d dimensions."""
     d = _count(d, "dimension")
-    if not (0 <= k < d):
+    if not (0 <= _count(k, "index", least=None) < d):
         raise IndexOutOfRange(f"index {k} outside 0..{d - 1}")
     v = np.zeros((d, 1), dtype=complex)
     v[k, 0] = 1.0
@@ -124,7 +124,7 @@ def w(n: int) -> QuantumObject:
 def dicke(n: int, k: int) -> QuantumObject:
     """Dicke state: equal superposition of all weight-k bitstrings on n qubits."""
     n = _count(n, "qubit count")
-    if not (0 <= k <= n):
+    if not (0 <= _count(k, "excitation count", least=None) <= n):
         raise InvalidQuantumNumber(f"excitation count {k} outside 0..{n}")
     v = np.zeros((2**n, 1), dtype=complex)
     amp = 1 / math.sqrt(math.comb(n, k))
@@ -160,6 +160,6 @@ def add_white_noise(state: QuantumObject, p: float = 0.0) -> QuantumObject:
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidParameter(f"white-noise weight must be in [0, 1], got {p}")
-    rho = to_operator(state).data
+    rho = density_matrix(state)
     d = rho.shape[0]
     return QuantumObject((1 - p) * rho + p * np.eye(d) / d)

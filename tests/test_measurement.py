@@ -180,6 +180,9 @@ def test_mub_unsupported_dimension():
 def test_weyl_displacement_identity_and_shift():
     np.testing.assert_allclose(weyl_displacement(4, 0, 0).data, np.eye(4))
     np.testing.assert_allclose(weyl_displacement(2, 0, 1).data, pauli("x").data)
+    for j, k in ((0.5, 0), (0, 1.5), ("1", 0), (-1, 0), (3, 0)):
+        with pytest.raises(InvalidParameter):
+            weyl_displacement(3, j, k)
 
 
 @pytest.mark.parametrize("d", (2, 3, 5, 8))

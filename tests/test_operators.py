@@ -53,8 +53,9 @@ def test_spin_ladder_adjoint():
 
 
 def test_spin_rejects_bad_inputs():
-    with pytest.raises(InvalidQuantumNumber):
-        spin(0.3, "z")
+    for s in (0.3, -1, float("nan"), float("inf"), -float("inf"), "a", None):
+        with pytest.raises(InvalidQuantumNumber):
+            spin(s, "z")
     with pytest.raises(InvalidParameter):
         spin(1, "q")
 

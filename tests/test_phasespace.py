@@ -64,6 +64,11 @@ def test_cg_selection_rules():
 def test_cg_rejects_non_half_integers():
     with pytest.raises(InvalidQuantumNumber):
         clebsch_gordan(0.3, 0.3, 1, 0, 1, 0.3)
+    for bad in (float("nan"), float("inf"), "a", None):
+        with pytest.raises(InvalidQuantumNumber):
+            clebsch_gordan(bad, 0, 1, 0, 1, 0)
+        with pytest.raises(InvalidQuantumNumber):
+            clebsch_gordan(1, 0, 1, bad, 1, 0)
 
 
 def test_cg_validation_names_the_argument():
@@ -374,6 +379,12 @@ def test_spherical_multipole_k0_is_trace_term():
         rho = random_density(rng, d)
         r00 = spherical_multipole(rho, 0, 0)
         assert r00 == pytest.approx(1 / math.sqrt(d), abs=1e-10)
+    # multipole labels are integers, as for spherical_harmonic
+    for k, q in ((1.5, 0), (1, 0.5), ("a", 0), (1, None), (-1, 0)):
+        with pytest.raises(InvalidQuantumNumber):
+            spherical_multipole(rho, k, q)
+        with pytest.raises(InvalidQuantumNumber):
+            spherical_harmonic(k, q, 0.3, 0.2)
 
 
 @pytest.mark.parametrize("two_j", range(1, 21))

@@ -12,6 +12,7 @@ from qmkit import (
     QuantumObject,
     SamplerBackend,
     SphericalGrid,
+    add_white_noise,
     adjoint,
     build_mub_set,
     build_pauli_set,
@@ -21,12 +22,17 @@ from qmkit import (
     coherent,
     conjugate,
     cramer_rao_bounds,
+    density_matrix,
     diagonalize,
     dicke,
     displacement,
     dot,
     eigen,
+    encode_phase,
+    fidelity,
     ground,
+    husimi_planar,
+    husimi_spherical,
     l2norm,
     lowering,
     mat_exp,
@@ -34,7 +40,10 @@ from qmkit import (
     normalize,
     partial_trace,
     position_state,
+    probabilities,
+    quantum_fisher,
     random_haar,
+    run_tomography,
     squeezed,
     squeezing,
     tensor,
@@ -43,6 +52,8 @@ from qmkit import (
     transpose,
     w,
     weyl_displacement,
+    wigner_planar,
+    wigner_spherical,
 )
 from qmkit._rng import as_rng
 from qmkit.errors import (
@@ -56,7 +67,8 @@ from qmkit.errors import (
     NotQubitSystem,
     ZeroNorm,
 )
-from qmkit.operators import identity, pauli
+from qmkit.operators import identity, pauli, spin
+from qmkit.phasespace import spherical_multipole
 from qmkit.states import basis, dual_basis, ghz
 
 
@@ -237,6 +249,9 @@ def test_partial_trace_errors():
         partial_trace(np.eye(4), [3])
     with pytest.raises(IndexOutOfRange):
         partial_trace(np.eye(4), [1, 1])
+    for index in (1.5, "a", None):
+        with pytest.raises(InvalidParameter, match="subsystem index must be an integer, got"):
+            partial_trace(np.eye(4), [index])
 
 
 def test_diagonalize_examples():
@@ -387,3 +402,64 @@ def test_counts_must_be_integers_at_or_above_their_floor(name):
         with pytest.raises(InvalidParameter, match=f"must be an integer >= {least}, got"):
             call(bad)
     assert _bits(call(np.int64(valid))) == _bits(call(valid))
+
+
+# every square, dimension and Hermitian check on an operator goes through qcore._square:
+# (call, the error it raises).  A 2 x 3 matrix is no state and no generator.
+_WIDE = np.ones((2, 3))
+_SKEW = np.array([[0, 1], [0, 0]])        # square, not Hermitian
+
+
+def _scenario(probe=basis(2, 0), generator=pauli("z"), observable=pauli("x")):
+    return MetrologyScenario(probe=probe, generator=generator, phis=[0.0, 0.1],
+                             observable=observable)
+
+
+_SQUARED = {
+    "density_matrix": (lambda: density_matrix(_WIDE), DimensionMismatch),
+    "trace": (lambda: trace(_WIDE), DimensionMismatch),
+    "eigen": (lambda: eigen(_WIDE), DimensionMismatch),
+    "diagonalize": (lambda: diagonalize(_WIDE), DimensionMismatch),
+    "mat_exp": (lambda: mat_exp(_WIDE), DimensionMismatch),
+    "mat_sqrt": (lambda: mat_sqrt(_WIDE), DimensionMismatch),
+    "mat_sqrt Hermitian": (lambda: mat_sqrt(_SKEW), NotHermitian),
+    "ground": (lambda: ground(_WIDE), DimensionMismatch),
+    "partial_trace": (lambda: partial_trace(_WIDE, [1]), DimensionMismatch),
+    "add_white_noise": (lambda: add_white_noise(_WIDE, 0.1), DimensionMismatch),
+    "probabilities": (lambda: probabilities(_WIDE, build_pauli_set(1)), DimensionMismatch),
+    "fidelity": (lambda: fidelity(_WIDE, _WIDE), DimensionMismatch),
+    "run_tomography": (lambda: run_tomography(_WIDE, build_pauli_set(1)), DimensionMismatch),
+    "run_tomography Hermitian": (lambda: run_tomography(_SKEW + np.eye(2) / 2,
+                                                        build_pauli_set(1)), NotHermitian),
+    "husimi_planar": (lambda: husimi_planar(_WIDE, PlanarGrid(nx=3, ny=3)), DimensionMismatch),
+    "wigner_planar": (lambda: wigner_planar(_WIDE, PlanarGrid(nx=3, ny=3)), DimensionMismatch),
+    "husimi_spherical": (lambda: husimi_spherical(_WIDE, SphericalGrid(ntheta=3, nphi=3)),
+                         DimensionMismatch),
+    "wigner_spherical": (lambda: wigner_spherical(_WIDE, SphericalGrid(ntheta=3, nphi=3)),
+                         DimensionMismatch),
+    "spherical_multipole": (lambda: spherical_multipole(_WIDE, 0, 0), DimensionMismatch),
+    "encode_phase state": (lambda: encode_phase(_WIDE, identity(2), 0.1), DimensionMismatch),
+    "encode_phase generator": (lambda: encode_phase(basis(2, 0), identity(3), 0.1),
+                               DimensionMismatch),
+    "encode_phase Hermitian": (lambda: encode_phase(basis(2, 0), _SKEW, 0.1), NotHermitian),
+    "quantum_fisher state": (lambda: quantum_fisher(_WIDE, identity(2)), DimensionMismatch),
+    "quantum_fisher generator": (lambda: quantum_fisher(basis(2, 0), spin(1, "z")),
+                                 DimensionMismatch),
+    "quantum_fisher generator both": (lambda: quantum_fisher(basis(2, 0), spin(1, "+")),
+                                      DimensionMismatch),
+    "quantum_fisher Hermitian": (lambda: quantum_fisher(basis(2, 0), _SKEW), NotHermitian),
+    "MetrologyScenario probe": (lambda: _scenario(probe=_WIDE), DimensionMismatch),
+    "MetrologyScenario generator": (lambda: _scenario(generator=spin(1, "z")),
+                                    DimensionMismatch),
+    "MetrologyScenario observable": (lambda: _scenario(observable=_WIDE), DimensionMismatch),
+    "MetrologyScenario generator Hermitian": (lambda: _scenario(generator=_SKEW), NotHermitian),
+    "MetrologyScenario observable Hermitian": (lambda: _scenario(observable=_SKEW),
+                                               NotHermitian),
+}
+
+
+@pytest.mark.parametrize("name", _SQUARED)
+def test_operators_must_be_square_of_the_state_dimension_and_hermitian(name):
+    call, error = _SQUARED[name]
+    with pytest.raises(error):
+        call()

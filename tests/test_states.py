@@ -38,8 +38,13 @@ def test_basis_vectors():
     np.testing.assert_allclose(basis(3, 0).data.reshape(-1), [1, 0, 0])
     np.testing.assert_allclose(basis(3, 1).data.reshape(-1), [0, 1, 0])
     np.testing.assert_allclose(dual_basis(2, 1).data, [[0, 1]])
-    with pytest.raises(IndexOutOfRange):
-        basis(3, 3)
+    for k in (3, -1):
+        with pytest.raises(IndexOutOfRange):
+            basis(3, k)
+    for k in (1.5, 1.0, "1", None):
+        with pytest.raises(InvalidParameter, match="index must be an integer, got"):
+            basis(3, k)
+    np.testing.assert_array_equal(basis(3, np.int64(1)).data, basis(3, 1).data)
 
 
 def test_zeeman_index_rule():
@@ -56,6 +61,11 @@ def test_zeeman_rejects_bad_m():
         zeeman(1, 0.5)
     with pytest.raises(InvalidQuantumNumber):
         zeeman(1, 2)
+    for bad in (float("nan"), float("inf"), "a", None):
+        with pytest.raises(InvalidQuantumNumber):
+            zeeman(bad, 0)
+        with pytest.raises(InvalidQuantumNumber):
+            zeeman(1, bad)
 
 
 def test_coherent_vacuum():
@@ -223,8 +233,11 @@ def test_dicke_edges_and_w_identity():
         np.testing.assert_array_equal(dicke(n, n).data.reshape(-1),
                                       basis(2**n, 2**n - 1).data.reshape(-1))
         np.testing.assert_array_equal(w(n).data, dicke(n, 1).data)
-    with pytest.raises(InvalidQuantumNumber):
-        dicke(3, 4)
+    for k in (4, -1):
+        with pytest.raises(InvalidQuantumNumber):
+            dicke(3, k)
+    with pytest.raises(InvalidParameter, match="excitation count must be an integer, got"):
+        dicke(3, 1.5)
 
 
 def test_add_random_noise_degenerate():

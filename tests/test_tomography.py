@@ -73,6 +73,8 @@ def test_metric_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         trace_distance(identity(2), identity(3))
     with pytest.raises(DimensionMismatch):
+        trace_distance(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch):
         trace_distance_pure(basis(2, 0), basis(3, 0))
 
 
