@@ -37,8 +37,8 @@ def spin(s, axis: str | None = None):
     without it returns the (Sx, Sy, Sz) triple.
     """
     two_s = _twice(s)
-    d = two_s + 1
-    ms = np.array([s - i for i in range(d)], dtype=float)
+    s = two_s / 2                      # the half-integer that _twice accepted
+    ms = s - np.arange(two_s + 1)
     sz = np.diag(ms).astype(complex)
     sp = np.diag(np.sqrt(s * (s + 1) - ms[1:] * (ms[1:] + 1)), 1).astype(complex)
     sm = sp.conj().T

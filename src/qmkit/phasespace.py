@@ -267,6 +267,33 @@ def _husimi_terms(d: int, xs: tuple, ys: tuple) -> tuple:
     return _frozen(terms, math.pi * terms.sum(axis=0)[inverse])
 
 
+def _weighted_diagonals(dm: np.ndarray) -> tuple:
+    """(k, m, c): index grids of shape (d, d) and c[k, m] = w_k rho_{m,m+k},
+    zero past the corner m + k >= d, with w_0 = 1 and w_{k>0} = 2."""
+    d = len(dm)
+    k, m = np.indices((d, d))
+    c = np.where(m + k < d, dm[m, np.minimum(m + k, d - 1)], 0.0) * np.where(k > 0, 2.0, 1.0)
+    return k, m, c
+
+
+def _complex_product(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """coeffs @ terms for complex coeffs and real terms, as two real
+    products: a mixed product would first copy terms to complex."""
+    sums = (coeffs.real.copy() @ terms).astype(complex)
+    sums.imag = coeffs.imag.copy() @ terms
+    return sums
+
+
+def _horner(sums: np.ndarray, inverse: np.ndarray, step) -> np.ndarray:
+    """sum_k sums[k][inverse] z_0 z_1 ... z_(k-1) at each grid point by
+    Horner's rule, where ``step(k)`` gives the grid array z_k."""
+    acc = sums[-1][inverse]
+    for order in range(len(sums) - 2, -1, -1):
+        acc *= step(order)
+        acc += sums[order][inverse]
+    return acc
+
+
 def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     """Husimi function Q(alpha) = <alpha|rho|alpha> / pi on a planar grid,
     normalized to integrate to 1 over the plane.
@@ -282,29 +309,49 @@ def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     xs, ys = _bits(grid.xs), _bits(grid.ys)
     alphas, _, inverse = _radial(xs, ys, 1.0)
     terms, norm = _husimi_terms(d, xs, ys)
-    # coeffs[k, m] = w_k rho_{m,m+k} sqrt(m! k! / (m+k)!), zero past the corner
-    k, m = np.indices((d, d))
-    ratios = np.sqrt(np.where(m > 0, m / np.maximum(m + k, 1), 1.0))
-    coeffs = np.where(m + k < d, dm[m, np.minimum(m + k, d - 1)], 0.0) \
-        * np.cumprod(ratios, axis=1) * np.where(k > 0, 2.0, 1.0)
-    sums = (coeffs.real.copy() @ terms).astype(complex)   # w_k sqrt(k!) D_k e^{-x/2}
-    sums.imag = coeffs.imag.copy() @ terms
-    acc = sums[d - 1][inverse]
-    for order in range(d - 2, -1, -1):
-        acc *= alphas * (1.0 / math.sqrt(order + 1))
-        acc += sums[order][inverse]
-    q = np.real(acc) / norm
+    # coeffs[k, m] = w_k rho_{m,m+k} sqrt(m! k! / (m+k)!)
+    k, m, c = _weighted_diagonals(dm)
+    coeffs = c * np.cumprod(np.sqrt(np.where(m > 0, m / np.maximum(m + k, 1), 1.0)), axis=1)
+    sums = _complex_product(coeffs, terms)          # w_k sqrt(k!) D_k e^{-x/2}
+    q = np.real(_horner(sums, inverse, lambda k: alphas * (1.0 / math.sqrt(k + 1)))) / norm
     return PhaseSpaceGrid("husimi", "planar", grid.ys, grid.xs, q.reshape(grid.ny, grid.nx))
 
 
-def _laguerre_diagonal(order: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_n coeffs[n] (-1)^n sqrt(order! n! / (order + n)!) L_n^(order)(x)
-    by the Clenshaw recurrence, for at least two coefficients."""
-    y0, y1 = coeffs[-2], coeffs[-1]
-    for k in range(len(coeffs) - 1, 1, -1):
-        y0, y1 = (coeffs[k - 2] - y1 * math.sqrt((k - 1) * (order + k - 1) / ((order + k) * k)),
-                  y0 - y1 * (((order + 2 * k - 1) - x) / math.sqrt((order + k) * k)))
-    return y0 - y1 * ((order + 1) - x) / math.sqrt(order + 1)
+@functools.lru_cache(maxsize=_KERNELS)
+def _laguerre_basis(d: int) -> np.ndarray:
+    """G of shape (d, d, d) with psi_n^k = sum_i G[k, n, i] psi_i^(k mod 2)
+    for n + k < d (other rows zero), for the orthonormal Laguerre functions
+    psi_n^k(x) = sqrt(n!/(n+k)!) x^(k/2) e^(-x/2) L_n^(k)(x).  Each row is a
+    unit vector, built exactly by psi_n^(a+2) = (sqrt(n+a+1) psi_n^a
+    - sqrt(n+1) psi_(n+1)^a + sqrt(n) psi_(n-1)^(a+2)) / sqrt(n+a+2)."""
+    g = np.zeros((d, d, d))
+    g[0] = np.eye(d)
+    g[1:2, :d - 1] = np.eye(d - 1, d)
+    for k in range(2, d):
+        for n in range(d - k):
+            row = math.sqrt(n + k - 1) * g[k - 2, n] - math.sqrt(n + 1) * g[k - 2, n + 1]
+            if n:
+                row += math.sqrt(n) * g[k, n - 1]
+            g[k, n] = row / math.sqrt(n + k)
+    return _frozen(g)[0]
+
+
+@functools.lru_cache(maxsize=_KERNELS)
+def _wigner_terms(d: int, xs: tuple, ys: tuple) -> tuple:
+    """table[p, i] = psi_i^p for p = 0, 1 and i < d on the radii x = |2 alpha|^2
+    of ``_radial(xs, ys, 2.0)``, by the three-term recurrence in i, and the
+    unit phase e^{i arg alpha} at each grid point (1 at alpha = 0)."""
+    a2, radii, _ = _radial(xs, ys, 2.0)
+    table = np.empty((2, d, radii.size))
+    table[0, 0] = np.exp(-radii / 2)
+    table[1, 0] = np.sqrt(radii) * table[0, 0]
+    for p in (0, 1):
+        for i in range(1, d):
+            table[p, i] = (2 * i + p - 1 - radii) * table[p, i - 1] / math.sqrt(i * (i + p))
+            if i > 1:
+                table[p, i] -= math.sqrt((i - 1) * (i + p - 1) / (i * (i + p))) * table[p, i - 2]
+    size = np.abs(a2)
+    return _frozen(table, np.divide(a2, size, out=np.ones_like(a2), where=size > 0))
 
 
 def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
@@ -313,18 +360,24 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     (-1)^m sqrt(m!/n!) (2 alpha)^(n-m) L_m^(n-m)(4|alpha|^2)], normalized to
     integrate to 1 over the plane.
 
-    Each diagonal of rho is summed by a Clenshaw recurrence once per radius
-    |2 alpha|, and the diagonals are nested by Horner's rule in 2 alpha, as in
-    QuTiP.  The series is exact for the truncated state at any alpha.
+    With x = |2 alpha|^2 and k = n - m, a term is rho_mn (-1)^m e^{ik arg alpha}
+    psi_m^k(x), and :func:`_laguerre_basis` writes each diagonal k as a sum
+    over the psi_i^(k mod 2): two matrix products with a table of psi_i^0 and
+    psi_i^1 on the radii give every diagonal, and Horner's rule nests them in
+    e^{i arg alpha}.  The series is exact for the truncated state at any alpha.
     """
     dm = density_matrix(rho)
-    a2, radii, inverse = _radial(_bits(grid.xs), _bits(grid.ys), 2.0)
-    doubled = 2.0 * dm - np.diag(np.diag(dm))      # off-diagonals count twice
-    acc = np.full(a2.shape, doubled[0, -1], dtype=complex)
-    for order in range(len(dm) - 2, -1, -1):
-        acc = _laguerre_diagonal(order, radii, np.diagonal(doubled, order))[inverse] \
-            + acc * a2 / math.sqrt(order + 1)
-    vals = 2.0 / math.pi * np.real(acc) * np.exp(-radii / 2)[inverse]
+    d = len(dm)
+    xs, ys = _bits(grid.xs), _bits(grid.ys)
+    _, _, inverse = _radial(xs, ys, 2.0)
+    table, phase = _wigner_terms(d, xs, ys)
+    _, m, c = _weighted_diagonals(dm)
+    # coeffs[k] = sum_m c[k, m] (-1)^m G[k, m]: diagonal k in the psi^(k mod 2)
+    coeffs = ((c * (-1.0) ** m)[:, None, :] @ _laguerre_basis(d))[:, 0]
+    sums = np.empty((d, table.shape[2]), dtype=complex)
+    for p in (0, 1):
+        sums[p::2] = _complex_product(coeffs[p::2], table[p])
+    vals = 2.0 / math.pi * np.real(_horner(sums, inverse, lambda k: phase))
     return PhaseSpaceGrid("wigner", "planar", grid.ys, grid.xs, vals.reshape(grid.ny, grid.nx))
 
 
@@ -332,14 +385,20 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
 # spherical maps
 # ---------------------------------------------------------------------------
 
-def _axial_map(dm: np.ndarray, diagonals: tuple, phis: np.ndarray) -> np.ndarray:
-    """Re sum_ab rho_ab G_ab(theta) e^{-i(b-a) phi} on the grid, for a real
-    kernel G(theta) given by its diagonals k = 1-d .. d-1, each of shape
-    (ntheta, d-|k|).  As phi enters through b - a alone, the diagonals of
-    rho o G(theta) are summed first."""
-    offsets = np.arange(1 - len(dm), len(dm))
+@functools.lru_cache(maxsize=_KERNELS)
+def _axial_phases(d: int, phis: tuple) -> np.ndarray:
+    """e^{-ik phi} for k = 1-d .. d-1 (rows) on the ``_bits`` phis (columns)."""
+    return _frozen(np.exp(-1j * np.outer(np.arange(1 - d, d), _axis(phis))))[0]
+
+
+def _axial_map(dm: np.ndarray, diagonals: tuple, phis: tuple) -> np.ndarray:
+    """Re sum_ab rho_ab G_ab(theta) e^{-i(b-a) phi} on the grid with ``_bits``
+    phis, for a real kernel G(theta) given by its diagonals k = 1-d .. d-1,
+    each of shape (ntheta, d-|k|).  As phi enters through b - a alone, the
+    diagonals of rho o G(theta) are summed first."""
+    offsets = range(1 - len(dm), len(dm))
     sums = np.stack([g @ np.diagonal(dm, k) for g, k in zip(diagonals, offsets)], axis=1)
-    return np.real(sums @ np.exp(-1j * np.outer(offsets, phis)))
+    return np.real(sums @ _axial_phases(len(dm), phis))
 
 
 @functools.lru_cache(maxsize=_KERNELS)
@@ -357,7 +416,7 @@ def husimi_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
     The amplitudes of ``spin_coherent`` are c_i(theta) e^{-i i phi}, so Q is
     :func:`_axial_map` with G(theta) = c c^T / pi."""
     dm = density_matrix(rho)
-    vals = _axial_map(dm, _husimi_diagonals(len(dm) - 1, _bits(grid.thetas)), grid.phis)
+    vals = _axial_map(dm, _husimi_diagonals(len(dm) - 1, _bits(grid.thetas)), _bits(grid.phis))
     return PhaseSpaceGrid("husimi", "spherical", grid.thetas, grid.phis, vals)
 
 
@@ -416,5 +475,5 @@ def wigner_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
     sphere.  It is :func:`_axial_map` with G = d Delta_0 d^T, d = exp(-i theta J_y).
     """
     dm = density_matrix(rho)
-    vals = _axial_map(dm, _wigner_diagonals(len(dm) - 1, _bits(grid.thetas)), grid.phis)
+    vals = _axial_map(dm, _wigner_diagonals(len(dm) - 1, _bits(grid.thetas)), _bits(grid.phis))
     return PhaseSpaceGrid("wigner", "spherical", grid.thetas, grid.phis, vals)

@@ -32,6 +32,10 @@ def test_spin_half_z():
 
 def test_spin_one_z():
     np.testing.assert_allclose(spin(1, "z").data, np.diag([1.0, 0.0, -1.0]))
+    # a label within the half-integer tolerance gives that half-integer's matrices
+    for s, near in ((1, 1 + 1e-10), (1, 1 - 1e-10), (1.5, 1.5 + 1e-10)):
+        for axis in "xyz+-":
+            np.testing.assert_array_equal(spin(near, axis).data, spin(s, axis).data)
 
 
 def test_spin_commutator_s10():

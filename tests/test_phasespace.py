@@ -1,6 +1,9 @@
+import cmath
 import hashlib
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,12 +35,15 @@ from qmkit import (
 )
 from qmkit.errors import DimensionMismatch, InvalidParameter, InvalidQuantumNumber
 from qmkit.phasespace import (
+    _axial_phases,
     _bits,
     _husimi_diagonals,
     _husimi_terms,
+    _laguerre_basis,
     _radial,
     _stratonovich_kernel,
     _wigner_diagonals,
+    _wigner_terms,
     spherical_multipole,
 )
 
@@ -211,8 +217,57 @@ def test_wigner_vacuum_gaussian():
 
 def test_wigner_single_photon_negative_origin():
     grid = PlanarGrid(x_range=(-1, 1), y_range=(-1, 1), nx=3, ny=3)
-    out = wigner_planar(basis(25, 1), grid)
+    _clear_caches()                      # so the kernels are built at alpha = 0 too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no log 0 or 0/0 where alpha = 0
+        out = wigner_planar(basis(25, 1), grid)
     assert out.values[1, 1] == pytest.approx(-2 / math.pi, abs=1e-10)
+
+
+def _rational_laguerre_wigner(rho, alpha: complex) -> float:
+    """W(alpha) by the Laguerre series, each L_m^(k)(x) at x = |2 alpha|^2
+    summed exactly in Fractions from the float alpha; sqrt(m!/n!) |2 alpha|^k
+    e^{-x/2} and the phase are applied per term in floats."""
+    d = len(rho)
+    x = 4 * (Fraction(alpha.real) ** 2 + Fraction(alpha.imag) ** 2)
+    powers = [x ** j / math.factorial(j) for j in range(d)]
+    radius, damping = math.sqrt(x), math.exp(-float(x) / 2)
+    unit = cmath.exp(1j * cmath.phase(alpha))
+    total = 0.0
+    for k in range(d):
+        for m in range(d - k):
+            lag = sum((-1) ** j * math.comb(m + k, m - j) * powers[j] for j in range(m + 1))
+            scale = math.sqrt(math.factorial(m) / math.factorial(m + k)) * radius ** k * damping
+            total += ((1 if k == 0 else 2) * (-1) ** m * rho[m, m + k] * unit ** k
+                      * float(lag) * scale).real
+    return 2 / math.pi * total
+
+
+@pytest.mark.parametrize("grid", [PlanarGrid(), PlanarGrid(x_range=(-8, 8), y_range=(-8, 8))])
+def test_wigner_planar_matches_an_exact_rational_laguerre_sum(grid):
+    rho = random_density(np.random.default_rng(2024), 30).data
+    out = wigner_planar(rho, grid)
+    for iy, ix in ((0, 0), (0, 60), (60, 0), (60, 60), (30, 30), (17, 44), (52, 9)):
+        alpha = complex(grid.xs[ix], grid.ys[iy])
+        assert abs(out.values[iy, ix] - _rational_laguerre_wigner(rho, alpha)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 5, 30])
+def test_laguerre_basis_gives_every_laguerre_function(d):
+    g = _laguerre_basis(d)
+    assert np.array_equal(g[0], np.eye(d))
+    assert np.array_equal(g[1, :d - 1], np.eye(d - 1, d)) and not g[1, d - 1].any()
+    grid = PlanarGrid(x_range=(-8, 8), y_range=(-8, 8))
+    xs, ys = _bits(grid.xs), _bits(grid.ys)
+    x = _radial(xs, ys, 2.0)[1]
+    table = _wigner_terms(d, xs, ys)[0]
+    for k in range(d):
+        # psi_n^k = sqrt(n!/(n+k)!) x^(k/2) e^(-x/2) L_n^(k)(x), forward in n
+        prev, psi = 0.0, x ** (k / 2) * np.exp(-x / 2) / math.sqrt(math.factorial(k))
+        for n in range(d - k):
+            assert np.max(np.abs(g[k, n] @ table[k % 2] - psi)) <= 1e-13
+            prev, psi = psi, (((2 * n + k + 1 - x) * psi - math.sqrt(n * (n + k)) * prev)
+                              / math.sqrt((n + 1) * (n + k + 1)))
 
 
 def test_wigner_planar_coherent_analytic_whole_grid():
@@ -534,7 +589,8 @@ def test_husimi_nonnegative_random_states(seed):
 # ---------------------------------------------------------------------------
 
 MAPS = (husimi_planar, wigner_planar, husimi_spherical, wigner_spherical)
-_KERNEL_CACHES = (_radial, _husimi_terms, _husimi_diagonals, _wigner_diagonals)
+_KERNEL_CACHES = (_radial, _husimi_terms, _laguerre_basis, _wigner_terms, _husimi_diagonals,
+                  _wigner_diagonals, _axial_phases)
 
 
 def _clear_caches():
@@ -571,7 +627,8 @@ def _platform_digest() -> str:
 
 
 # recorded, with the maps' axes and values, on NumPy 2.4.6 / x86-64 (AVX-512)
-# before the grid kernels were cached
+# before the grid kernels were cached; the two wigner_planar digests again when
+# that map moved to the two-parity Laguerre basis (it moved by <= 2.8e-16)
 _PLATFORM_DIGEST = "9f77b20025423ab47be60b0ac130b5130c583c67c2bbb5ef53916d5076fbd044"
 _DIGEST_STATES = {
     "coherent": lambda: coherent(30, 1 + 0.5j),
@@ -585,11 +642,11 @@ _MAP_DIGESTS = {
     "husimi_planar:coherent":
         "c576806f204af504dc693f646f013914f0ea4deb002cc4dea588f18b4847b8ce",
     "wigner_planar:coherent":
-        "8584f9ce4e97a5889398efba3f5f26e0ba0491d0bf12b689fc7d274cdc042ba9",
+        "601154364857fb109d5f15190fc02d6b5056e8fde34888886180c9d1b91eeeca",
     "husimi_planar:squeezed":
         "7de2e455cf0e8cc781998b209f36d9d760b5e2c33a3fcde29717490dfa1218c0",
     "wigner_planar:squeezed":
-        "b96bf5f54b74dcd7cb0f218bcc7f5d4ee34be736e27d34db1e8d5c1e1b2ef065",
+        "eed1ce10df558ca4a66a7c5dfe3861039964c7dcdc9904cf1699d9560e9ba133",
     "husimi_spherical:spin_coherent10":
         "f7e25be80e5efb00e0286bf8506fdaef05fcabd5ced2989b6360124528f3af73",
     "wigner_spherical:spin_coherent10":
@@ -650,8 +707,10 @@ def test_cached_kernels_are_read_only():
         fn(spin_rho, sgrid)
     xs, ys, thetas = _bits(pgrid.xs), _bits(pgrid.ys), _bits(sgrid.thetas)
     cached = [*_radial(xs, ys, 1.0), *_radial(xs, ys, 2.0), *_husimi_terms(6, xs, ys),
-              *_husimi_diagonals(4, thetas), *_wigner_diagonals(4, thetas)]
-    assert len(cached) == 3 + 3 + 2 + 9 + 9
+              _laguerre_basis(6), *_wigner_terms(6, xs, ys),
+              *_husimi_diagonals(4, thetas), *_wigner_diagonals(4, thetas),
+              _axial_phases(5, _bits(sgrid.phis))]
+    assert len(cached) == 3 + 3 + 2 + 1 + 2 + 9 + 9 + 1
     for arr in cached:
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -679,9 +738,9 @@ def test_grids_share_a_kernel_only_with_bitwise_equal_axes():
     _clear_caches()
     for grid in (pos, neg, same):
         wigner_planar(rho, grid)
-    assert _radial.cache_info()[:2] == (1, 2)       # (hits, misses)
+    assert _wigner_terms.cache_info()[:2] == (1, 2)       # (hits, misses)
     assert wigner_planar(rho, neg).axis2[-1].tobytes() == np.float64(-0.0).tobytes()
-    # the spherical kernels depend on theta alone
+    # the spherical G(theta) kernels depend on theta alone
     for phi_range in ((0.0, 1.0), (0.5, 2.0)):
         husimi_spherical(zeeman(2, 1), SphericalGrid(ntheta=4, nphi=3, phi_range=phi_range))
     assert _husimi_diagonals.cache_info()[:2] == (1, 1)
