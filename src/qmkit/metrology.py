@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, NotPositive
+from .errors import DimensionMismatch, InvalidParameter
 from .measurement import MeasurementSet, probabilities
 from .qcore import (Kind, QuantumObject, _count, _csv_row, _evolution, _require_state,
                     _square, _write_lines, density_matrix, normalize)
@@ -44,8 +44,8 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
     uniform mixture of its groups, one picked at random per shot: the mean
     of the per-group values, each of which is at most the quantum one.
     """
-    if dphi <= 0:
-        raise InvalidParameter(f"finite-difference step must be > 0, got {dphi}")
+    if not 0 < dphi < math.inf:
+        raise InvalidParameter(f"finite-difference step must be finite and > 0, got {dphi}")
     p0 = probabilities(rho_of_phi(phi), mset)
     p_plus = probabilities(rho_of_phi(phi + dphi), mset)
     p_minus = probabilities(rho_of_phi(phi - dphi), mset)
@@ -57,16 +57,14 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
 
 
 def quantum_fisher(rho, generator) -> float:
-    """Quantum Fisher information of rho for the generator H.
+    """Quantum Fisher information of the state rho for the generator H.
 
     Uses the spectral form 2 sum_{m,n} (q_m - q_n)^2 / (q_m + q_n)
     |<m|H|n>|^2, skipping eigenvalue pairs with q_m + q_n <= 1e-12.
     """
-    dm = density_matrix(rho)
+    dm = _require_state(rho).data
     h = _square(generator, "generator", len(dm), hermitian=True)
     q, v = np.linalg.eigh((dm + dm.conj().T) / 2)
-    if np.min(q) < -1e-10:
-        raise NotPositive(f"state has eigenvalue {np.min(q):.3e}")
     q = np.clip(q, 0.0, None)
     q = q / q.sum()
     ht = v.conj().T @ h @ v
@@ -80,7 +78,7 @@ def cramer_rao_bounds(F: float, Q: float, N: int = 1) -> tuple[float, float]:
 
     Zero information yields ``math.inf`` as the unbounded flag.
     """
-    if F < -1e-12 or Q < -1e-12:
+    if not (F >= -1e-12 and Q >= -1e-12):
         raise InvalidParameter("Fisher information must be non-negative")
     N = _count(N, "repetition count")
     ccrb = 1.0 / math.sqrt(N * F) if F > 0 else math.inf

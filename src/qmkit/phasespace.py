@@ -246,11 +246,10 @@ def _frozen(*arrays: np.ndarray) -> tuple:
 
 
 @functools.lru_cache(maxsize=_KERNELS)
-def _radial(xs: tuple, ys: tuple, scale: float) -> tuple:
-    """scale * alpha at each point of the grid with axes ``_bits`` xs, ys
-    (row-major), the unique values of |scale * alpha|^2, and the index with
-    radii[inverse] = |alphas|^2."""
-    alphas = scale * (_axis(xs)[None, :] + 1j * _axis(ys)[:, None]).reshape(-1)
+def _radial(xs: tuple, ys: tuple) -> tuple:
+    """alpha at each point of the grid with axes ``_bits`` xs, ys (row-major),
+    the unique values of |alpha|^2, and the index with radii[inverse] = |alphas|^2."""
+    alphas = (_axis(xs)[None, :] + 1j * _axis(ys)[:, None]).reshape(-1)
     radii, inverse = np.unique(np.abs(alphas) ** 2, return_inverse=True)
     return _frozen(alphas, radii, inverse)
 
@@ -259,7 +258,7 @@ def _radial(xs: tuple, ys: tuple, scale: float) -> tuple:
 def _husimi_terms(d: int, xs: tuple, ys: tuple) -> tuple:
     """terms[m] = e^{-x/2} x^m / m! for m < d on the radii x of ``_radial``,
     and pi times their sum (the truncation norm) at each grid point."""
-    _, radii, inverse = _radial(xs, ys, 1.0)
+    _, radii, inverse = _radial(xs, ys)
     terms = np.empty((d, radii.size))
     terms[0] = np.exp(-radii / 2)
     for m in range(1, d):
@@ -307,7 +306,7 @@ def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     dm = density_matrix(rho)
     d = len(dm)
     xs, ys = _bits(grid.xs), _bits(grid.ys)
-    alphas, _, inverse = _radial(xs, ys, 1.0)
+    alphas, _, inverse = _radial(xs, ys)
     terms, norm = _husimi_terms(d, xs, ys)
     # coeffs[k, m] = w_k rho_{m,m+k} sqrt(m! k! / (m+k)!)
     k, m, c = _weighted_diagonals(dm)
@@ -338,10 +337,11 @@ def _laguerre_basis(d: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_KERNELS)
 def _wigner_terms(d: int, xs: tuple, ys: tuple) -> tuple:
-    """table[p, i] = psi_i^p for p = 0, 1 and i < d on the radii x = |2 alpha|^2
-    of ``_radial(xs, ys, 2.0)``, by the three-term recurrence in i, and the
+    """table[p, i] = psi_i^p for p = 0, 1 and i < d on x = |2 alpha|^2, four
+    times the radii of ``_radial``, by the three-term recurrence in i, and the
     unit phase e^{i arg alpha} at each grid point (1 at alpha = 0)."""
-    a2, radii, _ = _radial(xs, ys, 2.0)
+    alphas, radii, _ = _radial(xs, ys)
+    radii = 4 * radii
     table = np.empty((2, d, radii.size))
     table[0, 0] = np.exp(-radii / 2)
     table[1, 0] = np.sqrt(radii) * table[0, 0]
@@ -350,8 +350,8 @@ def _wigner_terms(d: int, xs: tuple, ys: tuple) -> tuple:
             table[p, i] = (2 * i + p - 1 - radii) * table[p, i - 1] / math.sqrt(i * (i + p))
             if i > 1:
                 table[p, i] -= math.sqrt((i - 1) * (i + p - 1) / (i * (i + p))) * table[p, i - 2]
-    size = np.abs(a2)
-    return _frozen(table, np.divide(a2, size, out=np.ones_like(a2), where=size > 0))
+    size = np.abs(alphas)
+    return _frozen(table, np.divide(alphas, size, out=np.ones_like(alphas), where=size > 0))
 
 
 def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
@@ -369,7 +369,7 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     dm = density_matrix(rho)
     d = len(dm)
     xs, ys = _bits(grid.xs), _bits(grid.ys)
-    _, _, inverse = _radial(xs, ys, 2.0)
+    _, _, inverse = _radial(xs, ys)
     table, phase = _wigner_terms(d, xs, ys)
     _, m, c = _weighted_diagonals(dm)
     # coeffs[k] = sum_m c[k, m] (-1)^m G[k, m]: diagonal k in the psi^(k mod 2)

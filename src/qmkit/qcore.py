@@ -61,7 +61,10 @@ class QuantumObject:
         if isinstance(data, QuantumObject):
             self._data = data._data
             return
-        arr = np.asarray(data, dtype=complex)
+        try:
+            arr = np.asarray(data, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise InvalidObject(f"expected a numeric matrix: {exc}") from None
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.size == 0:
@@ -320,23 +323,26 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (abs(ph) / ph)
 
 
-def eigen(x: ArrayLike) -> EigenDecomposition:
-    """Eigenvalues and eigenkets, ordered descending by real part.
-
-    Hermitian input goes through the symmetric solver and yields real
-    eigenvalues and an orthonormal eigenbasis.  Every eigenvector's global
-    phase is fixed (largest component real positive) for reproducibility.
-    """
+def _sorted_eig(x: ArrayLike, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a square ``x``, descending by real part (ties by
+    imaginary part), and the eigenvector columns in that order.  Hermitian
+    input goes through the symmetric solver and yields real eigenvalues and
+    an orthonormal eigenbasis."""
     q = QuantumObject(x)
-    _square(q, "eigen input")
+    _square(q, name)
     if q.is_hermitian():
         vals, vecs = np.linalg.eigh(q.data)
         vals = vals.astype(float)
     else:
         vals, vecs = np.linalg.eig(q.data)
     order = np.lexsort((-np.imag(vals), -np.real(vals)))
-    vals = vals[order]
-    vecs = vecs[:, order]
+    return vals[order], vecs[:, order]
+
+
+def eigen(x: ArrayLike) -> EigenDecomposition:
+    """Eigenvalues and eigenkets in the order of :func:`_sorted_eig`, each ket's
+    global phase fixed (largest component real positive) for reproducibility."""
+    vals, vecs = _sorted_eig(x, "eigen input")
     kets = tuple(QuantumObject(_fix_phase(vecs[:, i]).reshape(-1, 1)) for i in range(len(vals)))
     return EigenDecomposition(values=vals, vectors=kets)
 
@@ -379,16 +385,11 @@ def diagonalize(x: ArrayLike) -> QuantumObject:
     Raises :class:`NotDiagonalizable` when the eigenvector matrix is
     (numerically) singular, i.e. the input is defective.
     """
-    q = QuantumObject(x)
-    _square(q, "diagonalize input")
-    if q.is_hermitian():
-        return QuantumObject(np.diag(eigen(q).values.astype(complex)))
-    vals, vecs = np.linalg.eig(q.data)
+    vals, vecs = _sorted_eig(x, "diagonalize input")
     sv = np.linalg.svd(vecs, compute_uv=False)
     if sv[-1] < 1e-12 * sv[0]:
         raise NotDiagonalizable("eigenvector matrix is numerically singular")
-    order = np.lexsort((-np.imag(vals), -np.real(vals)))
-    return QuantumObject(np.diag(vals[order]))
+    return QuantumObject(np.diag(vals.astype(complex)))
 
 
 def partial_trace(x: ArrayLike, traced: Iterable[int]) -> QuantumObject:

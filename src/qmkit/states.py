@@ -144,8 +144,8 @@ def add_random_noise(psi: QuantumObject, mean: float = 0.0, stdev: float = 0.0,
     psi = QuantumObject(psi)
     if psi.kind is not Kind.KET:
         raise InvalidParameter("random amplitude noise is defined for kets")
-    if stdev < 0:
-        raise InvalidParameter(f"stdev must be >= 0, got {stdev}")
+    if not (math.isfinite(mean) and 0 <= stdev < math.inf):
+        raise InvalidParameter(f"need a finite mean and a finite stdev >= 0, got {mean}, {stdev}")
     g = as_rng(rng)
     d = psi.dim
     delta = g.normal(mean, stdev, size=d) + 1j * g.normal(mean, stdev, size=d)

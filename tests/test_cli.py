@@ -64,6 +64,15 @@ def test_state_white_noise_density_matrix(tmp_path):
     assert len(first) == 4  # row,col,re,im
 
 
+@pytest.mark.parametrize("noise", [["--noise-std", "nan"], ["--noise-mean", "nan"]])
+def test_state_nan_noise_exit_4(tmp_path, capsys, noise):
+    out = tmp_path / "s.csv"
+    assert run_cli(["state", "--name", "coherent", "--d", "3", "--alpha", "1", *noise,
+                    "--out", str(out)]) == 4
+    assert "InvalidParameter" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_state_json_format(tmp_path):
     out = tmp_path / "w.json"
     assert run_cli(["state", "--name", "w", "--n", "2", "--format", "json",

@@ -103,6 +103,9 @@ def test_classical_fisher_zero_for_static_state():
 def test_classical_fisher_validates_step():
     with pytest.raises(InvalidParameter):
         classical_fisher(lambda phi: basis(2, 0), _sigma_x_set(), 0.1, dphi=0.0)
+    for dphi in (math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            classical_fisher(lambda phi: basis(2, 0), _sigma_x_set(), 0.1, dphi=dphi)
 
 
 def test_cfi_bounded_by_qfi(rng):
@@ -179,6 +182,13 @@ def test_qfi_requires_hermitian_generator():
         quantum_fisher(basis(2, 0), [[0, 1], [0, 0]])
 
 
+def test_qfi_scores_only_states():
+    with pytest.raises(NotHermitian):
+        quantum_fisher([[0.5, 1], [0, 0.5]], pauli("z"))
+    with pytest.raises(InvalidObject):
+        quantum_fisher(identity(2), pauli("z"))
+
+
 def _qfi_loop(rho, h):
     """The spectral-form double loop over eigenvalue pairs."""
     q, v = np.linalg.eigh((rho + rho.conj().T) / 2)
@@ -212,6 +222,9 @@ def test_cramer_rao_bounds():
     assert cramer_rao_bounds(0.0, 0.0, 1) == (math.inf, math.inf)
     with pytest.raises(InvalidParameter):
         cramer_rao_bounds(1.0, 1.0, 0)
+    for f, q in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(InvalidParameter):
+            cramer_rao_bounds(f, q)
 
 
 def test_cat_state_equator_degenerates():

@@ -259,7 +259,7 @@ def test_laguerre_basis_gives_every_laguerre_function(d):
     assert np.array_equal(g[1, :d - 1], np.eye(d - 1, d)) and not g[1, d - 1].any()
     grid = PlanarGrid(x_range=(-8, 8), y_range=(-8, 8))
     xs, ys = _bits(grid.xs), _bits(grid.ys)
-    x = _radial(xs, ys, 2.0)[1]
+    x = 4 * _radial(xs, ys)[1]
     table = _wigner_terms(d, xs, ys)[0]
     for k in range(d):
         # psi_n^k = sqrt(n!/(n+k)!) x^(k/2) e^(-x/2) L_n^(k)(x), forward in n
@@ -706,11 +706,11 @@ def test_cached_kernels_are_read_only():
     for fn in MAPS[2:]:
         fn(spin_rho, sgrid)
     xs, ys, thetas = _bits(pgrid.xs), _bits(pgrid.ys), _bits(sgrid.thetas)
-    cached = [*_radial(xs, ys, 1.0), *_radial(xs, ys, 2.0), *_husimi_terms(6, xs, ys),
+    cached = [*_radial(xs, ys), *_husimi_terms(6, xs, ys),
               _laguerre_basis(6), *_wigner_terms(6, xs, ys),
               *_husimi_diagonals(4, thetas), *_wigner_diagonals(4, thetas),
               _axial_phases(5, _bits(sgrid.phis))]
-    assert len(cached) == 3 + 3 + 2 + 1 + 2 + 9 + 9 + 1
+    assert len(cached) == 3 + 2 + 1 + 2 + 9 + 9 + 1
     for arr in cached:
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -744,6 +744,42 @@ def test_grids_share_a_kernel_only_with_bitwise_equal_axes():
     for phi_range in ((0.0, 1.0), (0.5, 2.0)):
         husimi_spherical(zeeman(2, 1), SphericalGrid(ntheta=4, nphi=3, phi_range=phi_range))
     assert _husimi_diagonals.cache_info()[:2] == (1, 1)
+
+
+def test_planar_maps_share_one_radial_entry_per_grid():
+    rho = squeezed(8, 0.3, 0.2)
+    grid = PlanarGrid(x_range=(-2.0, 1.5), y_range=(-1.0, 2.0), nx=7, ny=5)
+    _clear_caches()
+    husimi_planar(rho, grid)
+    wigner_planar(rho, grid)
+    # one decomposition, read by both maps and, on their misses, both terms kernels
+    assert _radial.cache_info()[:2] == (3, 1)             # (hits, misses)
+    _radial.cache_clear()
+    husimi_planar(rho, grid)
+    wigner_planar(rho, grid)
+    assert _radial.cache_info()[:2] == (1, 1)
+
+
+@pytest.mark.parametrize("grid", [
+    PlanarGrid(),
+    PlanarGrid(x_range=(-8, 8), y_range=(-8, 8), nx=101, ny=101),
+    PlanarGrid(x_range=(-2.5, 1.0), y_range=(-0.7, 3.1), nx=23, ny=17),
+    PlanarGrid(x_range=(-1e-3, 1e-3), y_range=(-1e-3, 1e-3), nx=9, ny=9),
+])
+def test_wigner_kernel_equals_a_decomposition_at_twice_alpha(grid):
+    xs, ys = _bits(grid.xs), _bits(grid.ys)
+    alphas, radii, inverse = _radial(xs, ys)
+    a2 = 2 * alphas
+    radii2, inverse2 = np.unique(np.abs(a2) ** 2, return_inverse=True)
+    assert (4 * radii).tobytes() == radii2.tobytes()
+    assert np.array_equal(inverse, inverse2)
+    table, phase = _wigner_terms(3, xs, ys)
+    assert table[0, 0].tobytes() == np.exp(-radii2 / 2).tobytes()
+    size = np.abs(alphas)
+    unit = np.divide(alphas, size, out=np.ones_like(alphas), where=size > 0)
+    assert unit.tobytes() == phase.tobytes()
+    size2 = np.abs(a2)
+    assert phase.tobytes() == np.divide(a2, size2, out=np.ones_like(a2), where=size2 > 0).tobytes()
 
 
 def test_list_ranges_give_the_tuple_grid():

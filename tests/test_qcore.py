@@ -92,6 +92,14 @@ def test_empty_matrix_rejected():
         QuantumObject(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("data", ["a", [[1, "x"]], [[1, 2], [3]], {"a": 1}])
+def test_non_numeric_input_rejected(data):
+    with pytest.raises(InvalidObject):
+        QuantumObject(data)
+    with pytest.raises(InvalidObject):
+        density_matrix(data)
+
+
 def test_one_dimensional_input_is_column():
     assert classify([1, 0])[0] is Kind.KET
 

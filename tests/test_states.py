@@ -302,5 +302,7 @@ def test_factories_produce_unit_kets(seed, d):
 def test_noise_channels_reject_out_of_range_parameters():
     with pytest.raises(InvalidParameter):
         add_white_noise(basis(2, 0), p=2.0)
-    with pytest.raises(InvalidParameter):
-        add_random_noise(basis(2, 0), stdev=-1.0)
+    for mean, stdev in ((0.0, -1.0), (0.0, math.nan), (0.0, math.inf), (math.nan, 0.1),
+                        (math.inf, 0.0)):
+        with pytest.raises(InvalidParameter):
+            add_random_noise(basis(2, 0), mean=mean, stdev=stdev)
