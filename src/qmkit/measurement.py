@@ -32,7 +32,7 @@ from .errors import (
     OutcomeImpossible,
     UnsupportedDimension,
 )
-from .qcore import HERMITIAN_TOL, QuantumObject, _count, density_matrix
+from .qcore import HERMITIAN_TOL, QuantumObject, _count, _real, density_matrix
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
@@ -346,8 +346,7 @@ def sample_mc(p: float, iterations: int, rng=None) -> float:
     Draws ``iterations`` uniforms and returns the fraction falling below
     p.  The endpoints are exact: p = 0 gives 0.0 and p = 1 gives 1.0.
     """
-    if not (0.0 <= p <= 1.0):
-        raise InvalidParameter(f"probability must be in [0, 1], got {p}")
+    p = _real(p, "probability", 0.0, 1.0)
     iterations = _count(iterations, "iterations")
     g = as_rng(rng)
     if (p == 0.0 or p == 1.0) and _can_skip(g):

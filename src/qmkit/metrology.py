@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
 from .measurement import MeasurementSet, probabilities
-from .qcore import (Kind, QuantumObject, _count, _csv_row, _evolution, _require_state,
+from .qcore import (Kind, QuantumObject, _count, _csv_row, _evolution, _real, _require_state,
                     _square, _write_lines, density_matrix, normalize)
 from .states import spin_coherent
 
@@ -25,7 +25,7 @@ def encode_phase(state, generator, phi: float) -> QuantumObject:
     st = QuantumObject(state)
     if st.kind is Kind.OPER:
         _square(st, "state")
-    u = _evolution(_square(generator, "generator", st.dim, hermitian=True), phi)
+    u = _evolution(_square(generator, "generator", st.dim, hermitian=True), _real(phi, "phi"))
     if st.kind is Kind.KET:
         return QuantumObject(u @ st.data)
     if st.kind is Kind.BRA:
@@ -44,8 +44,7 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
     uniform mixture of its groups, one picked at random per shot: the mean
     of the per-group values, each of which is at most the quantum one.
     """
-    if not 0 < dphi < math.inf:
-        raise InvalidParameter(f"finite-difference step must be finite and > 0, got {dphi}")
+    dphi = _real(dphi, "finite-difference step", math.ulp(0.0))   # least positive float: refuses 0
     p0 = probabilities(rho_of_phi(phi), mset)
     p_plus = probabilities(rho_of_phi(phi + dphi), mset)
     p_minus = probabilities(rho_of_phi(phi - dphi), mset)
@@ -78,8 +77,8 @@ def cramer_rao_bounds(F: float, Q: float, N: int = 1) -> tuple[float, float]:
 
     Zero information yields ``math.inf`` as the unbounded flag.
     """
-    if not (F >= -1e-12 and Q >= -1e-12):
-        raise InvalidParameter("Fisher information must be non-negative")
+    F = _real(F, "classical Fisher information", -1e-12)
+    Q = _real(Q, "quantum Fisher information", -1e-12)
     N = _count(N, "repetition count")
     ccrb = 1.0 / math.sqrt(N * F) if F > 0 else math.inf
     qcrb = 1.0 / math.sqrt(N * Q) if Q > 0 else math.inf
@@ -89,8 +88,7 @@ def cramer_rao_bounds(F: float, Q: float, N: int = 1) -> tuple[float, float]:
 def cat_state(j, theta: float, phi: float = 0.0) -> QuantumObject:
     """Normalized superposition of the spin coherent states at polar angles
     theta and pi - theta (same azimuth)."""
-    if not (0.0 <= theta <= math.pi):
-        raise InvalidParameter(f"theta must be in [0, pi], got {theta}")
+    theta = _real(theta, "theta", 0.0, math.pi)
     return normalize(spin_coherent(j, theta, phi) + spin_coherent(j, math.pi - theta, phi))
 
 

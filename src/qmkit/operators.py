@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter, InvalidQuantumNumber
-from .qcore import QuantumObject, _count, _evolution
+from .qcore import QuantumObject, _complex, _count, _evolution
 
 _AXES = ("x", "y", "z", "+", "-")
 
@@ -82,7 +82,7 @@ def displacement(d: int, alpha: complex) -> QuantumObject:
     exactly unitary at any cutoff (accuracy vs. the infinite-dimensional
     operator still needs d well above |alpha|^2).
     """
-    d = _count(d, "dimension")
+    d, alpha = _count(d, "dimension"), _complex(alpha, "alpha")
     if d == 1:
         return identity(1)
     a = lowering(d).data
@@ -93,7 +93,7 @@ def displacement(d: int, alpha: complex) -> QuantumObject:
 def squeezing(d: int, beta: complex) -> QuantumObject:
     """Squeezing operator exp((beta* a^2 - beta a^dag^2)/2) at cutoff d, one
     Fock parity at a time: the generator couples n to n +- 2 only."""
-    d = _count(d, "dimension", least=2)
+    d, beta = _count(d, "dimension", least=2), _complex(beta, "beta")
     a = lowering(d).data
     ad = a.conj().T
     gen = (np.conj(beta) * (a @ a) - beta * (ad @ ad)) / 2.0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameter, InvalidQuantumNumber
 from .operators import _twice, spin
-from .qcore import _count, _write_lines, density_matrix
+from .qcore import _count, _real, _write_lines, density_matrix
 from .states import _spin_coherent_magnitudes
 
 
@@ -103,10 +103,10 @@ def spherical_harmonic(k: int, q: int, theta, phi):
 # grids
 # ---------------------------------------------------------------------------
 
-def _tuple_ranges(grid, *names: str) -> None:
-    """Store a frozen grid's ranges as tuples, so grids built from lists hash;
-    raise InvalidParameter unless each is a pair of real numbers."""
-    for name in names:
+def _tuple_ranges(grid, **bounds: tuple[float, float]) -> None:
+    """Store each named range of a frozen grid as a pair of floats, so grids built
+    from lists hash; InvalidParameter unless both ends pass ``_real`` in (lo, hi)."""
+    for name, (lo, hi) in bounds.items():
         value = getattr(grid, name)
         try:
             pair = tuple(value)
@@ -114,7 +114,7 @@ def _tuple_ranges(grid, *names: str) -> None:
             pair = ()
         if len(pair) != 2 or not all(isinstance(v, numbers.Real) for v in pair):
             raise InvalidParameter(f"{name} must be a pair of real numbers, got {value!r}")
-        object.__setattr__(grid, name, pair)
+        object.__setattr__(grid, name, tuple(_real(v, name, lo, hi) for v in pair))
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,9 @@ class PlanarGrid:
     ny: int = 61
 
     def __post_init__(self):
-        _tuple_ranges(self, "x_range", "y_range")
+        _tuple_ranges(self, x_range=(-math.inf, math.inf), y_range=(-math.inf, math.inf))
         for name in ("nx", "ny"):
             object.__setattr__(self, name, _count(getattr(self, name), name, least=2))
-        if not all(math.isfinite(v) for v in (*self.x_range, *self.y_range)):
-            raise InvalidParameter(f"planar ranges {self.x_range}, {self.y_range} must be finite")
 
     @property
     def xs(self) -> np.ndarray:
@@ -152,13 +150,12 @@ class SphericalGrid:
     nphi: int = 61
 
     def __post_init__(self):
-        _tuple_ranges(self, "theta_range", "phi_range")
+        _tuple_ranges(self, theta_range=(0.0, math.pi + 1e-12),
+                      phi_range=(0.0, 2 * math.pi + 1e-12))
         for name in ("ntheta", "nphi"):
             object.__setattr__(self, name, _count(getattr(self, name), name, least=2))
-        if not (0.0 <= self.theta_range[0] <= self.theta_range[1] <= math.pi + 1e-12):
-            raise InvalidParameter(f"theta range {self.theta_range} not within [0, pi]")
-        if not (0.0 <= self.phi_range[0] <= self.phi_range[1] <= 2 * math.pi + 1e-12):
-            raise InvalidParameter(f"phi range {self.phi_range} not within [0, 2 pi]")
+        if self.theta_range[0] > self.theta_range[1] or self.phi_range[0] > self.phi_range[1]:
+            raise InvalidParameter(f"ranges {self.theta_range}, {self.phi_range} run backwards")
 
     @property
     def thetas(self) -> np.ndarray:
@@ -204,15 +201,17 @@ def write_grid(grid: PhaseSpaceGrid, path) -> None:
 def read_grid(path) -> PhaseSpaceGrid:
     """Parse a grid file produced by :func:`write_grid`."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = text[0].lstrip("# ").split()
-    meta = dict(kv.split("=") for kv in header)
-    n1, n2 = int(meta["n1"]), int(meta["n2"])
-    rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-    if rows.shape[0] != n1 * n2:
-        raise InvalidParameter(f"grid file has {rows.shape[0]} rows, expected {n1 * n2}")
+    try:
+        meta = dict(kv.split("=") for kv in text[0].lstrip("# ").split())
+        kind, coords, n1, n2 = meta["kind"], meta["coords"], int(meta["n1"]), int(meta["n2"])
+        rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    except (IndexError, KeyError, ValueError) as exc:
+        raise InvalidParameter(f"malformed grid file {path}: {exc!r}") from None
+    if min(n1, n2) < 1 or rows.shape != (n1 * n2, 3):
+        raise InvalidParameter(f"grid file has rows of shape {rows.shape}, expected ({n1 * n2}, 3)")
     return PhaseSpaceGrid(
-        kind=meta["kind"],
-        coords=meta["coords"],
+        kind=kind,
+        coords=coords,
         axis1=rows[::n2, 0].copy(),
         axis2=rows[:n2, 1].copy(),
         values=rows[:, 2].reshape(n1, n2),

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -71,6 +73,8 @@ class QuantumObject:
             raise InvalidObject(
                 f"expected a non-empty matrix, got array of shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise InvalidObject("matrix entries must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
         self._data = arr
@@ -140,12 +144,12 @@ class QuantumObject:
         return QuantumObject(-self._data)
 
     def __mul__(self, scalar) -> "QuantumObject":
-        return QuantumObject(self._data * complex(scalar))
+        return QuantumObject(self._data * _complex(scalar, "factor"))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "QuantumObject":
-        return QuantumObject(self._data / complex(scalar))
+        return QuantumObject(self._data / _complex(scalar, "divisor"))
 
     def __matmul__(self, other: "QuantumObject"):
         return dot(self, other)
@@ -249,6 +253,25 @@ def _count(value, name: str, least: int | None = 1) -> int:
         pass
     floor = "" if least is None else f" >= {least}"
     raise InvalidParameter(f"{name} must be an integer{floor}, got {value!r}")
+
+
+def _real(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``value`` as a float (NumPy scalars pass) if it is a real number in [lo, hi]
+    and within the float range; else InvalidParameter: NaN, +-inf, a complex,
+    a string, None."""
+    if isinstance(value, numbers.Real) and lo <= value <= hi and abs(value) <= sys.float_info.max:
+        return float(value)
+    span = "" if (lo, hi) == (-math.inf, math.inf) else f" within [{lo:g}, {hi:g}]"
+    raise InvalidParameter(f"{name} must be finite and real{span}, got {value!r}")
+
+
+def _complex(value, name: str) -> complex:
+    """``value`` as a complex (NumPy scalars pass) if both its parts are within
+    the float range; else InvalidParameter."""
+    big = sys.float_info.max
+    if isinstance(value, numbers.Complex) and abs(value.real) <= big and abs(value.imag) <= big:
+        return complex(value)
+    raise InvalidParameter(f"{name} must be a finite number, got {value!r}")
 
 
 def _require_state(x: ArrayLike) -> QuantumObject:

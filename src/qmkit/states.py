@@ -14,7 +14,8 @@ from .errors import (
     InvalidQuantumNumber,
 )
 from .operators import _twice, displacement, lowering, squeezing
-from .qcore import Kind, QuantumObject, _count, _fix_phase, density_matrix, dot, normalize
+from .qcore import (Kind, QuantumObject, _complex, _count, _fix_phase, _real, density_matrix,
+                    dot, normalize)
 
 
 def basis(d: int, k: int) -> QuantumObject:
@@ -43,7 +44,7 @@ def zeeman(j, m) -> QuantumObject:
 def coherent(d: int, alpha: complex) -> QuantumObject:
     """Coherent state truncated at d Fock levels and renormalized: amplitudes
     alpha^n / sqrt(n!), n < d, in log space so none underflows at large |alpha|."""
-    d = _count(d, "dimension")
+    d, alpha = _count(d, "dimension"), _complex(alpha, "alpha")
     if alpha == 0:
         return basis(d, 0)
     n = np.arange(d)
@@ -53,7 +54,7 @@ def coherent(d: int, alpha: complex) -> QuantumObject:
 
 def squeezed(d: int, alpha: complex, beta: complex) -> QuantumObject:
     """Displaced squeezed vacuum D(alpha) S(beta) |0>, renormalized."""
-    d = _count(d, "dimension")
+    d, alpha, beta = _count(d, "dimension"), _complex(alpha, "alpha"), _complex(beta, "beta")
     if d == 1:
         return basis(1, 0)
     vac = basis(d, 0)
@@ -66,7 +67,7 @@ def position_state(d: int, x: float) -> QuantumObject:
     a = lowering(d).data
     xop = (a + a.conj().T) / math.sqrt(2)
     vals, vecs = np.linalg.eigh(xop)
-    i = int(np.argmin(np.abs(vals - x)))
+    i = int(np.argmin(np.abs(vals - _real(x, "x"))))
     return QuantumObject(_fix_phase(vecs[:, i]).reshape(-1, 1))
 
 
@@ -91,8 +92,8 @@ def spin_coherent(j, theta: float, phi: float) -> QuantumObject:
     Amplitude on |j, m> is
     sqrt(C(2j, j-m)) cos^(j+m)(theta/2) sin^(j-m)(theta/2) e^{-i(j-m) phi}.
     """
-    two_j = _twice(j)
-    mags = _spin_coherent_magnitudes(two_j, np.array([float(theta)]))
+    two_j, theta, phi = _twice(j), _real(theta, "theta"), _real(phi, "phi")
+    mags = _spin_coherent_magnitudes(two_j, np.array([theta]))
     return QuantumObject((mags * np.exp(-1j * np.arange(two_j + 1) * phi)).T)
 
 
@@ -144,8 +145,7 @@ def add_random_noise(psi: QuantumObject, mean: float = 0.0, stdev: float = 0.0,
     psi = QuantumObject(psi)
     if psi.kind is not Kind.KET:
         raise InvalidParameter("random amplitude noise is defined for kets")
-    if not (math.isfinite(mean) and 0 <= stdev < math.inf):
-        raise InvalidParameter(f"need a finite mean and a finite stdev >= 0, got {mean}, {stdev}")
+    mean, stdev = _real(mean, "noise mean"), _real(stdev, "noise stdev", 0.0)
     g = as_rng(rng)
     d = psi.dim
     delta = g.normal(mean, stdev, size=d) + 1j * g.normal(mean, stdev, size=d)
@@ -158,8 +158,7 @@ def add_white_noise(state: QuantumObject, p: float = 0.0) -> QuantumObject:
     Kets are first promoted to density matrices, so the input may be pure
     or mixed.
     """
-    if not (0.0 <= p <= 1.0):
-        raise InvalidParameter(f"white-noise weight must be in [0, 1], got {p}")
+    p = _real(p, "white-noise weight", 0.0, 1.0)
     rho = density_matrix(state)
     d = rho.shape[0]
     return QuantumObject((1 - p) * rho + p * np.eye(d) / d)

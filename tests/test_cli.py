@@ -73,6 +73,17 @@ def test_state_nan_noise_exit_4(tmp_path, capsys, noise):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "state --name coherent --d 3 --alpha=nan", "state --name spin-coherent --j 1 --theta nan",
+    "state --name squeezed --d 3 --alpha 0 --beta=inf", "state --name position --d 3 --x nan",
+    "phasespace --name coherent --d 3 --alpha=nan --map husimi --coords planar"])
+def test_non_finite_parameters_exit_4(tmp_path, capsys, argv):
+    out = tmp_path / "s.csv"
+    assert run_cli(argv.split() + ["--out", str(out)]) == 4
+    assert "InvalidParameter" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_state_json_format(tmp_path):
     out = tmp_path / "w.json"
     assert run_cli(["state", "--name", "w", "--n", "2", "--format", "json",

@@ -36,6 +36,7 @@ from qmkit import (
 from qmkit.errors import (
     DimensionMismatch,
     InvalidDistribution,
+    InvalidObject,
     InvalidParameter,
     NotHermitian,
     OutcomeImpossible,
@@ -846,9 +847,9 @@ def test_cdf_rejects_non_finite_probabilities(bad):
 @pytest.mark.parametrize("make_set", [lambda: build_pauli_set(1), lambda: build_stoke_set(1)])
 def test_measure_and_sample_rejects_nan_states(make_set):
     nan_state = np.array([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(InvalidDistribution):
+    with pytest.raises(InvalidObject):
         measure_and_sample(nan_state, make_set(), SamplerBackend(method="cdf"), 10)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidObject):
         measure_and_sample(nan_state, make_set(), SamplerBackend(method="mc"), 10)
 
 

@@ -573,6 +573,19 @@ def test_grid_file_roundtrip(tmp_path):
     np.testing.assert_allclose(back.values, out.values)
 
 
+@pytest.mark.parametrize("text", ["# kind=husimi coords=planar n2=1\n0,0,1\n",      # no n1
+                                  "# kind husimi coords=planar n1=1 n2=1\n0,0,1\n",  # no '='
+                                  "# kind=husimi coords=planar n1=1 n2=1\n0,x,1\n",  # a cell
+                                  "",                                                 # empty
+                                  "# kind=husimi coords=planar n1=1 n2=1\n0,0\n",     # 2 columns
+                                  "# kind=husimi coords=planar n1=0 n2=1\n"])         # no rows
+def test_malformed_grid_file_raises_invalid_parameter(tmp_path, text):
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidParameter):
+        read_grid(path)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_husimi_nonnegative_random_states(seed):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,15 @@ from qmkit import (
     QuantumObject,
     SamplerBackend,
     SphericalGrid,
+    add_random_noise,
     add_white_noise,
     adjoint,
     build_mub_set,
     build_pauli_set,
     build_sic_set,
     build_stoke_set,
+    cat_state,
+    classical_fisher,
     classify,
     coherent,
     conjugate,
@@ -44,6 +49,8 @@ from qmkit import (
     quantum_fisher,
     random_haar,
     run_tomography,
+    sample_mc,
+    spin_coherent,
     squeezed,
     squeezing,
     tensor,
@@ -471,3 +478,55 @@ def test_operators_must_be_square_of_the_state_dimension_and_hermitian(name):
     call, error = _SQUARED[name]
     with pytest.raises(error):
         call()
+
+
+# every real or complex scalar parameter goes through qcore._real or qcore._complex:
+# (call taking the checked value, "real" or "complex", a valid value)
+_KET = basis(2, 0)
+_SCALARS = {
+    "sample_mc p": (lambda p: sample_mc(p, 100, rng=1), "real", 0.3),
+    "classical_fisher dphi": (lambda h: classical_fisher(
+        lambda p: encode_phase(_KET, pauli("x"), p), build_pauli_set(1), 0.4, h), "real", 1e-3),
+    "cramer_rao_bounds F": (lambda f: cramer_rao_bounds(f, 3.0), "real", 2.0),
+    "cramer_rao_bounds Q": (lambda q: cramer_rao_bounds(2.0, q), "real", 3.0),
+    "cat_state theta": (lambda t: cat_state(1, t, 0.2), "real", 0.7),
+    "add_random_noise mean": (lambda m: add_random_noise(_KET, m, 0.1, rng=1), "real", 0.05),
+    "add_random_noise stdev": (lambda s: add_random_noise(_KET, 0.0, s, rng=1), "real", 0.1),
+    "add_white_noise p": (lambda p: add_white_noise(_KET, p), "real", 0.25),
+    "coherent alpha": (lambda a: coherent(4, a), "complex", 0.7 - 0.2j),
+    "displacement alpha": (lambda a: displacement(4, a), "complex", 0.7 - 0.2j),
+    "squeezing beta": (lambda b: squeezing(4, b), "complex", 0.3 + 0.1j),
+    "squeezed alpha": (lambda a: squeezed(4, a, 0.3), "complex", -0.5 + 0.1j),
+    "squeezed beta": (lambda b: squeezed(4, 0.5, b), "complex", 0.3 + 0.1j),
+    "squeezed alpha at d = 1": (lambda a: squeezed(1, a, 0.3), "complex", 0.5),
+    "squeezed beta at d = 1": (lambda b: squeezed(1, 0.5, b), "complex", 0.3),
+    "position_state x": (lambda x: position_state(4, x), "real", 0.4),
+    "spin_coherent theta": (lambda t: spin_coherent(1, t, 0.3), "real", 1.1),
+    "spin_coherent phi": (lambda p: spin_coherent(1, 0.3, p), "real", 2.3),
+    "encode_phase phi": (lambda p: encode_phase(_KET, pauli("x"), p), "real", 0.9),
+    "QuantumObject * factor": (lambda c: _KET * c, "complex", 0.5 - 2j),
+    "QuantumObject / divisor": (lambda c: _KET / c, "complex", 0.5 - 2j),
+    "PlanarGrid x_range": (lambda v: PlanarGrid(x_range=(v, 3.0)), "real", -2.5),
+    "PlanarGrid y_range": (lambda v: PlanarGrid(y_range=(-3.0, v)), "real", 2.5),
+    "SphericalGrid theta_range": (lambda v: SphericalGrid(theta_range=(v, 3.0)), "real", 0.5),
+    "SphericalGrid phi_range": (lambda v: SphericalGrid(phi_range=(0.0, v)), "real", 6.0),
+}
+
+
+@pytest.mark.parametrize("name", _SCALARS)
+def test_real_and_complex_parameters_must_be_finite_numbers(name):
+    call, kind, valid = _SCALARS[name]
+    bad_values = [math.nan, math.inf, -math.inf, "a", None, 10**400]
+    for bad in bad_values + ([1j, complex(valid, 1e-3)] if kind == "real" else []):
+        with pytest.raises(InvalidParameter):
+            call(bad)
+    numpy_scalar = np.float64 if kind == "real" else np.complex128
+    assert _bits(call(numpy_scalar(valid))) == _bits(call(valid))
+
+
+@pytest.mark.parametrize("data", [[1, None], [[np.nan, 0], [0, 1]], [[1, 0], [0, -np.inf]]])
+def test_non_finite_matrices_rejected(data):
+    for call in (QuantumObject, density_matrix, eigen,
+                 lambda x: husimi_planar(x, PlanarGrid(nx=2, ny=2))):
+        with pytest.raises(InvalidObject, match="must be finite"):
+            call(data)
