@@ -17,6 +17,7 @@ inherent exception, since their payload is measured time.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 import time
@@ -41,10 +42,21 @@ from .measurement import (
     timed_measurement,
 )
 from .operators import pauli, spin
-from .qcore import Kind, QuantumObject, _csv_row, _write_json
+from .qcore import Kind, QuantumObject
 from .qcore import _write_lines as _emit   # perfbench/tracing.py wraps cli._emit by name
 
 DEFAULT_SEED = 0
+
+
+def _write_json(payload, path=None) -> None:
+    """Write ``payload`` as JSON indented by two spaces, through ``_emit``."""
+    _emit([json.dumps(payload, indent=2)], path)
+
+
+def _csv_row(values) -> str:
+    """One CSV line: floats at 17 significant digits, None as an empty cell."""
+    return ",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                    for v in values)
 
 
 class _UsageError(Exception):
@@ -109,10 +121,14 @@ def _need(args, flag: str):
     return v
 
 
-def _build_state(args, rng) -> QuantumObject:
+def _build_state(args) -> QuantumObject:
+    """The state the flags name.  One generator seeded by ``--seed`` serves both
+    a random state and the amplitude noise; it is made only when one of them draws."""
     factory, flags = STATES[args.name]
+    noisy = args.noise_mean is not None or args.noise_std is not None
+    rng = as_rng(args.seed) if noisy or "rng" in flags else None
     st = factory(*(rng if f == "rng" else _need(args, f) for f in flags))
-    if args.noise_mean is not None or args.noise_std is not None:
+    if noisy:
         st = states.add_random_noise(st, args.noise_mean or 0.0,
                                      args.noise_std or 0.0, rng)
     if args.white_noise is not None:
@@ -148,8 +164,7 @@ SETS = {
 # ---------------------------------------------------------------------------
 
 def cmd_state(args) -> int:
-    rng = as_rng(args.seed)
-    st = _build_state(args, rng)
+    st = _build_state(args)
     if args.format == "json":
         if st.kind is Kind.OPER:
             payload = {
@@ -175,8 +190,7 @@ def cmd_state(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    rng = as_rng(args.seed)
-    st = _build_state(args, rng)
+    st = _build_state(args)
     mset = SETS[args.set](st.dim)
     probs = probabilities(st, mset)
     freqs = None
@@ -275,8 +289,7 @@ def cmd_backend_compare(args) -> int:
 
 
 def cmd_phasespace(args) -> int:
-    rng = as_rng(args.seed)
-    st = _build_state(args, rng)
+    st = _build_state(args)
     if args.coords == "planar":
         grid = phasespace.PlanarGrid(
             x_range=(args.xmin, args.xmax), y_range=(args.ymin, args.ymax),
@@ -305,19 +318,20 @@ def cmd_phasespace(args) -> int:
 
 
 def cmd_tomography(args) -> int:
-    rng = as_rng(args.seed)
-    st = _build_state(args, rng)
+    st = _build_state(args)
     mset = SETS[args.set](st.dim)
     try:
         shots = None if args.shots == "exact" else _count(args.shots)
     except argparse.ArgumentTypeError:
         raise _UsageError(f"--shots must be 'exact' or an integer >= 1, got {args.shots!r}")
-    runs = []
+    reports = []
     for i in range(args.repeats):
         backend = SamplerBackend(method=args.backend, seed=args.seed + i)
-        runs.append(tomography.run_tomography(st, mset, shots, backend))
-    write = tomography.write_reports_json if args.format == "json" else tomography.write_reports_csv
-    write(runs, args.out)
+        reports.append(tomography.run_tomography(st, mset, shots, backend).report())
+    if args.format == "json":
+        _write_json(reports[0] if len(reports) == 1 else reports, args.out)
+        return 0
+    _emit(["# " + ",".join(reports[0])] + [_csv_row(r.values()) for r in reports], args.out)
     return 0
 
 
@@ -339,7 +353,11 @@ def cmd_metrology(args) -> int:
             probe=probe, generator=sz, phis=phis, observable=sy)
         curve = metrology.run_scenario(scenario)
         path = out_dir / f"cat_theta_{t:g}pi.csv"
-        metrology.write_curve_csv(curve, path)
+        # an undefined precision point is an empty cell
+        dp = [None if np.isnan(v) else v for v in curve.delta_phi]
+        _emit(["# phi,expectation,variance,delta_phi,sql,hl"]
+              + [_csv_row((*row, curve.sql, curve.hl))
+                 for row in zip(curve.phis, curve.expectation, curve.variance, dp)], path)
         written.append(str(path))
     _emit(written)
     return 0

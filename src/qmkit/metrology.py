@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
 from .measurement import MeasurementSet, probabilities
-from .qcore import (Kind, QuantumObject, _count, _csv_row, _evolution, _real, _require_state,
-                    _square, _write_lines, density_matrix, normalize)
+from .qcore import (Kind, QuantumObject, _count, _evolution, _real, _require_state, _square,
+                    density_matrix, normalize)
 from .states import spin_coherent
 
 DERIVATIVE_CUTOFF = 1e-12
@@ -126,15 +126,13 @@ class MetrologyScenario:
     """Probe + generator + phase grid + readout observable.
 
     The probe must be a state: a ket or bra (normalised on use) or a
-    density matrix.  ``repetitions``, an integer >= 1, is the N used when
-    reporting Cramer-Rao bounds.
+    density matrix.
     """
 
     probe: QuantumObject
     generator: QuantumObject
     phis: np.ndarray
     observable: QuantumObject
-    repetitions: int = 1
 
     def __post_init__(self):
         probe, h, a = (QuantumObject(x) for x in (self.probe, self.generator, self.observable))
@@ -147,7 +145,6 @@ class MetrologyScenario:
         for name, value in (("probe", probe), ("generator", h), ("observable", a),
                             ("phis", phis)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "repetitions", _count(self.repetitions, "repetitions"))
 
 
 @dataclass(frozen=True)
@@ -187,18 +184,3 @@ def run_scenario(scenario: MetrologyScenario) -> PrecisionCurve:
         sql=1.0 / math.sqrt(n_spins),
         hl=1.0 / n_spins,
     )
-
-
-def curve_lines(curve: PrecisionCurve) -> list[str]:
-    """CSV content with columns phi,expectation,variance,delta_phi,sql,hl.
-
-    Undefined precision points serialize as an empty field.
-    """
-    dp = [None if np.isnan(v) else v for v in curve.delta_phi]
-    return ["# phi,expectation,variance,delta_phi,sql,hl"] + [
-        _csv_row((*row, curve.sql, curve.hl))
-        for row in zip(curve.phis, curve.expectation, curve.variance, dp)]
-
-
-def write_curve_csv(curve: PrecisionCurve, path) -> None:
-    _write_lines(curve_lines(curve), path)

@@ -90,13 +90,16 @@ def spherical_harmonic(k: int, q: int, theta, phi):
     """Orthonormal spherical harmonic Y_kq(theta, phi), Condon-Shortley phase.
 
     ``theta`` is the polar (colatitude) angle; scalar and array arguments
-    are both accepted.
+    are both accepted, and every entry must be a finite real number.
     """
     k, q = _integer_labels(k, q)
     if k < 0 or abs(q) > k:
         raise InvalidQuantumNumber(f"need 0 <= |q| <= k, got k={k}, q={q}")
+    angles = [np.asarray(a) for a in (theta, phi)]
+    if not all(a.dtype.kind in "biuf" and np.isfinite(a).all() for a in angles):
+        raise InvalidParameter(f"angles must be finite real numbers, got {theta!r}, {phi!r}")
     import scipy.special  # on first use, so that ``import qmkit`` does not load SciPy
-    return scipy.special.sph_harm_y(k, q, theta, phi)
+    return scipy.special.sph_harm_y(k, q, *angles)
 
 
 # ---------------------------------------------------------------------------

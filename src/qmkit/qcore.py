@@ -8,7 +8,6 @@ built from the pure functions defined here.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import numbers
 import operator
@@ -293,17 +292,6 @@ def _write_lines(lines: Sequence[str], path=None) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
-
-
-def _write_json(payload, path=None) -> None:
-    """Write ``payload`` as JSON indented by two spaces, through ``_write_lines``."""
-    _write_lines([json.dumps(payload, indent=2)], path)
-
-
-def _csv_row(values: Iterable) -> str:
-    """One CSV line: floats at 17 significant digits, None as an empty cell."""
-    return ",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
-                    for v in values)
 
 
 def dot(*factors: ArrayLike):

@@ -16,8 +16,7 @@ from .errors import (
     RankDeficientSet,
 )
 from .measurement import MeasurementSet, SamplerBackend, measure_and_sample, probabilities
-from .qcore import (Kind, QuantumObject, _csv_row, _require_state, _write_json,
-                    _write_lines, density_matrix, mat_sqrt)
+from .qcore import Kind, QuantumObject, _require_state, density_matrix, mat_sqrt
 
 
 def trace_distance_pure(psi, phi) -> float:
@@ -204,22 +203,3 @@ def run_tomography(true_state, mset: MeasurementSet, shots: int | None = None,
         fidelity=fidelity(rho_true, rec),
         trace_distance=trace_distance(rho_true, rec),
     )
-
-
-_REPORT_COLUMNS = ("dimension", "set_kind", "shots", "backend", "seed",
-                   "fidelity", "trace_distance")
-
-
-def report_lines(runs: Sequence[TomographyRun]) -> list[str]:
-    """CSV content: one row per run, floats at 17 significant digits."""
-    rows = [_csv_row(map(r.report().get, _REPORT_COLUMNS)) for r in runs]
-    return ["# " + ",".join(_REPORT_COLUMNS)] + rows
-
-
-def write_reports_csv(runs: Sequence[TomographyRun], path=None) -> None:
-    _write_lines(report_lines(runs), path)
-
-
-def write_reports_json(runs: Sequence[TomographyRun], path=None) -> None:
-    reports = [r.report() for r in runs]
-    _write_json(reports[0] if len(reports) == 1 else reports, path)

@@ -64,7 +64,17 @@ def test_state_white_noise_density_matrix(tmp_path):
     assert len(first) == 4  # row,col,re,im
 
 
-@pytest.mark.parametrize("noise", [["--noise-std", "nan"], ["--noise-mean", "nan"]])
+def test_random_state_and_its_noise_share_one_generator(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run_cli(["state", "--name", "random", "--d", "4", "--noise-std", "0.1",
+                    "--seed", "5", "--out", str(out)]) == 0
+    got = np.array([[float(v) for v in r.split(",")] for r in data_lines(out)])
+    g = np.random.default_rng(5)
+    want = qmkit.add_random_noise(qmkit.random_haar(4, g), 0.0, 0.1, g).data.reshape(-1)
+    np.testing.assert_array_equal(got, np.stack([want.real, want.imag], axis=1))
+
+
+@pytest.mark.parametrize("noise",[["--noise-std", "nan"], ["--noise-mean", "nan"]])
 def test_state_nan_noise_exit_4(tmp_path, capsys, noise):
     out = tmp_path / "s.csv"
     assert run_cli(["state", "--name", "coherent", "--d", "3", "--alpha", "1", *noise,
@@ -435,6 +445,8 @@ import qmkit, qmkit.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+# NumPy 2 loads numpy.random on first use, NumPy 1.x on import
+lazy_random = "numpy.random" not in sys.modules
 assert not scipy_modules(), scipy_modules()[:5]
 for argv in (["state", "--name", "ghz", "--n", "3"],
              ["state", "--name", "squeezed", "--d", "30", "--alpha", "0.5+0.3j", "--beta", "0.3"],
@@ -446,6 +458,8 @@ for argv in (["state", "--name", "ghz", "--n", "3"],
     argv += ["--out-dir", "."] if argv[0] == "metrology" else ["--out", argv[0] + ".csv"]
     assert qmkit.cli.main(argv) == 0, argv
     assert not scipy_modules(), (argv[0], scipy_modules()[:5])
+    # none of these commands draws random numbers
+    assert not lazy_random or "numpy.random" not in sys.modules, argv
 """
 
 

@@ -30,7 +30,7 @@ from qmkit import (
     zeeman,
 )
 from qmkit.errors import DimensionMismatch, InvalidObject, InvalidParameter, NotHermitian
-from qmkit.metrology import curve_lines
+from qmkit.cli import main as cli_main
 
 
 def _plus():
@@ -370,15 +370,10 @@ def test_scenario_validation():
         with pytest.raises(InvalidParameter, match="at least two points"):
             MetrologyScenario(probe=zeeman(j, 1), generator=spin(j, "z"),
                               phis=np.array(phis), observable=spin(j, "y"))
-    # the probe must be a state, and repetitions an integer >= 1
+    # the probe must be a state
     with pytest.raises(InvalidObject):
         MetrologyScenario(probe=2 * identity(3) / 3, generator=spin(j, "z"),
                           phis=np.array([0.0, 0.1]), observable=spin(j, "y"))
-    for reps in (1.5, 0):
-        with pytest.raises(InvalidParameter):
-            MetrologyScenario(probe=zeeman(j, 1), generator=spin(j, "z"),
-                              phis=np.array([0.0, 0.1]), observable=spin(j, "y"),
-                              repetitions=reps)
     # probe, generator and observable must share one dimension
     for probe, h, a in ((cat_state(2, 0.3), spin(2, "z"), spin(1, "y")),
                         (cat_state(2, 0.3), spin(1, "z"), spin(2, "y")),
@@ -393,15 +388,12 @@ def test_scenario_validation():
                           phis=np.array([0.0, 0.1]), observable=spin(0, "y"))
 
 
-def test_curve_csv_lines_mark_undefined_empty():
-    j = 10
-    scenario = MetrologyScenario(
-        probe=cat_state(j, 0.0), generator=spin(j, "z"),
-        phis=np.linspace(0, 0.2, 10) * math.pi, observable=spin(j, "y"),
-    )
-    curve = run_scenario(scenario)
-    lines = curve_lines(curve)
+def test_curve_csv_lines_mark_undefined_empty(tmp_path):
+    assert cli_main(["metrology", "--j", "10", "--thetas-pi", "0", "--points", "10",
+                     "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "cat_theta_0pi.csv").read_text().splitlines()
     assert lines[0] == "# phi,expectation,variance,delta_phi,sql,hl"
+    assert len(lines) == 11
     # the GHZ-like cat has <S_y> identically zero: delta_phi all undefined
     for line in lines[1:]:
         assert line.split(",")[3] == ""

@@ -173,6 +173,27 @@ def test_y_validates_quantum_numbers():
         spherical_harmonic(-1, 0, 0.3, 0.4)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", None, 1j])
+@pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [0.3, v]], ids=["scalar", "array"])
+@pytest.mark.parametrize("slot", [0, 1], ids=["theta", "phi"])
+def test_y_refuses_non_finite_or_non_real_angles(bad, wrap, slot):
+    angles = [[0.3, 0.4], [0.3, 0.4]]
+    angles[slot] = wrap(bad)
+    with pytest.raises(InvalidParameter):
+        spherical_harmonic(2, 1, *angles)
+
+
+@pytest.mark.parametrize("theta, phi", [(0.7, 1.9), (0, 3), (np.float32(1.1), -0.4),
+                                        (np.linspace(0, math.pi, 5), np.linspace(0, 6, 5)),
+                                        ([0.2, 2.9], 4.0)])
+def test_y_matches_scipy_bitwise(theta, phi):
+    import scipy.special
+
+    got = spherical_harmonic(3, -2, theta, phi)
+    want = scipy.special.sph_harm_y(3, -2, theta, phi)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # planar maps
 # ---------------------------------------------------------------------------

@@ -386,9 +386,6 @@ _COUNTED = {
     "build_sic_set": (build_sic_set, 1, 3),
     "weyl_displacement": (lambda d: weyl_displacement(d, 1, 0), 1, 3),
     "cramer_rao_bounds": (lambda n: cramer_rao_bounds(2.0, 3.0, n), 1, 3),
-    "MetrologyScenario.repetitions": (lambda n: MetrologyScenario(
-        probe=basis(2, 0), generator=pauli("z"), phis=[0.0, 0.1], observable=pauli("x"),
-        repetitions=n).repetitions, 1, 3),
     "PlanarGrid.nx": (lambda n: PlanarGrid(nx=n), 2, 3),
     "PlanarGrid.ny": (lambda n: PlanarGrid(ny=n), 2, 3),
     "SphericalGrid.ntheta": (lambda n: SphericalGrid(ntheta=n), 2, 3),

@@ -37,7 +37,7 @@ from qmkit.errors import (
     RankDeficientSet,
     ZeroNorm,
 )
-from qmkit.tomography import report_lines, write_reports_csv, write_reports_json
+from qmkit.cli import main as cli_main
 
 
 # ---------------------------------------------------------------------------
@@ -330,27 +330,29 @@ def test_inversion_rejects_non_finite_frequencies(bad):
 
 
 def test_report_serialization(tmp_path):
-    runs = [run_tomography(ghz(1), build_pauli_set(1)),
-            run_tomography(ghz(1), build_pauli_set(1), shots=100,
-                           backend=SamplerBackend("cdf", 3))]
-    rep = runs[0].report()
+    rep = run_tomography(ghz(1), build_pauli_set(1)).report()
     assert set(rep) == {"dimension", "set_kind", "shots", "backend", "seed",
                         "fidelity", "trace_distance"}
     assert rep["shots"] == "exact"
 
-    csv_path = tmp_path / "runs.csv"
-    write_reports_csv(runs, csv_path)
+    # the CLI writes one CSV row, or one JSON object of a list, per report
+    args = ["tomography", "--name", "ghz", "--n", "1", "--set", "pauli", "--shots", "100",
+            "--seed", "3", "--repeats", "2"]
+    csv_path, json_path = tmp_path / "runs.csv", tmp_path / "runs.json"
+    assert cli_main(args + ["--out", str(csv_path)]) == 0
     text = csv_path.read_text().splitlines()
     assert len(text) == 3
-    assert text[0].startswith("# dimension,")
+    assert text[0] == "# dimension,set_kind,shots,backend,seed,fidelity,trace_distance"
 
-    json_path = tmp_path / "runs.json"
-    write_reports_json(runs, json_path)
+    assert cli_main(args + ["--format", "json", "--out", str(json_path)]) == 0
     payload = json.loads(json_path.read_text())
     assert isinstance(payload, list) and len(payload) == 2
     assert payload[1]["shots"] == 100
 
-    assert report_lines(runs)[1] == text[1]
+    row = text[2].split(",")
+    assert row[:5] == [str(payload[1][k]) for k in ("dimension", "set_kind", "shots",
+                                                   "backend", "seed")]
+    assert [float(v) for v in row[5:]] == [payload[1]["fidelity"], payload[1]["trace_distance"]]
 
 
 @settings(max_examples=15, deadline=None)
