@@ -448,7 +448,7 @@ def measure_and_sample(state, mset: MeasurementSet, backend: SamplerBackend,
         return np.array([sample_mc(p, n, g) for p in np.clip(probs, 0.0, 1.0).tolist()])
     freqs = np.empty(len(mset))
     for idx in mset._blocks:
-        pg = np.clip(probs[idx], 0.0, None)
+        pg = np.maximum(probs[idx], 0.0)
         freqs[idx] = _stratified_counts(_cumulative(pg / pg.sum(axis=1, keepdims=True)), n, g) / n
     rest = np.flatnonzero(mset.group_of < 0)
     if rest.size:

@@ -5,6 +5,7 @@ precision curves against the standard quantum and Heisenberg limits."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -12,8 +13,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
 from .measurement import MeasurementSet, probabilities
-from .qcore import (Kind, QuantumObject, _count, _evolution, _real, _require_state, _square,
-                    density_matrix, normalize)
+from .qcore import (Kind, QuantumObject, _count, _evolution, _real, _require_state, _spectrum,
+                    _square, density_matrix, normalize)
 from .states import spin_coherent
 
 DERIVATIVE_CUTOFF = 1e-12
@@ -21,16 +22,21 @@ DERIVATIVE_CUTOFF = 1e-12
 
 def encode_phase(state, generator, phi: float) -> QuantumObject:
     """Evolve a state under U(phi) = exp(-i phi H) = V e^{-i phi L} V^dag for a
-    Hermitian H = V L V^dag: kets map to U|psi>, operators to U rho U^dag."""
+    Hermitian H = V L V^dag: kets map to U|psi>, operators to U rho U^dag.
+    A QuantumObject generator keeps its V and L for the next call."""
     st = QuantumObject(state)
     if st.kind is Kind.OPER:
         _square(st, "state")
-    u = _evolution(_square(generator, "generator", st.dim, hermitian=True), _real(phi, "phi"))
+    lam, v = _spectrum(generator, "generator", st.dim)
+    phi = _real(phi, "phi")
+    if not abs(phi) * max(-float(lam[0]), float(lam[-1])) <= sys.float_info.max:
+        raise InvalidParameter(f"phi = {phi!r} times the generator's eigenvalues overflows")
+    u = _evolution((lam, v), phi)
     if st.kind is Kind.KET:
-        return QuantumObject(u @ st.data)
+        return QuantumObject._view(u @ st.data)
     if st.kind is Kind.BRA:
-        return QuantumObject(st.data @ u.conj().T)
-    return QuantumObject(u @ st.data @ u.conj().T)
+        return QuantumObject._view(st.data @ u.conj().T)
+    return QuantumObject._view(u @ st.data @ u.conj().T)
 
 
 def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
@@ -64,7 +70,7 @@ def quantum_fisher(rho, generator) -> float:
     dm = _require_state(rho).data
     h = _square(generator, "generator", len(dm), hermitian=True)
     q, v = np.linalg.eigh((dm + dm.conj().T) / 2)
-    q = np.clip(q, 0.0, None)
+    q = np.maximum(q, 0.0)
     q = q / q.sum()
     ht = v.conj().T @ h @ v
     s = q[:, None] + q[None, :]
@@ -114,7 +120,7 @@ def error_propagation(phis, expectation, second_moment) -> np.ndarray:
         raise DimensionMismatch("phase grid and moment arrays must align")
     _check_grid(phis)
     deriv = np.gradient(e1, phis)
-    sigma = np.sqrt(np.clip(e2 - e1**2, 0.0, None))
+    sigma = np.sqrt(np.maximum(e2 - e1**2, 0.0))
     out = np.full(phis.shape, np.nan)
     mask = np.abs(deriv) > DERIVATIVE_CUTOFF
     out[mask] = sigma[mask] / np.abs(deriv[mask])

@@ -87,7 +87,7 @@ def displacement(d: int, alpha: complex) -> QuantumObject:
         return identity(1)
     a = lowering(d).data
     gen = alpha * a.conj().T - np.conj(alpha) * a
-    return QuantumObject(_evolution(1j * gen))
+    return QuantumObject(_evolution(np.linalg.eigh(1j * gen)))
 
 
 def squeezing(d: int, beta: complex) -> QuantumObject:
@@ -99,5 +99,5 @@ def squeezing(d: int, beta: complex) -> QuantumObject:
     gen = (np.conj(beta) * (a @ a) - beta * (ad @ ad)) / 2.0
     u = np.zeros((d, d), dtype=complex)
     for block in (np.s_[0::2], np.s_[1::2]):
-        u[block, block] = _evolution(1j * gen[block, block])
+        u[block, block] = _evolution(np.linalg.eigh(1j * gen[block, block]))
     return QuantumObject(u)

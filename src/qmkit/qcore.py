@@ -53,14 +53,16 @@ class QuantumObject:
     A column (n x 1, n > 1) is a ket, a row (1 x n, n > 1) a bra, anything
     else (including 1 x 1 scalars) an oper.  One-dimensional input is read
     as a column vector.  The wrapped array is copied and frozen, so a
-    QuantumObject can be shared freely between threads.
+    QuantumObject can be shared freely between threads.  A generator keeps
+    its checked eigendecomposition (:func:`_spectrum`), and a wrapper of
+    it shares that.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_eigh")
 
     def __init__(self, data: ArrayLike):
         if isinstance(data, QuantumObject):
-            self._data = data._data
+            self._data, self._eigh = data._data, data._eigh
             return
         try:
             arr = np.asarray(data, dtype=complex)
@@ -76,13 +78,15 @@ class QuantumObject:
             raise InvalidObject("matrix entries must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
-        self._data = arr
+        self._data, self._eigh = arr, None
 
     @classmethod
     def _view(cls, arr: np.ndarray) -> "QuantumObject":
-        """Wrap an already frozen 2-D complex array without copying it."""
+        """Freeze and wrap, without copying or scanning, a finite 2-D complex
+        array computed from checked operands."""
+        arr.flags.writeable = False
         q = cls.__new__(cls)
-        q._data = arr
+        q._data, q._eigh = arr, None
         return q
 
     @property
@@ -207,10 +211,15 @@ def normalize(x: ArrayLike) -> QuantumObject:
         if abs(t) < 1e-14:
             raise ZeroNorm("operator has (near) zero trace")
         return QuantumObject(q.data / t)
+    return QuantumObject._view(_unit(q))
+
+
+def _unit(q: QuantumObject) -> np.ndarray:
+    """The matrix of a ket or bra over its norm (so each entry is at most 1)."""
     n = np.linalg.norm(q.data)
     if n < 1e-14:
         raise ZeroNorm("vector has (near) zero norm")
-    return QuantumObject(q.data / n)
+    return q.data / n
 
 
 def to_operator(x: ArrayLike) -> QuantumObject:
@@ -218,10 +227,10 @@ def to_operator(x: ArrayLike) -> QuantumObject:
     q = QuantumObject(x)
     if q.kind is Kind.OPER:
         return q
-    v = normalize(q).data.reshape(-1)
+    v = _unit(q).reshape(-1)
     if q.kind is Kind.BRA:
         v = v.conj()
-    return QuantumObject(np.outer(v, v.conj()))
+    return QuantumObject._view(np.outer(v, v.conj()))
 
 
 def density_matrix(x: ArrayLike) -> np.ndarray:
@@ -231,12 +240,13 @@ def density_matrix(x: ArrayLike) -> np.ndarray:
 
 def _square(x: ArrayLike, name: str, d: int | None = None, hermitian: bool = False) -> np.ndarray:
     """The matrix of ``x``: DimensionMismatch unless it is square (d x d when
-    ``d`` is given), NotHermitian if ``hermitian`` and it is not Hermitian."""
+    ``d`` is given), NotHermitian if ``hermitian`` and it is not Hermitian
+    (an object that kept its eigendecomposition has passed that check)."""
     q = QuantumObject(x)
     if q.shape[0] != q.shape[1] or d not in (None, q.shape[0]):
         size = "" if d is None else f" of dimension {d}"
         raise DimensionMismatch(f"{name} must be a square matrix{size}, got shape {q.shape}")
-    if hermitian and not q.is_hermitian():
+    if hermitian and q._eigh is None and not q.is_hermitian():
         raise NotHermitian(f"{name} must be Hermitian")
     return q.data
 
@@ -273,15 +283,33 @@ def _complex(value, name: str) -> complex:
     raise InvalidParameter(f"{name} must be a finite number, got {value!r}")
 
 
-def _require_state(x: ArrayLike) -> QuantumObject:
-    """Density matrix of ``x``; raises unless Hermitian, unit-trace and PSD."""
+def _require_state(x: ArrayLike, spectrum: bool = False):
+    """Density matrix of ``x``; raises unless Hermitian, unit-trace and PSD.
+
+    With ``spectrum``, returns (density matrix, eigenvalues, eigenvectors)
+    from the one ``eigh`` that checked it, for :func:`_psd_sqrt`.
+    """
     q = to_operator(x)
-    _square(q, "state", hermitian=True)
-    if abs((tr := np.trace(q.data).real) - 1.0) > 1e-8:
+    m = _square(q, "state", hermitian=True)
+    if abs((tr := m.trace().real) - 1.0) > 1e-8:
         raise InvalidObject(f"a state must have unit trace, got {tr:.6g}")
-    if (low := np.linalg.eigvalsh(q.data)[0]) < -1e-10:
+    vals, vecs = np.linalg.eigh(m) if spectrum else (np.linalg.eigvalsh(m), None)
+    if (low := vals[0]) < -1e-10:
         raise NotPositive(f"state has eigenvalue {low:.3e} < -1e-10")
-    return q
+    return (q, vals, vecs) if spectrum else q
+
+
+def _spectrum(x: ArrayLike, name: str, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``eigh`` (ascending eigenvalues, eigenvector columns) of a
+    Hermitian ``x``, d x d when ``d`` is given.  A QuantumObject keeps it, so
+    a generator used again skips both the Hermitian check and the solver."""
+    q = x if isinstance(x, QuantumObject) else QuantumObject(x)
+    h = _square(q, name, d, hermitian=True)
+    if q._eigh is None:
+        lam, v = np.linalg.eigh(h)
+        lam.flags.writeable = v.flags.writeable = False
+        q._eigh = lam, v
+    return q._eigh
 
 
 def _write_lines(lines: Sequence[str], path=None) -> None:
@@ -365,9 +393,9 @@ def ground(x: ArrayLike) -> QuantumObject:
     return QuantumObject(_fix_phase(vecs[:, 0]).reshape(-1, 1))
 
 
-def _evolution(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(-i t H) = V e^{-i t L} V^dag for a Hermitian ndarray H = V L V^dag."""
-    lam, v = np.linalg.eigh(h)
+def _evolution(spectrum: tuple[np.ndarray, np.ndarray], t: float = 1.0) -> np.ndarray:
+    """exp(-i t H) = V e^{-i t L} V^dag from the ``eigh`` (L, V) of a Hermitian H."""
+    lam, v = spectrum
     return (v * np.exp(-1j * t * lam)) @ v.conj().T
 
 
@@ -386,8 +414,12 @@ def mat_sqrt(x: ArrayLike) -> QuantumObject:
     vals, vecs = np.linalg.eigh(_square(x, "mat_sqrt input", hermitian=True))
     if np.min(vals) < -1e-10:
         raise NotPositive(f"matrix has eigenvalue {np.min(vals):.3e} < -1e-10")
-    vals = np.clip(vals, 0.0, None)
-    return QuantumObject((vecs * np.sqrt(vals)) @ vecs.conj().T)
+    return QuantumObject(_psd_sqrt(vals, vecs))
+
+
+def _psd_sqrt(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """V sqrt(max(L, 0)) V^dag from the ``eigh`` (L, V) of a PSD matrix."""
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
 
 
 def diagonalize(x: ArrayLike) -> QuantumObject:

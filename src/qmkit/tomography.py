@@ -16,7 +16,7 @@ from .errors import (
     RankDeficientSet,
 )
 from .measurement import MeasurementSet, SamplerBackend, measure_and_sample, probabilities
-from .qcore import Kind, QuantumObject, _require_state, density_matrix, mat_sqrt
+from .qcore import Kind, QuantumObject, _psd_sqrt, _require_state, _square, to_operator
 
 
 def trace_distance_pure(psi, phi) -> float:
@@ -31,29 +31,46 @@ def trace_distance_pure(psi, phi) -> float:
     return float(np.sqrt(max(0.0, 1.0 - abs(ov) ** 2)))
 
 
-def trace_distance(rho, sigma) -> float:
-    """(1/2) tr |rho - sigma| for Hermitian operators (kets are promoted)."""
-    a = density_matrix(rho)
-    b = density_matrix(sigma)
+def _states(rho, sigma, spectrum: bool = False) -> tuple:
+    """The two states a score compares: each square, both of one shape, then
+    each Hermitian, unit-trace and PSD.  With ``spectrum`` the first comes
+    with its ``eigh``, as :func:`_require_state` gives it."""
+    a = to_operator(rho)
+    _square(a, "state")
+    b = to_operator(sigma)
+    _square(b, "state")
     if a.shape != b.shape:
         raise DimensionMismatch(f"operators of shape {a.shape} vs {b.shape}")
+    return _require_state(a, spectrum), _require_state(b)
+
+
+def trace_distance(rho, sigma) -> float:
+    """(1/2) tr |rho - sigma| of two states (kets are promoted)."""
+    a, b = _states(rho, sigma)
+    return _trace_distance(a.data, b.data)
+
+
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace distance of two density matrices."""
     diff = a - b
     vals = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(0.5 * np.sum(np.abs(vals)))
+    return float(0.5 * np.abs(vals).sum())
 
 
 def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), clamped to [0, 1]."""
-    a = density_matrix(rho)
-    b = density_matrix(sigma)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"operators of shape {a.shape} vs {b.shape}")
-    sq = mat_sqrt(QuantumObject(a)).data
+    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)) of two states (kets
+    are promoted), clamped to [0, 1]."""
+    (_, vals, vecs), b = _states(rho, sigma, spectrum=True)
+    return _fidelity(_psd_sqrt(vals, vecs), b.data)
+
+
+def _fidelity(sq: np.ndarray, b: np.ndarray) -> float:
+    """Fidelity from sqrt(rho) and sigma."""
     inner = sq @ b @ sq
     vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    if np.min(vals) < -1e-8:
-        raise NotPositive(f"fidelity operand has eigenvalue {np.min(vals):.3e}")
-    f = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
+    if vals[0] < -1e-8:                                   # eigvalsh sorts ascending
+        raise NotPositive(f"fidelity operand has eigenvalue {vals[0]:.3e}")
+    f = float(np.sqrt(np.maximum(vals, 0.0)).sum())
     return min(max(f, 0.0), 1.0)
 
 
@@ -81,26 +98,29 @@ def _real_basis(d: int) -> np.ndarray:
 
 def _inversion_map(mset: MeasurementSet) -> tuple:
     """What linear inversion needs of a set, built on first use and kept on
-    the set: (offsets, gram_inv).
+    the set: (offsets, gram_inv, real stack, 1/d).
 
     With off_k = tr(E_k)/d and M[k, a] = Re tr(E_k B_a), rho - 1/d has the
     least-squares coordinates x = (M^T M)^{-1} M^T (f - off), and
     M^T (f - off) = Re tr(A B_a) with A = sum_k (f_k - off_k) E_k, so M is
     never kept.  ``gram_inv`` is (M^T M)^{-1}, or None when M^T M is
-    singular.
+    singular.  The real stack is a (K, 2 d^2) view of the elements with
+    interleaved (re, im) entries; 1/d is the d x d identity over d.
     """
     if mset._inversion is not None:
         return mset._inversion
     d = mset.dim
     basis = _real_basis(d)
+    real = mset.stack.view(float).reshape(len(mset), -1)
     gram = np.zeros((d * d - 1, d * d - 1))
     for start in range(0, len(mset), 64):      # row blocks: M is never held whole
-        rows = mset.stack[start:start + 64]
-        m = rows.view(float).reshape(len(rows), -1) @ basis.T
+        m = real[start:start + 64] @ basis.T
         gram += m.T @ m
     full_rank = np.linalg.matrix_rank(gram, hermitian=True) == d * d - 1
+    mixed = np.eye(d, dtype=complex) / d
+    mixed.flags.writeable = False
     inv = (np.trace(mset.stack, axis1=1, axis2=2).real / d,
-           np.linalg.inv(gram) if full_rank else None)
+           np.linalg.inv(gram) if full_rank else None, real, mixed)
     object.__setattr__(mset, "_inversion", inv)
     return inv
 
@@ -109,9 +129,10 @@ def reconstruct_linear_inversion(freqs, mset: MeasurementSet) -> QuantumObject:
     """Least-squares inversion of tr(E_k rho) = f_k over unit-trace Hermitian
     matrices, followed by a PSD projection.
 
-    Frequencies must be finite (else :class:`InvalidDistribution`); those
-    of grouped sets are renormalized per group first.  The projection
-    clips negative eigenvalues to zero and renormalizes the trace.  Raises
+    Frequencies must be finite, and small enough that the estimate does
+    not overflow (else :class:`InvalidDistribution`); those of grouped sets
+    are renormalized per group first.  The projection clips negative
+    eigenvalues to zero and renormalizes the trace.  Raises
     :class:`RankDeficientSet` when the elements do not span the traceless
     operator space, i.e. when the Gram matrix M^T M of the design matrix
     is numerically singular.
@@ -122,23 +143,30 @@ def reconstruct_linear_inversion(freqs, mset: MeasurementSet) -> QuantumObject:
     if not np.isfinite(f).all():
         raise InvalidDistribution(f"frequency {f[~np.isfinite(f)][0]} is not finite")
     d = mset.dim
-    offsets, gram_inv = _inversion_map(mset)
+    offsets, gram_inv, real, mixed = _inversion_map(mset)
     if gram_inv is None:
         raise RankDeficientSet(
             f"{mset.kind} set with {len(mset)} elements does not determine a "
             f"{d}-dimensional state"
         )
-    sums = mset.group_sums(f)
-    # each element over its group's sum; an ungrouped one (group -1) over the trailing 1.0
-    f /= np.append(np.where(sums > 0, sums, 1.0), 1.0)[mset.group_of]
     basis = _real_basis(d)
-    a = (f - offsets) @ mset.stack.view(float).reshape(len(f), -1)   # A, interleaved
-    x = gram_inv @ (basis @ a)
-    rho = np.eye(d, dtype=complex) / d + (x @ basis).view(complex).reshape(d, d)
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    vals = np.clip(vals, 0.0, None)
-    vals /= vals.sum()
-    return QuantumObject((vecs * vals) @ vecs.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow is refused below
+        if mset.groups:
+            sums = mset.group_sums(f)
+            # each element over its group's sum; an ungrouped one (group -1) over the trailing 1.0
+            f /= np.append(np.where(sums > 0, sums, 1.0), 1.0)[mset.group_of]
+        x = gram_inv @ (basis @ ((f - offsets) @ real))    # (f - offsets) @ real is A, interleaved
+        rho = mixed + (x @ basis).view(complex).reshape(d, d)
+        rho = (rho + rho.conj().T) / 2
+        if finite := np.isfinite(rho).all():
+            vals, vecs = np.linalg.eigh(rho)
+            vals = np.maximum(vals, 0.0)
+            finite = np.isfinite(total := vals.sum())
+    if not finite:
+        top = np.abs(np.asarray(freqs, dtype=float)).max()
+        raise InvalidDistribution(f"frequencies up to {top:.3g} in magnitude overflow the estimate")
+    vals /= total
+    return QuantumObject._view((vecs * vals) @ vecs.conj().T)
 
 
 Estimator = Callable[[Sequence[float], MeasurementSet], QuantumObject]
@@ -182,7 +210,7 @@ def run_tomography(true_state, mset: MeasurementSet, shots: int | None = None,
     ``shots = None`` bypasses sampling and feeds exact probabilities to the
     estimator (default: linear inversion + PSD projection).
     """
-    rho_true = _require_state(true_state)
+    rho_true, vals, vecs = _require_state(true_state, spectrum=True)
     if shots is None:
         freqs = probabilities(rho_true, mset)
         backend_name, seed = "exact", 0
@@ -193,6 +221,8 @@ def run_tomography(true_state, mset: MeasurementSet, shots: int | None = None,
         backend_name, seed = backend.method, backend.seed
     est = estimator if estimator is not None else reconstruct_linear_inversion
     rec = est(freqs, mset)
+    # linear inversion returns a state; another estimate is checked as a score's argument
+    b = rec.data if estimator is None else _states(rho_true, rec)[1].data
     return TomographyRun(
         true_state=rho_true,
         set_kind=mset.kind,
@@ -200,6 +230,6 @@ def run_tomography(true_state, mset: MeasurementSet, shots: int | None = None,
         backend=backend_name,
         seed=seed,
         reconstructed=rec,
-        fidelity=fidelity(rho_true, rec),
-        trace_distance=trace_distance(rho_true, rec),
+        fidelity=_fidelity(_psd_sqrt(vals, vecs), b),
+        trace_distance=_trace_distance(rho_true.data, b),
     )

@@ -82,6 +82,32 @@ def test_encode_phase_requires_hermitian_generator():
         encode_phase(_plus(), [[0, 1], [0, 0]], 0.3)
 
 
+def test_generator_keeps_its_eigendecomposition(rng):
+    # a QuantumObject generator is decomposed once; later calls give the same bits
+    # as a plain array generator, which keeps nothing
+    h = spin(2, "z")
+    arr = h.data.copy()
+    psi = random_ket(rng, 5)
+    first = encode_phase(psi, h, 0.4)
+    lam, v = h._eigh
+    assert not (lam.flags.writeable or v.flags.writeable)
+    for phi in (0.4, 1.3):
+        np.testing.assert_array_equal(encode_phase(psi, h, phi).data,
+                                      encode_phase(psi, arr, phi).data)
+    assert h._eigh[1] is v
+    assert not first.data.flags.writeable
+    assert quantum_fisher(first, h) == quantum_fisher(first, arr)
+    with pytest.raises(DimensionMismatch):                 # the kept spectrum skips no shape check
+        encode_phase(random_ket(rng, 3), h, 0.4)
+
+
+def test_encode_phase_refuses_a_phase_that_overflows():
+    # phi * eigenvalue beyond the float range would give a NaN state
+    with pytest.raises(InvalidParameter):
+        encode_phase(_plus(), 2 * pauli("z"), 1e308)
+    assert np.isfinite(encode_phase(_plus(), pauli("z"), 1e308).data).all()
+
+
 def test_classical_fisher_ramsey():
     h = 0.5 * pauli("z")
     mset = _sigma_x_set()

@@ -204,6 +204,17 @@ def test_to_operator():
     np.testing.assert_allclose(to_operator(dual_basis(2, 0)).data, [[1, 0], [0, 0]])
 
 
+def test_to_operator_converts_a_ket_once(rng):
+    # the outer product of the normalised ket, bit for bit, and read-only
+    v = rng.normal(size=5) + 1j * rng.normal(size=5)
+    u = (v / np.linalg.norm(v.reshape(-1, 1))).reshape(-1)
+    for x, w in ((v, u), (v.reshape(1, -1), u.conj())):
+        rho = to_operator(x)
+        np.testing.assert_array_equal(rho.data, np.outer(w, w.conj()))
+        assert not rho.data.flags.writeable
+        assert not density_matrix(x).flags.writeable
+
+
 def test_dot_evolution_example():
     # hand multiply: (0.5 sz - 0.25 sx) (1,1)/sqrt2 = (0.25, -0.75)/sqrt2
     u = 0.5 * pauli("z") - 0.25 * pauli("x")

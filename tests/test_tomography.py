@@ -78,6 +78,46 @@ def test_metric_dimension_mismatch():
         trace_distance_pure(basis(2, 0), basis(3, 0))
 
 
+_NON_STATES = [
+    (identity(2), InvalidObject),                        # trace 2
+    (np.diag([1.5, -0.5]), NotPositive),                 # unit trace, not PSD
+    (np.array([[0.5, 1.0], [0.0, 0.5]]), NotHermitian),  # unit trace, not Hermitian
+]
+
+
+@pytest.mark.parametrize("score", [fidelity, trace_distance])
+@pytest.mark.parametrize("operator, error", _NON_STATES)
+def test_metrics_refuse_non_states(score, operator, error):
+    # either argument, under the rule run_tomography applies to its true state
+    with pytest.raises(error):
+        score(operator, identity(2) / 2)
+    with pytest.raises(error):
+        score(identity(2) / 2, operator)
+
+
+def test_metrics_check_shapes_before_states():
+    # two non-states of different dimension: the shapes are refused first
+    with pytest.raises(DimensionMismatch):
+        fidelity(identity(2), identity(3))
+
+
+def test_run_scores_equal_public_metrics_bitwise(rng):
+    for mset, shots in ((build_sic_set(4), None), (build_sic_set(4), 300),
+                        (build_pauli_set(2), 300), (build_stoke_set(2), None)):
+        rho = random_density(rng, 4, rank=2)
+        run = run_tomography(rho, mset, shots, SamplerBackend("cdf", 1))
+        assert run.fidelity == fidelity(rho, run.reconstructed)
+        assert run.trace_distance == trace_distance(rho, run.reconstructed)
+
+
+def test_run_tomography_refuses_a_non_state_estimate():
+    with pytest.raises(InvalidObject):
+        run_tomography(basis(2, 0), build_pauli_set(1), estimator=lambda f, ms: identity(2))
+    with pytest.raises(DimensionMismatch):
+        run_tomography(basis(2, 0), build_pauli_set(1),
+                       estimator=lambda f, ms: identity(3) / 3)
+
+
 def test_metric_axioms_random_triples(rng):
     for _ in range(50):
         d = int(rng.integers(2, 9))
@@ -327,6 +367,22 @@ def test_inversion_rejects_non_finite_frequencies(bad):
     freqs[3] = bad
     with pytest.raises(InvalidDistribution):
         reconstruct_linear_inversion(freqs, build_pauli_set(1))
+
+
+@pytest.mark.parametrize("freqs, make_set", [
+    (np.full(64, 1e308), lambda: build_stoke_set(3)),      # ungrouped: A overflows
+    ([1e300, -1e300, 1e-300, 0.0], lambda: build_sic_set(2)),  # grouped: f / sum overflows
+])
+def test_inversion_refuses_frequencies_that_overflow(freqs, make_set):
+    # Tier-1 turns RuntimeWarnings into errors, so this also checks that none is emitted
+    with pytest.raises(InvalidDistribution, match="overflow"):
+        reconstruct_linear_inversion(freqs, make_set())
+
+
+def test_inversion_result_is_read_only():
+    rec = reconstruct_linear_inversion(np.full(4, 0.25), build_sic_set(2))
+    assert not rec.data.flags.writeable
+    np.testing.assert_allclose(rec.data, np.eye(2) / 2, atol=1e-12)
 
 
 def test_report_serialization(tmp_path):
