@@ -32,7 +32,7 @@ from .errors import (
     OutcomeImpossible,
     UnsupportedDimension,
 )
-from .qcore import HERMITIAN_TOL, QuantumObject, _count, _real, density_matrix
+from .qcore import HERMITIAN_TOL, QuantumObject, _count, _real, _require_state, density_matrix
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
@@ -197,7 +197,7 @@ def probabilities(state, observables) -> np.ndarray:
     observables it is the expectation values.  An imaginary residue above
     1e-10 (non-Hermitian operator on a state) raises.
     """
-    rho = density_matrix(state)
+    rho = _require_state(state).data
     stack = observables.stack if isinstance(observables, MeasurementSet) else _stack(observables)
     if stack.shape[1:] != rho.shape:
         raise DimensionMismatch(f"operators have shape {stack.shape[1:]}, state has {rho.shape}")
@@ -361,15 +361,15 @@ def sample_cdf_continuous(inverse_cdf: Callable, shots: int, rng=None) -> np.nda
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
-    """Row-wise CDFs of the (R, K) distributions ``p``, each row checked to
-    be finite, non-negative and to sum to 1."""
+    """Row-wise cumulative sums of the (R, K) distributions ``p``, each row
+    checked to be finite, non-negative and to sum to 1 (within 1e-8: a row
+    ends at its own total, by which :func:`_stratified_counts` scales)."""
     if not p.min() >= -1e-12:
         raise InvalidDistribution(f"negative or NaN probability {p.min():.3e}")
     total = p.sum(axis=1)
     if (off := np.abs(total - 1.0)).max() > 1e-8:
         raise InvalidDistribution(f"probabilities sum to {total[off.argmax()]:.10f}, not 1")
-    p = np.maximum(p, 0.0)
-    return np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+    return np.cumsum(np.maximum(p, 0.0), axis=1)
 
 
 def _stratified_counts(cum: np.ndarray, shots: int, g: np.random.Generator) -> np.ndarray:

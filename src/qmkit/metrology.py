@@ -67,9 +67,9 @@ def quantum_fisher(rho, generator) -> float:
     Uses the spectral form 2 sum_{m,n} (q_m - q_n)^2 / (q_m + q_n)
     |<m|H|n>|^2, skipping eigenvalue pairs with q_m + q_n <= 1e-12.
     """
-    dm = _require_state(rho).data
-    h = _square(generator, "generator", len(dm), hermitian=True)
-    q, v = np.linalg.eigh((dm + dm.conj().T) / 2)
+    rho = _require_state(rho)
+    h = _square(generator, "generator", rho.dim, hermitian=True)
+    q, v = _spectrum(rho, "state")
     q = np.maximum(q, 0.0)
     q = q / q.sum()
     ht = v.conj().T @ h @ v
@@ -142,8 +142,8 @@ class MetrologyScenario:
 
     def __post_init__(self):
         probe, h, a = (QuantumObject(x) for x in (self.probe, self.generator, self.observable))
-        for name, op in (("generator", h), ("observable", a)):
-            _square(op, name, probe.dim, hermitian=True)
+        _spectrum(h, "generator", probe.dim)             # kept on h for run_scenario
+        _square(a, "observable", probe.dim, hermitian=True)
         _count(probe.dim, "scenario dimension", least=2)
         _require_state(probe)
         phis = np.asarray(self.phis, dtype=float)
@@ -175,7 +175,7 @@ def run_scenario(scenario: MetrologyScenario) -> PrecisionCurve:
     SQL/HL levels is n = 2j = dim - 1, i.e. the number of two-level
     constituents of the collective spin.
     """
-    lam, v = np.linalg.eigh(scenario.generator.data)
+    lam, v = _spectrum(scenario.generator, "generator")
     rho = v.conj().T @ density_matrix(scenario.probe) @ v
     a = v.conj().T @ scenario.observable.data @ v
     u = np.exp(-1j * np.outer(scenario.phis, lam))

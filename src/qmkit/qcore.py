@@ -53,9 +53,9 @@ class QuantumObject:
     A column (n x 1, n > 1) is a ket, a row (1 x n, n > 1) a bra, anything
     else (including 1 x 1 scalars) an oper.  One-dimensional input is read
     as a column vector.  The wrapped array is copied and frozen, so a
-    QuantumObject can be shared freely between threads.  A generator keeps
-    its checked eigendecomposition (:func:`_spectrum`), and a wrapper of
-    it shares that.
+    QuantumObject can be shared freely between threads.  A Hermitian
+    object keeps its eigendecomposition once :func:`_spectrum` has made
+    it, and a wrapper of it shares that.
     """
 
     __slots__ = ("_data", "_eigh")
@@ -215,16 +215,22 @@ def normalize(x: ArrayLike) -> QuantumObject:
 
 
 def _unit(q: QuantumObject) -> np.ndarray:
-    """The matrix of a ket or bra over its norm (so each entry is at most 1)."""
-    n = np.linalg.norm(q.data)
+    """The matrix of a ket or bra over its norm (so each entry is at most 1).
+    Entries whose squares overflow are first divided by the largest part."""
+    v = q.data
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if n == math.inf:
+        v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
+        n = np.linalg.norm(v)
     if n < 1e-14:
         raise ZeroNorm("vector has (near) zero norm")
-    return q.data / n
+    return v / n
 
 
 def to_operator(x: ArrayLike) -> QuantumObject:
     """Outer product |psi><psi| of a (normalized) bra or ket; opers pass through."""
-    q = QuantumObject(x)
+    q = x if isinstance(x, QuantumObject) else QuantumObject(x)
     if q.kind is Kind.OPER:
         return q
     v = _unit(q).reshape(-1)
@@ -283,32 +289,33 @@ def _complex(value, name: str) -> complex:
     raise InvalidParameter(f"{name} must be a finite number, got {value!r}")
 
 
-def _require_state(x: ArrayLike, spectrum: bool = False):
-    """Density matrix of ``x``; raises unless Hermitian, unit-trace and PSD.
-
-    With ``spectrum``, returns (density matrix, eigenvalues, eigenvectors)
-    from the one ``eigh`` that checked it, for :func:`_psd_sqrt`.
-    """
-    q = to_operator(x)
-    m = _square(q, "state", hermitian=True)
-    if abs((tr := m.trace().real) - 1.0) > 1e-8:
+def _require_state(x: ArrayLike) -> QuantumObject:
+    """The density matrix of ``x``.  A ket or bra becomes its projector, a
+    state by construction; an operator must be Hermitian, unit-trace and PSD,
+    read off the eigendecomposition that :func:`_spectrum` keeps on it."""
+    q = x if isinstance(x, QuantumObject) else QuantumObject(x)
+    if q.kind is not Kind.OPER:
+        return to_operator(q)
+    vals = _spectrum(q, "state")[0]
+    if abs((tr := q.data.trace().real) - 1.0) > 1e-8:
         raise InvalidObject(f"a state must have unit trace, got {tr:.6g}")
-    vals, vecs = np.linalg.eigh(m) if spectrum else (np.linalg.eigvalsh(m), None)
     if (low := vals[0]) < -1e-10:
         raise NotPositive(f"state has eigenvalue {low:.3e} < -1e-10")
-    return (q, vals, vecs) if spectrum else q
+    return q
 
 
 def _spectrum(x: ArrayLike, name: str, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The ``eigh`` (ascending eigenvalues, eigenvector columns) of a
-    Hermitian ``x``, d x d when ``d`` is given.  A QuantumObject keeps it, so
-    a generator used again skips both the Hermitian check and the solver."""
+    Hermitian ``x``, d x d when ``d`` is given: the one place an input is
+    decomposed.  A QuantumObject keeps it, so the next call skips both the
+    Hermitian check and the solver."""
     q = x if isinstance(x, QuantumObject) else QuantumObject(x)
-    h = _square(q, name, d, hermitian=True)
     if q._eigh is None:
-        lam, v = np.linalg.eigh(h)
+        lam, v = np.linalg.eigh(_square(q, name, d, hermitian=True))
         lam.flags.writeable = v.flags.writeable = False
         q._eigh = lam, v
+    elif d is not None:
+        _square(q, name, d)
     return q._eigh
 
 
@@ -388,7 +395,7 @@ def eigen(x: ArrayLike) -> EigenDecomposition:
 
 def ground(x: ArrayLike) -> QuantumObject:
     """Eigenvector of the minimal eigenvalue of a Hermitian matrix."""
-    vals, vecs = np.linalg.eigh(_square(x, "Hamiltonian", hermitian=True))
+    vals, vecs = _spectrum(x, "Hamiltonian")
     # eigh sorts ascending, so column 0 is the ground space (first on ties)
     return QuantumObject(_fix_phase(vecs[:, 0]).reshape(-1, 1))
 
@@ -411,9 +418,9 @@ def mat_sqrt(x: ArrayLike) -> QuantumObject:
     Eigenvalues in [-1e-10, 0) are clipped to zero; anything more negative
     raises :class:`NotPositive`.
     """
-    vals, vecs = np.linalg.eigh(_square(x, "mat_sqrt input", hermitian=True))
-    if np.min(vals) < -1e-10:
-        raise NotPositive(f"matrix has eigenvalue {np.min(vals):.3e} < -1e-10")
+    vals, vecs = _spectrum(x, "mat_sqrt input")
+    if vals[0] < -1e-10:
+        raise NotPositive(f"matrix has eigenvalue {vals[0]:.3e} < -1e-10")
     return QuantumObject(_psd_sqrt(vals, vecs))
 
 

@@ -16,7 +16,7 @@ from .errors import (
     RankDeficientSet,
 )
 from .measurement import MeasurementSet, SamplerBackend, measure_and_sample, probabilities
-from .qcore import Kind, QuantumObject, _psd_sqrt, _require_state, _square, to_operator
+from .qcore import Kind, QuantumObject, _psd_sqrt, _require_state, _spectrum, _square
 
 
 def trace_distance_pure(psi, phi) -> float:
@@ -31,17 +31,16 @@ def trace_distance_pure(psi, phi) -> float:
     return float(np.sqrt(max(0.0, 1.0 - abs(ov) ** 2)))
 
 
-def _states(rho, sigma, spectrum: bool = False) -> tuple:
-    """The two states a score compares: each square, both of one shape, then
-    each Hermitian, unit-trace and PSD.  With ``spectrum`` the first comes
-    with its ``eigh``, as :func:`_require_state` gives it."""
-    a = to_operator(rho)
-    _square(a, "state")
-    b = to_operator(sigma)
-    _square(b, "state")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"operators of shape {a.shape} vs {b.shape}")
-    return _require_state(a, spectrum), _require_state(b)
+def _states(rho, sigma) -> tuple:
+    """The two states a score compares: both of one dimension, each operator
+    square, then each a state under :func:`_require_state`."""
+    a, b = (x if isinstance(x, QuantumObject) else QuantumObject(x) for x in (rho, sigma))
+    for q in (a, b):
+        if q.kind is Kind.OPER:
+            _square(q, "state")
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"states of dimension {a.dim} vs {b.dim}")
+    return _require_state(a), _require_state(b)
 
 
 def trace_distance(rho, sigma) -> float:
@@ -60,8 +59,8 @@ def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)) of two states (kets
     are promoted), clamped to [0, 1]."""
-    (_, vals, vecs), b = _states(rho, sigma, spectrum=True)
-    return _fidelity(_psd_sqrt(vals, vecs), b.data)
+    a, b = _states(rho, sigma)
+    return _fidelity(_psd_sqrt(*_spectrum(a, "state")), b.data)
 
 
 def _fidelity(sq: np.ndarray, b: np.ndarray) -> float:
@@ -210,7 +209,7 @@ def run_tomography(true_state, mset: MeasurementSet, shots: int | None = None,
     ``shots = None`` bypasses sampling and feeds exact probabilities to the
     estimator (default: linear inversion + PSD projection).
     """
-    rho_true, vals, vecs = _require_state(true_state, spectrum=True)
+    rho_true = _require_state(true_state)
     if shots is None:
         freqs = probabilities(rho_true, mset)
         backend_name, seed = "exact", 0
@@ -230,6 +229,6 @@ def run_tomography(true_state, mset: MeasurementSet, shots: int | None = None,
         backend=backend_name,
         seed=seed,
         reconstructed=rec,
-        fidelity=_fidelity(_psd_sqrt(vals, vecs), b),
+        fidelity=_fidelity(_psd_sqrt(*_spectrum(rho_true, "state")), b),
         trace_distance=_trace_distance(rho_true.data, b),
     )

@@ -80,6 +80,7 @@ _COMMANDS = {
     "state-coherent-amplitude-noise": ["state", "--name", "coherent", "--d", "5", "--alpha", "1",
                                        "--noise-mean", "0.1", "--noise-std", "0.05",
                                        "--seed", "9"],
+    "state-ghz-overflowing-noise": ["state", "--name", "ghz", "--n", "1", "--noise-mean", "1e200"],
     # the sets not covered above
     "measure-xyz": ["measure", "--name", "spin-coherent", "--j", "0.5", "--theta", "0.8",
                     "--phi", "1.1", "--set", "xyz", *_OUT],
@@ -128,7 +129,9 @@ def _run(argv, tmp_path, monkeypatch, capsys) -> tuple[int, dict]:
 
 # recorded on NumPy 2.4.6 / x86-64 (AVX-512), where _platform_digest() equals
 # _PLATFORM_DIGEST, before the tomography and Fisher paths stopped converting
-# each input more than once; rows: (exit code, {output: SHA-256})
+# each input more than once (the row state-ghz-overflowing-noise was added
+# when a ket whose squared norm overflows began to be rescaled, not zeroed);
+# rows: (exit code, {output: SHA-256})
 _DIGESTS = {
     "c10-backend-compare": (0, {
         "out": "39c5efd062766c4be69a7f062ccf4fdccf662db0e65507034b3a2ddf3b608ffd",
@@ -242,6 +245,9 @@ _DIGESTS = {
     }),
     "state-dicke-white-noise": (0, {
         "out": "a06dbded925de26d81efce51ed0eccbc68bf2f62d9e72ab0a9daa10538acd17c",
+    }),
+    "state-ghz-overflowing-noise": (0, {
+        "<stdout>": "9f59f37943c789f46d34409b64578e9e1758779ae4f928c84519c968b1a35bc9",
     }),
     "state-position": (0, {
         "<stdout>": "c6175cf33f369e6d80c8dc8c272cac92a370b3ba41a75ed248aa140d4eaec926",

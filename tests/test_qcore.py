@@ -197,6 +197,18 @@ def test_normalize_zero_raises():
         normalize(pauli("x"))  # traceless oper
 
 
+@pytest.mark.parametrize("big, small", [([1e200, 1e200], [1.0, 1.0]),
+                                        ([1e200j, 1e200j], [1j, 1j]),
+                                        ([1e308, 1e308j], [1.0, 1j])])
+def test_a_ket_whose_squared_norm_overflows_is_rescaled_first(big, small):
+    # the norm is taken after dividing by the largest part, so the results
+    # are those of the same ket at unit scale (|+> and |+i> up to a phase)
+    np.testing.assert_array_equal(normalize(big).data, normalize(small).data)
+    pset = build_pauli_set(1)
+    np.testing.assert_array_equal(probabilities(big, pset), probabilities(small, pset))
+    np.testing.assert_array_equal(husimi_planar(big).values, husimi_planar(small).values)
+
+
 def test_to_operator():
     np.testing.assert_allclose(to_operator(basis(2, 0)).data, [[1, 0], [0, 0]])
     plus = normalize([1.0, 1.0])

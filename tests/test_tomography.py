@@ -10,19 +10,26 @@ from hypothesis import strategies as st
 from conftest import random_density, random_ket
 from qmkit import (
     MeasurementSet,
+    MetrologyScenario,
     SamplerBackend,
     basis,
     build_mub_set,
     build_pauli_set,
     build_sic_set,
     build_stoke_set,
+    classical_fisher,
     fidelity,
     ghz,
     identity,
+    measure_and_sample,
+    normalize,
     pauli,
     probabilities,
+    quantum_fisher,
     reconstruct_linear_inversion,
+    run_scenario,
     run_tomography,
+    spin,
     to_operator,
     trace_distance,
     trace_distance_pure,
@@ -99,6 +106,69 @@ def test_metrics_check_shapes_before_states():
     # two non-states of different dimension: the shapes are refused first
     with pytest.raises(DimensionMismatch):
         fidelity(identity(2), identity(3))
+
+
+# each public function that takes a state, reduced to the arrays it returns
+_STATE_BOUNDARIES = {
+    "probabilities": lambda x: probabilities(x, build_pauli_set(1)),
+    "measure_and_sample-mc": lambda x: measure_and_sample(x, build_pauli_set(1),
+                                                          SamplerBackend("mc", 1), 50),
+    "measure_and_sample-cdf": lambda x: measure_and_sample(x, build_pauli_set(1),
+                                                           SamplerBackend("cdf", 1), 50),
+    "classical_fisher": lambda x: classical_fisher(lambda phi: x, build_pauli_set(1), 0.3),
+    "quantum_fisher": lambda x: quantum_fisher(x, pauli("z")),
+    "run_tomography": lambda x: (lambda r: (r.reconstructed.data, r.fidelity, r.trace_distance))(
+        run_tomography(x, build_pauli_set(1), 40, SamplerBackend("cdf", 2))),
+    "fidelity": lambda x: fidelity(x, identity(2) / 2),
+    "trace_distance": lambda x: trace_distance(identity(2) / 2, x),
+    "MetrologyScenario": lambda x: run_scenario(MetrologyScenario(
+        probe=x, generator=pauli("z"), phis=[0.0, 0.5, 1.0], observable=pauli("x"))).expectation,
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(_STATE_BOUNDARIES))
+def test_every_state_boundary_refuses_non_states(boundary):
+    call = _STATE_BOUNDARIES[boundary]
+    for operator, error in _NON_STATES:
+        with pytest.raises(error):
+            call(operator)
+    # a ket is a state by construction, even when its squared norm overflows
+    got, want = call([1e200, 1e200]), call([1.0, 1.0])
+    for a, b in zip(got if isinstance(got, tuple) else (got,),
+                    want if isinstance(want, tuple) else (want,)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_each_object_is_decomposed_once(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+
+    def count(fn):
+        calls.update(eigh=0, eigvalsh=0)
+        fn()
+        return dict(calls)
+
+    psi, h = normalize([1.0, 1j, 2.0]), spin(1, "z")
+    assert count(lambda: quantum_fisher(psi, h)) == {"eigh": 1, "eigvalsh": 0}
+    assert count(lambda: run_scenario(MetrologyScenario(
+        probe=psi, generator=h, phis=[0.0, 0.5], observable=spin(1, "x")))) == {"eigh": 1,
+                                                                               "eigvalsh": 0}
+    # a ket is a state by construction: its score decomposes only the difference
+    assert count(lambda: trace_distance(psi, [1.0, 0.0, 0.0])) == {"eigh": 0, "eigvalsh": 1}
+    # one eigh for the state, one for the PSD projection; each score's kernel
+    # decomposes a matrix it built
+    rho = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+    assert count(lambda: run_tomography(rho, build_sic_set(4))) == {"eigh": 2, "eigvalsh": 2}
 
 
 def test_run_scores_equal_public_metrics_bitwise(rng):
