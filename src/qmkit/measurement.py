@@ -135,22 +135,21 @@ class MeasurementSet:
     def dim(self) -> int:
         return self.stack.shape[1]
 
-    def validate(self, psd_tol: float = PSD_TOL,
-                 completeness_tol: float = COMPLETENESS_TOL) -> None:
+    def validate(self) -> None:
         """Check PSD-ness of every element and completeness of every group."""
         s = self.stack
         asym = np.max(np.abs(s - s.conj().transpose(0, 2, 1)), axis=(1, 2))
         lo = np.linalg.eigvalsh(s).min(axis=1)
-        bad = np.flatnonzero((asym > HERMITIAN_TOL) | (lo < -psd_tol))
+        bad = np.flatnonzero((asym > HERMITIAN_TOL) | (lo < -PSD_TOL))
         if bad.size:
             i = bad[0]
             if asym[i] > HERMITIAN_TOL:
                 raise NotHermitian(f"element {i} is not Hermitian")
-            raise InvalidParameter(f"element {i} has eigenvalue {lo[i]:.3e} < -{psd_tol}")
+            raise InvalidParameter(f"element {i} has eigenvalue {lo[i]:.3e} < -{PSD_TOL}")
         eye = np.eye(self.dim)
         for g, idx in enumerate(self.groups):
             dev = np.max(np.abs(s[list(idx)].sum(axis=0) - eye))
-            if dev > completeness_tol:
+            if dev > COMPLETENESS_TOL:
                 raise InvalidParameter(f"group {g} misses identity by {dev:.3e}")
 
 

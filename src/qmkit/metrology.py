@@ -26,7 +26,7 @@ def encode_phase(state, generator, phi: float) -> QuantumObject:
     A QuantumObject generator keeps its V and L for the next call."""
     st = QuantumObject(state)
     if st.kind is Kind.OPER:
-        _square(st, "state")
+        _require_state(st)
     lam, v = _spectrum(generator, "generator", st.dim)
     phi = _real(phi, "phi")
     if not abs(phi) * max(-float(lam[0]), float(lam[-1])) <= sys.float_info.max:

@@ -199,8 +199,15 @@ def trace(x: ArrayLike) -> complex:
 
 
 def l2norm(x: ArrayLike) -> float:
-    """Euclidean norm for vectors, Frobenius norm for operators."""
-    return float(np.linalg.norm(QuantumObject(x).data))
+    """Euclidean norm for vectors, Frobenius norm for operators.  Entries
+    whose squares overflow are first divided by the largest part."""
+    v = QuantumObject(x).data
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if n == math.inf:
+        s = max(np.abs(v.real).max(), np.abs(v.imag).max())
+        n = float(s) * float(np.linalg.norm(v / s))     # inf only past the float range
+    return n
 
 
 def normalize(x: ArrayLike) -> QuantumObject:
@@ -240,8 +247,8 @@ def to_operator(x: ArrayLike) -> QuantumObject:
 
 
 def density_matrix(x: ArrayLike) -> np.ndarray:
-    """Plain ndarray density matrix of a ket, bra, or square oper input."""
-    return _square(to_operator(x), "state")
+    """Plain ndarray density matrix of a ket, bra, or state under :func:`_require_state`."""
+    return _require_state(x).data
 
 
 def _square(x: ArrayLike, name: str, d: int | None = None, hermitian: bool = False) -> np.ndarray:
@@ -372,14 +379,13 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 def _sorted_eig(x: ArrayLike, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a square ``x``, descending by real part (ties by
     imaginary part), and the eigenvector columns in that order.  Hermitian
-    input goes through the symmetric solver and yields real eigenvalues and
-    an orthonormal eigenbasis."""
-    q = QuantumObject(x)
-    _square(q, name)
-    if q.is_hermitian():
-        vals, vecs = np.linalg.eigh(q.data)
+    input reads the kept :func:`_spectrum`, with real eigenvalues and an
+    orthonormal eigenbasis."""
+    q = x if isinstance(x, QuantumObject) else QuantumObject(x)
+    try:
+        vals, vecs = _spectrum(q, name)
         vals = vals.astype(float)
-    else:
+    except NotHermitian:
         vals, vecs = np.linalg.eig(q.data)
     order = np.lexsort((-np.imag(vals), -np.real(vals)))
     return vals[order], vecs[:, order]

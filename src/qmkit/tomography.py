@@ -16,18 +16,18 @@ from .errors import (
     RankDeficientSet,
 )
 from .measurement import MeasurementSet, SamplerBackend, measure_and_sample, probabilities
-from .qcore import Kind, QuantumObject, _psd_sqrt, _require_state, _spectrum, _square
+from .qcore import Kind, QuantumObject, _psd_sqrt, _require_state, _spectrum, _square, _unit
 
 
 def trace_distance_pure(psi, phi) -> float:
-    """sqrt(1 - |<phi|psi>|^2) for two unit kets."""
+    """sqrt(1 - |<phi|psi>|^2) for two kets, each normalised on use."""
     a = QuantumObject(psi)
     b = QuantumObject(phi)
     if a.kind is not Kind.KET or b.kind is not Kind.KET:
         raise DimensionMismatch("trace_distance_pure expects two kets")
     if a.shape != b.shape:
         raise DimensionMismatch(f"kets of dimension {a.dim} vs {b.dim}")
-    ov = np.vdot(b.data.reshape(-1), a.data.reshape(-1))
+    ov = np.vdot(_unit(b).reshape(-1), _unit(a).reshape(-1))
     return float(np.sqrt(max(0.0, 1.0 - abs(ov) ** 2)))
 
 

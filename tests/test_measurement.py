@@ -111,6 +111,42 @@ def test_measure_returns_outcome_bundle():
             measure(ghz(1), kraus)
 
 
+def _pointer_mean(i, f, a, sigma):
+    """Mean pointer position after a von Neumann measurement of the observable
+    ``a`` with a Gaussian pointer of width ``sigma``, conditioned on finding
+    the system in |f>.  Outcome x has Kraus operator |f><f| M(x) with
+    M(x) = sqrt(dx) sum_a g(x - a) |a><a| and g(x) = (2 pi sigma^2)^(-1/4)
+    exp(-x^2 / 4 sigma^2); sum_x M(x)^dag M(x) = I."""
+    lam, vecs = np.linalg.eigh(a)
+    dx = sigma / 8
+    xs = np.arange(-10 * sigma - 1, 10 * sigma + 1, dx)
+    g = (2 * np.pi * sigma**2) ** -0.25 * np.exp(-(xs[:, None] - lam) ** 2 / (4 * sigma**2))
+    kraus = math.sqrt(dx) * np.einsum("xa,ia,ja->xij", g, vecs, vecs.conj())
+    np.testing.assert_allclose(np.einsum("xji,xjk->ik", kraus.conj(), kraus), np.eye(len(a)),
+                               atol=1e-12)
+    p = measure(i, np.outer(f, f.conj()) @ kraus).probabilities
+    return xs @ p / p.sum()
+
+
+def test_weak_measurement_approaches_the_weak_value():
+    # Aharonov, Albert & Vaidman, PRL 60, 1351 (1988): as the pointer width
+    # grows, the post-selected pointer mean tends to Re <f|A|i> / <f|i>
+    a = pauli("z").data
+    i = np.array([1.0, 1.0]) / math.sqrt(2)
+    for eps in (0.3, 0.1):                     # |<f|i>| shrinks with eps: nearly orthogonal
+        beta = math.pi / 4 - eps
+        f = np.array([math.cos(beta), -np.exp(0.4j) * math.sin(beta)])
+        weak = ((f.conj() @ a @ i) / (f.conj() @ i)).real
+        assert weak > 2.0                      # outside the eigenvalue range [-1, 1]
+        # a sharp pointer gives the Aharonov-Bergmann-Lebowitz mean, inside the range
+        w = np.abs(f.conj() * i) ** 2          # |<f|a><a|i>|^2 for a = +1, -1
+        assert _pointer_mean(i, f, a, 0.05) == pytest.approx((w[0] - w[1]) / w.sum(), abs=1e-9)
+        errors = [abs(_pointer_mean(i, f, a, s) - weak) for s in (1.0, 4.0, 16.0, 64.0)]
+        assert errors == sorted(errors, reverse=True)
+        assert errors[-1] < 3e-3
+        assert _pointer_mean(i, f, a, 64.0) > 2.0
+
+
 # ---------------------------------------------------------------------------
 # built-in sets
 # ---------------------------------------------------------------------------

@@ -209,6 +209,16 @@ def test_a_ket_whose_squared_norm_overflows_is_rescaled_first(big, small):
     np.testing.assert_array_equal(husimi_planar(big).values, husimi_planar(small).values)
 
 
+def test_l2norm_of_entries_whose_squares_overflow():
+    assert l2norm([1e200, 1e200]) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+    assert l2norm([[1e200j, 0], [0, -1e200]]) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+    assert l2norm([1.7e308] * 4) == math.inf          # past the float range, without a warning
+    # below the overflow the plain norm is kept, bit for bit
+    m = np.random.default_rng(3).normal(size=(5, 5)) * 1e150
+    for x in ([3.0, 4.0], m, 1j * m):
+        assert l2norm(x) == float(np.linalg.norm(x))
+
+
 def test_to_operator():
     np.testing.assert_allclose(to_operator(basis(2, 0)).data, [[1, 0], [0, 0]])
     plus = normalize([1.0, 1.0])

@@ -1,38 +1,57 @@
+import importlib
+import inspect
 import itertools
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmkit
 from conftest import random_density, random_ket
 from qmkit import (
     MeasurementSet,
     MetrologyScenario,
+    PlanarGrid,
+    QuantumObject,
     SamplerBackend,
+    SphericalGrid,
+    add_white_noise,
     basis,
     build_mub_set,
     build_pauli_set,
     build_sic_set,
     build_stoke_set,
     classical_fisher,
+    density_matrix,
+    diagonalize,
+    eigen,
+    encode_phase,
     fidelity,
     ghz,
+    husimi_planar,
+    husimi_spherical,
     identity,
+    measure,
     measure_and_sample,
     normalize,
     pauli,
+    post_measurement_state,
     probabilities,
     quantum_fisher,
     reconstruct_linear_inversion,
     run_scenario,
     run_tomography,
     spin,
+    timed_measurement,
     to_operator,
     trace_distance,
     trace_distance_pure,
+    wigner_planar,
+    wigner_spherical,
 )
 from qmkit.errors import (
     DimensionMismatch,
@@ -45,6 +64,7 @@ from qmkit.errors import (
     ZeroNorm,
 )
 from qmkit.cli import main as cli_main
+from qmkit.phasespace import spherical_multipole
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +128,18 @@ def test_metrics_check_shapes_before_states():
         fidelity(identity(2), identity(3))
 
 
+_PLANE, _SPHERE = PlanarGrid(nx=5, ny=4), SphericalGrid(ntheta=5, nphi=4)
+_KRAUS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+
 # each public function that takes a state, reduced to the arrays it returns
 _STATE_BOUNDARIES = {
+    "density_matrix": density_matrix,
     "probabilities": lambda x: probabilities(x, build_pauli_set(1)),
+    "timed_measurement": lambda x: timed_measurement(x, build_pauli_set(1))[0],
+    "measure": lambda x: (lambda o: (o.probabilities, *(p.data for p in o.post_states)))(
+        measure(x, _KRAUS)),
+    "post_measurement_state": lambda x: (lambda r: (r[0].data, r[1]))(
+        post_measurement_state(x, _KRAUS[1])),
     "measure_and_sample-mc": lambda x: measure_and_sample(x, build_pauli_set(1),
                                                           SamplerBackend("mc", 1), 50),
     "measure_and_sample-cdf": lambda x: measure_and_sample(x, build_pauli_set(1),
@@ -123,6 +152,13 @@ _STATE_BOUNDARIES = {
     "trace_distance": lambda x: trace_distance(identity(2) / 2, x),
     "MetrologyScenario": lambda x: run_scenario(MetrologyScenario(
         probe=x, generator=pauli("z"), phis=[0.0, 0.5, 1.0], observable=pauli("x"))).expectation,
+    "encode_phase": lambda x: density_matrix(encode_phase(x, pauli("z"), 0.3)),
+    "add_white_noise": lambda x: add_white_noise(x, 0.25).data,
+    "husimi_planar": lambda x: husimi_planar(x, _PLANE).values,
+    "wigner_planar": lambda x: wigner_planar(x, _PLANE).values,
+    "husimi_spherical": lambda x: husimi_spherical(x, _SPHERE).values,
+    "wigner_spherical": lambda x: wigner_spherical(x, _SPHERE).values,
+    "spherical_multipole": lambda x: spherical_multipole(x, 1, 0),
 }
 
 
@@ -132,11 +168,38 @@ def test_every_state_boundary_refuses_non_states(boundary):
     for operator, error in _NON_STATES:
         with pytest.raises(error):
             call(operator)
-    # a ket is a state by construction, even when its squared norm overflows
+    # a ket is a state by construction, even when its squared norm overflows;
+    # encode_phase evolves the ket as given, and U (1e200 v) rounds apart from
+    # U v before density_matrix normalises it
+    same = (np.testing.assert_array_equal if boundary != "encode_phase" else
+            lambda a, b: np.testing.assert_allclose(a, b, rtol=0, atol=1e-15))
     got, want = call([1e200, 1e200]), call([1.0, 1.0])
     for a, b in zip(got if isinstance(got, tuple) else (got,),
                     want if isinstance(want, tuple) else (want,)):
-        np.testing.assert_array_equal(a, b)
+        same(a, b)
+
+
+_STATE_PARAMETERS = {"state", "rho", "sigma", "probe", "true_state"}
+
+
+def test_state_boundary_table_lists_every_public_function_that_takes_a_state():
+    modules = [qmkit] + [importlib.import_module(f"qmkit.{m.name}")
+                         for m in pkgutil.iter_modules(qmkit.__path__)]
+    takers = set()
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):
+                continue
+            if _STATE_PARAMETERS & set(params):
+                takers.add(name)
+    assert {"measure", "husimi_planar", "MetrologyScenario", "run_tomography"} <= takers
+    covered = {key.split("-")[0] for key in _STATE_BOUNDARIES}
+    # TomographyRun is a result record: its true_state was checked by run_tomography
+    assert takers - covered - {"TomographyRun"} == set()
 
 
 def test_each_object_is_decomposed_once(monkeypatch):
@@ -169,6 +232,22 @@ def test_each_object_is_decomposed_once(monkeypatch):
     # decomposes a matrix it built
     rho = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
     assert count(lambda: run_tomography(rho, build_sic_set(4))) == {"eigh": 2, "eigvalsh": 2}
+    # eigen and diagonalize of a checked state read the decomposition the check kept
+    state = QuantumObject(rho)
+    assert count(lambda: (density_matrix(state), eigen(state), diagonalize(state))) == {
+        "eigh": 1, "eigvalsh": 0}
+
+
+def test_eigen_of_a_checked_state_equals_eigen_of_its_matrix_bitwise(rng):
+    for d in range(2, 7):
+        rho = random_density(rng, d, rank=1 + d // 2).data
+        state = QuantumObject(rho)
+        fidelity(state, identity(d) / d)               # keeps the eigh on state
+        got, want = eigen(state), eigen(rho)
+        np.testing.assert_array_equal(got.values, want.values)
+        for a, b in zip(got.vectors, want.vectors):
+            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(diagonalize(state).data, diagonalize(rho).data)
 
 
 def test_run_scores_equal_public_metrics_bitwise(rng):
@@ -210,11 +289,15 @@ def test_fuchs_van_de_graaff(rng):
 
 
 def test_pure_state_distance_consistency(rng):
+    # each ket is normalised on use, unit norm or not
+    assert trace_distance_pure([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1 / math.sqrt(2))
     for _ in range(20):
-        psi, phi = random_ket(rng, 5), random_ket(rng, 5)
+        psi, phi = (random_ket(rng, 5).data * s for s in rng.uniform(0.01, 100.0, 2))
         d_pure = trace_distance_pure(psi, phi)
         d_mixed = trace_distance(to_operator(psi), to_operator(phi))
-        assert d_pure == pytest.approx(d_mixed, abs=1e-8)
+        assert abs(d_pure - d_mixed) < 1e-12
+    with pytest.raises(ZeroNorm):
+        trace_distance_pure([0.0, 0.0], [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
