@@ -345,7 +345,10 @@ def cmd_metrology(args) -> int:
     sz = spin(j, "z")
     phis = np.linspace(0.0, args.t_max, args.points) * math.pi
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameter(f"cannot create {out_dir}: {exc}") from None
     written = []
     for t in thetas:
         probe = metrology.cat_state(j, t * math.pi)

@@ -32,7 +32,7 @@ from .errors import (
     OutcomeImpossible,
     UnsupportedDimension,
 )
-from .qcore import HERMITIAN_TOL, QuantumObject, _count, _real, _require_state, density_matrix
+from .qcore import HERMITIAN_TOL, QuantumObject, _count, _real, _reals, _require_state
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
@@ -125,7 +125,7 @@ class MeasurementSet:
         """(G,) sums of ``values`` (one per element) over each group, each
         added up in its group's element order."""
         m = self._members
-        return np.bincount(self.group_of[m], weights=np.asarray(values, dtype=float)[m],
+        return np.bincount(self.group_of[m], weights=_reals(values, "group values")[m],
                            minlength=len(self.groups))
 
     def __len__(self) -> int:
@@ -220,7 +220,7 @@ def post_measurement_state(state, kraus) -> tuple[QuantumObject, float]:
 
 def measure(state, kraus_ops: Sequence) -> MeasurementOutcome:
     """Full general measurement: probabilities and conditional states."""
-    rho = density_matrix(state)
+    rho = _require_state(state).data
     ks = _stack(kraus_ops)
     if ks.shape[1:] != rho.shape:
         raise DimensionMismatch(f"kraus shape {ks.shape[1:]}, state shape {rho.shape}")
@@ -423,7 +423,7 @@ def sample_cdf_discrete(probs, shots: int, rng=None) -> np.ndarray:
     from shots * p_k by at most one stratum; zero-probability outcomes are
     never produced.  Counts always sum to ``shots``.
     """
-    p = np.asarray(probs, dtype=float)
+    p = _reals(probs, "probabilities", InvalidDistribution).astype(float, copy=False)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistribution("probability vector must be 1-d and non-empty")
     return _stratified_counts(_cumulative(p[None]), _count(shots, "shots"), as_rng(rng))[0]

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
 from .measurement import MeasurementSet, probabilities
-from .qcore import (Kind, QuantumObject, _count, _evolution, _real, _require_state, _spectrum,
-                    _square, density_matrix, normalize)
+from .qcore import (Kind, QuantumObject, _count, _evolution, _real, _reals, _require_state,
+                    _spectrum, _square, _unit, density_matrix, normalize)
 from .states import spin_coherent
 
 DERIVATIVE_CUTOFF = 1e-12
@@ -22,7 +22,7 @@ DERIVATIVE_CUTOFF = 1e-12
 
 def encode_phase(state, generator, phi: float) -> QuantumObject:
     """Evolve a state under U(phi) = exp(-i phi H) = V e^{-i phi L} V^dag for a
-    Hermitian H = V L V^dag: kets map to U|psi>, operators to U rho U^dag.
+    Hermitian H = V L V^dag: kets (normalised on use) map to U|psi>, operators to U rho U^dag.
     A QuantumObject generator keeps its V and L for the next call."""
     st = QuantumObject(state)
     if st.kind is Kind.OPER:
@@ -33,9 +33,9 @@ def encode_phase(state, generator, phi: float) -> QuantumObject:
         raise InvalidParameter(f"phi = {phi!r} times the generator's eigenvalues overflows")
     u = _evolution((lam, v), phi)
     if st.kind is Kind.KET:
-        return QuantumObject._view(u @ st.data)
+        return QuantumObject._view(u @ _unit(st))
     if st.kind is Kind.BRA:
-        return QuantumObject._view(st.data @ u.conj().T)
+        return QuantumObject._view(_unit(st) @ u.conj().T)
     return QuantumObject._view(u @ st.data @ u.conj().T)
 
 
@@ -98,12 +98,14 @@ def cat_state(j, theta: float, phi: float = 0.0) -> QuantumObject:
     return normalize(spin_coherent(j, theta, phi) + spin_coherent(j, math.pi - theta, phi))
 
 
-def _check_grid(phis: np.ndarray) -> None:
-    """Raise unless ``phis`` holds at least two finite, strictly increasing phases."""
+def _phase_grid(phis) -> np.ndarray:
+    """``phis`` as floats: one row of at least two finite, strictly increasing phases."""
+    phis = _reals(phis, "phase grid").astype(float, copy=False)
     if phis.size < 2:
         raise InvalidParameter(f"phase grid needs at least two points, got {phis.size}")
-    if not (np.isfinite(phis).all() and (np.diff(phis) > 0).all()):
-        raise InvalidParameter("phase grid must be finite and strictly increasing")
+    if phis.ndim != 1 or not (np.diff(phis) > 0).all():
+        raise InvalidParameter("phase grid must be one strictly increasing row of phases")
+    return phis
 
 
 def error_propagation(phis, expectation, second_moment) -> np.ndarray:
@@ -113,12 +115,10 @@ def error_propagation(phis, expectation, second_moment) -> np.ndarray:
     Points where its magnitude is at or below 1e-12 are flagged undefined
     and returned as NaN rather than clipped to something finite.
     """
-    phis = np.asarray(phis, dtype=float)
-    e1 = np.asarray(expectation, dtype=float)
-    e2 = np.asarray(second_moment, dtype=float)
+    phis = _phase_grid(phis)
+    e1, e2 = (_reals(m, "moments").astype(float, copy=False) for m in (expectation, second_moment))
     if phis.shape != e1.shape or phis.shape != e2.shape:
         raise DimensionMismatch("phase grid and moment arrays must align")
-    _check_grid(phis)
     deriv = np.gradient(e1, phis)
     sigma = np.sqrt(np.maximum(e2 - e1**2, 0.0))
     out = np.full(phis.shape, np.nan)
@@ -146,10 +146,8 @@ class MetrologyScenario:
         _square(a, "observable", probe.dim, hermitian=True)
         _count(probe.dim, "scenario dimension", least=2)
         _require_state(probe)
-        phis = np.asarray(self.phis, dtype=float)
-        _check_grid(phis)
         for name, value in (("probe", probe), ("generator", h), ("observable", a),
-                            ("phis", phis)):
+                            ("phis", _phase_grid(self.phis))):
             object.__setattr__(self, name, value)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameter, InvalidQuantumNumber
 from .operators import _twice, spin
-from .qcore import _count, _real, _write_lines, density_matrix
+from .qcore import _count, _real, _reals, _write_lines, density_matrix
 from .states import _spin_coherent_magnitudes
 
 
@@ -95,11 +95,8 @@ def spherical_harmonic(k: int, q: int, theta, phi):
     k, q = _integer_labels(k, q)
     if k < 0 or abs(q) > k:
         raise InvalidQuantumNumber(f"need 0 <= |q| <= k, got k={k}, q={q}")
-    angles = [np.asarray(a) for a in (theta, phi)]
-    if not all(a.dtype.kind in "biuf" and np.isfinite(a).all() for a in angles):
-        raise InvalidParameter(f"angles must be finite real numbers, got {theta!r}, {phi!r}")
     import scipy.special  # on first use, so that ``import qmkit`` does not load SciPy
-    return scipy.special.sph_harm_y(k, q, *angles)
+    return scipy.special.sph_harm_y(k, q, _reals(theta, "theta"), _reals(phi, "phi"))
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +199,14 @@ def write_grid(grid: PhaseSpaceGrid, path) -> None:
 
 
 def read_grid(path) -> PhaseSpaceGrid:
-    """Parse a grid file produced by :func:`write_grid`."""
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    """Parse a grid file produced by :func:`write_grid`; every cell must be finite."""
     try:
+        text = Path(path).read_text(encoding="utf-8").strip().splitlines()
         meta = dict(kv.split("=") for kv in text[0].lstrip("# ").split())
         kind, coords, n1, n2 = meta["kind"], meta["coords"], int(meta["n1"]), int(meta["n2"])
-        rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-    except (IndexError, KeyError, ValueError) as exc:
-        raise InvalidParameter(f"malformed grid file {path}: {exc!r}") from None
+        rows = _reals([[float(v) for v in line.split(",")] for line in text[1:]], "grid cells")
+    except (OSError, TypeError, IndexError, KeyError, ValueError) as exc:
+        raise InvalidParameter(f"cannot read grid file {path}: {exc!r}") from None
     if min(n1, n2) < 1 or rows.shape != (n1 * n2, 3):
         raise InvalidParameter(f"grid file has rows of shape {rows.shape}, expected ({n1 * n2}, 3)")
     return PhaseSpaceGrid(

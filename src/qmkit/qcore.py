@@ -7,10 +7,12 @@ built from the pure functions defined here.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import numbers
 import operator
+import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +33,6 @@ from .errors import (
 )
 
 HERMITIAN_TOL = 1e-10
-NORM_TOL = 1e-10
 
 ArrayLike = Union[np.ndarray, Sequence, "QuantumObject"]
 
@@ -117,17 +118,6 @@ class QuantumObject:
         if self._data.shape[0] != self._data.shape[1]:
             return False
         return np.max(np.abs(self._data - self._data.conj().T)) <= tol
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        if self.kind is Kind.OPER:
-            return abs(np.trace(self._data) - 1.0) <= tol
-        return abs(np.linalg.norm(self._data) - 1.0) <= tol
-
-    def item(self) -> complex:
-        """Scalar value of a 1 x 1 object."""
-        if self._data.size != 1:
-            raise InvalidObject(f"item() on shape {self.shape} object")
-        return complex(self._data[0, 0])
 
     # -- arithmetic (returns new objects; kind is re-derived from shape) --
 
@@ -287,6 +277,15 @@ def _real(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> floa
     raise InvalidParameter(f"{name} must be finite and real{span}, got {value!r}")
 
 
+def _reals(values, name: str, error=InvalidParameter) -> np.ndarray:
+    """``values`` as an array, not cast, if every entry is a finite bool, int or
+    float; else ``error``: a ragged list, None, a string, a complex entry, NaN, +-inf."""
+    with contextlib.suppress(TypeError, ValueError):     # np.asarray refuses a ragged list
+        if (arr := np.asarray(values)).dtype.kind in "biuf" and np.isfinite(arr).all():
+            return arr
+    raise error(f"{name} must be finite real numbers, got {reprlib.repr(values)}")
+
+
 def _complex(value, name: str) -> complex:
     """``value`` as a complex (NumPy scalars pass) if both its parts are within
     the float range; else InvalidParameter."""
@@ -333,7 +332,10 @@ def _write_lines(lines: Sequence[str], path=None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        try:
+            Path(path).write_text(text, encoding="utf-8", newline="\n")
+        except (OSError, TypeError) as exc:
+            raise InvalidParameter(f"cannot write {path}: {exc}") from None
 
 
 def dot(*factors: ArrayLike):
@@ -458,6 +460,8 @@ def partial_trace(x: ArrayLike, traced: Iterable[int]) -> QuantumObject:
     n = len(m).bit_length() - 1
     if 2**n != len(m):
         raise NotQubitSystem(f"dimension {len(m)} is not a power of two")
+    if not isinstance(traced, Iterable):
+        raise InvalidParameter(f"traced subsystems must be an iterable of indices, got {traced!r}")
     traced = [_count(t, "subsystem index", least=None) for t in traced]
     if len(set(traced)) != len(traced):
         raise IndexOutOfRange(f"repeated subsystem index in {traced}")

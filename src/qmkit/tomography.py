@@ -16,7 +16,7 @@ from .errors import (
     RankDeficientSet,
 )
 from .measurement import MeasurementSet, SamplerBackend, measure_and_sample, probabilities
-from .qcore import Kind, QuantumObject, _psd_sqrt, _require_state, _spectrum, _square, _unit
+from .qcore import Kind, QuantumObject, _psd_sqrt, _reals, _require_state, _spectrum, _square, _unit
 
 
 def trace_distance_pure(psi, phi) -> float:
@@ -136,11 +136,9 @@ def reconstruct_linear_inversion(freqs, mset: MeasurementSet) -> QuantumObject:
     operator space, i.e. when the Gram matrix M^T M of the design matrix
     is numerically singular.
     """
-    f = np.asarray(freqs, dtype=float).copy()
-    if len(f) != len(mset):
-        raise DimensionMismatch(f"{len(f)} frequencies for {len(mset)} elements")
-    if not np.isfinite(f).all():
-        raise InvalidDistribution(f"frequency {f[~np.isfinite(f)][0]} is not finite")
+    if (freqs := _reals(freqs, "frequencies", InvalidDistribution)).shape != (len(mset),):
+        raise DimensionMismatch(f"frequencies of shape {freqs.shape} for {len(mset)} elements")
+    f = freqs.astype(float)                               # a copy, renormalised in place
     d = mset.dim
     offsets, gram_inv, real, mixed = _inversion_map(mset)
     if gram_inv is None:
@@ -162,7 +160,7 @@ def reconstruct_linear_inversion(freqs, mset: MeasurementSet) -> QuantumObject:
             vals = np.maximum(vals, 0.0)
             finite = np.isfinite(total := vals.sum())
     if not finite:
-        top = np.abs(np.asarray(freqs, dtype=float)).max()
+        top = np.abs(freqs).max()
         raise InvalidDistribution(f"frequencies up to {top:.3g} in magnitude overflow the estimate")
     vals /= total
     return QuantumObject._view((vecs * vals) @ vecs.conj().T)

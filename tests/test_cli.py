@@ -94,6 +94,19 @@ def test_non_finite_parameters_exit_4(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "state --name ghz --n 1 --out {missing}/x.csv",
+    "phasespace --name coherent --d 3 --alpha 1 --map husimi --coords planar --nx 2 --ny 2 "
+    "--out {missing}/x.csv",
+    "metrology --j 1 --points 3 --thetas-pi 0 --out-dir {file}/sub"])
+def test_paths_that_cannot_be_written_exit_4(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    argv = argv.format(missing=tmp_path / "missing", file=tmp_path / "file")
+    assert run_cli(argv.split()) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidParameter: cannot") and str(tmp_path) in err
+
+
 def test_state_json_format(tmp_path):
     out = tmp_path / "w.json"
     assert run_cli(["state", "--name", "w", "--n", "2", "--format", "json",

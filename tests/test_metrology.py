@@ -65,6 +65,16 @@ def test_encode_phase_preserves_trace(rng):
     assert np.trace(out.data).real == pytest.approx(1.0, abs=1e-10)
 
 
+def test_encode_phase_normalises_kets_and_bras():
+    # a ket or bra is read at unit norm, as every other state boundary reads it
+    h = pauli("z")
+    for scaled, unit in (([2, 0], [1, 0]), (adjoint([2, 0]), adjoint([1, 0])),
+                         ([3e200, 4e200j], [3, 4j])):
+        out = encode_phase(scaled, h, 0.3).data
+        np.testing.assert_array_equal(out, encode_phase(unit, h, 0.3).data)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-15)
+
+
 @pytest.mark.parametrize("d", range(2, 13))
 def test_encode_phase_matches_expm(rng, d):
     h = random_hermitian(rng, d)

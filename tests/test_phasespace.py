@@ -594,6 +594,20 @@ def test_grid_file_roundtrip(tmp_path):
     np.testing.assert_allclose(back.values, out.values)
 
 
+def test_grid_file_paths_that_cannot_be_used_raise_invalid_parameter(tmp_path):
+    grid = husimi_planar(coherent(3, 0.5), PlanarGrid(nx=2, ny=2))
+    missing = tmp_path / "missing" / "grid.csv"
+    with pytest.raises(InvalidParameter, match="cannot write"):
+        write_grid(grid, missing)
+    for path in (missing, None, tmp_path):
+        with pytest.raises(InvalidParameter, match="cannot read grid file"):
+            read_grid(path)
+    binary = tmp_path / "grid.bin"
+    binary.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(InvalidParameter):
+        read_grid(binary)
+
+
 @pytest.mark.parametrize("text", ["# kind=husimi coords=planar n2=1\n0,0,1\n",      # no n1
                                   "# kind husimi coords=planar n1=1 n2=1\n0,0,1\n",  # no '='
                                   "# kind=husimi coords=planar n1=1 n2=1\n0,x,1\n",  # a cell

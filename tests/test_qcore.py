@@ -34,6 +34,7 @@ from qmkit import (
     dot,
     eigen,
     encode_phase,
+    error_propagation,
     fidelity,
     ground,
     husimi_planar,
@@ -48,8 +49,13 @@ from qmkit import (
     probabilities,
     quantum_fisher,
     random_haar,
+    read_grid,
+    reconstruct_linear_inversion,
+    run_scenario,
     run_tomography,
+    sample_cdf_discrete,
     sample_mc,
+    spherical_harmonic,
     spin_coherent,
     squeezed,
     squeezing,
@@ -66,6 +72,7 @@ from qmkit._rng import as_rng
 from qmkit.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidDistribution,
     InvalidObject,
     InvalidParameter,
     NotDiagonalizable,
@@ -300,6 +307,14 @@ def test_partial_trace_errors():
     for index in (1.5, "a", None):
         with pytest.raises(InvalidParameter, match="subsystem index must be an integer, got"):
             partial_trace(np.eye(4), [index])
+
+
+def test_partial_trace_needs_an_iterable_of_indices():
+    for traced in (None, 1, 2.0):
+        with pytest.raises(InvalidParameter, match="must be an iterable of indices"):
+            partial_trace(np.eye(4) / 4, traced)
+    np.testing.assert_array_equal(partial_trace(np.eye(4) / 4, (t for t in [2])).data,
+                                  np.eye(2) / 2)
 
 
 def test_diagonalize_examples():
@@ -552,6 +567,81 @@ def test_real_and_complex_parameters_must_be_finite_numbers(name):
             call(bad)
     numpy_scalar = np.float64 if kind == "real" else np.complex128
     assert _bits(call(numpy_scalar(valid))) == _bits(call(valid))
+
+
+# every real-array parameter goes through qcore._reals:
+# (call taking the checked array and returning an array, the error it raises, a valid int list)
+_ARRAYS = {
+    "spherical_harmonic theta": (lambda t: spherical_harmonic(2, 1, t, 0.4), InvalidParameter,
+                                 [0, 1, 3]),
+    "spherical_harmonic phi": (lambda p: spherical_harmonic(2, 1, 0.7, p), InvalidParameter,
+                               [0, 1, 6]),
+    "reconstruct_linear_inversion freqs": (
+        lambda f: reconstruct_linear_inversion(f, build_pauli_set(1)).data, InvalidDistribution,
+        [1, 0, 1, 1, 0, 1]),
+    "sample_cdf_discrete probs": (lambda p: sample_cdf_discrete(p, 100, rng=1),
+                                  InvalidDistribution, [0, 1, 0]),
+    "MeasurementSet.group_sums values": (lambda v: build_pauli_set(1).group_sums(v),
+                                         InvalidParameter, [1, 2, 3, 4, 5, 6]),
+    "error_propagation phis": (lambda p: error_propagation(p, [0, 3], [1, 10]),
+                               InvalidParameter, [0, 1]),
+    "error_propagation expectation": (lambda e: error_propagation([0, 1], e, [1, 10]),
+                                      InvalidParameter, [0, 3]),
+    "error_propagation second_moment": (lambda m: error_propagation([0, 1], [0, 3], m),
+                                        InvalidParameter, [1, 10]),
+    "MetrologyScenario phis": (lambda p: run_scenario(MetrologyScenario(
+        probe=[1, 1], generator=pauli("z"), phis=p, observable=pauli("x"))).delta_phi,
+        InvalidParameter, [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", _ARRAYS)
+def test_real_arrays_must_hold_finite_real_numbers(name):
+    call, error, valid = _ARRAYS[name]
+    bad_values = [[0.3, v] for v in (math.nan, math.inf, -math.inf, "a", None, 1j)]
+    for bad in bad_values + [[0.3, [0.3, 0.4]], "0.3"]:      # and a ragged list, a bare string
+        with pytest.raises(error, match="must be finite real numbers"):
+            call(bad)
+    want = call(np.array(valid, dtype=float))
+    for same in (valid, [float(v) for v in valid]):
+        got = call(same)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _grid_file(tmp_path, cell):
+    path = tmp_path / "grid.csv"
+    path.write_text(f"# kind=husimi coords=planar n1=1 n2=2\n0,0,0.5\n0,1,{cell}\n")
+    return path
+
+
+# shapes and non-finite values that reached arithmetic or a result before the rule:
+# (call taking a scratch directory, the error it raises)
+_ARRAY_EXTRAS = {
+    "reconstruct_linear_inversion scalar": (
+        lambda tmp: reconstruct_linear_inversion(0.5, build_pauli_set(1)), DimensionMismatch),
+    "reconstruct_linear_inversion column": (
+        lambda tmp: reconstruct_linear_inversion(np.full((6, 1), 0.5), build_pauli_set(1)),
+        DimensionMismatch),
+    "error_propagation nan moment": (
+        lambda tmp: error_propagation([0, 1], [math.nan, 2], [1, 1]), InvalidParameter),
+    "error_propagation inf second moment": (
+        lambda tmp: error_propagation([0, 1], [0, 1], [1, math.inf]), InvalidParameter),
+    "error_propagation 2-d phase grid": (
+        lambda tmp: error_propagation([[0, 1], [2, 3]], [[0, 1], [2, 3]], [[1, 2], [5, 10]]),
+        InvalidParameter),
+    "MetrologyScenario 2-d phase grid": (lambda tmp: MetrologyScenario(
+        probe=[1, 1], generator=pauli("z"), phis=[[0, 1], [2, 3]], observable=pauli("x")),
+        InvalidParameter),
+    "read_grid nan cell": (lambda tmp: read_grid(_grid_file(tmp, "nan")), InvalidParameter),
+    "read_grid inf cell": (lambda tmp: read_grid(_grid_file(tmp, "-inf")), InvalidParameter),
+}
+
+
+@pytest.mark.parametrize("name", _ARRAY_EXTRAS)
+def test_real_arrays_of_the_wrong_shape_or_non_finite_are_refused(name, tmp_path):
+    call, error = _ARRAY_EXTRAS[name]
+    with pytest.raises(error):
+        call(tmp_path)
 
 
 @pytest.mark.parametrize("data", [[1, None], [[np.nan, 0], [0, 1]], [[1, 0], [0, -np.inf]]])

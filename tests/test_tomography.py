@@ -168,15 +168,11 @@ def test_every_state_boundary_refuses_non_states(boundary):
     for operator, error in _NON_STATES:
         with pytest.raises(error):
             call(operator)
-    # a ket is a state by construction, even when its squared norm overflows;
-    # encode_phase evolves the ket as given, and U (1e200 v) rounds apart from
-    # U v before density_matrix normalises it
-    same = (np.testing.assert_array_equal if boundary != "encode_phase" else
-            lambda a, b: np.testing.assert_allclose(a, b, rtol=0, atol=1e-15))
+    # a ket is a state by construction, even when its squared norm overflows
     got, want = call([1e200, 1e200]), call([1.0, 1.0])
     for a, b in zip(got if isinstance(got, tuple) else (got,),
                     want if isinstance(want, tuple) else (want,)):
-        same(a, b)
+        np.testing.assert_array_equal(a, b)
 
 
 _STATE_PARAMETERS = {"state", "rho", "sigma", "probe", "true_state"}
