@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import metrology, phasespace, qcore, states, tomography
-from ._rng import as_rng
 from .errors import InvalidParameter, QmkitError, UnsupportedDimension
 from .measurement import (
     MeasurementSet,
@@ -42,7 +41,7 @@ from .measurement import (
     timed_measurement,
 )
 from .operators import pauli, spin
-from .qcore import Kind, QuantumObject
+from .qcore import Kind, QuantumObject, _rng
 from .qcore import _write_lines as _emit   # perfbench/tracing.py wraps cli._emit by name
 
 DEFAULT_SEED = 0
@@ -126,7 +125,7 @@ def _build_state(args) -> QuantumObject:
     a random state and the amplitude noise; it is made only when one of them draws."""
     factory, flags = STATES[args.name]
     noisy = args.noise_mean is not None or args.noise_std is not None
-    rng = as_rng(args.seed) if noisy or "rng" in flags else None
+    rng = _rng(args.seed) if noisy or "rng" in flags else None
     st = factory(*(rng if f == "rng" else _need(args, f) for f in flags))
     if noisy:
         st = states.add_random_noise(st, args.noise_mean or 0.0,
@@ -166,16 +165,11 @@ SETS = {
 def cmd_state(args) -> int:
     st = _build_state(args)
     if args.format == "json":
+        payload = {"state": args.name, "kind": st.kind.value, "dimension": st.dim}
         if st.kind is Kind.OPER:
-            payload = {
-                "state": args.name, "kind": "oper", "dimension": st.shape[0],
-                "matrix": [[[z.real, z.imag] for z in row] for row in st.data],
-            }
+            payload["matrix"] = [[[z.real, z.imag] for z in row] for row in st.data]
         else:
-            payload = {
-                "state": args.name, "kind": st.kind.value, "dimension": st.dim,
-                "amplitudes": [[z.real, z.imag] for z in st.data.reshape(-1)],
-            }
+            payload["amplitudes"] = [[z.real, z.imag] for z in st.data.reshape(-1)]
         _write_json(payload, args.out)
         return 0
     lines = [f"# state={args.name} kind={st.kind.value} dimension={st.dim}"]
@@ -225,7 +219,7 @@ BENCH_SETS = (("pauli", 2), ("stoke", 2), ("pauli", 4), ("stoke", 4), ("pauli", 
 
 
 def cmd_bench_povm(args) -> int:
-    rng = as_rng(args.seed)
+    rng = _rng(args.seed)
     jobs = [(kind, d, SETS[kind](d)) for kind, d in BENCH_SETS]
     rows = [(kind, d, sum(timed_measurement(states.random_haar(d, rng), mset)[1]
                           for _ in range(args.repeats)) / args.repeats)
@@ -244,13 +238,11 @@ def cmd_bench_povm(args) -> int:
 def cmd_backend_compare(args) -> int:
     xs = np.linspace(0.0, 5.0, args.samples)
     exact = np.exp(-xs)
-    rng = as_rng(args.seed)
-    mc_est = np.array([sample_mc(p, args.iterations, rng) for p in exact])
-    cdf_est = np.array([
-        sample_cdf_discrete(np.array([1.0 - p, p]), args.iterations, rng)[1]
-        / args.iterations
-        for p in exact
-    ])
+    rng = _rng(args.seed)
+    # one frequency estimate of p from n draws per back-end, mc first, off one stream
+    samplers = (lambda p, n: sample_mc(p, n, rng),
+                lambda p, n: sample_cdf_discrete(np.array([1.0 - p, p]), n, rng)[1] / n)
+    mc_est, cdf_est = (np.array([draw(p, args.iterations) for p in exact]) for draw in samplers)
     mc_mae = float(np.mean(np.abs(mc_est - exact)))
     cdf_mae = float(np.mean(np.abs(cdf_est - exact)))
     if args.format == "json":
@@ -272,14 +264,13 @@ def cmd_backend_compare(args) -> int:
         return 0
     t_lines = ["# iterations,mc_seconds,cdf_seconds"]
     for ite in range(1000, 11000, 1000):
-        t0 = time.perf_counter()
-        for p in exact:
-            sample_mc(p, ite, rng)
-        t1 = time.perf_counter()
-        for p in exact:
-            sample_cdf_discrete(np.array([1.0 - p, p]), ite, rng)
-        t2 = time.perf_counter()
-        t_lines.append(_csv_row((ite, t1 - t0, t2 - t1)))
+        seconds = []
+        for draw in samplers:
+            t0 = time.perf_counter()
+            for p in exact:
+                draw(p, ite)
+            seconds.append(time.perf_counter() - t0)
+        t_lines.append(_csv_row((ite, *seconds)))
     timing_out = args.timing_out
     if timing_out is None and args.out is not None:
         p = Path(args.out)
@@ -341,8 +332,7 @@ def cmd_metrology(args) -> int:
     except ValueError:
         raise _UsageError(f"--thetas-pi must be a comma list of numbers, got {args.thetas_pi!r}")
     j = args.j
-    sy = spin(j, "y")
-    sz = spin(j, "z")
+    sy, sz = spin(j, "y"), spin(j, "z")
     phis = np.linspace(0.0, args.t_max, args.points) * math.pi
     out_dir = Path(args.out_dir)
     try:

@@ -13,6 +13,7 @@ shot budget.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import operator
 import time
@@ -22,21 +23,20 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._mub_tables import mub_bases
-from ._rng import as_rng
 from ._sic_fiducials import fiducial
 from .errors import (
     DimensionMismatch,
     InvalidDistribution,
+    InvalidObject,
     InvalidParameter,
     NotHermitian,
     OutcomeImpossible,
-    UnsupportedDimension,
 )
-from .qcore import HERMITIAN_TOL, QuantumObject, _count, _real, _reals, _require_state
+from .qcore import (HERMITIAN_TOL, QuantumObject, _count, _qubit_count, _real, _reals,
+                    _require_state, _rng)
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
-MAX_STACK_BYTES = 2**30    # largest (K, d, d) product-set stack: Pauli n <= 5, Stoke n <= 6
 # cost of one CDF crossing on the cdf sampler's skip path, in draws of its full
 # path; a row with more than shots / SKIP crossings is drawn in full
 SKIP = 640
@@ -55,14 +55,20 @@ _POL = {
 
 def _stack(ops) -> np.ndarray:
     """(K, d, d) complex array of the operators ``ops``: a sequence of d x d
-    operators is copied into a new array, a (K, d, d) array is adopted."""
-    if not isinstance(ops, np.ndarray):
-        ops = [QuantumObject(e).data for e in ops]
-        if len({m.shape for m in ops}) != 1:
-            raise DimensionMismatch(f"elements have shapes {[m.shape for m in ops]}")
-    stack = np.ascontiguousarray(ops, dtype=complex)
+    operators is copied into a new array, a finite (K, d, d) array is adopted.
+    Anything else raises InvalidObject, or DimensionMismatch for a shape."""
+    try:
+        if not isinstance(ops, np.ndarray):
+            ops = [QuantumObject(e).data for e in ops]
+            if len({m.shape for m in ops}) != 1:
+                raise DimensionMismatch(f"elements have shapes {[m.shape for m in ops]}")
+        stack = np.ascontiguousarray(ops, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidObject(f"expected a sequence of operators, got {type(ops).__name__}") from None
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
         raise DimensionMismatch(f"element stack has shape {stack.shape}, want (K, d, d)")
+    if not np.isfinite(stack).all():
+        raise InvalidObject("operator entries must be finite")
     return stack
 
 
@@ -124,9 +130,10 @@ class MeasurementSet:
     def group_sums(self, values) -> np.ndarray:
         """(G,) sums of ``values`` (one per element) over each group, each
         added up in its group's element order."""
+        if (v := _reals(values, "group values")).shape != (len(self),):
+            raise DimensionMismatch(f"{v.shape} group values for {len(self)} elements")
         m = self._members
-        return np.bincount(self.group_of[m], weights=_reals(values, "group values")[m],
-                           minlength=len(self.groups))
+        return np.bincount(self.group_of[m], weights=v[m], minlength=len(self.groups))
 
     def __len__(self) -> int:
         return self.stack.shape[0]
@@ -185,19 +192,29 @@ class SamplerBackend:
             object.__setattr__(self, name, _count(getattr(self, name), name, least))
 
     def rng(self) -> np.random.Generator:
-        return as_rng(self.seed)
+        return _rng(self.seed)
+
+
+def _set(ops) -> MeasurementSet:
+    """The one reading of a set argument: a MeasurementSet passes through, anything
+    else becomes an ungrouped ``custom`` set (an array copied first: a set freezes it)."""
+    if isinstance(ops, MeasurementSet):
+        return ops
+    if isinstance(ops, np.ndarray):
+        ops = ops.copy()
+    return MeasurementSet(kind="custom", elements=ops)
 
 
 def probabilities(state, observables) -> np.ndarray:
     """tr(E_k rho) for each operator E_k, as real numbers.
 
-    ``observables`` may be a MeasurementSet or any sequence of operators.
+    ``observables`` is a set or any sequence of operators, read by :func:`_set`.
     For POVM elements the result is the outcome distribution; for Hermitian
     observables it is the expectation values.  An imaginary residue above
     1e-10 (non-Hermitian operator on a state) raises.
     """
     rho = _require_state(state).data
-    stack = observables.stack if isinstance(observables, MeasurementSet) else _stack(observables)
+    stack = _set(observables).stack
     if stack.shape[1:] != rho.shape:
         raise DimensionMismatch(f"operators have shape {stack.shape[1:]}, state has {rho.shape}")
     # the batched form of the per-element trace: bit-identical to it, and
@@ -238,12 +255,7 @@ def _projectors(kets: np.ndarray) -> np.ndarray:
 
 def _product_projectors(letters: str, n: int) -> np.ndarray:
     """(K, d, d) projectors onto the Kronecker products of the kets named by
-    ``letters``, one per n-letter word in itertools.product order; refused
-    over MAX_STACK_BYTES before anything is built."""
-    nbytes = (len(letters) * 4) ** n * 16          # K d^2 complex entries
-    if nbytes > MAX_STACK_BYTES:
-        raise UnsupportedDimension(f"a {n}-qubit {letters} product set needs a "
-                                   f"{nbytes / 2**30:.3g} GiB stack, over the 1 GiB limit")
+    ``letters``, one per n-letter word in itertools.product order."""
     kets = single = np.array([_POL[c] for c in letters])
     for _ in range(n - 1):
         kets = np.einsum("ai,bj->abij", kets, single).reshape(len(kets) * len(single), -1)
@@ -256,7 +268,7 @@ def build_pauli_set(n: int) -> MeasurementSet:
     Single-qubit factors run over H, V, D, A, L, R in that order; groups
     pair the two outcomes of each of the 3^n basis choices.
     """
-    n = _count(n, "qubit count")
+    n = _qubit_count(n, 24, "Pauli set")            # K d^2 = 6^n 4^n entries
     elements = _product_projectors("HVDALR", n)
     # outcome o of basis b is letter 2b + o; an element's letters are its
     # index in base 6, most significant first
@@ -272,7 +284,7 @@ def build_stoke_set(n: int) -> MeasurementSet:
     The four single-qubit projectors do not resolve the identity, so no
     completeness groups are declared.
     """
-    n = _count(n, "qubit count")
+    n = _qubit_count(n, 16, "Stoke set")            # K d^2 = 4^n 4^n entries
     return MeasurementSet(kind="stoke", elements=_product_projectors("HVDR", n))
 
 
@@ -304,32 +316,31 @@ def weyl_displacement(d: int, j: int, k: int) -> QuantumObject:
     return QuantumObject(np.exp(1j * np.pi * j * k / d) * mat)
 
 
-_VERIFIED_SIC: set[int] = set()
+@functools.lru_cache(maxsize=None)
+def _sic_orbit(d: int) -> np.ndarray:
+    """Read-only (d^2, d) kets h_jk = D_{j,k} |phi_d> of the embedded fiducial,
+    built and checked against |<h|h'>|^2 = 1/(d+1) once per dimension."""
+    phi = fiducial(d)
+    vecs = np.array([weyl_displacement(d, j, k).data @ phi
+                     for j in range(d) for k in range(d)])
+    target = 1.0 / (d + 1)
+    overlaps = (np.abs(vecs.conj() @ vecs.T) ** 2)[~np.eye(d * d, dtype=bool)]
+    worst = overlaps[np.argmax(np.abs(overlaps - target))]
+    if abs(worst - target) > 1e-6:
+        raise InvalidParameter(f"embedded d={d} fiducial fails the SIC condition: "
+                               f"|overlap|^2 = {worst:.3e}, want {target:.3e}")
+    vecs.flags.writeable = False
+    return vecs
 
 
 def build_sic_set(d: int) -> MeasurementSet:
     """Symmetric informationally complete POVM: d^2 elements, one group.
 
-    Elements are (1/d) |h_jk><h_jk| with |h_jk> = D_{j,k} |phi_d> over the
-    embedded fiducial vectors (d in 2..8).  The first build at each
-    dimension re-verifies the pairwise overlap condition
-    |<h|h'>|^2 = 1/(d+1) before the set is handed out.
+    Elements are (1/d) |h_jk><h_jk| over the orbit of :func:`_sic_orbit`
+    (d in 2..8), which is verified before any set is handed out.
     """
     d = _count(d, "dimension")
-    phi = fiducial(d)
-    vecs = np.array([weyl_displacement(d, j, k).data @ phi
-                     for j in range(d) for k in range(d)])
-    if d not in _VERIFIED_SIC:
-        target = 1.0 / (d + 1)
-        overlaps = (np.abs(vecs.conj() @ vecs.T) ** 2)[~np.eye(d * d, dtype=bool)]
-        worst = overlaps[np.argmax(np.abs(overlaps - target))]
-        if abs(worst - target) > 1e-6:
-            raise InvalidParameter(
-                f"embedded d={d} fiducial fails the SIC condition: "
-                f"|overlap|^2 = {worst:.3e}, want {target:.3e}"
-            )
-        _VERIFIED_SIC.add(d)
-    return MeasurementSet(kind="sic", elements=_projectors(vecs) / d,
+    return MeasurementSet(kind="sic", elements=_projectors(_sic_orbit(d)) / d,
                           groups=(tuple(range(d * d)),))
 
 
@@ -347,7 +358,7 @@ def sample_mc(p: float, iterations: int, rng=None) -> float:
     """
     p = _real(p, "probability", 0.0, 1.0)
     iterations = _count(iterations, "iterations")
-    g = as_rng(rng)
+    g = _rng(rng)
     if (p == 0.0 or p == 1.0) and _can_skip(g):
         g.bit_generator.advance(iterations)     # every draw would agree
         return float(p == 1.0)
@@ -356,7 +367,7 @@ def sample_mc(p: float, iterations: int, rng=None) -> float:
 
 def sample_cdf_continuous(inverse_cdf: Callable, shots: int, rng=None) -> np.ndarray:
     """Inverse-transform draws y_i = F^{-1}(r_i) from i.i.d. uniforms."""
-    return np.asarray(inverse_cdf(as_rng(rng).random(_count(shots, "shots"))))
+    return np.asarray(inverse_cdf(_rng(rng).random(_count(shots, "shots"))))
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
@@ -426,12 +437,12 @@ def sample_cdf_discrete(probs, shots: int, rng=None) -> np.ndarray:
     p = _reals(probs, "probabilities", InvalidDistribution).astype(float, copy=False)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistribution("probability vector must be 1-d and non-empty")
-    return _stratified_counts(_cumulative(p[None]), _count(shots, "shots"), as_rng(rng))[0]
+    return _stratified_counts(_cumulative(p[None]), _count(shots, "shots"), _rng(rng))[0]
 
 
-def measure_and_sample(state, mset: MeasurementSet, backend: SamplerBackend,
+def measure_and_sample(state, mset, backend: SamplerBackend,
                        shots: int | None = None) -> np.ndarray:
-    """Simulated outcome frequencies aligned with the set's elements.
+    """Simulated outcome frequencies aligned with the elements of ``mset`` (see :func:`_set`).
 
     Exact probabilities are computed first, then simulated per back-end:
     'mc' estimates each element independently; 'cdf' samples each declared
@@ -440,6 +451,7 @@ def measure_and_sample(state, mset: MeasurementSet, backend: SamplerBackend,
     backend's iteration count.  The stream runs over the groups, then the
     ungrouped elements, ``shots`` uniforms each.
     """
+    mset = _set(mset)
     probs = probabilities(state, mset)
     n = _count(shots if shots is not None else backend.iterations, "shots")
     g = backend.rng()

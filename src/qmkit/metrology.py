@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .measurement import MeasurementSet, probabilities
+from .measurement import _set, probabilities
 from .qcore import (Kind, QuantumObject, _count, _evolution, _real, _reals, _require_state,
                     _spectrum, _square, _unit, density_matrix, normalize)
 from .states import spin_coherent
@@ -45,18 +45,20 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
 
     F = sum_k (d p_k / d phi)^2 / p_k with the derivative taken by central
     differences of step ``dphi``; outcomes with p_k < 1e-12 are dropped.
+    ``mset`` is read by ``_set``.
 
     A MeasurementSet with several groups (e.g. MUB) is scored as the
     uniform mixture of its groups, one picked at random per shot: the mean
     of the per-group values, each of which is at most the quantum one.
     """
+    mset = _set(mset)
     dphi = _real(dphi, "finite-difference step", math.ulp(0.0))   # least positive float: refuses 0
     p0 = probabilities(rho_of_phi(phi), mset)
     p_plus = probabilities(rho_of_phi(phi + dphi), mset)
     p_minus = probabilities(rho_of_phi(phi - dphi), mset)
     dp = (p_plus - p_minus) / (2 * dphi)
     terms = np.divide(dp**2, p0, out=np.zeros_like(p0), where=p0 > 1e-12)
-    if isinstance(mset, MeasurementSet) and len(mset.groups) > 1:
+    if len(mset.groups) > 1:
         return float(np.mean(mset.group_sums(terms)))
     return float(np.sum(terms))
 
@@ -113,14 +115,19 @@ def error_propagation(phis, expectation, second_moment) -> np.ndarray:
 
     The derivative uses central differences (one-sided at the ends).
     Points where its magnitude is at or below 1e-12 are flagged undefined
-    and returned as NaN rather than clipped to something finite.
+    and returned as NaN rather than clipped to something finite.  Moments
+    whose variance or derivative overflows raise InvalidParameter.
     """
     phis = _phase_grid(phis)
     e1, e2 = (_reals(m, "moments").astype(float, copy=False) for m in (expectation, second_moment))
     if phis.shape != e1.shape or phis.shape != e2.shape:
         raise DimensionMismatch("phase grid and moment arrays must align")
-    deriv = np.gradient(e1, phis)
-    sigma = np.sqrt(np.maximum(e2 - e1**2, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow is refused below
+        deriv = np.gradient(e1, phis)
+        var = e2 - e1**2
+    if not np.isfinite((deriv, var)).all():
+        raise InvalidParameter("moments overflow their variance or derivative")
+    sigma = np.sqrt(np.maximum(var, 0.0))
     out = np.full(phis.shape, np.nan)
     mask = np.abs(deriv) > DERIVATIVE_CUTOFF
     out[mask] = sigma[mask] / np.abs(deriv[mask])
@@ -177,14 +184,15 @@ def run_scenario(scenario: MetrologyScenario) -> PrecisionCurve:
     rho = v.conj().T @ density_matrix(scenario.probe) @ v
     a = v.conj().T @ scenario.observable.data @ v
     u = np.exp(-1j * np.outer(scenario.phis, lam))
-    forms = np.stack([a.T * rho, (a @ a).T * rho])
-    e1, e2 = np.einsum("pm,kmn,pn->kp", u, forms, u.conj()).real
+    with np.errstate(over="ignore", invalid="ignore"):    # error_propagation refuses an overflow
+        forms = np.stack([a.T * rho, (a @ a).T * rho])
+        e1, e2 = np.einsum("pm,kmn,pn->kp", u, forms, u.conj()).real
     n_spins = lam.size - 1
     return PrecisionCurve(
         phis=scenario.phis,
         expectation=e1,
+        delta_phi=error_propagation(scenario.phis, e1, e2),   # refuses an overflow first
         variance=e2 - e1**2,
-        delta_phi=error_propagation(scenario.phis, e1, e2),
         sql=1.0 / math.sqrt(n_spins),
         hl=1.0 / n_spins,
     )

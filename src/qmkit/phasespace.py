@@ -103,9 +103,10 @@ def spherical_harmonic(k: int, q: int, theta, phi):
 # grids
 # ---------------------------------------------------------------------------
 
-def _tuple_ranges(grid, **bounds: tuple[float, float]) -> None:
+def _grid_fields(grid, counts: tuple[str, str], **bounds: tuple[float, float]) -> None:
     """Store each named range of a frozen grid as a pair of floats, so grids built
-    from lists hash; InvalidParameter unless both ends pass ``_real`` in (lo, hi)."""
+    from lists hash, and each named count as an int; InvalidParameter unless both
+    ends pass ``_real`` in (lo, hi) and each count is an integer >= 2."""
     for name, (lo, hi) in bounds.items():
         value = getattr(grid, name)
         try:
@@ -115,6 +116,8 @@ def _tuple_ranges(grid, **bounds: tuple[float, float]) -> None:
         if len(pair) != 2 or not all(isinstance(v, numbers.Real) for v in pair):
             raise InvalidParameter(f"{name} must be a pair of real numbers, got {value!r}")
         object.__setattr__(grid, name, tuple(_real(v, name, lo, hi) for v in pair))
+    for name in counts:
+        object.__setattr__(grid, name, _count(getattr(grid, name), name, least=2))
 
 
 @dataclass(frozen=True)
@@ -127,9 +130,8 @@ class PlanarGrid:
     ny: int = 61
 
     def __post_init__(self):
-        _tuple_ranges(self, x_range=(-math.inf, math.inf), y_range=(-math.inf, math.inf))
-        for name in ("nx", "ny"):
-            object.__setattr__(self, name, _count(getattr(self, name), name, least=2))
+        _grid_fields(self, ("nx", "ny"), x_range=(-math.inf, math.inf),
+                     y_range=(-math.inf, math.inf))
 
     @property
     def xs(self) -> np.ndarray:
@@ -150,10 +152,8 @@ class SphericalGrid:
     nphi: int = 61
 
     def __post_init__(self):
-        _tuple_ranges(self, theta_range=(0.0, math.pi + 1e-12),
-                      phi_range=(0.0, 2 * math.pi + 1e-12))
-        for name in ("ntheta", "nphi"):
-            object.__setattr__(self, name, _count(getattr(self, name), name, least=2))
+        _grid_fields(self, ("ntheta", "nphi"), theta_range=(0.0, math.pi + 1e-12),
+                     phi_range=(0.0, 2 * math.pi + 1e-12))
         if self.theta_range[0] > self.theta_range[1] or self.phi_range[0] > self.phi_range[1]:
             raise InvalidParameter(f"ranges {self.theta_range}, {self.phi_range} run backwards")
 
@@ -184,14 +184,9 @@ def grid_lines(grid: PhaseSpaceGrid) -> list[str]:
     Rows run in row-major order (slow coordinate outermost), matching the
     values layout.  All floats carry 17 significant digits.
     """
-    lines = [
-        f"# kind={grid.kind} coords={grid.coords} "
-        f"n1={len(grid.axis1)} n2={len(grid.axis2)}"
-    ]
-    for i, c1 in enumerate(grid.axis1):
-        for j, c2 in enumerate(grid.axis2):
-            lines.append(f"{c1:.17g},{c2:.17g},{grid.values[i, j]:.17g}")
-    return lines
+    head = f"# kind={grid.kind} coords={grid.coords} n1={len(grid.axis1)} n2={len(grid.axis2)}"
+    return [head] + [f"{c1:.17g},{c2:.17g},{grid.values[i, j]:.17g}"
+                     for i, c1 in enumerate(grid.axis1) for j, c2 in enumerate(grid.axis2)]
 
 
 def write_grid(grid: PhaseSpaceGrid, path) -> None:

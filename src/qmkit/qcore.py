@@ -29,10 +29,12 @@ from .errors import (
     NotHermitian,
     NotPositive,
     NotQubitSystem,
+    UnsupportedDimension,
     ZeroNorm,
 )
 
 HERMITIAN_TOL = 1e-10
+MAX_STACK_BYTES = 2**30    # largest array a qubit count may ask for: Pauli n <= 5, kets n <= 26
 
 ArrayLike = Union[np.ndarray, Sequence, "QuantumObject"]
 
@@ -188,16 +190,21 @@ def trace(x: ArrayLike) -> complex:
     return complex(np.trace(_square(q, "trace operand")))
 
 
-def l2norm(x: ArrayLike) -> float:
-    """Euclidean norm for vectors, Frobenius norm for operators.  Entries
-    whose squares overflow are first divided by the largest part."""
-    v = QuantumObject(x).data
+def _scaled(v: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(s, v / s, ||v / s||) with s = 1, unless the squares of v's entries
+    overflow its norm: then s is the largest part of an entry."""
     with np.errstate(over="ignore"):
-        n = float(np.linalg.norm(v))
-    if n == math.inf:
-        s = max(np.abs(v.real).max(), np.abs(v.imag).max())
-        n = float(s) * float(np.linalg.norm(v / s))     # inf only past the float range
-    return n
+        n = np.linalg.norm(v)
+    if n != math.inf:
+        return 1.0, v, n
+    s = max(np.abs(v.real).max(), np.abs(v.imag).max())
+    return s, v / s, np.linalg.norm(v / s)
+
+
+def l2norm(x: ArrayLike) -> float:
+    """Euclidean norm for vectors, Frobenius norm for operators (see :func:`_scaled`)."""
+    s, _, n = _scaled(QuantumObject(x).data)
+    return float(s) * float(n)
 
 
 def normalize(x: ArrayLike) -> QuantumObject:
@@ -212,14 +219,9 @@ def normalize(x: ArrayLike) -> QuantumObject:
 
 
 def _unit(q: QuantumObject) -> np.ndarray:
-    """The matrix of a ket or bra over its norm (so each entry is at most 1).
-    Entries whose squares overflow are first divided by the largest part."""
-    v = q.data
-    with np.errstate(over="ignore"):
-        n = np.linalg.norm(v)
-    if n == math.inf:
-        v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
-        n = np.linalg.norm(v)
+    """The matrix of a ket or bra over its norm (so each entry is at most 1),
+    scaled first by :func:`_scaled` when its norm overflows."""
+    _, v, n = _scaled(q.data)
     if n < 1e-14:
         raise ZeroNorm("vector has (near) zero norm")
     return v / n
@@ -265,6 +267,24 @@ def _count(value, name: str, least: int | None = 1) -> int:
         pass
     floor = "" if least is None else f" >= {least}"
     raise InvalidParameter(f"{name} must be an integer{floor}, got {value!r}")
+
+
+def _qubit_count(n, base: int, what: str) -> int:
+    """A qubit count (as :func:`_count`) whose ``what`` of base**n complex entries
+    fits in MAX_STACK_BYTES; else UnsupportedDimension, before anything is allocated."""
+    n = _count(n, "qubit count")
+    if n >= MAX_STACK_BYTES.bit_length() or 16 * base**n > MAX_STACK_BYTES:   # base >= 2
+        raise UnsupportedDimension(f"a {n}-qubit {what} needs {base}**{n} complex entries, "
+                                   f"over the {MAX_STACK_BYTES >> 30} GiB limit")
+    return n
+
+
+def _rng(rng: np.random.Generator | int | None = None) -> np.random.Generator:
+    """``rng`` as a Generator: a ready one, a seed >= 0 or None (fresh OS-seeded),
+    else InvalidParameter.  There is deliberately no module-level generator."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.default_rng(None if rng is None else _count(rng, "seed", least=0))
 
 
 def _real(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:

@@ -7,15 +7,14 @@ import math
 
 import numpy as np
 
-from ._rng import as_rng
 from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     InvalidQuantumNumber,
 )
 from .operators import _twice, displacement, lowering, squeezing
-from .qcore import (Kind, QuantumObject, _complex, _count, _fix_phase, _real, density_matrix,
-                    dot, normalize)
+from .qcore import (Kind, QuantumObject, _complex, _count, _fix_phase, _qubit_count, _real,
+                    _rng, density_matrix, dot, normalize)
 
 
 def basis(d: int, k: int) -> QuantumObject:
@@ -57,9 +56,7 @@ def squeezed(d: int, alpha: complex, beta: complex) -> QuantumObject:
     d, alpha, beta = _count(d, "dimension"), _complex(alpha, "alpha"), _complex(beta, "beta")
     if d == 1:
         return basis(1, 0)
-    vac = basis(d, 0)
-    st = dot(displacement(d, alpha), squeezing(d, beta), vac)
-    return normalize(st)
+    return normalize(dot(displacement(d, alpha), squeezing(d, beta), basis(d, 0)))
 
 
 def position_state(d: int, x: float) -> QuantumObject:
@@ -100,39 +97,36 @@ def spin_coherent(j, theta: float, phi: float) -> QuantumObject:
 def random_haar(d: int, rng=None) -> QuantumObject:
     """Haar-random ket: normalized vector of i.i.d. standard complex Gaussians."""
     d = _count(d, "dimension")
-    g = as_rng(rng)
+    g = _rng(rng)
     v = g.normal(size=d) + 1j * g.normal(size=d)
     return normalize(QuantumObject(v.reshape(-1, 1)))
 
 
+def _uniform(n: int, indices: list[int]) -> QuantumObject:
+    """Equal superposition of the n-qubit basis kets at ``indices``."""
+    v = np.zeros((2**n, 1), dtype=complex)
+    v[indices, 0] = 1 / math.sqrt(len(indices))
+    return QuantumObject(v)
+
+
 def ghz(n: int) -> QuantumObject:
     """GHZ state (|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    d = 2 ** _count(n, "qubit count")
-    v = np.zeros((d, 1), dtype=complex)
-    v[0, 0] = v[d - 1, 0] = 1 / math.sqrt(2)
-    return QuantumObject(v)
+    n = _qubit_count(n, 2, "state")
+    return _uniform(n, [0, 2**n - 1])
 
 
 def w(n: int) -> QuantumObject:
     """W state: equal superposition of the n one-hot bitstrings."""
-    n = _count(n, "qubit count")
-    v = np.zeros((2**n, 1), dtype=complex)
-    for i in range(n):
-        v[1 << (n - 1 - i), 0] = 1 / math.sqrt(n)
-    return QuantumObject(v)
+    n = _qubit_count(n, 2, "state")
+    return _uniform(n, [1 << i for i in range(n)])
 
 
 def dicke(n: int, k: int) -> QuantumObject:
     """Dicke state: equal superposition of all weight-k bitstrings on n qubits."""
-    n = _count(n, "qubit count")
+    n = _qubit_count(n, 2, "state")
     if not (0 <= _count(k, "excitation count", least=None) <= n):
         raise InvalidQuantumNumber(f"excitation count {k} outside 0..{n}")
-    v = np.zeros((2**n, 1), dtype=complex)
-    amp = 1 / math.sqrt(math.comb(n, k))
-    for idx in range(2**n):
-        if bin(idx).count("1") == k:
-            v[idx, 0] = amp
-    return QuantumObject(v)
+    return _uniform(n, [i for i in range(2**n) if bin(i).count("1") == k])
 
 
 def add_random_noise(psi: QuantumObject, mean: float = 0.0, stdev: float = 0.0,
@@ -146,7 +140,7 @@ def add_random_noise(psi: QuantumObject, mean: float = 0.0, stdev: float = 0.0,
     if psi.kind is not Kind.KET:
         raise InvalidParameter("random amplitude noise is defined for kets")
     mean, stdev = _real(mean, "noise mean"), _real(stdev, "noise stdev", 0.0)
-    g = as_rng(rng)
+    g = _rng(rng)
     d = psi.dim
     delta = g.normal(mean, stdev, size=d) + 1j * g.normal(mean, stdev, size=d)
     return normalize(QuantumObject(psi.data.reshape(-1) + delta))

@@ -15,14 +15,13 @@ from .errors import (
     NotPositive,
     RankDeficientSet,
 )
-from .measurement import MeasurementSet, SamplerBackend, measure_and_sample, probabilities
+from .measurement import MeasurementSet, SamplerBackend, _set, measure_and_sample, probabilities
 from .qcore import Kind, QuantumObject, _psd_sqrt, _reals, _require_state, _spectrum, _square, _unit
 
 
 def trace_distance_pure(psi, phi) -> float:
     """sqrt(1 - |<phi|psi>|^2) for two kets, each normalised on use."""
-    a = QuantumObject(psi)
-    b = QuantumObject(phi)
+    a, b = QuantumObject(psi), QuantumObject(phi)
     if a.kind is not Kind.KET or b.kind is not Kind.KET:
         raise DimensionMismatch("trace_distance_pure expects two kets")
     if a.shape != b.shape:
@@ -124,9 +123,9 @@ def _inversion_map(mset: MeasurementSet) -> tuple:
     return inv
 
 
-def reconstruct_linear_inversion(freqs, mset: MeasurementSet) -> QuantumObject:
-    """Least-squares inversion of tr(E_k rho) = f_k over unit-trace Hermitian
-    matrices, followed by a PSD projection.
+def reconstruct_linear_inversion(freqs, mset) -> QuantumObject:
+    """Least-squares inversion of tr(E_k rho) = f_k, E_k in ``mset`` (read by
+    ``_set``), over unit-trace Hermitian matrices, then a PSD projection.
 
     Frequencies must be finite, and small enough that the estimate does
     not overflow (else :class:`InvalidDistribution`); those of grouped sets
@@ -136,6 +135,7 @@ def reconstruct_linear_inversion(freqs, mset: MeasurementSet) -> QuantumObject:
     operator space, i.e. when the Gram matrix M^T M of the design matrix
     is numerically singular.
     """
+    mset = _set(mset)
     if (freqs := _reals(freqs, "frequencies", InvalidDistribution)).shape != (len(mset),):
         raise DimensionMismatch(f"frequencies of shape {freqs.shape} for {len(mset)} elements")
     f = freqs.astype(float)                               # a copy, renormalised in place
@@ -199,15 +199,16 @@ class TomographyRun:
         }
 
 
-def run_tomography(true_state, mset: MeasurementSet, shots: int | None = None,
+def run_tomography(true_state, mset, shots: int | None = None,
                    backend: SamplerBackend | None = None,
                    estimator: Estimator | None = None) -> TomographyRun:
     """Simulate, reconstruct and score one tomography experiment.
 
     ``shots = None`` bypasses sampling and feeds exact probabilities to the
-    estimator (default: linear inversion + PSD projection).
+    estimator (default: linear inversion + PSD projection).  ``mset`` is read by ``_set``.
     """
     rho_true = _require_state(true_state)
+    mset = _set(mset)
     if shots is None:
         freqs = probabilities(rho_true, mset)
         backend_name, seed = "exact", 0

@@ -74,9 +74,14 @@ def test_criterion_01_pauli_expectations():
     state = ghz(1)
     obs = [pauli("x"), pauli("y"), pauli("z")]
     probs = probabilities(state, obs)  # warm-up
-    t0 = time.perf_counter()
-    probs = probabilities(state, obs)
-    dt = time.perf_counter() - t0
+    # the median of several calls: one stall of a shared machine (several
+    # milliseconds) would otherwise exceed the budget on its own
+    seconds = []
+    for _ in range(15):
+        t0 = time.perf_counter()
+        probs = probabilities(state, obs)
+        seconds.append(time.perf_counter() - t0)
+    dt = float(np.median(seconds))
     ok = bool(np.max(np.abs(probs - np.array([1.0, 0.0, 0.0]))) <= 1e-12)
     _report(1, "pauli expectation reproduction", ok, f"probs={probs.tolist()}")
     _elapsed_ok(1, dt, 1e-3)

@@ -386,6 +386,14 @@ def test_tomography_oversized_product_set_exit_3(tmp_path, capsys):
     assert "UnsupportedDimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["ghz", "w"])
+def test_state_past_the_qubit_limit_exit_3(name, capsys):
+    # 2^64 amplitudes: refused before anything is allocated
+    assert run_cli(["state", "--name", name, "--n", "64"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("UnsupportedDimension:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # metrology
 # ---------------------------------------------------------------------------

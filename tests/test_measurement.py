@@ -43,7 +43,9 @@ from qmkit.errors import (
     OutcomeImpossible,
     UnsupportedDimension,
 )
+from qmkit import measurement
 from qmkit.measurement import _cumulative, _stratified_counts
+from qmkit.qcore import _qubit_count
 
 MUB_DIMS = (2, 3, 4, 5, 7)
 SIC_DIMS = (2, 3, 4, 5, 6, 7, 8)
@@ -509,6 +511,52 @@ def test_set_rejects_mixed_or_empty_elements():
         MeasurementSet(kind="custom", elements=(identity(2), identity(3)))
     with pytest.raises(DimensionMismatch):
         MeasurementSet(kind="custom", elements=())
+
+
+_NO_STACKS = {"int": 5, "None": None, "nan": np.full((2, 2, 2), np.nan),
+              "ragged": np.array([np.eye(2), np.eye(3)], dtype=object)}
+
+
+@pytest.mark.parametrize("name", _NO_STACKS)
+def test_operators_that_make_no_finite_stack_are_refused(name):
+    # the set constructor and measure's Kraus list read operators through one rule
+    ops = _NO_STACKS[name]
+    with pytest.raises(InvalidObject):
+        MeasurementSet(kind="custom", elements=ops)
+    with pytest.raises(InvalidObject):
+        measure(ghz(1), ops)
+
+
+_OVERSIZED = {
+    "build_stoke_set(300)": lambda: build_stoke_set(300),
+    "build_pauli_set(230)": lambda: build_pauli_set(230),
+    "ghz(40)": lambda: ghz(40),
+    "ghz(64)": lambda: ghz(64),
+    "w(64)": lambda: w(64),
+    "dicke(64, 1)": lambda: dicke(64, 1),
+}
+
+
+@pytest.mark.parametrize("name", _OVERSIZED)
+def test_qubit_counts_past_the_size_limit_are_refused_before_allocation(name):
+    with pytest.raises(UnsupportedDimension, match="over the 1 GiB limit"):
+        _OVERSIZED[name]()
+
+
+def test_qubit_count_limit_is_the_last_count_that_fits():
+    # (entries per qubit, the largest count whose 16-byte entries fit in 1 GiB)
+    for base, most in ((2, 26), (16, 6), (24, 5)):
+        assert _qubit_count(most, base, "array") == most
+        with pytest.raises(UnsupportedDimension):
+            _qubit_count(most + 1, base, "array")
+
+
+def test_sic_orbit_is_built_and_verified_once_per_dimension(monkeypatch):
+    first = build_sic_set(5)
+    monkeypatch.setattr(measurement, "weyl_displacement", None)    # a rebuild would fail
+    again = build_sic_set(5)
+    np.testing.assert_array_equal(again.stack, first.stack)
+    assert again.stack is not first.stack
 
 
 @pytest.mark.parametrize("groups, match", [(((0, 5),), "index 5 is outside"),

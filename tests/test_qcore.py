@@ -68,7 +68,7 @@ from qmkit import (
     wigner_planar,
     wigner_spherical,
 )
-from qmkit._rng import as_rng
+from qmkit.qcore import _rng as as_rng
 from qmkit.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -631,6 +631,17 @@ _ARRAY_EXTRAS = {
         InvalidParameter),
     "MetrologyScenario 2-d phase grid": (lambda tmp: MetrologyScenario(
         probe=[1, 1], generator=pauli("z"), phis=[[0, 1], [2, 3]], observable=pauli("x")),
+        InvalidParameter),
+    "MeasurementSet.group_sums long": (lambda tmp: build_pauli_set(1).group_sums(range(8)),
+                                       DimensionMismatch),
+    "MeasurementSet.group_sums short": (lambda tmp: build_pauli_set(1).group_sums([0.3, 0.5]),
+                                        DimensionMismatch),
+    "error_propagation overflowing square": (
+        lambda tmp: error_propagation([0, 1], [1e200, 2e200], [1, 1]), InvalidParameter),
+    "error_propagation overflowing derivative": (
+        lambda tmp: error_propagation([0, 1e-300], [0, 1e10], [1, 1e21]), InvalidParameter),
+    "run_scenario overflowing observable": (lambda tmp: run_scenario(MetrologyScenario(
+        probe=[1, 1], generator=pauli("z"), phis=[0, 1], observable=1e160 * pauli("x"))),
         InvalidParameter),
     "read_grid nan cell": (lambda tmp: read_grid(_grid_file(tmp, "nan")), InvalidParameter),
     "read_grid inf cell": (lambda tmp: read_grid(_grid_file(tmp, "-inf")), InvalidParameter),

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,10 +176,8 @@ def test_every_state_boundary_refuses_non_states(boundary):
         np.testing.assert_array_equal(a, b)
 
 
-_STATE_PARAMETERS = {"state", "rho", "sigma", "probe", "true_state"}
-
-
-def test_state_boundary_table_lists_every_public_function_that_takes_a_state():
+def _public_callables_taking(parameters: set) -> set:
+    """Names of the public callables of qmkit and its modules with a parameter in ``parameters``."""
     modules = [qmkit] + [importlib.import_module(f"qmkit.{m.name}")
                          for m in pkgutil.iter_modules(qmkit.__path__)]
     takers = set()
@@ -190,12 +189,76 @@ def test_state_boundary_table_lists_every_public_function_that_takes_a_state():
                 params = inspect.signature(obj).parameters
             except (TypeError, ValueError):
                 continue
-            if _STATE_PARAMETERS & set(params):
+            if parameters & set(params):
                 takers.add(name)
+    return takers
+
+
+_STATE_PARAMETERS = {"state", "rho", "sigma", "probe", "true_state"}
+
+
+def test_state_boundary_table_lists_every_public_function_that_takes_a_state():
+    takers = _public_callables_taking(_STATE_PARAMETERS)
     assert {"measure", "husimi_planar", "MetrologyScenario", "run_tomography"} <= takers
     covered = {key.split("-")[0] for key in _STATE_BOUNDARIES}
     # TomographyRun is a result record: its true_state was checked by run_tomography
     assert takers - covered - {"TomographyRun"} == set()
+
+
+_SET_STATE, _SET_GENERATOR = ghz(2), np.diag([0.0, 1.0, 2.0, 3.0])
+
+_SET_FREQS = probabilities(_SET_STATE, build_stoke_set(2))
+
+# each public function that takes a set (an ``mset`` or ``observables``), reduced to
+# the arrays it returns, on the two-qubit state _SET_STATE
+_SETS = {
+    "probabilities": lambda s: probabilities(_SET_STATE, s),
+    "timed_measurement": lambda s: timed_measurement(_SET_STATE, s)[0],
+    "measure_and_sample-mc": lambda s: measure_and_sample(_SET_STATE, s, SamplerBackend("mc", 1), 50),
+    "measure_and_sample-cdf": lambda s: measure_and_sample(_SET_STATE, s,
+                                                           SamplerBackend("cdf", 1), 50),
+    "classical_fisher": lambda s: classical_fisher(
+        lambda phi: encode_phase(_SET_STATE, _SET_GENERATOR, phi), s, 0.3),
+    "reconstruct_linear_inversion": lambda s: reconstruct_linear_inversion(_SET_FREQS, s).data,
+    "run_tomography": lambda s: (lambda r: (r.reconstructed.data, r.fidelity, r.trace_distance))(
+        run_tomography(_SET_STATE, s, 40, SamplerBackend("cdf", 2))),
+}
+
+
+def _bytes(result) -> list:
+    return [np.asarray(a).tobytes() for a in (result if isinstance(result, tuple) else (result,))]
+
+
+@pytest.mark.parametrize("taker", sorted(_SETS))
+def test_every_set_argument_reads_operator_sequences_as_the_set(taker):
+    call, mset = _SETS[taker], build_stoke_set(2)      # an ungrouped set
+    want = _bytes(call(mset))
+    array = np.array(mset.stack)
+    for same in (mset.stack.tolist(), tuple(mset.elements), array):
+        assert _bytes(call(same)) == want
+    assert array.flags.writeable                          # the set was built on a copy
+
+
+@pytest.mark.parametrize("taker", sorted(_SETS))
+def test_every_set_argument_refuses_what_is_not_a_set(taker):
+    mixed = [pauli("x"), identity(3)]
+    for bad in (0.5, None, mixed, np.full((2, 4, 4), np.nan)):
+        with pytest.raises(QmkitError):
+            _SETS[taker](bad)
+
+
+def test_set_table_lists_every_public_function_that_takes_a_set():
+    takers = _public_callables_taking({"mset", "observables"})
+    assert {"probabilities", "measure_and_sample", "run_tomography"} <= takers
+    assert takers - {key.split("-")[0] for key in _SETS} == set()
+
+
+def test_only_the_set_rule_asks_whether_an_argument_is_a_set():
+    sources = Path(qmkit.__file__).parent.glob("*.py")
+    asks = [(path.name, line.strip()) for path in sources
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if "isinstance(" in line and "MeasurementSet" in line]
+    assert asks == [("measurement.py", "if isinstance(ops, MeasurementSet):")]
 
 
 def test_each_object_is_decomposed_once(monkeypatch):
