@@ -186,17 +186,13 @@ def cmd_state(args) -> int:
 def cmd_measure(args) -> int:
     st = _build_state(args)
     mset = SETS[args.set](st.dim)
-    probs = probabilities(st, mset)
-    freqs = None
+    cols = {"element_index": range(len(mset)),
+            "group": [None if g < 0 else g for g in mset.group_of.tolist()],
+            "probability": probabilities(st, mset)}
     if args.backend != "exact":
         backend = SamplerBackend(method=args.backend, seed=args.seed,
                                  iterations=args.shots)
-        freqs = measure_and_sample(st, mset, backend, args.shots)
-    cols = {"element_index": range(len(mset)),
-            "group": [None if g < 0 else g for g in mset.group_of.tolist()],
-            "probability": probs}
-    if freqs is not None:
-        cols["frequency"] = freqs
+        cols["frequency"] = measure_and_sample(st, mset, backend, args.shots)
     rows = [dict(zip(cols, row)) for row in zip(*cols.values())]
     if args.format == "json":
         _write_json({"set": mset.kind, "dimension": mset.dim,
@@ -286,16 +282,13 @@ def cmd_phasespace(args) -> int:
             x_range=(args.xmin, args.xmax), y_range=(args.ymin, args.ymax),
             nx=args.nx, ny=args.ny,
         )
-        fn = phasespace.husimi_planar if args.map == "husimi" else phasespace.wigner_planar
     else:
         grid = phasespace.SphericalGrid(
             theta_range=(args.theta_min, args.theta_max),
             phi_range=(args.phi_min, args.phi_max),
             ntheta=args.ntheta, nphi=args.nphi,
         )
-        fn = (phasespace.husimi_spherical if args.map == "husimi"
-              else phasespace.wigner_spherical)
-    result = fn(st, grid)
+    result = getattr(phasespace, f"{args.map}_{args.coords}")(st, grid)   # e.g. husimi_planar
     if args.format == "json":
         _write_json({
             "kind": result.kind, "coords": result.coords,
@@ -332,7 +325,8 @@ def cmd_metrology(args) -> int:
     except ValueError:
         raise _UsageError(f"--thetas-pi must be a comma list of numbers, got {args.thetas_pi!r}")
     j = args.j
-    sy, sz = spin(j, "y"), spin(j, "z")
+    sy = spin(j, "y")
+    sz = spin(j, "z")
     phis = np.linspace(0.0, args.t_max, args.points) * math.pi
     out_dir = Path(args.out_dir)
     try:

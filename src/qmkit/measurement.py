@@ -197,11 +197,12 @@ class SamplerBackend:
 
 def _set(ops) -> MeasurementSet:
     """The one reading of a set argument: a MeasurementSet passes through, anything
-    else becomes an ungrouped ``custom`` set (an array copied first: a set freezes it)."""
+    else becomes an ungrouped ``custom`` set.  A set freezes the stack it adopts, so
+    a numeric array is copied into it here; _stack converts any other array."""
     if isinstance(ops, MeasurementSet):
         return ops
-    if isinstance(ops, np.ndarray):
-        ops = ops.copy()
+    if isinstance(ops, np.ndarray) and ops.dtype.kind in "biufc":
+        ops = np.array(ops, dtype=complex, order="C")   # the one copy, which the set adopts
     return MeasurementSet(kind="custom", elements=ops)
 
 

@@ -187,12 +187,13 @@ def run_scenario(scenario: MetrologyScenario) -> PrecisionCurve:
     with np.errstate(over="ignore", invalid="ignore"):    # error_propagation refuses an overflow
         forms = np.stack([a.T * rho, (a @ a).T * rho])
         e1, e2 = np.einsum("pm,kmn,pn->kp", u, forms, u.conj()).real
+    delta_phi = error_propagation(scenario.phis, e1, e2)   # raises before an overflow is used
     n_spins = lam.size - 1
     return PrecisionCurve(
         phis=scenario.phis,
         expectation=e1,
-        delta_phi=error_propagation(scenario.phis, e1, e2),   # refuses an overflow first
         variance=e2 - e1**2,
+        delta_phi=delta_phi,
         sql=1.0 / math.sqrt(n_spins),
         hl=1.0 / n_spins,
     )

@@ -184,9 +184,14 @@ def grid_lines(grid: PhaseSpaceGrid) -> list[str]:
     Rows run in row-major order (slow coordinate outermost), matching the
     values layout.  All floats carry 17 significant digits.
     """
-    head = f"# kind={grid.kind} coords={grid.coords} n1={len(grid.axis1)} n2={len(grid.axis2)}"
-    return [head] + [f"{c1:.17g},{c2:.17g},{grid.values[i, j]:.17g}"
-                     for i, c1 in enumerate(grid.axis1) for j, c2 in enumerate(grid.axis2)]
+    lines = [
+        f"# kind={grid.kind} coords={grid.coords} "
+        f"n1={len(grid.axis1)} n2={len(grid.axis2)}"
+    ]
+    for i, c1 in enumerate(grid.axis1):
+        for j, c2 in enumerate(grid.axis2):
+            lines.append(f"{c1:.17g},{c2:.17g},{grid.values[i, j]:.17g}")
+    return lines
 
 
 def write_grid(grid: PhaseSpaceGrid, path) -> None:

@@ -126,14 +126,11 @@ class QuantumObject:
     def __add__(self, other: "QuantumObject") -> "QuantumObject":
         other = QuantumObject(other)
         if self.shape != other.shape:
-            raise DimensionMismatch(f"add: {self.shape} vs {other.shape}")
+            raise DimensionMismatch(f"operands of shape {self.shape} vs {other.shape}")
         return QuantumObject(self._data + other._data)
 
     def __sub__(self, other: "QuantumObject") -> "QuantumObject":
-        other = QuantumObject(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"sub: {self.shape} vs {other.shape}")
-        return QuantumObject(self._data - other._data)
+        return self + -QuantumObject(other)      # x - y is x + (-y) exactly in IEEE arithmetic
 
     def __neg__(self) -> "QuantumObject":
         return QuantumObject(-self._data)

@@ -3,6 +3,7 @@ coherent states, entangled qubit families, and the two noise channels."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -56,7 +57,9 @@ def squeezed(d: int, alpha: complex, beta: complex) -> QuantumObject:
     d, alpha, beta = _count(d, "dimension"), _complex(alpha, "alpha"), _complex(beta, "beta")
     if d == 1:
         return basis(1, 0)
-    return normalize(dot(displacement(d, alpha), squeezing(d, beta), basis(d, 0)))
+    vac = basis(d, 0)
+    st = dot(displacement(d, alpha), squeezing(d, beta), vac)
+    return normalize(st)
 
 
 def position_state(d: int, x: float) -> QuantumObject:
@@ -102,10 +105,12 @@ def random_haar(d: int, rng=None) -> QuantumObject:
     return normalize(QuantumObject(v.reshape(-1, 1)))
 
 
-def _uniform(n: int, indices: list[int]) -> QuantumObject:
-    """Equal superposition of the n-qubit basis kets at ``indices``."""
+def _uniform(n: int, indices) -> QuantumObject:
+    """Equal superposition of the n-qubit basis kets at ``indices``, an iterable of
+    ints read into one integer array (no list of them is held)."""
+    idx = np.fromiter(indices, dtype=np.int64)
     v = np.zeros((2**n, 1), dtype=complex)
-    v[indices, 0] = 1 / math.sqrt(len(indices))
+    v[idx, 0] = 1 / math.sqrt(idx.size)
     return QuantumObject(v)
 
 
@@ -126,7 +131,7 @@ def dicke(n: int, k: int) -> QuantumObject:
     n = _qubit_count(n, 2, "state")
     if not (0 <= _count(k, "excitation count", least=None) <= n):
         raise InvalidQuantumNumber(f"excitation count {k} outside 0..{n}")
-    return _uniform(n, [i for i in range(2**n) if bin(i).count("1") == k])
+    return _uniform(n, (sum(1 << b for b in c) for c in itertools.combinations(range(n), k)))
 
 
 def add_random_noise(psi: QuantumObject, mean: float = 0.0, stdev: float = 0.0,

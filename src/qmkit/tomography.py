@@ -21,7 +21,8 @@ from .qcore import Kind, QuantumObject, _psd_sqrt, _reals, _require_state, _spec
 
 def trace_distance_pure(psi, phi) -> float:
     """sqrt(1 - |<phi|psi>|^2) for two kets, each normalised on use."""
-    a, b = QuantumObject(psi), QuantumObject(phi)
+    a = QuantumObject(psi)
+    b = QuantumObject(phi)
     if a.kind is not Kind.KET or b.kind is not Kind.KET:
         raise DimensionMismatch("trace_distance_pure expects two kets")
     if a.shape != b.shape:
