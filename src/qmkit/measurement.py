@@ -54,31 +54,31 @@ _POL = {
 
 
 def _stack(ops) -> np.ndarray:
-    """(K, d, d) complex array of the operators ``ops``: a sequence of d x d
-    operators is copied into a new array, a finite (K, d, d) array is adopted.
+    """New (K, d, d) complex array of the operators ``ops``, a sequence of d x d
+    operators or a finite (K, d, d) array, each entry scanned once for finiteness.
     Anything else raises InvalidObject, or DimensionMismatch for a shape."""
     try:
         if not isinstance(ops, np.ndarray):
-            ops = [QuantumObject(e).data for e in ops]
+            ops = [QuantumObject(e).data for e in ops]      # each one copied and scanned
             if len({m.shape for m in ops}) != 1:
                 raise DimensionMismatch(f"elements have shapes {[m.shape for m in ops]}")
-        stack = np.ascontiguousarray(ops, dtype=complex)
+        stack = np.array(ops, dtype=complex, order="C")
     except (TypeError, ValueError):
         raise InvalidObject(f"expected a sequence of operators, got {type(ops).__name__}") from None
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
         raise DimensionMismatch(f"element stack has shape {stack.shape}, want (K, d, d)")
-    if not np.isfinite(stack).all():
+    if isinstance(ops, np.ndarray) and not np.isfinite(stack).all():
         raise InvalidObject("operator entries must be finite")
     return stack
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MeasurementSet:
     """Ordered POVM elements plus the partition into completeness groups.
 
-    The elements live in one read-only (K, d, d) complex array ``stack``;
-    ``elements`` holds views into it.  The constructor copies a sequence of
-    d x d operators into a new stack, or adopts and freezes a (K, d, d) array.
+    The elements live in one read-only (K, d, d) complex array ``stack``, which
+    the constructor copies from a sequence of d x d operators or a (K, d, d)
+    array; ``elements``, a tuple of views into it, is made on first read.
 
     ``groups`` lists disjoint, non-empty index tuples whose elements sum to
     the identity (none for sets without that structure, e.g. Stoke); any
@@ -89,28 +89,35 @@ class MeasurementSet:
     """
 
     kind: str
-    elements: tuple[QuantumObject, ...]
-    groups: tuple[tuple[int, ...], ...] = ()
-    stack: np.ndarray = field(init=False, repr=False)
-    group_of: np.ndarray = field(init=False, repr=False)
+    groups: tuple[tuple[int, ...], ...]
+    stack: np.ndarray = field(repr=False)
+    group_of: np.ndarray = field(repr=False)
     # grouped element indices in group order, and the index rows the cdf
     # sampler draws: one (G, L) block when all groups have L elements
-    _members: np.ndarray = field(init=False, repr=False)
-    _blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _members: np.ndarray = field(repr=False)
+    _blocks: tuple[np.ndarray, ...] = field(repr=False)
     # linear-inversion data, built by the first reconstruction from this set
-    _inversion: object = field(default=None, init=False, repr=False)
+    _inversion: object = field(default=None, repr=False)
 
-    def __post_init__(self):
-        stack = _stack(self.elements)
-        stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "elements", tuple(QuantumObject._view(m) for m in stack))
+    def __init__(self, kind: str, elements, groups=()):
+        self._adopt(kind, _stack(elements), groups)
+
+    @classmethod
+    def _built(cls, kind: str, stack: np.ndarray, groups=()) -> MeasurementSet:
+        """Freeze and wrap, without copying or scanning, a finite C-ordered complex
+        (K, d, d) stack computed from checked tables, like QuantumObject._view."""
+        ms = cls.__new__(cls)
+        ms._adopt(kind, stack, groups)
+        return ms
+
+    def _adopt(self, kind: str, stack: np.ndarray, groups) -> None:
+        """Freeze ``stack`` and store it with ``kind`` and the layout of ``groups``."""
         try:
-            groups = tuple(tuple(operator.index(i) for i in idx) for idx in self.groups)
+            groups = tuple(tuple(operator.index(i) for i in idx) for idx in groups)
             members = np.array([i for idx in groups for i in idx], dtype=int)
         except (TypeError, OverflowError):
             raise InvalidParameter("groups must be sequences of integer indices") from None
-        k, sizes = len(self), [len(idx) for idx in groups]
+        k, sizes = len(stack), [len(idx) for idx in groups]
         if 0 in sizes:
             raise InvalidParameter(f"group {sizes.index(0)} is empty")
         if (bad := members[(members < 0) | (members >= k)]).size:
@@ -121,11 +128,15 @@ class MeasurementSet:
         group_of[members] = np.repeat(np.arange(len(groups)), sizes)
         blocks = ((members.reshape(len(groups), -1),) if len(set(sizes)) == 1 else
                   tuple(np.array([idx]) for idx in groups))
-        for a in (members, group_of, *blocks):
+        for a in (stack, members, group_of, *blocks):
             a.flags.writeable = False
-        for name, value in (("groups", groups), ("group_of", group_of),
-                            ("_members", members), ("_blocks", blocks)):
+        for name, value in (("kind", kind), ("stack", stack), ("groups", groups),
+                            ("group_of", group_of), ("_members", members), ("_blocks", blocks)):
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def elements(self) -> tuple[QuantumObject, ...]:
+        return tuple(QuantumObject._view(m) for m in self.stack)
 
     def group_sums(self, values) -> np.ndarray:
         """(G,) sums of ``values`` (one per element) over each group, each
@@ -197,12 +208,9 @@ class SamplerBackend:
 
 def _set(ops) -> MeasurementSet:
     """The one reading of a set argument: a MeasurementSet passes through, anything
-    else becomes an ungrouped ``custom`` set.  A set freezes the stack it adopts, so
-    a numeric array is copied into it here; _stack converts any other array."""
+    else becomes an ungrouped ``custom`` set."""
     if isinstance(ops, MeasurementSet):
         return ops
-    if isinstance(ops, np.ndarray) and ops.dtype.kind in "biufc":
-        ops = np.array(ops, dtype=complex, order="C")   # the one copy, which the set adopts
     return MeasurementSet(kind="custom", elements=ops)
 
 
@@ -250,8 +258,8 @@ def measure(state, kraus_ops: Sequence) -> MeasurementOutcome:
 
 
 def _projectors(kets: np.ndarray) -> np.ndarray:
-    """(K, d, d) stack of the outer products |v><v| of the rows of ``kets``."""
-    return kets[:, :, None] * kets.conj()[:, None, :]
+    """C-ordered (K, d, d) stack of the outer products |v><v| of the rows of ``kets``."""
+    return np.multiply(kets[:, :, None], kets.conj()[:, None, :], order="C")
 
 
 def _product_projectors(letters: str, n: int) -> np.ndarray:
@@ -276,7 +284,7 @@ def build_pauli_set(n: int) -> MeasurementSet:
     bases = np.array(list(itertools.product(range(3), repeat=n)))
     bits = np.array(list(itertools.product(range(2), repeat=n)))
     index = (2 * bases[:, None, :] + bits[None, :, :]) @ 6 ** np.arange(n - 1, -1, -1)
-    return MeasurementSet(kind="pauli", elements=elements, groups=index)
+    return MeasurementSet._built("pauli", elements, index)
 
 
 def build_stoke_set(n: int) -> MeasurementSet:
@@ -286,7 +294,7 @@ def build_stoke_set(n: int) -> MeasurementSet:
     completeness groups are declared.
     """
     n = _qubit_count(n, 16, "Stoke set")            # K d^2 = 4^n 4^n entries
-    return MeasurementSet(kind="stoke", elements=_product_projectors("HVDR", n))
+    return MeasurementSet._built("stoke", _product_projectors("HVDR", n))
 
 
 def build_mub_set(d: int) -> MeasurementSet:
@@ -296,8 +304,8 @@ def build_mub_set(d: int) -> MeasurementSet:
     """
     d = _count(d, "dimension")
     bases = mub_bases(d)
-    return MeasurementSet(kind="mub", elements=_projectors(np.concatenate([B.T for B in bases])),
-                          groups=np.arange(len(bases) * d).reshape(-1, d))
+    return MeasurementSet._built("mub", _projectors(np.concatenate([B.T for B in bases])),
+                                 np.arange(len(bases) * d).reshape(-1, d))
 
 
 def weyl_displacement(d: int, j: int, k: int) -> QuantumObject:
@@ -341,8 +349,7 @@ def build_sic_set(d: int) -> MeasurementSet:
     (d in 2..8), which is verified before any set is handed out.
     """
     d = _count(d, "dimension")
-    return MeasurementSet(kind="sic", elements=_projectors(_sic_orbit(d)) / d,
-                          groups=(tuple(range(d * d)),))
+    return MeasurementSet._built("sic", _projectors(_sic_orbit(d)) / d, (tuple(range(d * d)),))
 
 
 def _can_skip(g: np.random.Generator) -> bool:

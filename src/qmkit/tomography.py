@@ -134,7 +134,8 @@ def reconstruct_linear_inversion(freqs, mset) -> QuantumObject:
     eigenvalues to zero and renormalizes the trace.  Raises
     :class:`RankDeficientSet` when the elements do not span the traceless
     operator space, i.e. when the Gram matrix M^T M of the design matrix
-    is numerically singular.
+    is numerically singular.  The inversion data is kept on the set, so pass a
+    :class:`MeasurementSet` to reuse it: a list or array is a new set each call.
     """
     mset = _set(mset)
     if (freqs := _reals(freqs, "frequencies", InvalidDistribution)).shape != (len(mset),):

@@ -485,12 +485,17 @@ def test_pauli_groups_pair_basis_outcomes():
     assert sorted(k for idx in ms.groups for k in idx) == list(range(36))
 
 
-@pytest.mark.parametrize("ms", [build_pauli_set(2), build_mub_set(3), build_sic_set(4),
-                                MeasurementSet(kind="custom",
-                                               elements=(pauli("x"), pauli("z")))])
+@pytest.mark.parametrize("ms", [
+    build_pauli_set(2), build_stoke_set(2), build_mub_set(3), build_sic_set(4),
+    MeasurementSet(kind="custom", elements=(pauli("x"), pauli("z"))),
+    # the projectors |k><k| as one F-ordered array
+    MeasurementSet(kind="custom", elements=np.asfortranarray(np.eye(3)[:, :, None] * np.eye(3))),
+])
 def test_elements_are_read_only_views_of_the_stack(ms):
     assert ms.stack.shape == (len(ms), ms.dim, ms.dim)
+    assert ms.stack.dtype == np.complex128 and ms.stack.flags.c_contiguous
     assert not ms.stack.flags.writeable
+    assert ms.elements is ms.elements          # made once, on first read
     for i, e in enumerate(ms.elements):
         assert not e.data.flags.writeable
         assert np.shares_memory(e.data, ms.stack)
@@ -571,12 +576,14 @@ def test_set_rejects_malformed_groups(groups, match):
 
 
 def test_set_groups_accept_tuples_lists_or_an_int_array():
-    elements = build_pauli_set(2).stack
+    elements = np.array(build_pauli_set(2).stack)
     rows = [(0, 1), (2, 3), (12, 13), (4, 5), (6, 7)]
     sets = [MeasurementSet(kind="custom", elements=elements, groups=g)
             for g in (tuple(rows), [list(r) for r in rows], np.array(rows))]
     for ms in sets:
         assert ms.groups == tuple(rows) and type(ms.groups[0][0]) is int
+        # the set is built on a copy: the caller's array stays its own
+        assert elements.flags.writeable and not np.shares_memory(elements, ms.stack)
     expected = np.full(36, -1)
     for g, idx in enumerate(rows):
         expected[list(idx)] = g
