@@ -55,19 +55,22 @@ _POL = {
 
 def _stack(ops) -> np.ndarray:
     """New (K, d, d) complex array of the operators ``ops``, a sequence of d x d
-    operators or a finite (K, d, d) array, each entry scanned once for finiteness.
-    Anything else raises InvalidObject, or DimensionMismatch for a shape."""
+    operators or a (K, d, d) array, converted once and scanned once for finiteness.
+    Anything else raises InvalidObject, or DimensionMismatch for a shape; entries not
+    all of one non-empty 2-d shape are read as QuantumObjects, each its own error first."""
     try:
         if not isinstance(ops, np.ndarray):
-            ops = [QuantumObject(e).data for e in ops]      # each one copied and scanned
-            if len({m.shape for m in ops}) != 1:
-                raise DimensionMismatch(f"elements have shapes {[m.shape for m in ops]}")
+            ops = [e.data if isinstance(e, QuantumObject) else np.asarray(e) for e in ops]
+            if len({a.shape for a in ops}) != 1 or ops[0].ndim != 2 or ops[0].size == 0:
+                ops = [QuantumObject(a).data for a in ops]
+                if len({a.shape for a in ops}) != 1:
+                    raise DimensionMismatch(f"elements have shapes {[a.shape for a in ops]}")
         stack = np.array(ops, dtype=complex, order="C")
     except (TypeError, ValueError):
         raise InvalidObject(f"expected a sequence of operators, got {type(ops).__name__}") from None
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
         raise DimensionMismatch(f"element stack has shape {stack.shape}, want (K, d, d)")
-    if isinstance(ops, np.ndarray) and not np.isfinite(stack).all():
+    if not np.isfinite(stack).all():
         raise InvalidObject("operator entries must be finite")
     return stack
 

@@ -120,6 +120,11 @@ def _grid_fields(grid, counts: tuple[str, str], **bounds: tuple[float, float]) -
         object.__setattr__(grid, name, _count(getattr(grid, name), name, least=2))
 
 
+def _fresh_axis(i: int) -> property:
+    """A grid's axis i as a new writable array, read from the grid's ``_keys``."""
+    return property(lambda grid: _axis(grid._keys[i]).copy())
+
+
 @dataclass(frozen=True)
 class PlanarGrid:
     """Rectangular grid in alpha = x + iy."""
@@ -133,13 +138,13 @@ class PlanarGrid:
         _grid_fields(self, ("nx", "ny"), x_range=(-math.inf, math.inf),
                      y_range=(-math.inf, math.inf))
 
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.x_range[0], self.x_range[1], self.nx)
+    @functools.cached_property
+    def _keys(self) -> tuple:
+        """``_bits`` of (xs, ys), made once per grid."""
+        return (_bits(np.linspace(*self.x_range, self.nx)),
+                _bits(np.linspace(*self.y_range, self.ny)))
 
-    @property
-    def ys(self) -> np.ndarray:
-        return np.linspace(self.y_range[0], self.y_range[1], self.ny)
+    xs, ys = _fresh_axis(0), _fresh_axis(1)
 
 
 @dataclass(frozen=True)
@@ -157,13 +162,13 @@ class SphericalGrid:
         if self.theta_range[0] > self.theta_range[1] or self.phi_range[0] > self.phi_range[1]:
             raise InvalidParameter(f"ranges {self.theta_range}, {self.phi_range} run backwards")
 
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.linspace(self.theta_range[0], self.theta_range[1], self.ntheta)
+    @functools.cached_property
+    def _keys(self) -> tuple:
+        """``_bits`` of (thetas, phis), made once per grid."""
+        return (_bits(np.linspace(*self.theta_range, self.ntheta)),
+                _bits(np.linspace(*self.phi_range, self.nphi)))
 
-    @property
-    def phis(self) -> np.ndarray:
-        return np.linspace(self.phi_range[0], self.phi_range[1], self.nphi)
+    thetas, phis = _fresh_axis(0), _fresh_axis(1)
 
 
 @dataclass(frozen=True)
@@ -265,13 +270,22 @@ def _husimi_terms(d: int, xs: tuple, ys: tuple) -> tuple:
     return _frozen(terms, math.pi * terms.sum(axis=0)[inverse])
 
 
+@functools.lru_cache(maxsize=_KERNELS)
+def _diagonal_layout(d: int) -> tuple:
+    """The planar maps' state-independent arrays, [k, m] over (d, d) by broadcasting:
+    row m, column min(m + k, d - 1), mask m + k < d, weight w_k (w_0 = 1, w_{k>0} = 2),
+    Husimi's sqrt(m! k! / (m+k)!) and Wigner's (-1)^m."""
+    k, m = np.ogrid[:d, :d]
+    ratios = np.cumprod(np.sqrt(np.where(m > 0, m / np.maximum(m + k, 1), 1.0)), axis=1)
+    return _frozen(m, np.minimum(m + k, d - 1), m + k < d, np.where(k > 0, 2.0, 1.0), ratios,
+                   (-1.0) ** m)
+
+
 def _weighted_diagonals(dm: np.ndarray) -> tuple:
-    """(k, m, c): index grids of shape (d, d) and c[k, m] = w_k rho_{m,m+k},
-    zero past the corner m + k >= d, with w_0 = 1 and w_{k>0} = 2."""
-    d = len(dm)
-    k, m = np.indices((d, d))
-    c = np.where(m + k < d, dm[m, np.minimum(m + k, d - 1)], 0.0) * np.where(k > 0, 2.0, 1.0)
-    return k, m, c
+    """c[k, m] = w_k rho_{m,m+k}, zero past the corner m + k >= d, and the last
+    two arrays of ``_diagonal_layout``."""
+    rows, cols, inside, weights, ratios, signs = _diagonal_layout(len(dm))
+    return np.where(inside, dm[rows, cols], 0.0) * weights, ratios, signs
 
 
 def _complex_product(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -304,12 +318,11 @@ def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     """
     dm = density_matrix(rho)
     d = len(dm)
-    xs, ys = _bits(grid.xs), _bits(grid.ys)
+    xs, ys = grid._keys
     alphas, _, inverse = _radial(xs, ys)
     terms, norm = _husimi_terms(d, xs, ys)
-    # coeffs[k, m] = w_k rho_{m,m+k} sqrt(m! k! / (m+k)!)
-    k, m, c = _weighted_diagonals(dm)
-    coeffs = c * np.cumprod(np.sqrt(np.where(m > 0, m / np.maximum(m + k, 1), 1.0)), axis=1)
+    c, ratios, _ = _weighted_diagonals(dm)
+    coeffs = c * ratios                             # w_k rho_{m,m+k} sqrt(m! k! / (m+k)!)
     sums = _complex_product(coeffs, terms)          # w_k sqrt(k!) D_k e^{-x/2}
     q = np.real(_horner(sums, inverse, lambda k: alphas * (1.0 / math.sqrt(k + 1)))) / norm
     return PhaseSpaceGrid("husimi", "planar", grid.ys, grid.xs, q.reshape(grid.ny, grid.nx))
@@ -367,12 +380,12 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     """
     dm = density_matrix(rho)
     d = len(dm)
-    xs, ys = _bits(grid.xs), _bits(grid.ys)
+    xs, ys = grid._keys
     _, _, inverse = _radial(xs, ys)
     table, phase = _wigner_terms(d, xs, ys)
-    _, m, c = _weighted_diagonals(dm)
+    c, _, signs = _weighted_diagonals(dm)
     # coeffs[k] = sum_m c[k, m] (-1)^m G[k, m]: diagonal k in the psi^(k mod 2)
-    coeffs = ((c * (-1.0) ** m)[:, None, :] @ _laguerre_basis(d))[:, 0]
+    coeffs = ((c * signs)[:, None, :] @ _laguerre_basis(d))[:, 0]
     sums = np.empty((d, table.shape[2]), dtype=complex)
     for p in (0, 1):
         sums[p::2] = _complex_product(coeffs[p::2], table[p])
@@ -394,10 +407,13 @@ def _axial_map(dm: np.ndarray, diagonals: tuple, phis: tuple) -> np.ndarray:
     """Re sum_ab rho_ab G_ab(theta) e^{-i(b-a) phi} on the grid with ``_bits``
     phis, for a real kernel G(theta) given by its diagonals k = 1-d .. d-1,
     each of shape (ntheta, d-|k|).  As phi enters through b - a alone, the
-    diagonals of rho o G(theta) are summed first."""
-    offsets = range(1 - len(dm), len(dm))
-    sums = np.stack([g @ np.diagonal(dm, k) for g, k in zip(diagonals, offsets)], axis=1)
-    return np.real(sums @ _axial_phases(len(dm), phis))
+    diagonals of rho o G(theta) are summed first, each into its column of one
+    array; G stays real, so each sum is the BLAS product that g @ v makes."""
+    d = len(dm)
+    sums = np.empty((len(diagonals[0]), 2 * d - 1), dtype=complex)
+    for i, g in enumerate(diagonals):
+        sums[:, i] = np.dot(g, dm.diagonal(i + 1 - d))
+    return np.real(sums @ _axial_phases(d, phis))
 
 
 @functools.lru_cache(maxsize=_KERNELS)
@@ -415,7 +431,7 @@ def husimi_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
     The amplitudes of ``spin_coherent`` are c_i(theta) e^{-i i phi}, so Q is
     :func:`_axial_map` with G(theta) = c c^T / pi."""
     dm = density_matrix(rho)
-    vals = _axial_map(dm, _husimi_diagonals(len(dm) - 1, _bits(grid.thetas)), _bits(grid.phis))
+    vals = _axial_map(dm, _husimi_diagonals(len(dm) - 1, grid._keys[0]), grid._keys[1])
     return PhaseSpaceGrid("husimi", "spherical", grid.thetas, grid.phis, vals)
 
 
@@ -474,5 +490,5 @@ def wigner_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
     sphere.  It is :func:`_axial_map` with G = d Delta_0 d^T, d = exp(-i theta J_y).
     """
     dm = density_matrix(rho)
-    vals = _axial_map(dm, _wigner_diagonals(len(dm) - 1, _bits(grid.thetas)), _bits(grid.phis))
+    vals = _axial_map(dm, _wigner_diagonals(len(dm) - 1, grid._keys[0]), grid._keys[1])
     return PhaseSpaceGrid("wigner", "spherical", grid.thetas, grid.phis, vals)

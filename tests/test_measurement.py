@@ -519,7 +519,14 @@ def test_set_rejects_mixed_or_empty_elements():
 
 
 _NO_STACKS = {"int": 5, "None": None, "nan": np.full((2, 2, 2), np.nan),
-              "ragged": np.array([np.eye(2), np.eye(3)], dtype=object)}
+              "ragged": np.array([np.eye(2), np.eye(3)], dtype=object),
+              # sequences: each entry keeps the error it raises as a QuantumObject
+              "a ragged entry": [[[1, 2], [3]]], "scalars": [1.0, 2.0],
+              "empty matrices": [np.zeros((0, 0))], "3-d entries": [np.ones((1, 2, 2))],
+              "a None entry": [np.eye(2), None], "strings": [np.eye(2), [["a", "b"], ["c", "d"]]],
+              "objects": [np.array([[1, None], [None, 1]])],
+              "a nan entry": [np.eye(2), np.full((2, 2), np.nan)], "inf": [np.diag([np.inf, 1.0])],
+              "nan and ragged": [np.eye(2), np.full((3, 3), np.nan)]}
 
 
 @pytest.mark.parametrize("name", _NO_STACKS)
@@ -530,6 +537,37 @@ def test_operators_that_make_no_finite_stack_are_refused(name):
         MeasurementSet(kind="custom", elements=ops)
     with pytest.raises(InvalidObject):
         measure(ghz(1), ops)
+
+
+_OTHER_SHAPES = {
+    "ragged": [np.eye(2), np.eye(3)],
+    "ragged nested lists": [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+    "kets": [basis(2, 0), basis(2, 1)],
+    "1-d entries": [np.ones(2), np.ones(2)],
+    "ragged 1-d entries": [np.ones(2), np.ones(3)],
+}
+
+
+@pytest.mark.parametrize("name", _OTHER_SHAPES)
+def test_sequences_of_other_than_square_operators_of_one_shape_are_refused(name):
+    with pytest.raises(DimensionMismatch):
+        MeasurementSet(kind="custom", elements=_OTHER_SHAPES[name])
+    with pytest.raises(DimensionMismatch):
+        measure(ghz(1), _OTHER_SHAPES[name])
+
+
+@pytest.mark.parametrize("make", [lambda: build_pauli_set(2), lambda: build_sic_set(3),
+                                  lambda: build_mub_set(3), lambda: build_stoke_set(2)])
+def test_a_list_and_an_array_make_one_stack(make):
+    ms = make()
+    stack = np.array(ms.stack)
+    for ops in (stack, list(stack), ms.elements, [e.tolist() for e in stack]):
+        built = MeasurementSet(kind="custom", elements=ops).stack
+        assert built.dtype == np.complex128 and built.flags.c_contiguous
+        assert built.tobytes() == stack.tobytes()
+    ints = [np.eye(3, dtype=int), np.ones((3, 3), dtype=bool)]
+    assert MeasurementSet(kind="custom", elements=ints).stack.tobytes() == \
+        MeasurementSet(kind="custom", elements=np.array(ints)).stack.tobytes()
 
 
 _OVERSIZED = {

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -11,7 +12,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import racah_clebsch_gordan, random_density
+from conftest import racah_clebsch_gordan, random_density, random_ket
 from qmkit import (
     PlanarGrid,
     SphericalGrid,
@@ -19,6 +20,7 @@ from qmkit import (
     cat_state,
     clebsch_gordan,
     coherent,
+    density_matrix,
     displacement,
     husimi_planar,
     husimi_spherical,
@@ -37,6 +39,9 @@ from qmkit.errors import DimensionMismatch, InvalidParameter, InvalidQuantumNumb
 from qmkit.phasespace import (
     _axial_phases,
     _bits,
+    _complex_product,
+    _diagonal_layout,
+    _horner,
     _husimi_diagonals,
     _husimi_terms,
     _laguerre_basis,
@@ -637,8 +642,8 @@ def test_husimi_nonnegative_random_states(seed):
 # ---------------------------------------------------------------------------
 
 MAPS = (husimi_planar, wigner_planar, husimi_spherical, wigner_spherical)
-_KERNEL_CACHES = (_radial, _husimi_terms, _laguerre_basis, _wigner_terms, _husimi_diagonals,
-                  _wigner_diagonals, _axial_phases)
+_KERNEL_CACHES = (_radial, _husimi_terms, _laguerre_basis, _wigner_terms, _diagonal_layout,
+                  _husimi_diagonals, _wigner_diagonals, _axial_phases)
 
 
 def _clear_caches():
@@ -755,10 +760,10 @@ def test_cached_kernels_are_read_only():
         fn(spin_rho, sgrid)
     xs, ys, thetas = _bits(pgrid.xs), _bits(pgrid.ys), _bits(sgrid.thetas)
     cached = [*_radial(xs, ys), *_husimi_terms(6, xs, ys),
-              _laguerre_basis(6), *_wigner_terms(6, xs, ys),
+              _laguerre_basis(6), *_wigner_terms(6, xs, ys), *_diagonal_layout(6),
               *_husimi_diagonals(4, thetas), *_wigner_diagonals(4, thetas),
               _axial_phases(5, _bits(sgrid.phis))]
-    assert len(cached) == 3 + 2 + 1 + 2 + 9 + 9 + 1
+    assert len(cached) == 3 + 2 + 1 + 2 + 6 + 9 + 9 + 1
     for arr in cached:
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -844,3 +849,135 @@ def test_list_ranges_give_the_tuple_grid():
     assert lists == tuples and hash(lists) == hash(tuples)
     for fn in MAPS[2:]:
         assert _same_bits(fn(spin_rho, lists), fn(spin_rho, tuples))
+
+
+# ---------------------------------------------------------------------------
+# the maps against the formulas they had before their per-call layouts were
+# cached: bit for bit, on every platform, with the module's cached kernels
+# ---------------------------------------------------------------------------
+
+def _linspace_bits(lo_hi, n):
+    return _bits(np.linspace(lo_hi[0], lo_hi[1], n))
+
+
+def _reference_diagonals(dm):
+    d = len(dm)
+    k, m = np.indices((d, d))
+    c = np.where(m + k < d, dm[m, np.minimum(m + k, d - 1)], 0.0) * np.where(k > 0, 2.0, 1.0)
+    return k, m, c
+
+
+def _reference_husimi_planar(dm, grid):
+    xs, ys = _linspace_bits(grid.x_range, grid.nx), _linspace_bits(grid.y_range, grid.ny)
+    alphas, _, inverse = _radial(xs, ys)
+    terms, norm = _husimi_terms(len(dm), xs, ys)
+    k, m, c = _reference_diagonals(dm)
+    coeffs = c * np.cumprod(np.sqrt(np.where(m > 0, m / np.maximum(m + k, 1), 1.0)), axis=1)
+    sums = _complex_product(coeffs, terms)
+    q = np.real(_horner(sums, inverse, lambda k: alphas * (1.0 / math.sqrt(k + 1)))) / norm
+    return q.reshape(grid.ny, grid.nx)
+
+
+def _reference_wigner_planar(dm, grid):
+    d = len(dm)
+    xs, ys = _linspace_bits(grid.x_range, grid.nx), _linspace_bits(grid.y_range, grid.ny)
+    _, _, inverse = _radial(xs, ys)
+    table, phase = _wigner_terms(d, xs, ys)
+    _, m, c = _reference_diagonals(dm)
+    coeffs = ((c * (-1.0) ** m)[:, None, :] @ _laguerre_basis(d))[:, 0]
+    sums = np.empty((d, table.shape[2]), dtype=complex)
+    for p in (0, 1):
+        sums[p::2] = _complex_product(coeffs[p::2], table[p])
+    vals = 2.0 / math.pi * np.real(_horner(sums, inverse, lambda k: phase))
+    return vals.reshape(grid.ny, grid.nx)
+
+
+def _reference_axial_map(kernel):
+    def evaluate(dm, grid):
+        thetas = _linspace_bits(grid.theta_range, grid.ntheta)
+        phis = _linspace_bits(grid.phi_range, grid.nphi)
+        diagonals, offsets = kernel(len(dm) - 1, thetas), range(1 - len(dm), len(dm))
+        sums = np.stack([g @ np.diagonal(dm, k) for g, k in zip(diagonals, offsets)], axis=1)
+        return np.real(sums @ _axial_phases(len(dm), phis))
+    return evaluate
+
+
+_PLANAR = (range(1, 31),
+           (PlanarGrid(), PlanarGrid(x_range=(-1.5, -0.0), y_range=(-0.0, 2.0), nx=9, ny=7)))
+_SPHERICAL = (range(2, 42),
+              (SphericalGrid(), SphericalGrid(theta_range=(0.3, 2.0), ntheta=8, nphi=5)))
+_REFERENCES = {   # map -> (reference, (dimensions, grids))
+    husimi_planar: (_reference_husimi_planar, _PLANAR),
+    wigner_planar: (_reference_wigner_planar, _PLANAR),
+    husimi_spherical: (_reference_axial_map(_husimi_diagonals), _SPHERICAL),
+    wigner_spherical: (_reference_axial_map(_wigner_diagonals), _SPHERICAL),
+}
+
+
+@pytest.mark.parametrize("fn", MAPS, ids=lambda fn: fn.__name__)
+def test_maps_equal_their_uncached_formulas_bitwise(fn):
+    reference, (dims, grids) = _REFERENCES[fn]
+    rng = np.random.default_rng(2027)
+    for d in dims:
+        states = (random_ket(rng, d), random_density(rng, d)) if d > 1 else (basis(1, 0),)
+        for state in states:
+            for grid in grids:
+                want = reference(density_matrix(state), grid)
+                assert np.array_equal(fn(state, grid).values, want), (d, grid)
+
+
+# ---------------------------------------------------------------------------
+# grid axes: made once per grid, handed out as fresh arrays
+# ---------------------------------------------------------------------------
+
+_AXES = {PlanarGrid: (("xs", "x_range", "nx"), ("ys", "y_range", "ny")),
+         SphericalGrid: (("thetas", "theta_range", "ntheta"), ("phis", "phi_range", "nphi"))}
+
+
+@pytest.mark.parametrize("grid", [PlanarGrid(), SphericalGrid(),
+                                  PlanarGrid(x_range=(-1.0, -0.0), y_range=[-0.0, 2], nx=5, ny=4),
+                                  SphericalGrid(theta_range=(-0.0, 1.0), nphi=7)])
+def test_each_axis_read_is_a_fresh_writable_linspace(grid):
+    assert grid._keys is grid._keys                          # computed once per grid
+    for name, bounds, count in _AXES[type(grid)]:
+        lo, hi = getattr(grid, bounds)
+        expected = np.linspace(lo, hi, getattr(grid, count)).tobytes()
+        first = getattr(grid, name)
+        assert first.flags.writeable and first.flags.owndata and first.tobytes() == expected
+        assert np.signbit(first[-1]) == np.signbit(hi)        # linspace keeps a -0.0 end
+        first[...] = 7.0
+        again = getattr(grid, name)
+        assert again is not first and again.tobytes() == expected
+
+
+@pytest.mark.parametrize("fn, make", _CACHE_CASES)
+def test_mutating_an_axis_read_or_a_map_axis_leaves_the_next_ones_unchanged(fn, make):
+    rho = make()
+    if "planar" in fn.__name__:
+        grid, slow, fast = PlanarGrid(nx=9, ny=8), "ys", "xs"
+    else:
+        grid, slow, fast = SphericalGrid(ntheta=9, nphi=8), "thetas", "phis"
+    kept_slow, kept_fast = getattr(grid, slow), getattr(grid, fast)
+    first = fn(rho, grid)
+    getattr(grid, fast)[...] = 7.0
+    first.axis1[...] = 7.0
+    first.axis2[...] = 7.0
+    again = fn(rho, grid)
+    assert again.axis1.tobytes() == kept_slow.tobytes() == getattr(grid, slow).tobytes()
+    assert again.axis2.tobytes() == kept_fast.tobytes() == getattr(grid, fast).tobytes()
+    assert again.values.tobytes() == fn(rho, dataclasses.replace(grid)).values.tobytes()
+
+
+def test_grids_compare_and_hash_by_their_fields_only():
+    for read, unread in ((PlanarGrid(nx=5), PlanarGrid(nx=5)),
+                         (SphericalGrid(nphi=5), SphericalGrid(nphi=5))):
+        name = _AXES[type(read)][0][0]
+        getattr(read, name)                                  # caches the axes on one side only
+        assert read == unread and hash(read) == hash(unread) and len({read, unread}) == 1
+        assert repr(read) == repr(unread)
+        copy = dataclasses.replace(read)
+        assert copy == read and copy._keys is not read._keys
+        assert getattr(copy, name).tobytes() == getattr(read, name).tobytes()
+        count = _AXES[type(read)][0][2]
+        resized = dataclasses.replace(read, **{count: 3})
+        assert resized != read and getattr(resized, name).size == 3
