@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every subcommand is seedable (``--seed``, default 0) and writes CSV or JSON
-to ``--out`` (stdout when omitted).  Identical flags and seed reproduce
-output files byte for byte; the two wall-clock benchmark commands are the
-inherent exception, since their payload is measured time.
+Every subcommand but ``metrology`` is seedable (``--seed``, default 0) and
+writes CSV or JSON to ``--out`` (stdout when omitted); ``metrology`` draws
+nothing and writes one CSV file per cat angle into ``--out-dir``.  Identical
+flags and seed reproduce output files byte for byte; the two wall-clock
+benchmark commands are the inherent exception, since their payload is
+measured time.
 
     qmkit state       --name ghz --n 3
     qmkit measure     --name ghz --n 1 --set xyz --backend exact
@@ -232,6 +234,7 @@ def cmd_bench_povm(args) -> int:
 
 
 def cmd_backend_compare(args) -> int:
+    qcore._fits(args.samples, 1, f"a grid of {args.samples} samples")
     xs = np.linspace(0.0, 5.0, args.samples)
     exact = np.exp(-xs)
     rng = _rng(args.seed)
@@ -327,6 +330,8 @@ def cmd_metrology(args) -> int:
     j = args.j
     sy = spin(j, "y")
     sz = spin(j, "z")
+    # run_scenario holds the phases of each level at each point
+    qcore._fits(args.points * sz.dim, 1, f"a phase grid of {args.points} points")
     phis = np.linspace(0.0, args.t_max, args.points) * math.pi
     out_dir = Path(args.out_dir)
     try:
@@ -425,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of runs (seeds seed, seed+1, ...)")
     p.set_defaults(func=cmd_tomography)
 
-    p = sub.add_parser("metrology", help="cat-state precision curves")
-    common(p)
+    # no abbreviations, so that --out is refused rather than read as --out-dir
+    p = sub.add_parser("metrology", help="cat-state precision curves", allow_abbrev=False)
     p.add_argument("--j", type=float, default=10.0)
     p.add_argument("--thetas-pi", default="0,0.15,0.25,0.35",
                    help="comma list of cat angles in units of pi")

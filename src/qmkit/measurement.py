@@ -32,8 +32,8 @@ from .errors import (
     NotHermitian,
     OutcomeImpossible,
 )
-from .qcore import (HERMITIAN_TOL, QuantumObject, _count, _qubit_count, _real, _reals,
-                    _require_state, _rng)
+from .qcore import (HERMITIAN_TOL, QuantumObject, _count, _dimension, _qubit_count, _real,
+                    _reals, _require_state, _rng)
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
@@ -99,8 +99,6 @@ class MeasurementSet:
     # sampler draws: one (G, L) block when all groups have L elements
     _members: np.ndarray = field(repr=False)
     _blocks: tuple[np.ndarray, ...] = field(repr=False)
-    # linear-inversion data, built by the first reconstruction from this set
-    _inversion: object = field(default=None, repr=False)
 
     def __init__(self, kind: str, elements, groups=()):
         self._adopt(kind, _stack(elements), groups)
@@ -140,6 +138,32 @@ class MeasurementSet:
     @functools.cached_property
     def elements(self) -> tuple[QuantumObject, ...]:
         return tuple(QuantumObject._view(m) for m in self.stack)
+
+    @functools.cached_property
+    def _inversion(self) -> tuple:
+        """What linear inversion needs of the set, made on first use and kept:
+        (offsets, gram_inv, real stack, real basis, 1/d).
+
+        With off_k = tr(E_k)/d and M[k, a] = Re tr(E_k B_a) over the basis B_a
+        of :func:`_real_basis`, rho - 1/d has the least-squares coordinates
+        x = (M^T M)^{-1} M^T (f - off), and M^T (f - off) = Re tr(A B_a) with
+        A = sum_k (f_k - off_k) E_k, so M is never kept.  ``gram_inv`` is
+        (M^T M)^{-1}, or None when M^T M is singular.  The real stack is a
+        (K, 2 d^2) view of the C-ordered stack with interleaved (re, im)
+        entries; 1/d is the d x d identity over d.
+        """
+        d = self.dim
+        basis = _real_basis(d)
+        real = self.stack.view(float).reshape(len(self), -1)
+        gram = np.zeros((d * d - 1, d * d - 1))
+        for start in range(0, len(self), 64):      # row blocks: M is never held whole
+            m = real[start:start + 64] @ basis.T
+            gram += m.T @ m
+        full_rank = np.linalg.matrix_rank(gram, hermitian=True) == d * d - 1
+        mixed = np.eye(d, dtype=complex) / d
+        mixed.flags.writeable = False
+        return (np.trace(self.stack, axis1=1, axis2=2).real / d,
+                np.linalg.inv(gram) if full_rank else None, real, basis, mixed)
 
     def group_sums(self, values) -> np.ndarray:
         """(G,) sums of ``values`` (one per element) over each group, each
@@ -207,6 +231,27 @@ class SamplerBackend:
 
     def rng(self) -> np.random.Generator:
         return _rng(self.seed)
+
+
+def _real_basis(d: int) -> np.ndarray:
+    """Orthonormal (Hilbert-Schmidt) basis B_a of traceless Hermitian d x d
+    matrices, one row per element with its entries as interleaved (re, im)
+    pairs; taking any complex X the same way, Re tr(X B_a) = row_a . X.
+
+    Rows: for each pair i < j the symmetric element (|i><j| + |j><i|)/sqrt2
+    and the antisymmetric one (-i|i><j| + i|j><i|)/sqrt2, then the d - 1
+    diagonal elements (1, ..., 1, -l, 0, ..., 0)/sqrt(l(l+1)).
+    """
+    i, j = np.triu_indices(d, 1)
+    sym, anti = 2 * np.arange(len(i)), 2 * np.arange(len(i)) + 1
+    basis = np.zeros((d * d - 1, d, d), dtype=complex)
+    basis[sym, i, j] = basis[sym, j, i] = 1 / np.sqrt(2)
+    basis[anti, i, j], basis[anti, j, i] = -1j / np.sqrt(2), 1j / np.sqrt(2)
+    l, p = np.arange(1, d)[:, None], np.arange(d)
+    basis[2 * len(i):, p, p] = np.where(p < l, 1.0, np.where(p == l, -l, 0.0)) / np.sqrt(l * (l + 1))
+    real = basis.view(float).reshape(d * d - 1, 2 * d * d)
+    real.flags.writeable = False
+    return real
 
 
 def _set(ops) -> MeasurementSet:
@@ -318,7 +363,7 @@ def weyl_displacement(d: int, j: int, k: int) -> QuantumObject:
     omega = exp(2 pi i / d); the half-integer power of omega is taken on
     the principal branch.  All D_{j,k} are unitary.
     """
-    d = _count(d, "dimension")
+    d = _dimension(d, 2)
     if not (_count(j, "j", least=0) < d and _count(k, "k", least=0) < d):
         raise InvalidParameter(f"need 0 <= j,k < d, got j={j}, k={k}, d={d}")
     om = np.exp(2j * np.pi / d)

@@ -6,14 +6,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter, InvalidQuantumNumber
-from .qcore import QuantumObject, _complex, _count, _evolution
+from .qcore import QuantumObject, _complex, _dimension, _evolution, _fits
 
 _AXES = ("x", "y", "z", "+", "-")
 
 
 def identity(d: int) -> QuantumObject:
     """d-dimensional identity matrix."""
-    d = _count(d, "dimension")
+    d = _dimension(d, 2)
     return QuantumObject(np.eye(d, dtype=complex))
 
 
@@ -37,6 +37,7 @@ def spin(s, axis: str | None = None):
     without it returns the (Sx, Sy, Sz) triple.
     """
     two_s = _twice(s)
+    _fits(two_s + 1, 2, f"spin {s}")
     s = two_s / 2                      # the half-integer that _twice accepted
     ms = s - np.arange(two_s + 1)
     sz = np.diag(ms).astype(complex)
@@ -45,7 +46,7 @@ def spin(s, axis: str | None = None):
     ops = {"x": (sp + sm) / 2, "y": (sp - sm) / 2j, "z": sz, "+": sp, "-": sm}
     if axis is None:
         return tuple(QuantumObject(ops[a]) for a in "xyz")
-    if axis in ops:
+    if isinstance(axis, str) and axis in ops:
         return QuantumObject(ops[axis])
     raise InvalidParameter(f"axis must be one of {_AXES}, got {axis!r}")
 
@@ -59,14 +60,14 @@ def pauli(axis: str) -> QuantumObject:
         "+": [[0, 1], [0, 0]],
         "-": [[0, 0], [1, 0]],
     }
-    if axis not in mats:
+    if not (isinstance(axis, str) and axis in mats):
         raise InvalidParameter(f"axis must be one of {_AXES}, got {axis!r}")
     return QuantumObject(np.array(mats[axis], dtype=complex))
 
 
 def lowering(d: int) -> QuantumObject:
     """Truncated annihilation operator: a|n> = sqrt(n)|n-1>."""
-    d = _count(d, "dimension", least=2)
+    d = _dimension(d, 2, least=2)
     return QuantumObject(np.diag(np.sqrt(np.arange(1, d)), 1))
 
 
@@ -82,7 +83,7 @@ def displacement(d: int, alpha: complex) -> QuantumObject:
     exactly unitary at any cutoff (accuracy vs. the infinite-dimensional
     operator still needs d well above |alpha|^2).
     """
-    d, alpha = _count(d, "dimension"), _complex(alpha, "alpha")
+    d, alpha = _dimension(d, 2), _complex(alpha, "alpha")
     if d == 1:
         return identity(1)
     a = lowering(d).data
@@ -93,7 +94,7 @@ def displacement(d: int, alpha: complex) -> QuantumObject:
 def squeezing(d: int, beta: complex) -> QuantumObject:
     """Squeezing operator exp((beta* a^2 - beta a^dag^2)/2) at cutoff d, one
     Fock parity at a time: the generator couples n to n +- 2 only."""
-    d, beta = _count(d, "dimension", least=2), _complex(beta, "beta")
+    d, beta = _dimension(d, 2, least=2), _complex(beta, "beta")
     a = lowering(d).data
     ad = a.conj().T
     gen = (np.conj(beta) * (a @ a) - beta * (ad @ ad)) / 2.0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameter, InvalidQuantumNumber
 from .operators import _twice, spin
-from .qcore import _count, _real, _reals, _write_lines, density_matrix
+from .qcore import _count, _fits, _real, _reals, _write_lines, density_matrix
 from .states import _spin_coherent_magnitudes
 
 
@@ -106,7 +106,8 @@ def spherical_harmonic(k: int, q: int, theta, phi):
 def _grid_fields(grid, counts: tuple[str, str], **bounds: tuple[float, float]) -> None:
     """Store each named range of a frozen grid as a pair of floats, so grids built
     from lists hash, and each named count as an int; InvalidParameter unless both
-    ends pass ``_real`` in (lo, hi) and each count is an integer >= 2."""
+    ends pass ``_real`` in (lo, hi) and each count is an integer >= 2, and
+    UnsupportedDimension unless the grid's points pass ``_fits``."""
     for name, (lo, hi) in bounds.items():
         value = getattr(grid, name)
         try:
@@ -118,6 +119,8 @@ def _grid_fields(grid, counts: tuple[str, str], **bounds: tuple[float, float]) -
         object.__setattr__(grid, name, tuple(_real(v, name, lo, hi) for v in pair))
     for name in counts:
         object.__setattr__(grid, name, _count(getattr(grid, name), name, least=2))
+    n1, n2 = (getattr(grid, name) for name in counts)
+    _fits(n1 * n2, 1, f"a {n1} x {n2} grid")
 
 
 def _fresh_axis(i: int) -> property:

@@ -34,7 +34,7 @@ from .errors import (
 )
 
 HERMITIAN_TOL = 1e-10
-MAX_STACK_BYTES = 2**30    # largest array a qubit count may ask for: Pauli n <= 5, kets n <= 26
+MAX_STACK_BYTES = 2**30    # largest array a size may ask for: Pauli n <= 5, kets n <= 26
 
 ArrayLike = Union[np.ndarray, Sequence, "QuantumObject"]
 
@@ -69,7 +69,7 @@ class QuantumObject:
             return
         try:
             arr = np.asarray(data, dtype=complex)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidObject(f"expected a numeric matrix: {exc}") from None
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
@@ -227,8 +227,11 @@ def _unit(q: QuantumObject) -> np.ndarray:
 def to_operator(x: ArrayLike) -> QuantumObject:
     """Outer product |psi><psi| of a (normalized) bra or ket; opers pass through."""
     q = x if isinstance(x, QuantumObject) else QuantumObject(x)
-    if q.kind is Kind.OPER:
-        return q
+    return q if q.kind is Kind.OPER else _projector(q)
+
+
+def _projector(q: QuantumObject) -> QuantumObject:
+    """|v><v| for the unit vector v of ``q``'s entries (conjugated for a bra)."""
     v = _unit(q).reshape(-1)
     if q.kind is Kind.BRA:
         v = v.conj()
@@ -266,14 +269,29 @@ def _count(value, name: str, least: int | None = 1) -> int:
     raise InvalidParameter(f"{name} must be an integer{floor}, got {value!r}")
 
 
+def _fits(base: int, power: int, what: str) -> None:
+    """UnsupportedDimension, before anything is allocated, unless ``what`` of
+    base**power complex entries fits in MAX_STACK_BYTES (base >= 1)."""
+    if base > 1 and (power >= MAX_STACK_BYTES.bit_length() or 16 * base**power > MAX_STACK_BYTES):
+        entries = f"{base}**{power}" if power > 1 else f"{base}"
+        raise UnsupportedDimension(f"{what} needs {entries} complex entries, "
+                                   f"over the {MAX_STACK_BYTES >> 30} GiB limit")
+
+
 def _qubit_count(n, base: int, what: str) -> int:
     """A qubit count (as :func:`_count`) whose ``what`` of base**n complex entries
-    fits in MAX_STACK_BYTES; else UnsupportedDimension, before anything is allocated."""
+    passes :func:`_fits`."""
     n = _count(n, "qubit count")
-    if n >= MAX_STACK_BYTES.bit_length() or 16 * base**n > MAX_STACK_BYTES:   # base >= 2
-        raise UnsupportedDimension(f"a {n}-qubit {what} needs {base}**{n} complex entries, "
-                                   f"over the {MAX_STACK_BYTES >> 30} GiB limit")
+    _fits(base, n, f"a {n}-qubit {what}")
     return n
+
+
+def _dimension(d, power: int = 1, least: int = 1) -> int:
+    """A dimension (as :func:`_count`) whose arrays of d**power complex entries,
+    a ket's d or an operator's d**2, pass :func:`_fits`."""
+    d = _count(d, "dimension", least)
+    _fits(d, power, f"dimension {d}")
+    return d
 
 
 def _rng(rng: np.random.Generator | int | None = None) -> np.random.Generator:
@@ -313,12 +331,13 @@ def _complex(value, name: str) -> complex:
 
 
 def _require_state(x: ArrayLike) -> QuantumObject:
-    """The density matrix of ``x``.  A ket or bra becomes its projector, a
-    state by construction; an operator must be Hermitian, unit-trace and PSD,
-    read off the eigendecomposition that :func:`_spectrum` keeps on it."""
+    """The density matrix of ``x``.  A ket or bra, or any 1-d input (one entry
+    included), becomes its projector, a state by construction; an operator must
+    be Hermitian, unit-trace and PSD, read off the eigendecomposition that
+    :func:`_spectrum` keeps on it."""
     q = x if isinstance(x, QuantumObject) else QuantumObject(x)
-    if q.kind is not Kind.OPER:
-        return to_operator(q)
+    if q.kind is not Kind.OPER or (q.shape == (1, 1) and np.ndim(x) == 1):
+        return _projector(q)
     vals = _spectrum(q, "state")[0]
     if abs((tr := q.data.trace().real) - 1.0) > 1e-8:
         raise InvalidObject(f"a state must have unit trace, got {tr:.6g}")

@@ -14,13 +14,13 @@ from .errors import (
     InvalidQuantumNumber,
 )
 from .operators import _twice, displacement, lowering, squeezing
-from .qcore import (Kind, QuantumObject, _complex, _count, _fix_phase, _qubit_count, _real,
-                    _rng, density_matrix, dot, normalize)
+from .qcore import (Kind, QuantumObject, _complex, _count, _dimension, _fits, _fix_phase,
+                    _qubit_count, _real, _rng, density_matrix, dot, normalize)
 
 
 def basis(d: int, k: int) -> QuantumObject:
     """Computational basis ket |k> in d dimensions."""
-    d = _count(d, "dimension")
+    d = _dimension(d)
     if not (0 <= _count(k, "index", least=None) < d):
         raise IndexOutOfRange(f"index {k} outside 0..{d - 1}")
     v = np.zeros((d, 1), dtype=complex)
@@ -44,7 +44,7 @@ def zeeman(j, m) -> QuantumObject:
 def coherent(d: int, alpha: complex) -> QuantumObject:
     """Coherent state truncated at d Fock levels and renormalized: amplitudes
     alpha^n / sqrt(n!), n < d, in log space so none underflows at large |alpha|."""
-    d, alpha = _count(d, "dimension"), _complex(alpha, "alpha")
+    d, alpha = _dimension(d), _complex(alpha, "alpha")
     if alpha == 0:
         return basis(d, 0)
     n = np.arange(d)
@@ -54,7 +54,7 @@ def coherent(d: int, alpha: complex) -> QuantumObject:
 
 def squeezed(d: int, alpha: complex, beta: complex) -> QuantumObject:
     """Displaced squeezed vacuum D(alpha) S(beta) |0>, renormalized."""
-    d, alpha, beta = _count(d, "dimension"), _complex(alpha, "alpha"), _complex(beta, "beta")
+    d, alpha, beta = _dimension(d, 2), _complex(alpha, "alpha"), _complex(beta, "beta")
     if d == 1:
         return basis(1, 0)
     vac = basis(d, 0)
@@ -93,13 +93,14 @@ def spin_coherent(j, theta: float, phi: float) -> QuantumObject:
     sqrt(C(2j, j-m)) cos^(j+m)(theta/2) sin^(j-m)(theta/2) e^{-i(j-m) phi}.
     """
     two_j, theta, phi = _twice(j), _real(theta, "theta"), _real(phi, "phi")
+    _fits(two_j + 1, 1, f"spin {j}")
     mags = _spin_coherent_magnitudes(two_j, np.array([theta]))
     return QuantumObject((mags * np.exp(-1j * np.arange(two_j + 1) * phi)).T)
 
 
 def random_haar(d: int, rng=None) -> QuantumObject:
     """Haar-random ket: normalized vector of i.i.d. standard complex Gaussians."""
-    d = _count(d, "dimension")
+    d = _dimension(d)
     g = _rng(rng)
     v = g.normal(size=d) + 1j * g.normal(size=d)
     return normalize(QuantumObject(v.reshape(-1, 1)))

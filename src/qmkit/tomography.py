@@ -3,7 +3,6 @@ inversion with a PSD projection, and score with trace distance / fidelity."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,14 +32,14 @@ def trace_distance_pure(psi, phi) -> float:
 
 def _states(rho, sigma) -> tuple:
     """The two states a score compares: both of one dimension, each operator
-    square, then each a state under :func:`_require_state`."""
+    square, then each input a state under :func:`_require_state`."""
     a, b = (x if isinstance(x, QuantumObject) else QuantumObject(x) for x in (rho, sigma))
     for q in (a, b):
         if q.kind is Kind.OPER:
             _square(q, "state")
     if a.dim != b.dim:
         raise DimensionMismatch(f"states of dimension {a.dim} vs {b.dim}")
-    return _require_state(a), _require_state(b)
+    return _require_state(rho), _require_state(sigma)
 
 
 def trace_distance(rho, sigma) -> float:
@@ -73,57 +72,6 @@ def _fidelity(sq: np.ndarray, b: np.ndarray) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-@functools.lru_cache(maxsize=8)
-def _real_basis(d: int) -> np.ndarray:
-    """Orthonormal (Hilbert-Schmidt) basis B_a of traceless Hermitian d x d
-    matrices, one row per element with its entries as interleaved (re, im)
-    pairs; taking any complex X the same way, Re tr(X B_a) = row_a . X.
-
-    Rows: for each pair i < j the symmetric element (|i><j| + |j><i|)/sqrt2
-    and the antisymmetric one (-i|i><j| + i|j><i|)/sqrt2, then the d - 1
-    diagonal elements (1, ..., 1, -l, 0, ..., 0)/sqrt(l(l+1)).
-    """
-    i, j = np.triu_indices(d, 1)
-    sym, anti = 2 * np.arange(len(i)), 2 * np.arange(len(i)) + 1
-    basis = np.zeros((d * d - 1, d, d), dtype=complex)
-    basis[sym, i, j] = basis[sym, j, i] = 1 / np.sqrt(2)
-    basis[anti, i, j], basis[anti, j, i] = -1j / np.sqrt(2), 1j / np.sqrt(2)
-    l, p = np.arange(1, d)[:, None], np.arange(d)
-    basis[2 * len(i):, p, p] = np.where(p < l, 1.0, np.where(p == l, -l, 0.0)) / np.sqrt(l * (l + 1))
-    real = basis.view(float).reshape(d * d - 1, 2 * d * d)
-    real.flags.writeable = False
-    return real
-
-
-def _inversion_map(mset: MeasurementSet) -> tuple:
-    """What linear inversion needs of a set, built on first use and kept on
-    the set: (offsets, gram_inv, real stack, 1/d).
-
-    With off_k = tr(E_k)/d and M[k, a] = Re tr(E_k B_a), rho - 1/d has the
-    least-squares coordinates x = (M^T M)^{-1} M^T (f - off), and
-    M^T (f - off) = Re tr(A B_a) with A = sum_k (f_k - off_k) E_k, so M is
-    never kept.  ``gram_inv`` is (M^T M)^{-1}, or None when M^T M is
-    singular.  The real stack is a (K, 2 d^2) view of the elements with
-    interleaved (re, im) entries; 1/d is the d x d identity over d.
-    """
-    if mset._inversion is not None:
-        return mset._inversion
-    d = mset.dim
-    basis = _real_basis(d)
-    real = mset.stack.view(float).reshape(len(mset), -1)
-    gram = np.zeros((d * d - 1, d * d - 1))
-    for start in range(0, len(mset), 64):      # row blocks: M is never held whole
-        m = real[start:start + 64] @ basis.T
-        gram += m.T @ m
-    full_rank = np.linalg.matrix_rank(gram, hermitian=True) == d * d - 1
-    mixed = np.eye(d, dtype=complex) / d
-    mixed.flags.writeable = False
-    inv = (np.trace(mset.stack, axis1=1, axis2=2).real / d,
-           np.linalg.inv(gram) if full_rank else None, real, mixed)
-    object.__setattr__(mset, "_inversion", inv)
-    return inv
-
-
 def reconstruct_linear_inversion(freqs, mset) -> QuantumObject:
     """Least-squares inversion of tr(E_k rho) = f_k, E_k in ``mset`` (read by
     ``_set``), over unit-trace Hermitian matrices, then a PSD projection.
@@ -142,13 +90,12 @@ def reconstruct_linear_inversion(freqs, mset) -> QuantumObject:
         raise DimensionMismatch(f"frequencies of shape {freqs.shape} for {len(mset)} elements")
     f = freqs.astype(float)                               # a copy, renormalised in place
     d = mset.dim
-    offsets, gram_inv, real, mixed = _inversion_map(mset)
+    offsets, gram_inv, real, basis, mixed = mset._inversion
     if gram_inv is None:
         raise RankDeficientSet(
             f"{mset.kind} set with {len(mset)} elements does not determine a "
             f"{d}-dimensional state"
         )
-    basis = _real_basis(d)
     with np.errstate(over="ignore", invalid="ignore"):    # an overflow is refused below
         if mset.groups:
             sums = mset.group_sums(f)

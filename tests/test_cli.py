@@ -238,6 +238,31 @@ def test_bench_povm_rows(tmp_path):
     assert all(float(r[2]) >= 0 for r in rows)
 
 
+def test_bench_povm_json(tmp_path):
+    out = tmp_path / "bench.json"
+    assert run_cli(["bench-povm", "--repeats", "1", "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["repeats"] == 1 and len(payload["rows"]) == 18
+    assert payload["rows"][0].keys() == {"set", "dimension", "mean_seconds"}
+    assert [(r["set"], r["dimension"]) for r in payload["rows"][-2:]] == [("sic", 7), ("sic", 8)]
+    assert all(r["mean_seconds"] >= 0 for r in payload["rows"])
+
+
+def test_backend_compare_json_holds_the_csv_numbers(tmp_path):
+    flags = ["backend-compare", "--samples", "7", "--iterations", "50", "--seed", "4",
+             "--no-timing"]
+    assert run_cli(flags + ["--out", str(tmp_path / "c.csv")]) == 0
+    assert run_cli(flags + ["--format", "json", "--out", str(tmp_path / "c.json")]) == 0
+    payload = json.loads((tmp_path / "c.json").read_text())
+    assert (payload["samples"], payload["iterations"], payload["seed"]) == (7, 50, 4)
+    rows = [[float(v) for v in r.split(",")] for r in data_lines(tmp_path / "c.csv")]
+    assert [[r[k] for k in ("x", "exact", "mc", "cdf")] for r in payload["rows"]] == rows
+    header = (tmp_path / "c.csv").read_text().splitlines()[1]
+    maes = dict(kv.split("=") for kv in header[2:].split())
+    assert {k: float(v) for k, v in maes.items()} == {k: payload[k] for k in ("mc_mae", "cdf_mae")}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.json"]   # no timing file
+
+
 @pytest.mark.parametrize("argv", [
     ["bench-povm", "--repeats", "0"],
     ["bench-povm", "--repeats", "-1"],
@@ -394,6 +419,29 @@ def test_state_past_the_qubit_limit_exit_3(name, capsys):
     assert err.startswith("UnsupportedDimension:") and "Traceback" not in err
 
 
+_HUGE = str(2**96)     # past what NumPy can index: refused by NumPy without allocating
+
+
+@pytest.mark.parametrize("argv", [
+    f"state --name basis --d {_HUGE} --k 0",
+    f"state --name coherent --d {_HUGE} --alpha 1",
+    f"state --name squeezed --d {_HUGE} --alpha 1 --beta 1",
+    "state --name zeeman --j 1e29 --m 0",
+    "state --name spin-coherent --j 1e29 --theta 1",
+    f"state --name random --d {_HUGE}",
+    f"phasespace --name coherent --d 3 --alpha 1 --map husimi --coords planar --nx {_HUGE}",
+    f"phasespace --name coherent --d 3 --alpha 1 --map husimi --coords spherical --nphi {_HUGE}",
+    f"metrology --j 1 --points {_HUGE} --out-dir {{tmp}}/m",
+    "metrology --j 1e29 --out-dir {tmp}/m",
+    f"backend-compare --samples {_HUGE} --no-timing",
+], ids=lambda argv: argv.replace(_HUGE, "HUGE").split(" --out-dir")[0])
+def test_sizes_past_the_size_limit_exit_3(argv, tmp_path, capsys):
+    assert run_cli(argv.format(tmp=tmp_path).split()) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("UnsupportedDimension:") and "over the 1 GiB limit" in captured.err
+    assert captured.out == "" and not (tmp_path / "m").exists()
+
+
 # ---------------------------------------------------------------------------
 # metrology
 # ---------------------------------------------------------------------------
@@ -437,6 +485,16 @@ def test_metrology_single_level_exit_4(tmp_path, capsys):
 def test_metrology_one_point_grid_exit_4(tmp_path, capsys):
     assert run_cli(["metrology", "--j", "2", "--points", "1", "--out-dir", str(tmp_path)]) == 4
     assert "phase grid needs at least two points, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--format", "json"], ["--out", "x.json"], ["--seed", "3"]])
+def test_metrology_refuses_the_flags_it_does_not_read(flag, tmp_path, capsys):
+    # it writes CSV files into --out-dir and draws nothing; --out is not read as --out-dir
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["metrology", "--j", "1", "--points", "3", "--out-dir", str(tmp_path)] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_metrology_bad_thetas_is_usage_error(tmp_path, capsys):

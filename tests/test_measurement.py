@@ -43,9 +43,10 @@ from qmkit.errors import (
     OutcomeImpossible,
     UnsupportedDimension,
 )
+import qmkit
 from qmkit import measurement
 from qmkit.measurement import _cumulative, _stratified_counts
-from qmkit.qcore import _qubit_count
+from qmkit.qcore import _dimension, _fits, _qubit_count
 
 MUB_DIMS = (2, 3, 4, 5, 7)
 SIC_DIMS = (2, 3, 4, 5, 6, 7, 8)
@@ -570,6 +571,8 @@ def test_a_list_and_an_array_make_one_stack(make):
         MeasurementSet(kind="custom", elements=np.array(ints)).stack.tobytes()
 
 
+_HUGE = 2**96     # past what NumPy can index, so a miss fails without allocating
+
 _OVERSIZED = {
     "build_stoke_set(300)": lambda: build_stoke_set(300),
     "build_pauli_set(230)": lambda: build_pauli_set(230),
@@ -577,11 +580,30 @@ _OVERSIZED = {
     "ghz(64)": lambda: ghz(64),
     "w(64)": lambda: w(64),
     "dicke(64, 1)": lambda: dicke(64, 1),
+    # dimensions, spin labels and grid counts
+    "basis": lambda: basis(_HUGE, 0),
+    "coherent": lambda: qmkit.coherent(_HUGE, 1.0),
+    "squeezed": lambda: qmkit.squeezed(_HUGE, 0.1, 0.1),
+    "position_state": lambda: qmkit.position_state(_HUGE, 0.0),
+    "random_haar": lambda: random_haar(_HUGE, 0),
+    "identity": lambda: identity(_HUGE),
+    "lowering": lambda: qmkit.lowering(_HUGE),
+    "raising": lambda: qmkit.raising(_HUGE),
+    "displacement": lambda: qmkit.displacement(_HUGE, 1.0),
+    "squeezing": lambda: qmkit.squeezing(_HUGE, 1.0),
+    "weyl_displacement": lambda: weyl_displacement(_HUGE, 0, 0),
+    "spin": lambda: qmkit.spin(_HUGE),
+    "spin-axis": lambda: qmkit.spin(1e29, "z"),
+    "zeeman": lambda: qmkit.zeeman(1e29, 0),
+    "spin_coherent": lambda: spin_coherent(1e29, 0.1, 0.1),
+    "cat_state": lambda: qmkit.cat_state(_HUGE, 0.1),
+    "PlanarGrid": lambda: qmkit.PlanarGrid(nx=_HUGE),
+    "SphericalGrid": lambda: qmkit.SphericalGrid(nphi=_HUGE),
 }
 
 
 @pytest.mark.parametrize("name", _OVERSIZED)
-def test_qubit_counts_past_the_size_limit_are_refused_before_allocation(name):
+def test_sizes_past_the_size_limit_are_refused_before_allocation(name):
     with pytest.raises(UnsupportedDimension, match="over the 1 GiB limit"):
         _OVERSIZED[name]()
 
@@ -592,6 +614,19 @@ def test_qubit_count_limit_is_the_last_count_that_fits():
         assert _qubit_count(most, base, "array") == most
         with pytest.raises(UnsupportedDimension):
             _qubit_count(most + 1, base, "array")
+
+
+def test_size_limit_is_the_last_size_that_fits():
+    # 2**26 complex entries are 1 GiB: a ket of that dimension, an operator of 2**13
+    assert _dimension(2**26) == 2**26 and _dimension(2**13, 2) == 2**13
+    for size, power in ((2**26 + 1, 1), (2**13 + 1, 2)):
+        with pytest.raises(UnsupportedDimension, match=f"dimension {size} needs"):
+            _dimension(size, power)
+    _fits(1, 10**9, "a one-level array")                # 1**n is one entry
+    # a grid is checked on construction; its axes are made on first read
+    assert qmkit.PlanarGrid(nx=2**13, ny=2**13).nx == 2**13
+    with pytest.raises(UnsupportedDimension, match="a 8193 x 8192 grid"):
+        qmkit.SphericalGrid(ntheta=2**13 + 1, nphi=2**13)
 
 
 def test_sic_orbit_is_built_and_verified_once_per_dimension(monkeypatch):
@@ -643,6 +678,25 @@ def test_validate_reports_first_bad_element():
     skew = MeasurementSet(kind="custom", elements=(np.array([[0, 1], [0, 0]]), -identity(2)))
     with pytest.raises(NotHermitian, match="element 0"):
         skew.validate()
+
+
+def test_validate_reports_an_incomplete_group():
+    # PSD elements whose group sums to diag(1, 0.5), not the identity
+    half = MeasurementSet(kind="custom", elements=(np.diag([1.0, 0.0]), np.diag([0.0, 0.5])),
+                          groups=[(0, 1)])
+    with pytest.raises(InvalidParameter, match="group 0 misses identity by 5.000e-01"):
+        half.validate()
+    complete = MeasurementSet(kind="custom", elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                              groups=[(0, 1)])
+    complete.validate()
+
+
+def test_probabilities_refuse_an_imaginary_residue():
+    # tr(E rho) = 1j * rho_10 = 0.5j for the non-Hermitian E = 1j |0><1| on |+>
+    with pytest.raises(NotHermitian, match="imaginary residue 5.000e-01"):
+        probabilities(ghz(1), [pauli("z"), np.array([[0, 1j], [0, 0]])])
+    # a residue below the tolerance passes and is dropped
+    np.testing.assert_array_equal(probabilities(ghz(1), [np.array([[0, 1e-10j], [0, 0]])]), [0.0])
 
 
 def _loop_measure_and_sample(state, mset, backend, shots):

@@ -317,6 +317,13 @@ def test_error_propagation_flags_undefined():
     assert np.all(np.isnan(out))
 
 
+@pytest.mark.parametrize("sizes", [(3, 2, 3), (3, 3, 2), (3, 4, 4)])
+def test_error_propagation_refuses_misaligned_arrays(sizes):
+    phis, e1, e2 = (np.linspace(0.0, 1.0, n) for n in sizes)
+    with pytest.raises(DimensionMismatch, match="must align"):
+        error_propagation(phis, e1, e2)
+
+
 def test_central_difference_accuracy():
     # derivative of sin(phi) at dphi = 1e-3 matches cos(phi) to 1e-5
     phis = np.arange(0.0, 1.0, 1e-3)

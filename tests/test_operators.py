@@ -64,6 +64,14 @@ def test_spin_rejects_bad_inputs():
         spin(1, "q")
 
 
+@pytest.mark.parametrize("axis", ["q", "", [], ["x"], {}, 1, b"x", np.array(["x", "y"])])
+def test_an_axis_that_is_not_one_of_the_five_names_is_refused(axis):
+    # unhashable and array-valued axes too, without a TypeError from a lookup
+    for make in (pauli, lambda a: spin(1, a)):
+        with pytest.raises(InvalidParameter, match="axis must be one of"):
+            make(axis)
+
+
 def test_pauli_basics():
     np.testing.assert_allclose(pauli("z").data, np.diag([1.0, -1.0]))
     np.testing.assert_allclose(pauli("x").data @ pauli("x").data, np.eye(2))
@@ -103,6 +111,12 @@ def test_ladder_commutator_truncation_corner():
     expected = np.eye(d)
     expected[-1, -1] = 1 - d  # truncation artifact in the last level
     np.testing.assert_allclose(comm, expected, atol=1e-12)
+
+
+def test_displacement_at_one_level_is_the_identity():
+    # the truncated ladder needs two levels; at one the generator is zero
+    for alpha in (0, 1.5 - 2j):
+        np.testing.assert_array_equal(displacement(1, alpha).data, [[1.0]])
 
 
 def test_displacement_identity_at_zero():

@@ -578,6 +578,19 @@ def test_grid_validation():
             grid(**ranges)
 
 
+def test_planar_ranges_may_run_backwards_and_spherical_ones_may_not():
+    # a reversed planar range is a descending axis: the map is the forward one mirrored
+    rho = coherent(8, 0.7 - 0.4j)
+    forward = husimi_planar(rho, PlanarGrid(x_range=(-2.0, 2.0), y_range=(-1.0, 1.5), nx=9, ny=6))
+    mirrored = husimi_planar(rho, PlanarGrid(x_range=(2.0, -2.0), y_range=(1.5, -1.0), nx=9, ny=6))
+    np.testing.assert_array_equal(mirrored.axis2, forward.axis2[::-1])
+    np.testing.assert_allclose(mirrored.values, forward.values[::-1, ::-1], rtol=0, atol=1e-15)
+    for ranges in (dict(theta_range=(1.0, 0.5)), dict(phi_range=(6.0, 0.0))):
+        with pytest.raises(InvalidParameter, match="run backwards"):
+            SphericalGrid(**ranges)
+    SphericalGrid(theta_range=(1.0, 1.0), phi_range=(0.0, 0.0))     # a single point is allowed
+
+
 @pytest.mark.parametrize("fn", [husimi_planar, wigner_planar, husimi_spherical, wigner_spherical])
 def test_maps_reject_non_square_operators(fn):
     with pytest.raises(DimensionMismatch):
@@ -919,7 +932,9 @@ def test_maps_equal_their_uncached_formulas_bitwise(fn):
     reference, (dims, grids) = _REFERENCES[fn]
     rng = np.random.default_rng(2027)
     for d in dims:
-        states = (random_ket(rng, d), random_density(rng, d)) if d > 1 else (basis(1, 0),)
+        # at d = 1, a phased 1-d ket, which QuantumObject alone reads as a 1 x 1 operator
+        states = ((random_ket(rng, d), random_density(rng, d)) if d > 1
+                  else (basis(1, 0), np.exp(0.7j) * np.ones(1)))
         for state in states:
             for grid in grids:
                 want = reference(density_matrix(state), grid)

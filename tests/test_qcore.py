@@ -106,7 +106,7 @@ def test_empty_matrix_rejected():
         QuantumObject(np.zeros((0, 0)))
 
 
-@pytest.mark.parametrize("data", ["a", [[1, "x"]], [[1, 2], [3]], {"a": 1}])
+@pytest.mark.parametrize("data", ["a", [[1, "x"]], [[1, 2], [3]], {"a": 1}, [1, 2**1100]])
 def test_non_numeric_input_rejected(data):
     with pytest.raises(InvalidObject):
         QuantumObject(data)
@@ -116,6 +116,25 @@ def test_non_numeric_input_rejected(data):
 
 def test_one_dimensional_input_is_column():
     assert classify([1, 0])[0] is Kind.KET
+
+
+@pytest.mark.parametrize("ket", [np.array([1j]), np.array([-1.0]), [0.6j], (2.0,)])
+def test_a_one_element_1d_input_is_a_ket_state(ket):
+    # a lone 1 x 1 matrix is an operator, but a 1-d input is a ket at every length
+    assert classify(ket)[0] is Kind.OPER
+    np.testing.assert_array_equal(density_matrix(ket), [[1.0]])
+    grid = PlanarGrid(nx=3, ny=2)
+    np.testing.assert_array_equal(husimi_planar(ket, grid).values,
+                                  husimi_planar(basis(1, 0), grid).values)
+    assert fidelity(ket, [[1.0]]) == 1.0
+
+
+def test_a_one_by_one_operator_is_still_checked_as_a_state():
+    with pytest.raises(NotHermitian):
+        density_matrix(np.array([[1j]]))
+    with pytest.raises(InvalidObject, match="unit trace, got -1"):
+        density_matrix([[-1.0]])
+    np.testing.assert_array_equal(density_matrix([[1.0]]), [[1.0]])
 
 
 def test_adjoint_of_ket_is_bra():

@@ -83,6 +83,13 @@ def test_trace_distance_pure_cases(rng):
     assert trace_distance_pure(basis(2, 0), phi) == pytest.approx(1 / math.sqrt(2))
 
 
+@pytest.mark.parametrize("pair", [(identity(2) / 2, basis(2, 0)), (basis(2, 0), [[1.0]]),
+                                  (basis(2, 0).data.T, basis(2, 0))])
+def test_trace_distance_pure_takes_two_kets_only(pair):
+    with pytest.raises(DimensionMismatch, match="expects two kets"):
+        trace_distance_pure(*pair)
+
+
 def test_trace_distance_cases():
     rho = random_density(np.random.default_rng(0), 3)
     assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
@@ -259,6 +266,19 @@ def test_only_the_set_rule_asks_whether_an_argument_is_a_set():
             for line in path.read_text(encoding="utf-8").splitlines()
             if "isinstance(" in line and "MeasurementSet" in line]
     assert asks == [("measurement.py", "if isinstance(ops, MeasurementSet):")]
+
+
+def test_only_the_set_module_reads_a_stack_as_floats_or_writes_a_sets_fields():
+    # the float view needs a C-ordered stack, which only measurement.py guarantees
+    lines = [(path.name, line.strip())
+             for path in sorted(Path(qmkit.__file__).parent.glob("*.py"))
+             if path.name != "measurement.py"
+             for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [line for line in lines if ".stack.view(" in line[1]] == []
+    targets = [(name, line.split("object.__setattr__(", 1)[1].split(",")[0])
+               for name, line in lines if "object.__setattr__(" in line]
+    assert targets == [("metrology.py", "self"), ("phasespace.py", "grid"),
+                       ("phasespace.py", "grid")]
 
 
 def test_each_object_is_decomposed_once(monkeypatch):
@@ -463,6 +483,11 @@ def test_inversion_map_is_kept_per_set(rng):
             f = _noisy_frequencies(rng, mset)
             np.testing.assert_allclose(reconstruct_linear_inversion(f, mset).data,
                                        _lstsq_reconstruction(f, mset), rtol=0, atol=1e-12)
+            assert mset._inversion is mset._inversion           # made once, kept on the set
+    # each set's data is its own, the orthonormal traceless basis included
+    basis = pauli2._inversion[3]
+    assert basis is not shuffled._inversion[3] and np.array_equal(basis, shuffled._inversion[3])
+    np.testing.assert_allclose(basis @ basis.T, np.eye(15), rtol=0, atol=1e-15)
 
 
 def test_rank_deficient_set_rejected_on_every_call():
@@ -525,6 +550,16 @@ def test_run_tomography_deterministic():
     b = run_tomography(ghz(1), mset, shots=500, backend=SamplerBackend("cdf", 7))
     np.testing.assert_array_equal(a.reconstructed.data, b.reconstructed.data)
     assert a.fidelity == b.fidelity
+
+
+def test_run_tomography_samples_with_the_cdf_backend_at_seed_0_by_default():
+    mset = build_mub_set(3)
+    state = normalize([1.0, 1j, 0.5])
+    default = run_tomography(state, mset, shots=300)
+    named = run_tomography(state, mset, shots=300, backend=SamplerBackend("cdf", 0))
+    assert (default.backend, default.seed) == ("cdf", 0)
+    np.testing.assert_array_equal(default.reconstructed.data, named.reconstructed.data)
+    assert default.report() == named.report()
 
 
 def test_run_tomography_pluggable_estimator():
