@@ -75,13 +75,35 @@ def _stack(ops) -> np.ndarray:
     return stack
 
 
+def _real_basis(d: int) -> np.ndarray:
+    """Orthonormal (Hilbert-Schmidt) basis B_a of traceless Hermitian d x d
+    matrices, one row per element with its entries as interleaved (re, im)
+    pairs; taking any complex X the same way, Re tr(X B_a) = row_a . X.
+
+    Rows: for each pair i < j the symmetric element (|i><j| + |j><i|)/sqrt2
+    and the antisymmetric one (-i|i><j| + i|j><i|)/sqrt2, then the d - 1
+    diagonal elements (1, ..., 1, -l, 0, ..., 0)/sqrt(l(l+1)).
+    """
+    i, j = np.triu_indices(d, 1)
+    sym, anti = 2 * np.arange(len(i)), 2 * np.arange(len(i)) + 1
+    basis = np.zeros((d * d - 1, d, d), dtype=complex)
+    basis[sym, i, j] = basis[sym, j, i] = 1 / np.sqrt(2)
+    basis[anti, i, j], basis[anti, j, i] = -1j / np.sqrt(2), 1j / np.sqrt(2)
+    l, p = np.arange(1, d)[:, None], np.arange(d)
+    basis[2 * len(i):, p, p] = np.where(p < l, 1.0, np.where(p == l, -l, 0.0)) / np.sqrt(l * (l + 1))
+    real = basis.view(float).reshape(d * d - 1, 2 * d * d)
+    real.flags.writeable = False
+    return real
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class MeasurementSet:
     """Ordered POVM elements plus the partition into completeness groups.
 
     The elements live in one read-only (K, d, d) complex array ``stack``, which
     the constructor copies from a sequence of d x d operators or a (K, d, d)
-    array; ``elements``, a tuple of views into it, is made on first read.
+    array; ``elements``, a tuple of views into it, and ``_inversion``, the
+    linear-inversion data, are made on first read and kept.
 
     ``groups`` lists disjoint, non-empty index tuples whose elements sum to
     the identity (none for sets without that structure, e.g. Stoke); any
@@ -231,27 +253,6 @@ class SamplerBackend:
 
     def rng(self) -> np.random.Generator:
         return _rng(self.seed)
-
-
-def _real_basis(d: int) -> np.ndarray:
-    """Orthonormal (Hilbert-Schmidt) basis B_a of traceless Hermitian d x d
-    matrices, one row per element with its entries as interleaved (re, im)
-    pairs; taking any complex X the same way, Re tr(X B_a) = row_a . X.
-
-    Rows: for each pair i < j the symmetric element (|i><j| + |j><i|)/sqrt2
-    and the antisymmetric one (-i|i><j| + i|j><i|)/sqrt2, then the d - 1
-    diagonal elements (1, ..., 1, -l, 0, ..., 0)/sqrt(l(l+1)).
-    """
-    i, j = np.triu_indices(d, 1)
-    sym, anti = 2 * np.arange(len(i)), 2 * np.arange(len(i)) + 1
-    basis = np.zeros((d * d - 1, d, d), dtype=complex)
-    basis[sym, i, j] = basis[sym, j, i] = 1 / np.sqrt(2)
-    basis[anti, i, j], basis[anti, j, i] = -1j / np.sqrt(2), 1j / np.sqrt(2)
-    l, p = np.arange(1, d)[:, None], np.arange(d)
-    basis[2 * len(i):, p, p] = np.where(p < l, 1.0, np.where(p == l, -l, 0.0)) / np.sqrt(l * (l + 1))
-    real = basis.view(float).reshape(d * d - 1, 2 * d * d)
-    real.flags.writeable = False
-    return real
 
 
 def _set(ops) -> MeasurementSet:
