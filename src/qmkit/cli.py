@@ -32,14 +32,13 @@ from .errors import InvalidParameter, QmkitError, UnsupportedDimension
 from .measurement import (
     MeasurementSet,
     SamplerBackend,
+    _independent_frequencies,
     build_mub_set,
     build_pauli_set,
     build_sic_set,
     build_stoke_set,
     measure_and_sample,
     probabilities,
-    sample_cdf_discrete,
-    sample_mc,
     timed_measurement,
 )
 from .operators import pauli, spin
@@ -192,9 +191,8 @@ def cmd_measure(args) -> int:
             "group": [None if g < 0 else g for g in mset.group_of.tolist()],
             "probability": probabilities(st, mset)}
     if args.backend != "exact":
-        backend = SamplerBackend(method=args.backend, seed=args.seed,
-                                 iterations=args.shots)
-        cols["frequency"] = measure_and_sample(st, mset, backend, args.shots)
+        backend = SamplerBackend(method=args.backend, seed=args.seed, iterations=args.shots)
+        cols["frequency"] = measure_and_sample(st, mset, backend)
     rows = [dict(zip(cols, row)) for row in zip(*cols.values())]
     if args.format == "json":
         _write_json({"set": mset.kind, "dimension": mset.dim,
@@ -237,13 +235,10 @@ def cmd_backend_compare(args) -> int:
     qcore._fits(args.samples, 1, f"a grid of {args.samples} samples")
     xs = np.linspace(0.0, 5.0, args.samples)
     exact = np.exp(-xs)
-    rng = _rng(args.seed)
-    # one frequency estimate of p from n draws per back-end, mc first, off one stream
-    samplers = (lambda p, n: sample_mc(p, n, rng),
-                lambda p, n: sample_cdf_discrete(np.array([1.0 - p, p]), n, rng)[1] / n)
-    mc_est, cdf_est = (np.array([draw(p, args.iterations) for p in exact]) for draw in samplers)
-    mc_mae = float(np.mean(np.abs(mc_est - exact)))
-    cdf_mae = float(np.mean(np.abs(cdf_est - exact)))
+    rng = _rng(args.seed)      # both columns by measure_and_sample's per-element rule, mc first
+    mc_est, cdf_est = (_independent_frequencies(m, exact, args.iterations, rng)
+                       for m in ("mc", "cdf"))
+    mc_mae, cdf_mae = (float(np.mean(np.abs(est - exact))) for est in (mc_est, cdf_est))
     if args.format == "json":
         _write_json({
             "samples": args.samples, "iterations": args.iterations,
@@ -264,10 +259,9 @@ def cmd_backend_compare(args) -> int:
     t_lines = ["# iterations,mc_seconds,cdf_seconds"]
     for ite in range(1000, 11000, 1000):
         seconds = []
-        for draw in samplers:
+        for method in ("mc", "cdf"):
             t0 = time.perf_counter()
-            for p in exact:
-                draw(p, ite)
+            _independent_frequencies(method, exact, ite, rng)
             seconds.append(time.perf_counter() - t0)
         t_lines.append(_csv_row((ite, *seconds)))
     timing_out = args.timing_out

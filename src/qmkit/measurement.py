@@ -497,6 +497,15 @@ def sample_cdf_discrete(probs, shots: int, rng=None) -> np.ndarray:
     return _stratified_counts(_cumulative(p[None]), _count(shots, "shots"), _rng(rng))[0]
 
 
+def _independent_frequencies(method: str, probs, n: int, g: np.random.Generator) -> np.ndarray:
+    """Each of the non-empty ``probs``, clipped to [0, 1], estimated on its own from n
+    draws of g in turn: by :func:`sample_mc` for 'mc', else as {1 - p, p} cdf counts."""
+    p = np.clip(probs, 0.0, 1.0)
+    if method == "mc":
+        return np.array([sample_mc(x, n, g) for x in p.tolist()])
+    return _stratified_counts(_cumulative(np.stack([1.0 - p, p], axis=1)), n, g)[:, 1] / n
+
+
 def measure_and_sample(state, mset, backend: SamplerBackend,
                        shots: int | None = None) -> np.ndarray:
     """Simulated outcome frequencies aligned with the elements of ``mset`` (see :func:`_set`).
@@ -513,16 +522,13 @@ def measure_and_sample(state, mset, backend: SamplerBackend,
     n = _count(shots if shots is not None else backend.iterations, "shots")
     g = backend.rng()
     if backend.method == "mc":
-        return np.array([sample_mc(p, n, g) for p in np.clip(probs, 0.0, 1.0).tolist()])
+        return _independent_frequencies("mc", probs, n, g)
     freqs = np.empty(len(mset))
     for idx in mset._blocks:
         pg = np.maximum(probs[idx], 0.0)
         freqs[idx] = _stratified_counts(_cumulative(pg / pg.sum(axis=1, keepdims=True)), n, g) / n
-    rest = np.flatnonzero(mset.group_of < 0)
-    if rest.size:
-        p = np.clip(probs[rest], 0.0, 1.0)
-        cum = _cumulative(np.stack([1.0 - p, p], axis=1))
-        freqs[rest] = _stratified_counts(cum, n, g)[:, 1] / n
+    if (rest := np.flatnonzero(mset.group_of < 0)).size:
+        freqs[rest] = _independent_frequencies("cdf", probs[rest], n, g)
     return freqs
 
 

@@ -25,8 +25,8 @@ def encode_phase(state, generator, phi: float) -> QuantumObject:
     Hermitian H = V L V^dag: kets (normalised on use) map to U|psi>, operators to U rho U^dag.
     A QuantumObject generator keeps its V and L for the next call."""
     st = QuantumObject(state)
-    if st.kind is Kind.OPER:
-        _require_state(st)
+    if st.kind is Kind.OPER:     # checked; a one-entry 1-d ket becomes its projector
+        st = _require_state(state)
     lam, v = _spectrum(generator, "generator", st.dim)
     phi = _real(phi, "phi")
     if not abs(phi) * max(-float(lam[0]), float(lam[-1])) <= sys.float_info.max:

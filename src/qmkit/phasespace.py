@@ -360,11 +360,12 @@ def _wigner_terms(d: int, xs: tuple, ys: tuple) -> tuple:
     table = np.empty((2, d, radii.size))
     table[0, 0] = np.exp(-radii / 2)
     table[1, 0] = np.sqrt(radii) * table[0, 0]
-    for p in (0, 1):
-        for i in range(1, d):
-            table[p, i] = (2 * i + p - 1 - radii) * table[p, i - 1] / math.sqrt(i * (i + p))
-            if i > 1:
-                table[p, i] -= math.sqrt((i - 1) * (i + p - 1) / (i * (i + p))) * table[p, i - 2]
+    p, n = np.arange(2.0)[:, None], np.arange(1.0, d)[:, None, None]   # both parities at once
+    steps = zip(2 * n + p - 1, np.sqrt(n * (n + p)), np.sqrt((n - 1) * (n + p - 1) / (n * (n + p))))
+    for i, (lead, root, back) in enumerate(steps, 1):
+        table[:, i] = (lead - radii) * table[:, i - 1] / root
+        if i > 1:
+            table[:, i] -= back * table[:, i - 2]
     size = np.abs(alphas)
     return _frozen(table, np.divide(alphas, size, out=np.ones_like(alphas), where=size > 0))
 

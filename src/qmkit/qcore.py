@@ -227,7 +227,12 @@ def _unit(q: QuantumObject) -> np.ndarray:
 def to_operator(x: ArrayLike) -> QuantumObject:
     """Outer product |psi><psi| of a (normalized) bra or ket; opers pass through."""
     q = x if isinstance(x, QuantumObject) else QuantumObject(x)
-    return q if q.kind is Kind.OPER else _projector(q)
+    return q if _kind(x, q) is Kind.OPER else _projector(q)
+
+
+def _kind(x: ArrayLike, q: QuantumObject) -> Kind:
+    """The kind of ``x``, wrapped as ``q``: any 1-d input, one entry included, is a ket."""
+    return Kind.KET if q.shape == (1, 1) and np.ndim(x) == 1 else q.kind
 
 
 def _projector(q: QuantumObject) -> QuantumObject:
@@ -331,12 +336,12 @@ def _complex(value, name: str) -> complex:
 
 
 def _require_state(x: ArrayLike) -> QuantumObject:
-    """The density matrix of ``x``.  A ket or bra, or any 1-d input (one entry
-    included), becomes its projector, a state by construction; an operator must
-    be Hermitian, unit-trace and PSD, read off the eigendecomposition that
-    :func:`_spectrum` keeps on it."""
+    """The density matrix of ``x``.  A ket or bra (see :func:`_kind`) becomes its
+    projector, a state by construction; an operator must be Hermitian,
+    unit-trace and PSD, read off the eigendecomposition that :func:`_spectrum`
+    keeps on it."""
     q = x if isinstance(x, QuantumObject) else QuantumObject(x)
-    if q.kind is not Kind.OPER or (q.shape == (1, 1) and np.ndim(x) == 1):
+    if _kind(x, q) is not Kind.OPER:
         return _projector(q)
     vals = _spectrum(q, "state")[0]
     if abs((tr := q.data.trace().real) - 1.0) > 1e-8:

@@ -15,7 +15,7 @@ from .errors import (
 )
 from .operators import _twice, displacement, lowering, squeezing
 from .qcore import (Kind, QuantumObject, _complex, _count, _dimension, _fits, _fix_phase,
-                    _qubit_count, _real, _rng, density_matrix, dot, normalize)
+                    _kind, _qubit_count, _real, _rng, density_matrix, dot, normalize)
 
 
 def basis(d: int, k: int) -> QuantumObject:
@@ -142,14 +142,14 @@ def add_random_noise(psi: QuantumObject, mean: float = 0.0, stdev: float = 0.0,
     a and b are independent Normal(mean, stdev) draws; the perturbed vector
     is rescaled to unit norm.
     """
-    psi = QuantumObject(psi)
-    if psi.kind is not Kind.KET:
+    q = QuantumObject(psi)
+    if _kind(psi, q) is not Kind.KET:
         raise InvalidParameter("random amplitude noise is defined for kets")
     mean, stdev = _real(mean, "noise mean"), _real(stdev, "noise stdev", 0.0)
     g = _rng(rng)
-    d = psi.dim
+    d = q.dim
     delta = g.normal(mean, stdev, size=d) + 1j * g.normal(mean, stdev, size=d)
-    return normalize(QuantumObject(psi.data.reshape(-1) + delta))
+    return normalize(QuantumObject(q.data.reshape(-1) + delta))
 
 
 def add_white_noise(state: QuantumObject, p: float = 0.0) -> QuantumObject:

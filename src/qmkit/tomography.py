@@ -15,14 +15,14 @@ from .errors import (
     RankDeficientSet,
 )
 from .measurement import MeasurementSet, SamplerBackend, _set, measure_and_sample, probabilities
-from .qcore import Kind, QuantumObject, _psd_sqrt, _reals, _require_state, _spectrum, _square, _unit
+from .qcore import (Kind, QuantumObject, _kind, _psd_sqrt, _reals, _require_state, _spectrum,
+                    _square, _unit)
 
 
 def trace_distance_pure(psi, phi) -> float:
     """sqrt(1 - |<phi|psi>|^2) for two kets, each normalised on use."""
-    a = QuantumObject(psi)
-    b = QuantumObject(phi)
-    if a.kind is not Kind.KET or b.kind is not Kind.KET:
+    a, b = QuantumObject(psi), QuantumObject(phi)
+    if _kind(psi, a) is not Kind.KET or _kind(phi, b) is not Kind.KET:
         raise DimensionMismatch("trace_distance_pure expects two kets")
     if a.shape != b.shape:
         raise DimensionMismatch(f"kets of dimension {a.dim} vs {b.dim}")
@@ -97,10 +97,9 @@ def reconstruct_linear_inversion(freqs, mset) -> QuantumObject:
             f"{d}-dimensional state"
         )
     with np.errstate(over="ignore", invalid="ignore"):    # an overflow is refused below
-        if mset.groups:
-            sums = mset.group_sums(f)
-            # each element over its group's sum; an ungrouped one (group -1) over the trailing 1.0
-            f /= np.append(np.where(sums > 0, sums, 1.0), 1.0)[mset.group_of]
+        sums = mset.group_sums(f)
+        # each element over its group's sum; an ungrouped one (group -1) over the trailing 1.0
+        f /= np.append(np.where(sums > 0, sums, 1.0), 1.0)[mset.group_of]
         x = gram_inv @ (basis @ ((f - offsets) @ real))    # (f - offsets) @ real is A, interleaved
         rho = mixed + (x @ basis).view(complex).reshape(d, d)
         rho = (rho + rho.conj().T) / 2

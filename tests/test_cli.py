@@ -317,6 +317,23 @@ def test_backend_compare_cdf_beats_mc(tmp_path):
     assert cdf_mean <= mc_mean
 
 
+@pytest.mark.parametrize("samples, iterations, seed", [(40, 200, 3), (7, 1, 0), (3, 5, 11)])
+def test_backend_compare_columns_are_per_point_sampler_calls(tmp_path, samples, iterations, seed):
+    # one sample_mc call per grid point, then one sample_cdf_discrete call per
+    # point, off one generator; the grid starts at x = 0, so p = 1 is covered
+    out = tmp_path / "cmp.csv"
+    assert run_cli(["backend-compare", "--samples", str(samples), "--iterations", str(iterations),
+                    "--seed", str(seed), "--no-timing", "--out", str(out)]) == 0
+    rows = np.array([[float(v) for v in r.split(",")] for r in data_lines(out)])
+    exact = np.exp(-np.linspace(0.0, 5.0, samples))
+    rng = np.random.default_rng(seed)
+    mc = [qmkit.sample_mc(p, iterations, rng) for p in exact]
+    cdf = [qmkit.sample_cdf_discrete(np.array([1.0 - p, p]), iterations, rng)[1] / iterations
+           for p in exact]
+    assert exact[0] == 1.0
+    np.testing.assert_array_equal(rows[:, 1:], np.column_stack([exact, mc, cdf]))
+
+
 def test_backend_compare_timing_table(tmp_path):
     out = tmp_path / "cmp.csv"
     timing = tmp_path / "timing.csv"

@@ -62,6 +62,7 @@ from qmkit import (
     tensor,
     to_operator,
     trace,
+    trace_distance_pure,
     transpose,
     w,
     weyl_displacement,
@@ -127,6 +128,13 @@ def test_a_one_element_1d_input_is_a_ket_state(ket):
     np.testing.assert_array_equal(husimi_planar(ket, grid).values,
                                   husimi_planar(basis(1, 0), grid).values)
     assert fidelity(ket, [[1.0]]) == 1.0
+    np.testing.assert_array_equal(to_operator(ket).data, [[1.0]])
+    assert trace_distance_pure(ket, np.array([1.0])) == 0.0
+    np.testing.assert_array_equal(encode_phase(ket, [[0.5]], 0.3).data,
+                                  encode_phase([[1.0]], [[0.5]], 0.3).data)
+    np.testing.assert_allclose(encode_phase(ket, [[0.5]], 0.3).data, [[1.0]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(add_random_noise(ket, 0, 0.1, rng=1).data, [[1.0]],
+                               rtol=0, atol=1e-15)
 
 
 def test_a_one_by_one_operator_is_still_checked_as_a_state():
