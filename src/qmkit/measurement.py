@@ -31,6 +31,7 @@ from .errors import (
     InvalidParameter,
     NotHermitian,
     OutcomeImpossible,
+    RankDeficientSet,
 )
 from .qcore import (HERMITIAN_TOL, QuantumObject, _count, _dimension, _qubit_count, _real,
                     _reals, _require_state, _rng)
@@ -103,7 +104,8 @@ class MeasurementSet:
     The elements live in one read-only (K, d, d) complex array ``stack``, which
     the constructor copies from a sequence of d x d operators or a (K, d, d)
     array; ``elements``, a tuple of views into it, and ``_inversion``, the
-    linear-inversion data, are made on first read and kept.
+    linear-inversion data, are made on first read and kept.  Other modules ask a set
+    for tr(E_k rho) and a least-squares rho only by :meth:`_forward` and :meth:`_estimate`.
 
     ``groups`` lists disjoint, non-empty index tuples whose elements sum to
     the identity (none for sets without that structure, e.g. Stoke); any
@@ -163,16 +165,15 @@ class MeasurementSet:
 
     @functools.cached_property
     def _inversion(self) -> tuple:
-        """What linear inversion needs of the set, made on first use and kept:
-        (offsets, gram_inv, real stack, real basis, 1/d).
+        """What :meth:`_estimate` needs of the set, made on first use and kept:
+        (offsets, gram_inv, real stack, real basis).
 
         With off_k = tr(E_k)/d and M[k, a] = Re tr(E_k B_a) over the basis B_a
         of :func:`_real_basis`, rho - 1/d has the least-squares coordinates
         x = (M^T M)^{-1} M^T (f - off), and M^T (f - off) = Re tr(A B_a) with
         A = sum_k (f_k - off_k) E_k, so M is never kept.  ``gram_inv`` is
         (M^T M)^{-1}, or None when M^T M is singular.  The real stack is a
-        (K, 2 d^2) view of the C-ordered stack with interleaved (re, im)
-        entries; 1/d is the d x d identity over d.
+        (K, 2 d^2) view of the C-ordered stack with interleaved (re, im) entries.
         """
         d = self.dim
         basis = _real_basis(d)
@@ -182,10 +183,33 @@ class MeasurementSet:
             m = real[start:start + 64] @ basis.T
             gram += m.T @ m
         full_rank = np.linalg.matrix_rank(gram, hermitian=True) == d * d - 1
-        mixed = np.eye(d, dtype=complex) / d
-        mixed.flags.writeable = False
         return (np.trace(self.stack, axis1=1, axis2=2).real / d,
-                np.linalg.inv(gram) if full_rank else None, real, basis, mixed)
+                np.linalg.inv(gram) if full_rank else None, real, basis)
+
+    def _forward(self, rho: np.ndarray) -> np.ndarray:
+        """Complex tr(E_k rho) for each element E_k of a d x d matrix ``rho``."""
+        if (shape := self.stack.shape[1:]) != rho.shape:
+            raise DimensionMismatch(f"operators have shape {shape}, state has {rho.shape}")
+        # the batched form of the per-element trace: bit-identical to it, and
+        # its cost grows with K d^2 without a BLAS call's fixed overhead
+        return np.einsum("kij,ji->k", self.stack, rho)
+
+    def _estimate(self, freqs: np.ndarray) -> np.ndarray:
+        """Unprojected Hermitian least-squares rho of unit trace from K finite real
+        frequencies, renormalised per group on a copy first; RankDeficientSet if the
+        elements do not span the traceless operators.  An overflow leaves rho not finite."""
+        offsets, gram_inv, real, basis = self._inversion
+        d = self.dim
+        if gram_inv is None:
+            raise RankDeficientSet(f"{self.kind} set with {len(self)} elements does not "
+                                   f"determine a {d}-dimensional state")
+        f = freqs.astype(float)                               # a copy, renormalised in place
+        sums = self.group_sums(f)
+        # each element over its group's sum; an ungrouped one (group -1) over the trailing 1.0
+        f /= np.append(np.where(sums > 0, sums, 1.0), 1.0)[self.group_of]
+        x = gram_inv @ (basis @ ((f - offsets) @ real))    # (f - offsets) @ real is A, interleaved
+        rho = np.eye(d, dtype=complex) / d + (x @ basis).view(complex).reshape(d, d)
+        return (rho + rho.conj().T) / 2
 
     def group_sums(self, values) -> np.ndarray:
         """(G,) sums of ``values`` (one per element) over each group, each
@@ -266,18 +290,13 @@ def _set(ops) -> MeasurementSet:
 def probabilities(state, observables) -> np.ndarray:
     """tr(E_k rho) for each operator E_k, as real numbers.
 
-    ``observables`` is a set or any sequence of operators, read by :func:`_set`.
-    For POVM elements the result is the outcome distribution; for Hermitian
-    observables it is the expectation values.  An imaginary residue above
-    1e-10 (non-Hermitian operator on a state) raises.
+    ``observables`` is a set or any sequence of operators, read by :func:`_set`
+    and evaluated by its ``_forward``.  For POVM elements the result is the outcome
+    distribution; for Hermitian observables it is the expectation values.  An
+    imaginary residue above 1e-10 (non-Hermitian operator on a state) raises.
     """
     rho = _require_state(state).data
-    stack = _set(observables).stack
-    if stack.shape[1:] != rho.shape:
-        raise DimensionMismatch(f"operators have shape {stack.shape[1:]}, state has {rho.shape}")
-    # the batched form of the per-element trace: bit-identical to it, and
-    # its cost grows with K d^2 without a BLAS call's fixed overhead
-    v = np.einsum("kij,ji->k", stack, rho)
+    v = _set(observables)._forward(rho)
     residue = np.abs(v.imag)
     if residue.max() > 1e-10:
         raise NotHermitian(f"tr(E rho) has imaginary residue {v.imag[residue.argmax()]:.3e}")

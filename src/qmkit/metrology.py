@@ -24,9 +24,9 @@ def encode_phase(state, generator, phi: float) -> QuantumObject:
     """Evolve a state under U(phi) = exp(-i phi H) = V e^{-i phi L} V^dag for a
     Hermitian H = V L V^dag: kets (normalised on use) map to U|psi>, operators to U rho U^dag.
     A QuantumObject generator keeps its V and L for the next call."""
-    st = QuantumObject(state)
+    st = state if isinstance(state, QuantumObject) else QuantumObject(state)
     if st.kind is Kind.OPER:     # checked; a one-entry 1-d ket becomes its projector
-        st = _require_state(state)
+        st = _require_state(st)
     lam, v = _spectrum(generator, "generator", st.dim)
     phi = _real(phi, "phi")
     if not abs(phi) * max(-float(lam[0]), float(lam[-1])) <= sys.float_info.max:

@@ -55,23 +55,23 @@ class QuantumObject:
 
     A column (n x 1, n > 1) is a ket, a row (1 x n, n > 1) a bra, anything
     else (including 1 x 1 scalars) an oper.  One-dimensional input is read
-    as a column vector.  The wrapped array is copied and frozen, so a
-    QuantumObject can be shared freely between threads.  A Hermitian
-    object keeps its eigendecomposition once :func:`_spectrum` has made
-    it, and a wrapper of it shares that.
+    as a column vector, and the object records that it was (see :func:`_kind`).
+    The wrapped array is copied and frozen, so a QuantumObject can be shared
+    freely between threads.  A Hermitian object keeps its eigendecomposition
+    once :func:`_spectrum` has made it, and a wrapper of it shares that.
     """
 
-    __slots__ = ("_data", "_eigh")
+    __slots__ = ("_data", "_eigh", "_flat")
 
     def __init__(self, data: ArrayLike):
         if isinstance(data, QuantumObject):
-            self._data, self._eigh = data._data, data._eigh
+            self._data, self._eigh, self._flat = data._data, data._eigh, data._flat
             return
         try:
             arr = np.asarray(data, dtype=complex)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidObject(f"expected a numeric matrix: {exc}") from None
-        if arr.ndim == 1:
+        if flat := arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidObject(
@@ -81,7 +81,7 @@ class QuantumObject:
             raise InvalidObject("matrix entries must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
-        self._data, self._eigh = arr, None
+        self._data, self._eigh, self._flat = arr, None, flat
 
     @classmethod
     def _view(cls, arr: np.ndarray) -> "QuantumObject":
@@ -89,7 +89,7 @@ class QuantumObject:
         array computed from checked operands."""
         arr.flags.writeable = False
         q = cls.__new__(cls)
-        q._data, q._eigh = arr, None
+        q._data, q._eigh, q._flat = arr, None, False
         return q
 
     @property
@@ -227,12 +227,12 @@ def _unit(q: QuantumObject) -> np.ndarray:
 def to_operator(x: ArrayLike) -> QuantumObject:
     """Outer product |psi><psi| of a (normalized) bra or ket; opers pass through."""
     q = x if isinstance(x, QuantumObject) else QuantumObject(x)
-    return q if _kind(x, q) is Kind.OPER else _projector(q)
+    return q if _kind(q) is Kind.OPER else _projector(q)
 
 
-def _kind(x: ArrayLike, q: QuantumObject) -> Kind:
-    """The kind of ``x``, wrapped as ``q``: any 1-d input, one entry included, is a ket."""
-    return Kind.KET if q.shape == (1, 1) and np.ndim(x) == 1 else q.kind
+def _kind(q: QuantumObject) -> Kind:
+    """The kind of ``q``'s input: any 1-d input, one entry included, is a ket."""
+    return Kind.KET if q._flat else q.kind
 
 
 def _projector(q: QuantumObject) -> QuantumObject:
@@ -341,7 +341,7 @@ def _require_state(x: ArrayLike) -> QuantumObject:
     unit-trace and PSD, read off the eigendecomposition that :func:`_spectrum`
     keeps on it."""
     q = x if isinstance(x, QuantumObject) else QuantumObject(x)
-    if _kind(x, q) is not Kind.OPER:
+    if _kind(q) is not Kind.OPER:
         return _projector(q)
     vals = _spectrum(q, "state")[0]
     if abs((tr := q.data.trace().real) - 1.0) > 1e-8:

@@ -143,7 +143,7 @@ def add_random_noise(psi: QuantumObject, mean: float = 0.0, stdev: float = 0.0,
     is rescaled to unit norm.
     """
     q = QuantumObject(psi)
-    if _kind(psi, q) is not Kind.KET:
+    if _kind(q) is not Kind.KET:
         raise InvalidParameter("random amplitude noise is defined for kets")
     mean, stdev = _real(mean, "noise mean"), _real(stdev, "noise stdev", 0.0)
     g = _rng(rng)

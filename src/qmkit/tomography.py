@@ -8,12 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidDistribution,
-    NotPositive,
-    RankDeficientSet,
-)
+from .errors import DimensionMismatch, InvalidDistribution, NotPositive
 from .measurement import MeasurementSet, SamplerBackend, _set, measure_and_sample, probabilities
 from .qcore import (Kind, QuantumObject, _kind, _psd_sqrt, _reals, _require_state, _spectrum,
                     _square, _unit)
@@ -22,7 +17,7 @@ from .qcore import (Kind, QuantumObject, _kind, _psd_sqrt, _reals, _require_stat
 def trace_distance_pure(psi, phi) -> float:
     """sqrt(1 - |<phi|psi>|^2) for two kets, each normalised on use."""
     a, b = QuantumObject(psi), QuantumObject(phi)
-    if _kind(psi, a) is not Kind.KET or _kind(phi, b) is not Kind.KET:
+    if _kind(a) is not Kind.KET or _kind(b) is not Kind.KET:
         raise DimensionMismatch("trace_distance_pure expects two kets")
     if a.shape != b.shape:
         raise DimensionMismatch(f"kets of dimension {a.dim} vs {b.dim}")
@@ -39,7 +34,7 @@ def _states(rho, sigma) -> tuple:
             _square(q, "state")
     if a.dim != b.dim:
         raise DimensionMismatch(f"states of dimension {a.dim} vs {b.dim}")
-    return _require_state(rho), _require_state(sigma)
+    return _require_state(a), _require_state(b)
 
 
 def trace_distance(rho, sigma) -> float:
@@ -76,33 +71,18 @@ def reconstruct_linear_inversion(freqs, mset) -> QuantumObject:
     """Least-squares inversion of tr(E_k rho) = f_k, E_k in ``mset`` (read by
     ``_set``), over unit-trace Hermitian matrices, then a PSD projection.
 
-    Frequencies must be finite, and small enough that the estimate does
-    not overflow (else :class:`InvalidDistribution`); those of grouped sets
-    are renormalized per group first.  The projection clips negative
-    eigenvalues to zero and renormalizes the trace.  Raises
-    :class:`RankDeficientSet` when the elements do not span the traceless
-    operator space, i.e. when the Gram matrix M^T M of the design matrix
-    is numerically singular.  The inversion data is kept on the set, so pass a
-    :class:`MeasurementSet` to reuse it: a list or array is a new set each call.
+    Frequencies must be finite, and small enough that the estimate does not
+    overflow (else :class:`InvalidDistribution`).  The set's ``_estimate``
+    renormalizes those of each group and raises :class:`RankDeficientSet` unless
+    the elements span the traceless operators; the projection clips negative
+    eigenvalues to zero and renormalizes the trace.  The set keeps its inversion data,
+    so pass a :class:`MeasurementSet` to reuse it: a list or array is a new set each call.
     """
     mset = _set(mset)
     if (freqs := _reals(freqs, "frequencies", InvalidDistribution)).shape != (len(mset),):
         raise DimensionMismatch(f"frequencies of shape {freqs.shape} for {len(mset)} elements")
-    f = freqs.astype(float)                               # a copy, renormalised in place
-    d = mset.dim
-    offsets, gram_inv, real, basis, mixed = mset._inversion
-    if gram_inv is None:
-        raise RankDeficientSet(
-            f"{mset.kind} set with {len(mset)} elements does not determine a "
-            f"{d}-dimensional state"
-        )
     with np.errstate(over="ignore", invalid="ignore"):    # an overflow is refused below
-        sums = mset.group_sums(f)
-        # each element over its group's sum; an ungrouped one (group -1) over the trailing 1.0
-        f /= np.append(np.where(sums > 0, sums, 1.0), 1.0)[mset.group_of]
-        x = gram_inv @ (basis @ ((f - offsets) @ real))    # (f - offsets) @ real is A, interleaved
-        rho = mixed + (x @ basis).view(complex).reshape(d, d)
-        rho = (rho + rho.conj().T) / 2
+        rho = mset._estimate(freqs)
         if finite := np.isfinite(rho).all():
             vals, vecs = np.linalg.eigh(rho)
             vals = np.maximum(vals, 0.0)

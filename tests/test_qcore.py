@@ -119,7 +119,8 @@ def test_one_dimensional_input_is_column():
     assert classify([1, 0])[0] is Kind.KET
 
 
-@pytest.mark.parametrize("ket", [np.array([1j]), np.array([-1.0]), [0.6j], (2.0,)])
+@pytest.mark.parametrize("ket", [np.array([1j]), np.array([-1.0]), [0.6j], (2.0,),
+                                 QuantumObject(np.array([1j]))])
 def test_a_one_element_1d_input_is_a_ket_state(ket):
     # a lone 1 x 1 matrix is an operator, but a 1-d input is a ket at every length
     assert classify(ket)[0] is Kind.OPER

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,45 @@ def test_only_the_set_module_reads_a_stack_as_floats_or_writes_a_sets_fields():
                for name, line in lines if "object.__setattr__(" in line]
     assert targets == [("metrology.py", "self"), ("phasespace.py", "grid"),
                        ("phasespace.py", "grid")]
+    # nor reads a set's layout: its stack (np.stack is NumPy's), cached inversion
+    # data or index rows; a set is asked through _forward and _estimate instead
+    layout = re.compile(r"\._inversion|\._blocks|\._members|(?<!\bnp)\.stack\b")
+    assert [line for line in lines if layout.search(line[1])] == []
+
+
+@pytest.mark.parametrize("make_set", [lambda: build_pauli_set(2), lambda: build_stoke_set(2),
+                                      lambda: build_sic_set(4)],
+                         ids=["grouped", "ungrouped", "single-group"])
+def test_public_callers_reach_a_set_only_through_its_forward_map_and_estimate(monkeypatch,
+                                                                              make_set):
+    calls = {"_forward": 0, "_estimate": 0}
+
+    def counted(name):
+        method = getattr(MeasurementSet, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(MeasurementSet, name, counted(name))
+
+    def count(fn):
+        calls.update(_forward=0, _estimate=0)
+        fn()
+        return calls["_forward"], calls["_estimate"]
+
+    mset = make_set()
+    assert count(lambda: probabilities(_SET_STATE, mset)) == (1, 0)
+    for method in ("mc", "cdf"):
+        assert count(lambda: measure_and_sample(_SET_STATE, mset, SamplerBackend(method, 1),
+                                                50)) == (1, 0)
+    assert count(lambda: classical_fisher(
+        lambda phi: encode_phase(_SET_STATE, _SET_GENERATOR, phi), mset, 0.3)) == (3, 0)
+    assert count(lambda: reconstruct_linear_inversion(np.full(len(mset), 0.25), mset)) == (0, 1)
+    assert count(lambda: run_tomography(_SET_STATE, mset)) == (1, 1)
+    assert count(lambda: run_tomography(_SET_STATE, mset, 1000, SamplerBackend("cdf", 2))) == (1, 1)
 
 
 def test_each_object_is_decomposed_once(monkeypatch):
