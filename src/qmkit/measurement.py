@@ -17,8 +17,8 @@ import functools
 import itertools
 import operator
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .errors import (
     OutcomeImpossible,
     RankDeficientSet,
 )
-from .qcore import (HERMITIAN_TOL, QuantumObject, _count, _dimension, _qubit_count, _real,
-                    _reals, _require_state, _rng)
+from .qcore import (HERMITIAN_TOL, QuantumObject, _count, _dimension, _draws, _qubit_count,
+                    _real, _reals, _require_state, _rng, _typed)
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
@@ -205,8 +205,10 @@ class MeasurementSet:
                                    f"determine a {d}-dimensional state")
         f = freqs.astype(float)                               # a copy, renormalised in place
         sums = self.group_sums(f)
+        sums = np.where(sums > 0, sums, 1.0)
+        sums[sums == np.inf] = np.nan       # a sum past the float range leaves rho not finite
         # each element over its group's sum; an ungrouped one (group -1) over the trailing 1.0
-        f /= np.append(np.where(sums > 0, sums, 1.0), 1.0)[self.group_of]
+        f /= np.append(sums, 1.0)[self.group_of]
         x = gram_inv @ (basis @ ((f - offsets) @ real))    # (f - offsets) @ real is A, interleaved
         rho = np.eye(d, dtype=complex) / d + (x @ basis).view(complex).reshape(d, d)
         return (rho + rho.conj().T) / 2
@@ -270,10 +272,10 @@ class SamplerBackend:
     iterations: int = 1000
 
     def __post_init__(self):
-        if self.method not in ("mc", "cdf"):
+        if not (isinstance(self.method, str) and self.method in ("mc", "cdf")):
             raise InvalidParameter(f"backend method must be 'mc' or 'cdf', got {self.method!r}")
-        for name, least in (("seed", 0), ("iterations", 1)):
-            object.__setattr__(self, name, _count(getattr(self, name), name, least))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", least=0))
+        object.__setattr__(self, "iterations", _draws(self.iterations, "iterations"))
 
     def rng(self) -> np.random.Generator:
         return _rng(self.seed)
@@ -433,7 +435,7 @@ def sample_mc(p: float, iterations: int, rng=None) -> float:
     p.  The endpoints are exact: p = 0 gives 0.0 and p = 1 gives 1.0.
     """
     p = _real(p, "probability", 0.0, 1.0)
-    iterations = _count(iterations, "iterations")
+    iterations = _draws(iterations, "iterations")
     g = _rng(rng)
     if (p == 0.0 or p == 1.0) and _can_skip(g):
         g.bit_generator.advance(iterations)     # every draw would agree
@@ -443,7 +445,8 @@ def sample_mc(p: float, iterations: int, rng=None) -> float:
 
 def sample_cdf_continuous(inverse_cdf: Callable, shots: int, rng=None) -> np.ndarray:
     """Inverse-transform draws y_i = F^{-1}(r_i) from i.i.d. uniforms."""
-    return np.asarray(inverse_cdf(_rng(rng).random(_count(shots, "shots"))))
+    inverse_cdf, shots = _typed(inverse_cdf, Callable, "inverse_cdf"), _draws(shots, "shots")
+    return np.asarray(inverse_cdf(_rng(rng).random(shots)))
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
@@ -513,7 +516,7 @@ def sample_cdf_discrete(probs, shots: int, rng=None) -> np.ndarray:
     p = _reals(probs, "probabilities", InvalidDistribution).astype(float, copy=False)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistribution("probability vector must be 1-d and non-empty")
-    return _stratified_counts(_cumulative(p[None]), _count(shots, "shots"), _rng(rng))[0]
+    return _stratified_counts(_cumulative(p[None]), _draws(shots, "shots"), _rng(rng))[0]
 
 
 def _independent_frequencies(method: str, probs, n: int, g: np.random.Generator) -> np.ndarray:
@@ -536,9 +539,9 @@ def measure_and_sample(state, mset, backend: SamplerBackend,
     backend's iteration count.  The stream runs over the groups, then the
     ungrouped elements, ``shots`` uniforms each.
     """
-    mset = _set(mset)
+    backend, mset = _typed(backend, SamplerBackend, "backend"), _set(mset)
     probs = probabilities(state, mset)
-    n = _count(shots if shots is not None else backend.iterations, "shots")
+    n = _draws(shots if shots is not None else backend.iterations, "shots")
     g = backend.rng()
     if backend.method == "mc":
         return _independent_frequencies("mc", probs, n, g)

@@ -6,15 +6,15 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
 from .measurement import _set, probabilities
-from .qcore import (Kind, QuantumObject, _count, _evolution, _real, _reals, _require_state,
-                    _spectrum, _square, _unit, density_matrix, normalize)
+from .qcore import (Kind, QuantumObject, _count, _draws, _evolution, _real, _reals,
+                    _require_state, _spectrum, _square, _typed, _unit, density_matrix, normalize)
 from .states import spin_coherent
 
 DERIVATIVE_CUTOFF = 1e-12
@@ -51,7 +51,8 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
     uniform mixture of its groups, one picked at random per shot: the mean
     of the per-group values, each of which is at most the quantum one.
     """
-    mset = _set(mset)
+    rho_of_phi, mset = _typed(rho_of_phi, Callable, "rho_of_phi"), _set(mset)
+    phi = _real(phi, "phi")
     dphi = _real(dphi, "finite-difference step", math.ulp(0.0))   # least positive float: refuses 0
     p0 = probabilities(rho_of_phi(phi), mset)
     p_plus = probabilities(rho_of_phi(phi + dphi), mset)
@@ -87,7 +88,7 @@ def cramer_rao_bounds(F: float, Q: float, N: int = 1) -> tuple[float, float]:
     """
     F = _real(F, "classical Fisher information", -1e-12)
     Q = _real(Q, "quantum Fisher information", -1e-12)
-    N = _count(N, "repetition count")
+    N = _draws(N, "repetition count")
     ccrb = 1.0 / math.sqrt(N * F) if F > 0 else math.inf
     qcrb = 1.0 / math.sqrt(N * Q) if Q > 0 else math.inf
     return ccrb, qcrb
@@ -180,7 +181,7 @@ def run_scenario(scenario: MetrologyScenario) -> PrecisionCurve:
     SQL/HL levels is n = 2j = dim - 1, i.e. the number of two-level
     constituents of the collective spin.
     """
-    lam, v = _spectrum(scenario.generator, "generator")
+    lam, v = _spectrum(_typed(scenario, MetrologyScenario, "scenario").generator, "generator")
     rho = v.conj().T @ density_matrix(scenario.probe) @ v
     a = v.conj().T @ scenario.observable.data @ v
     u = np.exp(-1j * np.outer(scenario.phis, lam))

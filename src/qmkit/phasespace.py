@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameter, InvalidQuantumNumber
 from .operators import _twice, spin
-from .qcore import _count, _fits, _real, _reals, _write_lines, density_matrix
+from .qcore import _count, _fits, _real, _reals, _typed, _write_lines, density_matrix
 from .states import _spin_coherent_magnitudes
 
 
@@ -93,8 +93,8 @@ def spherical_harmonic(k: int, q: int, theta, phi):
     are both accepted, and every entry must be a finite real number.
     """
     k, q = _integer_labels(k, q)
-    if k < 0 or abs(q) > k:
-        raise InvalidQuantumNumber(f"need 0 <= |q| <= k, got k={k}, q={q}")
+    if not abs(q) <= k < 2**63:         # SciPy takes k as a 64-bit integer
+        raise InvalidQuantumNumber(f"need 0 <= |q| <= k < 2**63, got k={k}, q={q}")
     import scipy.special  # on first use, so that ``import qmkit`` does not load SciPy
     return scipy.special.sph_harm_y(k, q, _reals(theta, "theta"), _reals(phi, "phi"))
 
@@ -192,6 +192,7 @@ def grid_lines(grid: PhaseSpaceGrid) -> list[str]:
     Rows run in row-major order (slow coordinate outermost), matching the
     values layout.  All floats carry 17 significant digits.
     """
+    _typed(grid, PhaseSpaceGrid, "grid")
     lines = [
         f"# kind={grid.kind} coords={grid.coords} "
         f"n1={len(grid.axis1)} n2={len(grid.axis2)}"
@@ -321,7 +322,7 @@ def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     """
     dm = density_matrix(rho)
     d = len(dm)
-    xs, ys = grid._keys
+    xs, ys = _typed(grid, PlanarGrid, "grid")._keys
     alphas, _, inverse = _radial(xs, ys)
     terms, norm = _husimi_terms(d, xs, ys)
     c, ratios, _ = _weighted_diagonals(dm)
@@ -384,7 +385,7 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     """
     dm = density_matrix(rho)
     d = len(dm)
-    xs, ys = grid._keys
+    xs, ys = _typed(grid, PlanarGrid, "grid")._keys
     _, _, inverse = _radial(xs, ys)
     table, phase = _wigner_terms(d, xs, ys)
     c, _, signs = _weighted_diagonals(dm)
@@ -434,8 +435,8 @@ def husimi_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
     integrating to 4/(2j+1) over the sphere (dOmega = sin(theta) dtheta dphi).
     The amplitudes of ``spin_coherent`` are c_i(theta) e^{-i i phi}, so Q is
     :func:`_axial_map` with G(theta) = c c^T / pi."""
-    dm = density_matrix(rho)
-    vals = _axial_map(dm, _husimi_diagonals(len(dm) - 1, grid._keys[0]), grid._keys[1])
+    dm, (thetas, phis) = density_matrix(rho), _typed(grid, SphericalGrid, "grid")._keys
+    vals = _axial_map(dm, _husimi_diagonals(len(dm) - 1, thetas), phis)
     return PhaseSpaceGrid("husimi", "spherical", grid.thetas, grid.phis, vals)
 
 
@@ -493,6 +494,6 @@ def wigner_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
     :func:`spherical_multipole`); it integrates to sqrt(4 pi/(2j+1)) over the
     sphere.  It is :func:`_axial_map` with G = d Delta_0 d^T, d = exp(-i theta J_y).
     """
-    dm = density_matrix(rho)
-    vals = _axial_map(dm, _wigner_diagonals(len(dm) - 1, grid._keys[0]), grid._keys[1])
+    dm, (thetas, phis) = density_matrix(rho), _typed(grid, SphericalGrid, "grid")._keys
+    vals = _axial_map(dm, _wigner_diagonals(len(dm) - 1, thetas), phis)
     return PhaseSpaceGrid("wigner", "spherical", grid.thetas, grid.phis, vals)

@@ -274,6 +274,22 @@ def _count(value, name: str, least: int | None = 1) -> int:
     raise InvalidParameter(f"{name} must be an integer{floor}, got {value!r}")
 
 
+def _draws(value, name: str) -> int:
+    """A count of draws, shots or repetitions (as :func:`_count`) of at most 2**53,
+    the largest integer a float holds exactly; else InvalidParameter."""
+    if (n := _count(value, name)) > 2**53:
+        raise InvalidParameter(f"{name} must be at most 2**53, got {n}")
+    return n
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` if it is an instance of ``kind`` (a class, or ``Callable`` for a
+    function); else InvalidParameter."""
+    if isinstance(value, kind):
+        return value
+    raise InvalidParameter(f"{name} must be a {kind.__name__}, got {reprlib.repr(value)}")
+
+
 def _fits(base: int, power: int, what: str) -> None:
     """UnsupportedDimension, before anything is allocated, unless ``what`` of
     base**power complex entries fits in MAX_STACK_BYTES (base >= 1)."""

@@ -3,15 +3,15 @@ inversion with a PSD projection, and score with trace distance / fidelity."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDistribution, NotPositive
 from .measurement import MeasurementSet, SamplerBackend, _set, measure_and_sample, probabilities
 from .qcore import (Kind, QuantumObject, _kind, _psd_sqrt, _reals, _require_state, _spectrum,
-                    _square, _unit)
+                    _square, _typed, _unit)
 
 
 def trace_distance_pure(psi, phi) -> float:
@@ -137,6 +137,10 @@ def run_tomography(true_state, mset, shots: int | None = None,
     """
     rho_true = _require_state(true_state)
     mset = _set(mset)
+    if backend is not None:
+        _typed(backend, SamplerBackend, "backend")
+    est = _typed(reconstruct_linear_inversion if estimator is None else estimator, Callable,
+                 "estimator")
     if shots is None:
         freqs = probabilities(rho_true, mset)
         backend_name, seed = "exact", 0
@@ -144,8 +148,7 @@ def run_tomography(true_state, mset, shots: int | None = None,
         if backend is None:
             backend = SamplerBackend(method="cdf", seed=0)
         freqs = measure_and_sample(rho_true, mset, backend, shots)
-        backend_name, seed = backend.method, backend.seed
-    est = estimator if estimator is not None else reconstruct_linear_inversion
+        shots, backend_name, seed = int(shots), backend.method, backend.seed
     rec = est(freqs, mset)
     # linear inversion returns a state; another estimate is checked as a score's argument
     b = rec.data if estimator is None else _states(rho_true, rec)[1].data

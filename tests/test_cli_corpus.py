@@ -111,6 +111,8 @@ _COMMANDS = {
                                    "--map", "husimi", "--coords", "planar"],
     "error-pauli-d3": ["measure", "--name", "coherent", "--d", "3", "--alpha", "1",
                        "--set", "pauli"],
+    "error-shots-past-2**53": ["measure", "--name", "ghz", "--n", "1", "--set", "pauli",
+                               "--backend", "cdf", "--shots", "36893488147419103232"],
 }
 
 
@@ -212,6 +214,9 @@ _DIGESTS = {
     }),
     "error-position-nan": (4, {
         "<stderr>": "79dc09c465e02de60eaddcc44abf2a1bc443557715a93b8210bd97204fd272e0",
+    }),
+    "error-shots-past-2**53": (4, {
+        "<stderr>": "bf6f039e80038e774dbf7fb50b04333605825d8742ea35ec6ec1be179c4c76c0",
     }),
     "error-theta-nan": (4, {
         "<stderr>": "9f57141e7dc25efe0dc49b1f42abb1fd4aa6d1f444f171602ae3ed9333f870c7",

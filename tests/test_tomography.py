@@ -1,9 +1,5 @@
-import importlib
-import inspect
-import itertools
 import json
 import math
-import pkgutil
 import re
 from pathlib import Path
 
@@ -17,11 +13,8 @@ from conftest import random_density, random_ket
 from qmkit import (
     MeasurementSet,
     MetrologyScenario,
-    PlanarGrid,
     QuantumObject,
     SamplerBackend,
-    SphericalGrid,
-    add_white_noise,
     basis,
     build_mub_set,
     build_pauli_set,
@@ -34,26 +27,18 @@ from qmkit import (
     encode_phase,
     fidelity,
     ghz,
-    husimi_planar,
-    husimi_spherical,
     identity,
-    measure,
     measure_and_sample,
     normalize,
-    pauli,
-    post_measurement_state,
     probabilities,
     quantum_fisher,
     reconstruct_linear_inversion,
     run_scenario,
     run_tomography,
     spin,
-    timed_measurement,
     to_operator,
     trace_distance,
     trace_distance_pure,
-    wigner_planar,
-    wigner_spherical,
 )
 from qmkit.errors import (
     DimensionMismatch,
@@ -66,7 +51,6 @@ from qmkit.errors import (
     ZeroNorm,
 )
 from qmkit.cli import main as cli_main
-from qmkit.phasespace import spherical_multipole
 
 
 # ---------------------------------------------------------------------------
@@ -114,153 +98,6 @@ def test_metric_dimension_mismatch():
         trace_distance_pure(basis(2, 0), basis(3, 0))
 
 
-_NON_STATES = [
-    (identity(2), InvalidObject),                        # trace 2
-    (np.diag([1.5, -0.5]), NotPositive),                 # unit trace, not PSD
-    (np.array([[0.5, 1.0], [0.0, 0.5]]), NotHermitian),  # unit trace, not Hermitian
-]
-
-
-@pytest.mark.parametrize("score", [fidelity, trace_distance])
-@pytest.mark.parametrize("operator, error", _NON_STATES)
-def test_metrics_refuse_non_states(score, operator, error):
-    # either argument, under the rule run_tomography applies to its true state
-    with pytest.raises(error):
-        score(operator, identity(2) / 2)
-    with pytest.raises(error):
-        score(identity(2) / 2, operator)
-
-
-def test_metrics_check_shapes_before_states():
-    # two non-states of different dimension: the shapes are refused first
-    with pytest.raises(DimensionMismatch):
-        fidelity(identity(2), identity(3))
-
-
-_PLANE, _SPHERE = PlanarGrid(nx=5, ny=4), SphericalGrid(ntheta=5, nphi=4)
-_KRAUS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-
-# each public function that takes a state, reduced to the arrays it returns
-_STATE_BOUNDARIES = {
-    "density_matrix": density_matrix,
-    "probabilities": lambda x: probabilities(x, build_pauli_set(1)),
-    "timed_measurement": lambda x: timed_measurement(x, build_pauli_set(1))[0],
-    "measure": lambda x: (lambda o: (o.probabilities, *(p.data for p in o.post_states)))(
-        measure(x, _KRAUS)),
-    "post_measurement_state": lambda x: (lambda r: (r[0].data, r[1]))(
-        post_measurement_state(x, _KRAUS[1])),
-    "measure_and_sample-mc": lambda x: measure_and_sample(x, build_pauli_set(1),
-                                                          SamplerBackend("mc", 1), 50),
-    "measure_and_sample-cdf": lambda x: measure_and_sample(x, build_pauli_set(1),
-                                                           SamplerBackend("cdf", 1), 50),
-    "classical_fisher": lambda x: classical_fisher(lambda phi: x, build_pauli_set(1), 0.3),
-    "quantum_fisher": lambda x: quantum_fisher(x, pauli("z")),
-    "run_tomography": lambda x: (lambda r: (r.reconstructed.data, r.fidelity, r.trace_distance))(
-        run_tomography(x, build_pauli_set(1), 40, SamplerBackend("cdf", 2))),
-    "fidelity": lambda x: fidelity(x, identity(2) / 2),
-    "trace_distance": lambda x: trace_distance(identity(2) / 2, x),
-    "MetrologyScenario": lambda x: run_scenario(MetrologyScenario(
-        probe=x, generator=pauli("z"), phis=[0.0, 0.5, 1.0], observable=pauli("x"))).expectation,
-    "encode_phase": lambda x: density_matrix(encode_phase(x, pauli("z"), 0.3)),
-    "add_white_noise": lambda x: add_white_noise(x, 0.25).data,
-    "husimi_planar": lambda x: husimi_planar(x, _PLANE).values,
-    "wigner_planar": lambda x: wigner_planar(x, _PLANE).values,
-    "husimi_spherical": lambda x: husimi_spherical(x, _SPHERE).values,
-    "wigner_spherical": lambda x: wigner_spherical(x, _SPHERE).values,
-    "spherical_multipole": lambda x: spherical_multipole(x, 1, 0),
-}
-
-
-@pytest.mark.parametrize("boundary", sorted(_STATE_BOUNDARIES))
-def test_every_state_boundary_refuses_non_states(boundary):
-    call = _STATE_BOUNDARIES[boundary]
-    for operator, error in _NON_STATES:
-        with pytest.raises(error):
-            call(operator)
-    # a ket is a state by construction, even when its squared norm overflows
-    got, want = call([1e200, 1e200]), call([1.0, 1.0])
-    for a, b in zip(got if isinstance(got, tuple) else (got,),
-                    want if isinstance(want, tuple) else (want,)):
-        np.testing.assert_array_equal(a, b)
-
-
-def _public_callables_taking(parameters: set) -> set:
-    """Names of the public callables of qmkit and its modules with a parameter in ``parameters``."""
-    modules = [qmkit] + [importlib.import_module(f"qmkit.{m.name}")
-                         for m in pkgutil.iter_modules(qmkit.__path__)]
-    takers = set()
-    for module in modules:
-        for name, obj in vars(module).items():
-            if name.startswith("_") or not callable(obj):
-                continue
-            try:
-                params = inspect.signature(obj).parameters
-            except (TypeError, ValueError):
-                continue
-            if parameters & set(params):
-                takers.add(name)
-    return takers
-
-
-_STATE_PARAMETERS = {"state", "rho", "sigma", "probe", "true_state"}
-
-
-def test_state_boundary_table_lists_every_public_function_that_takes_a_state():
-    takers = _public_callables_taking(_STATE_PARAMETERS)
-    assert {"measure", "husimi_planar", "MetrologyScenario", "run_tomography"} <= takers
-    covered = {key.split("-")[0] for key in _STATE_BOUNDARIES}
-    # TomographyRun is a result record: its true_state was checked by run_tomography
-    assert takers - covered - {"TomographyRun"} == set()
-
-
-_SET_STATE, _SET_GENERATOR = ghz(2), np.diag([0.0, 1.0, 2.0, 3.0])
-
-_SET_FREQS = probabilities(_SET_STATE, build_stoke_set(2))
-
-# each public function that takes a set (an ``mset`` or ``observables``), reduced to
-# the arrays it returns, on the two-qubit state _SET_STATE
-_SETS = {
-    "probabilities": lambda s: probabilities(_SET_STATE, s),
-    "timed_measurement": lambda s: timed_measurement(_SET_STATE, s)[0],
-    "measure_and_sample-mc": lambda s: measure_and_sample(_SET_STATE, s, SamplerBackend("mc", 1), 50),
-    "measure_and_sample-cdf": lambda s: measure_and_sample(_SET_STATE, s,
-                                                           SamplerBackend("cdf", 1), 50),
-    "classical_fisher": lambda s: classical_fisher(
-        lambda phi: encode_phase(_SET_STATE, _SET_GENERATOR, phi), s, 0.3),
-    "reconstruct_linear_inversion": lambda s: reconstruct_linear_inversion(_SET_FREQS, s).data,
-    "run_tomography": lambda s: (lambda r: (r.reconstructed.data, r.fidelity, r.trace_distance))(
-        run_tomography(_SET_STATE, s, 40, SamplerBackend("cdf", 2))),
-}
-
-
-def _bytes(result) -> list:
-    return [np.asarray(a).tobytes() for a in (result if isinstance(result, tuple) else (result,))]
-
-
-@pytest.mark.parametrize("taker", sorted(_SETS))
-def test_every_set_argument_reads_operator_sequences_as_the_set(taker):
-    call, mset = _SETS[taker], build_stoke_set(2)      # an ungrouped set
-    want = _bytes(call(mset))
-    array = np.array(mset.stack)
-    for same in (mset.stack.tolist(), tuple(mset.elements), array):
-        assert _bytes(call(same)) == want
-    assert array.flags.writeable                          # the set was built on a copy
-
-
-@pytest.mark.parametrize("taker", sorted(_SETS))
-def test_every_set_argument_refuses_what_is_not_a_set(taker):
-    mixed = [pauli("x"), identity(3)]
-    for bad in (0.5, None, mixed, np.full((2, 4, 4), np.nan)):
-        with pytest.raises(QmkitError):
-            _SETS[taker](bad)
-
-
-def test_set_table_lists_every_public_function_that_takes_a_set():
-    takers = _public_callables_taking({"mset", "observables"})
-    assert {"probabilities", "measure_and_sample", "run_tomography"} <= takers
-    assert takers - {key.split("-")[0] for key in _SETS} == set()
-
-
 def test_only_the_set_rule_asks_whether_an_argument_is_a_set():
     sources = Path(qmkit.__file__).parent.glob("*.py")
     asks = [(path.name, line.strip()) for path in sources
@@ -284,6 +121,9 @@ def test_only_the_set_module_reads_a_stack_as_floats_or_writes_a_sets_fields():
     # data or index rows; a set is asked through _forward and _estimate instead
     layout = re.compile(r"\._inversion|\._blocks|\._members|(?<!\bnp)\.stack\b")
     assert [line for line in lines if layout.search(line[1])] == []
+
+
+_SET_STATE, _SET_GENERATOR = ghz(2), np.diag([0.0, 1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("make_set", [lambda: build_pauli_set(2), lambda: build_stoke_set(2),
