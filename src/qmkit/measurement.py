@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._mub_tables import mub_bases
 from ._sic_fiducials import fiducial
 from .errors import (
     DimensionMismatch,
@@ -32,6 +31,7 @@ from .errors import (
     NotHermitian,
     OutcomeImpossible,
     RankDeficientSet,
+    UnsupportedDimension,
 )
 from .qcore import (HERMITIAN_TOL, QuantumObject, _count, _dimension, _draws, _qubit_count,
                     _real, _reals, _require_state, _rng, _typed)
@@ -125,7 +125,7 @@ class MeasurementSet:
     _blocks: tuple[np.ndarray, ...] = field(repr=False)
 
     def __init__(self, kind: str, elements, groups=()):
-        self._adopt(kind, _stack(elements), groups)
+        self._adopt(_typed(kind, str, "set kind"), _stack(elements), groups)
 
     @classmethod
     def _built(cls, kind: str, stack: np.ndarray, groups=()) -> MeasurementSet:
@@ -367,15 +367,77 @@ def build_stoke_set(n: int) -> MeasurementSet:
     return MeasurementSet._built("stoke", _product_projectors("HVDR", n))
 
 
+def _field(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """GF(p^m) as (mul, tr): element i is the polynomial with the base-p digits of i
+    as coefficients of t^0..t^(m-1), ``mul[i, j]`` the index of i j modulo the first
+    monic degree-m polynomial whose table has no zero divisor, ``tr[i]`` its trace."""
+    powers = p ** np.arange(m)
+    digits = np.arange(p ** m)[:, None] // powers % p
+    for low in digits:                                  # the modulus t^m + low . (1, ..., t^(m-1))
+        red = list(np.eye(m, dtype=int))                # red[k]: t^k reduced, k < 2m - 1
+        for _ in range(m - 1):
+            red.append((np.append(0, red[-1][:-1]) - red[-1][-1] * low) % p)
+        products = np.array(red)[np.add.outer(range(m), range(m))]     # t^i t^j
+        mul = np.einsum("xi,yj,ijk->xyk", digits, digits, products) % p @ powers
+        if mul[1:, 1:].all():
+            break
+    # tr is GF(p)-linear, and tr(t^k) is the trace of multiplication by t^k over GF(p)
+    return mul, digits @ digits[mul[np.ix_(powers, powers)], np.arange(m)].sum(axis=1) % p
+
+
+def _self_dual(mul: np.ndarray, tr: np.ndarray, m: int, basis=()) -> list | None:
+    """A self-dual basis of GF(2^m) extending ``basis``, by backtracking over the
+    trace-one elements (tr(x x) = tr(x) at p = 2); orthonormal elements are independent."""
+    if len(basis) == m:
+        return list(basis)
+    for x in range(basis[-1] + 1 if basis else 1, len(tr)):
+        if tr[x] and not tr[mul[x, list(basis)]].any():
+            if found := _self_dual(mul, tr, m, (*basis, x)):
+                return found
+    return None
+
+
+def _mub_bases(d: int) -> np.ndarray:
+    """(d + 1, d, d) kets of the d + 1 mutually unbiased bases of a prime power
+    d = p^m, or UnsupportedDimension: basis 0 is the computational one, and
+    vector b of basis a + 1 (a, b, x in GF(d)) is v[x] = u^q_a(x) w^tr(b x) / sqrt d.
+
+    Odd p (Wootters and Fields): q_a(x) = tr(a x^2), u = w = exp(2 pi i / p).
+    p = 2 (Klappenecker and Roetteler): q_a(x) = c^T [tr(a e_i e_j)] c over the
+    integers mod 4, with c the coordinates c_i = tr(x e_i) of x in a self-dual
+    basis e (tr(e_i e_j) = delta_ij), u = i and w = -1.
+    """
+    p = next((q for q in range(2, d + 1) if d % q == 0), 2)      # the least prime factor
+    m = next(k for k in itertools.count(1) if p ** k >= d)
+    if p ** m != d:
+        raise UnsupportedDimension(f"MUB sets need a prime-power dimension, got {d}")
+    mul, tr = _field(p, m)
+    linear = tr[mul]                                    # [b, x]: tr(b x)
+    if p == 2:
+        e = _self_dual(mul, tr, m)
+        c, form = tr[mul[:, e]], tr[mul[:, mul[np.ix_(e, e)]]]     # [x, i], [a, i, j]
+        q = np.einsum("xi,aij,xj->ax", c, form, c)
+        phases = np.array((1, 1j, -1, complex(0.0, -1.0)))[(q[:, None] + 2 * linear) % 4]
+    else:
+        om = np.exp(2j * np.pi / p)
+        q = tr[mul[:, mul.diagonal()]]                  # [a, x]: tr(a x^2)
+        phases = np.array([om ** k for k in range(p)])[(q[:, None] + linear) % p]
+    return np.concatenate([np.eye(d, dtype=complex)[None], phases / np.sqrt(d)])
+
+
 def build_mub_set(d: int) -> MeasurementSet:
     """Mutually unbiased bases set: d+1 groups of d rank-1 projectors.
 
-    Supported at d in {2, 3, 4, 5, 7}.
+    Any prime power d whose (d + 1) d^3 entries fit the stack limit (2 to 89),
+    from the finite-field construction of :func:`_mub_bases`; group a is basis a.
+    d = 2, 3, 5 and 7 give the bits of the earlier Pauli-eigenbasis and
+    Gauss-sum tables; d = 4 gives the earlier hand table's 20 projectors,
+    reordered as [0-7, 9, 8, 11, 10, 17, 16, 19, 18, 13, 12, 15, 14] of it.
     """
-    d = _count(d, "dimension")
-    bases = mub_bases(d)
-    return MeasurementSet._built("mub", _projectors(np.concatenate([B.T for B in bases])),
-                                 np.arange(len(bases) * d).reshape(-1, d))
+    d = _dimension(d, 4)                                # K d^2 = (d + 1) d^3 entries
+    kets = _mub_bases(d)
+    return MeasurementSet._built("mub", _projectors(kets.reshape(-1, d)),
+                                 np.arange(len(kets) * d).reshape(-1, d))
 
 
 def weyl_displacement(d: int, j: int, k: int) -> QuantumObject:

@@ -117,6 +117,7 @@ class QuantumObject:
         return c if self.kind is Kind.BRA else r
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
+        tol = _real(tol, "tolerance", 0.0)
         if self._data.shape[0] != self._data.shape[1]:
             return False
         return np.max(np.abs(self._data - self._data.conj().T)) <= tol

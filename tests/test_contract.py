@@ -4,8 +4,9 @@
 error it raises (and a ``match=`` pattern where one is pinned), and the
 forms of a valid value that must give the same bytes.  ``CALLS`` gives each
 public callable one valid keyword call, the kind of each parameter, and the
-invalid values of its own.  The walker fails on any public parameter that no
-row lists; the test runs every (row, parameter).
+invalid values of its own.  The walker fails on any public parameter, of a
+public function or of a public method of a public class, that no row lists;
+the test runs every (row, parameter).
 """
 
 import dataclasses
@@ -158,6 +159,7 @@ KINDS = {
     "backend": (_bad(InvalidParameter, "cdf", 5), _no_forms),
     "scenario": (_bad(InvalidParameter, None, "scenario", _KET), _no_forms),
     "path": (_bad(InvalidParameter, _Path(""), _Path("missing/grid.csv"), 5), _no_forms),
+    "name": (_bad(InvalidParameter, None, 3, ["a"]), _no_forms),
 }
 
 
@@ -178,6 +180,8 @@ CALLS = {
     "QuantumObject": (QuantumObject, dict(data=[[1, 0], [0, 1]]), dict(data="operator")),
     "QuantumObject * factor": (_KET.__mul__, dict(scalar=0.5 - 2j), dict(scalar="complex")),
     "QuantumObject / divisor": (_KET.__truediv__, dict(scalar=0.5 - 2j), dict(scalar="complex")),
+    "QuantumObject.is_hermitian": (pauli("x").is_hermitian, dict(tol=1e-10),
+                                   dict(tol=_own("real", _bad(InvalidParameter, -1.0)))),
     **{f.__name__: (f, dict(x=_KET), dict(x="operator"))
        for f in (adjoint, classify, conjugate, transpose, l2norm)},
     "normalize": (normalize, dict(x=_KET),
@@ -200,7 +204,7 @@ CALLS = {
     "tensor": (tensor, dict(factors=(_KET, _KET)), dict(factors="operator")),
     # measurement
     "MeasurementSet": (MeasurementSet, dict(kind="custom", elements=_PAIR, groups=[[0, 1]]),
-                       dict(elements="operators", groups="groups")),
+                       dict(kind="name", elements="operators", groups="groups")),
     "MeasurementSet.group_sums": (_P1.group_sums, dict(values=[1, 2, 3, 4, 5, 6]), dict(
         values=_own("reals", _bad(DimensionMismatch, range(8), [0.3, 0.5])))),
     "SamplerBackend": (SamplerBackend, dict(method="mc", seed=1, iterations=10), dict(
@@ -210,8 +214,12 @@ CALLS = {
                         dict(n=_own("dimension", _bad(UnsupportedDimension, 230, match=_GIB)))),
     "build_stoke_set": (build_stoke_set, dict(n=1),
                         dict(n=_own("dimension", _bad(UnsupportedDimension, 300, match=_GIB)))),
-    **{f.__name__: (f, dict(d=3), dict(d=_own("count", _bad(UnsupportedDimension, 9, 2**96))))
-       for f in (build_mub_set, build_sic_set)},
+    # 1, 6 and 12 are not prime powers; 97 is past the stack limit
+    "build_mub_set": (build_mub_set, dict(d=3), dict(d=_own(
+        "dimension", _bad(UnsupportedDimension, 1, 6, 12, match="prime-power"),
+        _bad(UnsupportedDimension, 97, match=_GIB)))),
+    "build_sic_set": (build_sic_set, dict(d=3),
+                      dict(d=_own("count", _bad(UnsupportedDimension, 9, 2**96)))),
     "weyl_displacement": (weyl_displacement, dict(d=3, j=1, k=2), dict(
         d="dimension", j=_own("index", _bad(InvalidParameter, -1, 3)),
         k=_own("index", _bad(InvalidParameter, -1, 3)))),
@@ -353,32 +361,36 @@ EXEMPT = {
                      "PhaseSpaceGrid", "Kind"), "a result record, filled from checked inputs"),
     **dict.fromkeys(("cmd_*", "main", "build_parser", "entry_point"),
                     "the command line, which tests/test_cli_corpus.py runs"),
-    # a (callable, parameter) pair
-    "MeasurementSet.kind": "a set's name, kept as given: any value is valid",
 }
 
 
 def _public() -> dict:
-    """Each public callable of qmkit and its public modules, defined in a public qmkit module."""
+    """Each public callable of qmkit and its public modules, defined in a public qmkit module,
+    and each public method of such a class, as ``Class.method``."""
     modules = [qmkit] + [importlib.import_module(f"qmkit.{m.name}")
                          for m in pkgutil.iter_modules(qmkit.__path__)
                          if not m.name.startswith("_")]
-    return {name: obj for module in modules for name, obj in vars(module).items()
-            if callable(obj) and not name.startswith("_")
-            and (home := getattr(obj, "__module__", None) or "").startswith("qmkit.")
-            and not home.rpartition(".")[2].startswith("_")}
+    public = {name: obj for module in modules for name, obj in vars(module).items()
+              if callable(obj) and not name.startswith("_")
+              and (home := getattr(obj, "__module__", None) or "").startswith("qmkit.")
+              and not home.rpartition(".")[2].startswith("_")}
+    return public | {f"{name}.{attr}": f for name, cls in public.items() if isinstance(cls, type)
+                     for attr, f in vars(cls).items()
+                     if inspect.isfunction(f) and not attr.startswith("_")}
 
 
 def _unlisted(public: dict) -> list:
-    """(name, parameter) of each public parameter that a row of its callable does not list."""
+    """(name, parameter) of each public parameter that a row of its callable does not list;
+    a row of a method calls it bound, so its ``self`` is not listed."""
     missing = []
     for name, obj in public.items():
         if any(fnmatch(name, p) for p in EXEMPT) or (isinstance(obj, type)
                                                      and issubclass(obj, QmkitError)):
             continue                                             # an error takes its message
-        rows = [row[2] for row in CALLS.values() if row[0] is obj] or [{}]
+        rows = [row[2] for row in CALLS.values()
+                if getattr(row[0], "__func__", row[0]) is obj] or [{}]
         missing += [(name, p) for p in inspect.signature(obj).parameters
-                    for kinds in rows if p not in kinds and f"{name}.{p}" not in EXEMPT]
+                    for kinds in rows if p not in kinds and not ("." in name and p == "self")]
     return missing
 
 
@@ -389,15 +401,19 @@ def test_every_public_parameter_has_a_kind():
 def test_the_walker_fails_on_an_unlisted_parameter(monkeypatch):
     def shifted(state, offset):
         return state
+
+    def scaled(self, factor):
+        return self
     shifted.__module__ = "qmkit.states"
     monkeypatch.setattr(qmkit.states, "shifted", shifted, raising=False)
-    assert _unlisted(_public()) == [("shifted", "state"), ("shifted", "offset")]
+    monkeypatch.setattr(QuantumObject, "scaled", scaled, raising=False)
+    assert _unlisted(_public()) == [("shifted", "state"), ("shifted", "offset"),
+                                    ("QuantumObject.scaled", "factor")]
 
 
 def test_rows_list_exactly_the_parameters_of_their_call_by_known_kinds():
     for call, _, kinds, *_ in CALLS.values():
-        params = inspect.signature(call).parameters
-        assert set(kinds) == {p for p in params if f"{call.__name__}.{p}" not in EXEMPT}, call
+        assert set(kinds) == set(inspect.signature(call).parameters), call
         assert all((k if isinstance(k, str) else k[0]) in KINDS for k in kinds.values())
 
 

@@ -48,7 +48,7 @@ from qmkit import measurement
 from qmkit.measurement import _cumulative, _stratified_counts
 from qmkit.qcore import _dimension, _fits, _qubit_count
 
-MUB_DIMS = (2, 3, 4, 5, 7)
+MUB_DIMS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 SIC_DIMS = (2, 3, 4, 5, 6, 7, 8)
 
 
@@ -214,8 +214,72 @@ def test_mub_d2_matches_pauli_projectors():
 
 
 def test_mub_unsupported_dimension():
-    with pytest.raises(UnsupportedDimension):
-        build_mub_set(6)
+    for d in (1, 6, 10, 12):
+        with pytest.raises(UnsupportedDimension, match="prime-power"):
+            build_mub_set(d)
+    with pytest.raises(UnsupportedDimension, match="over the 1 GiB limit"):
+        build_mub_set(97)
+
+
+def _earlier_mub_kets(d):
+    """The kets, one per row, of the hand tables (d = 2, 4) and Gauss sums (d = 3, 5, 7)
+    that the finite-field construction replaced."""
+    if d == 2:
+        s = 1 / np.sqrt(2)
+        bases = [np.eye(2, dtype=complex), np.array([[s, s], [s, -s]], dtype=complex),
+                 np.array([[s, s], [1j * s, -1j * s]], dtype=complex)]
+    elif d == 4:
+        i = 1j
+        rows = [
+            [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]],
+            [[1, -1, -i, -i], [1, -1, i, i], [1, 1, i, -i], [1, 1, -i, i]],
+            [[1, -i, -i, -1], [1, -i, i, 1], [1, i, i, -1], [1, i, -i, 1]],
+            [[1, -i, -1, -i], [1, -i, 1, i], [1, i, 1, -i], [1, i, -1, i]],
+        ]
+        bases = [np.eye(4, dtype=complex)] + [0.5 * np.array(t, dtype=complex).T for t in rows]
+    else:
+        om = np.exp(2j * np.pi / d)
+        bases = [np.eye(d, dtype=complex)]
+        for a in range(d):
+            B = np.empty((d, d), dtype=complex)
+            for k in range(d):
+                for m in range(d):
+                    B[m, k] = om ** ((a * m * m + k * m) % d) / np.sqrt(d)
+            bases.append(B)
+    return np.concatenate([B.T for B in bases])
+
+
+# the earlier d = 4 table's elements in the order the field construction gives them:
+# basis 2's vectors swap in pairs, and bases 3 and 4 trade places
+_D4_ORDER = [0, 1, 2, 3, 4, 5, 6, 7, 9, 8, 11, 10, 17, 16, 19, 18, 13, 12, 15, 14]
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 7))
+def test_mub_sets_keep_the_bits_of_the_earlier_tables(d):
+    kets = _earlier_mub_kets(d)
+    earlier = np.multiply(kets[:, :, None], kets.conj()[:, None, :], order="C")
+    order = _D4_ORDER if d == 4 else list(range(len(kets)))
+    ms = build_mub_set(d)
+    assert ms.stack.tobytes() == earlier[order].tobytes()
+    assert ms.groups == tuple(tuple(range(g * d, g * d + d)) for g in range(d + 1))
+
+
+_PRIMES = [p for p in range(2, 33) if all(p % q for q in range(2, p))]
+_PRIME_POWERS = [d for d in range(2, 33) if sum(d % p == 0 for p in _PRIMES) == 1]
+
+
+@pytest.mark.parametrize("d", _PRIME_POWERS)
+def test_mub_sets_are_unbiased_and_complete(d):
+    stack = build_mub_set(d).stack
+    assert stack.shape == (d * (d + 1), d, d)
+    # each element is |v><v| for v its largest column scaled to a unit vector
+    rows, k = np.arange(len(stack)), np.argmax(np.einsum("kii->ki", stack).real, axis=1)
+    kets = stack[rows, :, k] / np.sqrt(stack[rows, k, k].real)[:, None]
+    assert np.abs(stack - kets[:, :, None] * kets.conj()[:, None, :]).max() < 1e-12
+    same_basis = np.kron(np.eye(d + 1), np.ones((d, d))) == 1
+    want = np.where(same_basis, np.eye(len(kets)), 1 / d)
+    assert np.abs(np.abs(kets.conj() @ kets.T) ** 2 - want).max() < 1e-12
+    assert np.abs(stack.reshape(d + 1, d, d, d).sum(axis=1) - np.eye(d)).max() < 1e-12
 
 
 def test_weyl_displacement_identity_and_shift():
