@@ -33,10 +33,9 @@ from .errors import (
     RankDeficientSet,
     UnsupportedDimension,
 )
-from .qcore import (HERMITIAN_TOL, QuantumObject, _count, _dimension, _draws, _qubit_count,
-                    _real, _reals, _require_state, _rng, _typed)
+from .qcore import (HERMITIAN_TOL, PSD_TOL, QuantumObject, _count, _dimension, _draws,
+                    _qubit_count, _real, _reals, _require_state, _rng, _typed)
 
-PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
 # cost of one CDF crossing on the cdf sampler's skip path, in draws of its full
 # path; a row with more than shots / SKIP crossings is drawn in full

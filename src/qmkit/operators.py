@@ -30,14 +30,21 @@ def _twice(x, name: str = "spin", signed: bool = False) -> int:
     raise InvalidQuantumNumber(f"{name} must be {kind}, got {x}")
 
 
+def _twice_spin(j, power: int, name: str = "spin") -> int:
+    """2j for a spin label j that passes :func:`_twice`, once (2j + 1)**power
+    complex entries, an operator's power 2 or a ket's 1, pass :func:`_fits`."""
+    two_j = _twice(j, name)
+    _fits(two_j + 1, power, f"{name} {j}")
+    return two_j
+
+
 def spin(s, axis: str | None = None):
     """Spin-s operator(s) in the basis m = s, s-1, ..., -s.
 
     With ``axis`` in {'x','y','z','+','-'} returns that single matrix;
     without it returns the (Sx, Sy, Sz) triple.
     """
-    two_s = _twice(s)
-    _fits(two_s + 1, 2, f"spin {s}")
+    two_s = _twice_spin(s, 2)
     s = two_s / 2                      # the half-integer that _twice accepted
     ms = s - np.arange(two_s + 1)
     sz = np.diag(ms).astype(complex)

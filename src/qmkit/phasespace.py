@@ -12,13 +12,12 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidParameter, InvalidQuantumNumber
-from .operators import _twice, spin
+from .operators import _twice, _twice_spin, spin
 from .qcore import _count, _fits, _real, _reals, _typed, _write_lines, density_matrix
 from .states import _spin_coherent_magnitudes
 
@@ -30,13 +29,19 @@ from .states import _spin_coherent_magnitudes
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     """Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M> (Condon-Shortley).
 
-    Computed by the Racah sum in exact rational arithmetic, so it is
-    accurate at any angular momentum the factorials can express.  Returns
-    0 for violated selection rules; raises for non-half-integer inputs.
+    With a = j1+j2-J, e = J+j1-j2, f = J-j1+j2, b = j1-m1 and c = j2+m2, the
+    Racah sum times a! e! f! is the integer
+    S = sum_k (-1)^k C(a, k) C(e, b-k) C(f, c-k), each term the one before it
+    times an exact integer ratio, and the squared coefficient is
+    (2J+1) (J+M)! (J-M)! (j1-m1)! (j1+m1)! (j2-m2)! (j2+m2)! S^2
+    / ((j1+j2+J+1)! a! e! f!), one correctly rounded int / int division.
+    Returns 0 for violated selection rules.  Raises InvalidQuantumNumber for
+    a label that is not a half-integer, and UnsupportedDimension for a j1, j2
+    or J past the size that ``spin`` admits (2j + 1 <= 8192).
     """
-    tj1, tm1 = _twice(j1, "j1"), _twice(m1, "m1", signed=True)
-    tj2, tm2 = _twice(j2, "j2"), _twice(m2, "m2", signed=True)
-    tJ, tM = _twice(J, "J"), _twice(M, "M", signed=True)
+    tj1, tm1 = _twice_spin(j1, 2, "j1"), _twice(m1, "m1", signed=True)
+    tj2, tm2 = _twice_spin(j2, 2, "j2"), _twice(m2, "m2", signed=True)
+    tJ, tM = _twice_spin(J, 2, "J"), _twice(M, "M", signed=True)
     # selection rules (violations yield a vanishing coefficient)
     if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tJ + tM) % 2:
         return 0.0
@@ -46,35 +51,19 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
         return 0.0
     if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
         return 0.0
-
-    def f(twice_val: int) -> int:
-        return math.factorial(twice_val // 2)
-
-    pref = Fraction(tJ + 1)
-    pref *= Fraction(
-        f(tj1 + tj2 - tJ) * f(tj1 - tj2 + tJ) * f(-tj1 + tj2 + tJ),
-        f(tj1 + tj2 + tJ + 2),
-    )
-    pref *= Fraction(
-        f(tJ + tM) * f(tJ - tM) * f(tj1 - tm1) * f(tj1 + tm1)
-        * f(tj2 - tm2) * f(tj2 + tm2)
-    )
-    k_min = max(0, (tj2 - tJ - tm1) // 2, (tj1 + tm2 - tJ) // 2)
-    k_max = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
-    for k in range(k_min, k_max + 1):
-        den = (
-            math.factorial(k)
-            * f(tj1 + tj2 - tJ - 2 * k)
-            * f(tj1 - tm1 - 2 * k)
-            * f(tj2 + tm2 - 2 * k)
-            * f(tJ - tj2 + tm1 + 2 * k)
-            * f(tJ - tj1 - tm2 + 2 * k)
-        )
-        total += Fraction(-1 if k % 2 else 1, den)
+    a, e, f = (tj1 + tj2 - tJ) // 2, (tJ + tj1 - tj2) // 2, (tJ - tj1 + tj2) // 2
+    b, c = (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    k0 = max(0, b - e, c - f)
+    term = (-1) ** k0 * math.comb(a, k0) * math.comb(e, b - k0) * math.comb(f, c - k0)
+    total = 0
+    for k in range(k0, min(a, b, c) + 1):
+        total += term
+        term = -term * (a - k) * (b - k) * (c - k) // ((k + 1) * (e - b + k + 1) * (f - c + k + 1))
     if total == 0:
         return 0.0
-    mag = math.sqrt(float(pref * total * total))
+    num = (tJ + 1) * total**2 * math.prod(math.factorial(t // 2) for t in (
+        tJ + tM, tJ - tM, tj1 - tm1, tj1 + tm1, tj2 - tm2, tj2 + tm2))
+    mag = math.sqrt(num / math.prod(map(math.factorial, (a + e + f + 1, a, e, f))))
     return mag if total > 0 else -mag
 
 

@@ -34,6 +34,7 @@ from .errors import (
 )
 
 HERMITIAN_TOL = 1e-10
+PSD_TOL = 1e-10            # how far below zero an eigenvalue of a PSD matrix may round
 MAX_STACK_BYTES = 2**30    # largest array a size may ask for: Pauli n <= 5, kets n <= 26
 
 ArrayLike = Union[np.ndarray, Sequence, "QuantumObject"]
@@ -363,8 +364,8 @@ def _require_state(x: ArrayLike) -> QuantumObject:
     vals = _spectrum(q, "state")[0]
     if abs((tr := q.data.trace().real) - 1.0) > 1e-8:
         raise InvalidObject(f"a state must have unit trace, got {tr:.6g}")
-    if (low := vals[0]) < -1e-10:
-        raise NotPositive(f"state has eigenvalue {low:.3e} < -1e-10")
+    if (low := vals[0]) < -PSD_TOL:
+        raise NotPositive(f"state has eigenvalue {low:.3e} < -{PSD_TOL}")
     return q
 
 
@@ -481,12 +482,12 @@ def mat_exp(x: ArrayLike) -> QuantumObject:
 def mat_sqrt(x: ArrayLike) -> QuantumObject:
     """Principal square root of a PSD Hermitian matrix (spectral method).
 
-    Eigenvalues in [-1e-10, 0) are clipped to zero; anything more negative
+    Eigenvalues in [-PSD_TOL, 0) are clipped to zero; anything more negative
     raises :class:`NotPositive`.
     """
     vals, vecs = _spectrum(x, "mat_sqrt input")
-    if vals[0] < -1e-10:
-        raise NotPositive(f"matrix has eigenvalue {vals[0]:.3e} < -1e-10")
+    if vals[0] < -PSD_TOL:
+        raise NotPositive(f"matrix has eigenvalue {vals[0]:.3e} < -{PSD_TOL}")
     return QuantumObject(_psd_sqrt(vals, vecs))
 
 

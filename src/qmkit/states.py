@@ -13,8 +13,8 @@ from .errors import (
     InvalidParameter,
     InvalidQuantumNumber,
 )
-from .operators import _twice, displacement, lowering, squeezing
-from .qcore import (Kind, QuantumObject, _complex, _count, _dimension, _fits, _fix_phase,
+from .operators import _twice, _twice_spin, displacement, lowering, squeezing
+from .qcore import (Kind, QuantumObject, _complex, _count, _dimension, _fix_phase,
                     _kind, _qubit_count, _real, _rng, density_matrix, dot, normalize)
 
 
@@ -35,7 +35,7 @@ def dual_basis(d: int, k: int) -> QuantumObject:
 
 def zeeman(j, m) -> QuantumObject:
     """Zeeman / Dicke basis ket |j, m>, dimension 2j+1, ordered m = j..-j."""
-    two_j, two_m = _twice(j), _twice(m, "m", signed=True)
+    two_j, two_m = _twice_spin(j, 1), _twice(m, "m", signed=True)
     if (two_j - two_m) % 2 != 0 or abs(two_m) > two_j:
         raise InvalidQuantumNumber(f"m={m} invalid for j={j}")
     return basis(two_j + 1, (two_j - two_m) // 2)
@@ -92,8 +92,7 @@ def spin_coherent(j, theta: float, phi: float) -> QuantumObject:
     Amplitude on |j, m> is
     sqrt(C(2j, j-m)) cos^(j+m)(theta/2) sin^(j-m)(theta/2) e^{-i(j-m) phi}.
     """
-    two_j, theta, phi = _twice(j), _real(theta, "theta"), _real(phi, "phi")
-    _fits(two_j + 1, 1, f"spin {j}")
+    two_j, theta, phi = _twice_spin(j, 1), _real(theta, "theta"), _real(phi, "phi")
     mags = _spin_coherent_magnitudes(two_j, np.array([theta]))
     return QuantumObject((mags * np.exp(-1j * np.arange(two_j + 1) * phi)).T)
 

@@ -116,6 +116,13 @@ def test_state_json_format(tmp_path):
     assert payload["dimension"] == 4
     amp = payload["amplitudes"][1]
     assert amp[0] == pytest.approx(1 / math.sqrt(2))
+    # a mixed state is written as its matrix of [re, im] pairs
+    assert run_cli(["state", "--name", "w", "--n", "2", "--white-noise", "0.1",
+                    "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["kind"], payload["dimension"], "amplitudes" in payload) == ("oper", 4, False)
+    assert np.array(payload["matrix"]).shape == (4, 4, 2)
+    assert payload["matrix"][1][2] == pytest.approx([0.45, 0.0])
 
 
 def test_state_unknown_name_is_usage_error(capsys):
@@ -340,6 +347,11 @@ def test_backend_compare_timing_table(tmp_path):
     assert run_cli(["backend-compare", "--samples", "5", "--iterations", "10",
                     "--out", str(out), "--timing-out", str(timing)]) == 0
     rows = [r.split(",") for r in data_lines(timing)]
+    assert [int(r[0]) for r in rows] == list(range(1000, 11000, 1000))
+    # without --timing-out the table goes beside --out, as cmp_timing.csv
+    assert run_cli(["backend-compare", "--samples", "5", "--iterations", "10",
+                    "--out", str(out)]) == 0
+    rows = [r.split(",") for r in data_lines(tmp_path / "cmp_timing.csv")]
     assert [int(r[0]) for r in rows] == list(range(1000, 11000, 1000))
 
 

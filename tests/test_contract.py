@@ -173,6 +173,8 @@ def _encode(phi):
 
 
 _SCENARIO = dict(probe=_KET, generator=pauli("z"), phis=[0, 1, 2], observable=pauli("x"))
+# a spin whose (2j + 1)**2 entries pass the size rule, as ``spin`` and ``clebsch_gordan`` read it
+_SPIN_SQUARED = _own("spin", _bad(UnsupportedDimension, 2**96, 1e29, match=_GIB))
 
 # row -> (callable, one valid keyword call, {parameter: kind or _own(...)}[, result reader])
 CALLS = {
@@ -283,8 +285,7 @@ CALLS = {
                      dict(d="dimension", alpha="complex")),
     "squeezing": (squeezing, dict(d=4, beta=0.3 + 0.1j), dict(d="cutoff", beta="complex")),
     "pauli": (pauli, dict(axis="x"), dict(axis=_own("choice", _bad(InvalidParameter, None)))),
-    "spin": (spin, dict(s=1, axis="z"), dict(
-        s=_own("spin", _bad(UnsupportedDimension, 2**96, 1e29, match=_GIB)), axis="choice")),
+    "spin": (spin, dict(s=1, axis="z"), dict(s=_SPIN_SQUARED, axis="choice")),
     # phasespace
     "PlanarGrid": (PlanarGrid, dict(x_range=(-3.0, 3.0), y_range=(-2.0, 2.0), nx=5, ny=4),
                    dict(x_range="range", y_range="range", nx="cutoff", ny="cutoff")),
@@ -294,7 +295,8 @@ CALLS = {
         phi_range=_own("range", _bad(InvalidParameter, (0.0, 7.0))), ntheta="cutoff",
         nphi="cutoff")),
     "clebsch_gordan": (clebsch_gordan, dict(j1=1, m1=0, j2=1, m2=0, J=2, M=0), dict(
-        j1="spin", m1="spin label", j2="spin", m2="spin label", J="spin", M="spin label")),
+        j1=_SPIN_SQUARED, m1="spin label", j2=_SPIN_SQUARED, m2="spin label", J=_SPIN_SQUARED,
+        M="spin label")),
     **{f.__name__: (f, dict(rho=_KET, grid=_PLANE), dict(rho="state", grid=_own(
         "grid", _bad(InvalidParameter, _SPHERE)))) for f in (husimi_planar, wigner_planar)},
     **{f.__name__: (f, dict(rho=_KET, grid=_SPHERE), dict(rho="state", grid=_own(

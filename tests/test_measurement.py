@@ -395,6 +395,9 @@ def test_cdf_discrete_validates():
         sample_cdf_discrete([0.5, 0.4], 10)
     with pytest.raises(InvalidDistribution):
         sample_cdf_discrete([1.5, -0.5], 10)
+    for probs in ([], [[0.5, 0.5]]):
+        with pytest.raises(InvalidDistribution, match="1-d and non-empty"):
+            sample_cdf_discrete(probs, 10)
 
 
 def test_cdf_never_samples_zero_probability():

@@ -35,7 +35,8 @@ from qmkit import (
     write_grid,
     zeeman,
 )
-from qmkit.errors import DimensionMismatch, InvalidParameter, InvalidQuantumNumber
+from qmkit.errors import (DimensionMismatch, InvalidParameter, InvalidQuantumNumber,
+                          UnsupportedDimension)
 from qmkit.phasespace import (
     _axial_phases,
     _bits,
@@ -124,9 +125,30 @@ def test_cg_orthogonality():
 
 
 def test_cg_large_j_still_finite():
-    # exact rational path keeps working at 2j = 40
+    # the exact integer sum keeps working at 2j = 40
     v = clebsch_gordan(20, 0, 20, 0, 0, 0)
     assert v == pytest.approx((-1.0) ** 20 / math.sqrt(41), abs=1e-12)
+
+
+def test_cg_matches_racah_bit_for_bit():
+    # every valid label set with 2j <= 12 (the oracle raises past |M| = J), then a few past j = 100
+    small = [(tj1 / 2, tm1 / 2, tj2 / 2, tm2 / 2, tJ / 2, (tm1 + tm2) / 2)
+             for tj1, tj2 in itertools.product(range(13), repeat=2)
+             for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+             for tm1 in range(-tj1, tj1 + 1, 2) for tm2 in range(-tj2, tj2 + 1, 2)
+             if abs(tm1 + tm2) <= tJ]
+    assert len(small) == 45045
+    large = [(100, 0, 100, 0, 100, 0), (100, 3, 100, -3, 150, 0), (120.5, -7.5, 99.5, 12.5, 31, 5),
+             (150, 150, 150, -150, 0, 0), (200, 17, 101, -16, 299, 1)]
+    for args in small + large:
+        assert clebsch_gordan(*args).hex() == racah_clebsch_gordan(*args).hex(), args
+
+
+def test_cg_admits_a_spin_up_to_the_size_rule():
+    # (2j + 1)**2 entries of 16 bytes fit in 1 GiB up to 2j + 1 = 8192
+    assert clebsch_gordan(4095.5, 0.5, 4095.5, -0.5, 4095, 0) != 0.0
+    with pytest.raises(UnsupportedDimension, match=r"j1 4096 needs 8193\*\*2 complex entries"):
+        clebsch_gordan(4096, 0, 1, 0, 4096, 0)
 
 
 # ---------------------------------------------------------------------------

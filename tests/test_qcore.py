@@ -119,6 +119,7 @@ def test_adjoint_of_ket_is_bra():
 def test_adjoint_fixes_hermitian():
     sy = pauli("y")
     np.testing.assert_allclose(adjoint(sy).data, sy.data)
+    assert not QuantumObject(np.ones((2, 3))).is_hermitian()
 
 
 def test_conjugate():
@@ -249,11 +250,20 @@ def test_dot_identity_and_scalar():
     psi = normalize([1.0, 2.0])
     np.testing.assert_allclose(dot(identity(2), psi).data, psi.data)
     assert dot(dual_basis(2, 0), basis(2, 1)) == 0j
+    np.testing.assert_array_equal((pauli("x") @ psi).data, dot(pauli("x"), psi).data)
 
 
 def test_dot_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         dot(identity(2), identity(3))
+    with pytest.raises(DimensionMismatch):
+        identity(2) + identity(3)
+
+
+@pytest.mark.parametrize("product", [dot, tensor])
+def test_products_need_two_factors(product):
+    with pytest.raises(InvalidObject, match="at least two factors"):
+        product(identity(2))
 
 
 def test_tensor_shapes_and_values():
