@@ -319,7 +319,10 @@ def measure(state, kraus_ops: Sequence) -> MeasurementOutcome:
     ks = _stack(kraus_ops)
     if ks.shape[1:] != rho.shape:
         raise DimensionMismatch(f"kraus shape {ks.shape[1:]}, state shape {rho.shape}")
-    unnormalized = ks @ rho @ ks.conj().transpose(0, 2, 1)     # M rho M^dag
+    with np.errstate(over="ignore", invalid="ignore"):        # an overflow is refused below
+        unnormalized = ks @ rho @ ks.conj().transpose(0, 2, 1)     # M rho M^dag
+    if not np.isfinite(unnormalized).all():
+        raise InvalidObject("Kraus products M rho M^dag overflow the float range")
     probs = np.real(np.trace(unnormalized, axis1=1, axis2=2))
     posts = tuple(QuantumObject(s / p) if p > 1e-14 else None
                   for s, p in zip(unnormalized, probs))
@@ -510,26 +513,21 @@ def sample_cdf_continuous(inverse_cdf: Callable, shots: int, rng=None) -> np.nda
     return np.asarray(inverse_cdf(_rng(rng).random(shots)))
 
 
-def _cumulative(p: np.ndarray) -> np.ndarray:
-    """Row-wise cumulative sums of the (R, K) distributions ``p``, each row
-    checked to be finite, non-negative and to sum to 1 (within 1e-8: a row
-    ends at its own total, by which :func:`_stratified_counts` scales)."""
+def _stratified_counts(p: np.ndarray, shots: int, g: np.random.Generator) -> np.ndarray:
+    """Counts of the stratified uniforms r_i = (i + u_i)/shots under the CDF of each
+    row of the (R, K) distributions ``p`` (finite, non-negative, summing to 1 within
+    1e-8: a CDF ends at its own total t, by which the r_i scale), rows taking ``shots``
+    uniforms each from g.  The r_i are sorted, so below[k] = #{i: r_i * t < cum[k]}
+    is where they cross cum[k]; if g can skip, a sparse row draws only around there."""
     if not p.min() >= -1e-12:
         raise InvalidDistribution(f"negative or NaN probability {p.min():.3e}")
     total = p.sum(axis=1)
     if (off := np.abs(total - 1.0)).max() > 1e-8:
         raise InvalidDistribution(f"probabilities sum to {total[off.argmax()]:.10f}, not 1")
-    return np.cumsum(np.maximum(p, 0.0), axis=1)
-
-
-def _stratified_counts(cum: np.ndarray, shots: int, g: np.random.Generator) -> np.ndarray:
-    """Counts of the stratified uniforms r_i = (i + u_i)/shots under each row
-    of the (R, K) CDFs ``cum``, rows taking ``shots`` uniforms each from g.
-    The r_i are sorted, so below[k] = #{i: r_i * cum[-1] < cum[k]} is where
-    they cross cum[k]; if g can skip, a sparse row draws only around there."""
+    cum = np.cumsum(np.maximum(p, 0.0), axis=1)
     below = np.full(cum.shape, shots)
     bitgen, random, skip = g.bit_generator, g.random, _can_skip(g)
-    pos, w = 0, []                           # draws taken; the last ones, up to pos
+    pos = 0                                  # draws taken
     for r, row in enumerate(cum.tolist()):
         base, t = r * shots, row[-1]
         # cum[:m] < t are the crossed boundaries; the rest count every draw, so
@@ -550,14 +548,10 @@ def _stratified_counts(cum: np.ndarray, shots: int, g: np.random.Generator) -> n
             est = int(c / t * shots)
             lo = est - 2 if est > 2 else 0
             hi = est + 3 if est + 3 < shots else shots
-            start, end = base + lo, base + hi
-            if start > pos:
-                bitgen.advance(start - pos)
-                pos = start
-            # reuse draws [start, pos): only one row's windows overlap, below 5 / shots
-            w = w[len(w) - (pos - start):] + random(end - pos).tolist()
-            pos = end
-            a = [((i + u) / shots) * t for i, u in enumerate(w, lo)]
+            # seek draw base + lo: modulo 2**128, a window overlapping the last goes back
+            bitgen.advance((base + lo - pos) % 2**128)
+            a = [((i + u) / shots) * t for i, u in enumerate(random(hi - lo).tolist(), lo)]
+            pos = base + hi
             if (lo and not a[0] < c) or (hi < shots and not a[-1] >= c):
                 raise RuntimeError(f"stratified draws do not cross {c!r} inside [{lo}, {hi})")
             below[r, k] = lo + bisect.bisect_left(a, c)
@@ -577,7 +571,7 @@ def sample_cdf_discrete(probs, shots: int, rng=None) -> np.ndarray:
     p = _reals(probs, "probabilities", InvalidDistribution).astype(float, copy=False)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistribution("probability vector must be 1-d and non-empty")
-    return _stratified_counts(_cumulative(p[None]), _draws(shots, "shots"), _rng(rng))[0]
+    return _stratified_counts(p[None], _draws(shots, "shots"), _rng(rng))[0]
 
 
 def _independent_frequencies(method: str, probs, n: int, g: np.random.Generator) -> np.ndarray:
@@ -586,7 +580,7 @@ def _independent_frequencies(method: str, probs, n: int, g: np.random.Generator)
     p = np.clip(probs, 0.0, 1.0)
     if method == "mc":
         return np.array([sample_mc(x, n, g) for x in p.tolist()])
-    return _stratified_counts(_cumulative(np.stack([1.0 - p, p], axis=1)), n, g)[:, 1] / n
+    return _stratified_counts(np.stack([1.0 - p, p], axis=1), n, g)[:, 1] / n
 
 
 def measure_and_sample(state, mset, backend: SamplerBackend,
@@ -609,7 +603,10 @@ def measure_and_sample(state, mset, backend: SamplerBackend,
     freqs = np.empty(len(mset))
     for idx in mset._blocks:
         pg = np.maximum(probs[idx], 0.0)
-        freqs[idx] = _stratified_counts(_cumulative(pg / pg.sum(axis=1, keepdims=True)), n, g) / n
+        if not (total := pg.sum(axis=1, keepdims=True)).all():
+            group = mset.group_of[idx[total.argmin(), 0]]
+            raise InvalidDistribution(f"group {group} has total probability 0 in this state")
+        freqs[idx] = _stratified_counts(pg / total, n, g) / n
     if (rest := np.flatnonzero(mset.group_of < 0)).size:
         freqs[rest] = _independent_frequencies("cdf", probs[rest], n, g)
     return freqs

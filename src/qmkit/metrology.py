@@ -75,10 +75,14 @@ def quantum_fisher(rho, generator) -> float:
     q, v = _spectrum(rho, "state")
     q = np.maximum(q, 0.0)
     q = q / q.sum()
-    ht = v.conj().T @ h @ v
     s = q[:, None] + q[None, :]
     ratio = np.divide((q[:, None] - q[None, :]) ** 2, s, out=np.zeros_like(s), where=s > 1e-12)
-    return 2.0 * float(np.sum(ratio * np.abs(ht) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow is refused below
+        ht = v.conj().T @ h @ v
+        fisher = 2.0 * float(np.sum(ratio * np.abs(ht) ** 2))
+    if not math.isfinite(fisher):
+        raise InvalidParameter("quantum Fisher information overflows the float range")
+    return fisher
 
 
 def cramer_rao_bounds(F: float, Q: float, N: int = 1) -> tuple[float, float]:

@@ -119,7 +119,7 @@ def _fresh_axis(i: int) -> property:
 
 @dataclass(frozen=True)
 class PlanarGrid:
-    """Rectangular grid in alpha = x + iy."""
+    """Rectangular grid in alpha = x + iy, each range end within +-1e150."""
 
     x_range: tuple[float, float] = (-3.0, 3.0)
     y_range: tuple[float, float] = (-3.0, 3.0)
@@ -127,8 +127,7 @@ class PlanarGrid:
     ny: int = 61
 
     def __post_init__(self):
-        _grid_fields(self, ("nx", "ny"), x_range=(-math.inf, math.inf),
-                     y_range=(-math.inf, math.inf))
+        _grid_fields(self, ("nx", "ny"), x_range=(-1e150, 1e150), y_range=(-1e150, 1e150))
 
     @functools.cached_property
     def _keys(self) -> tuple:
@@ -260,7 +259,9 @@ def _husimi_terms(d: int, xs: tuple, ys: tuple) -> tuple:
     terms[0] = np.exp(-radii / 2)
     for m in range(1, d):
         terms[m] = terms[m - 1] * radii / m
-    return _frozen(terms, math.pi * terms.sum(axis=0)[inverse])
+    if not (norm := terms.sum(axis=0)).all():       # e^{-x/2} is 0 past x of about 1,490
+        raise InvalidParameter(f"Husimi norm underflows at |alpha|^2 = {radii[norm.argmin()]:g}")
+    return _frozen(terms, math.pi * norm[inverse])
 
 
 @functools.lru_cache(maxsize=_KERNELS)

@@ -175,6 +175,8 @@ def _encode(phi):
 _SCENARIO = dict(probe=_KET, generator=pauli("z"), phis=[0, 1, 2], observable=pauli("x"))
 # a spin whose (2j + 1)**2 entries pass the size rule, as ``spin`` and ``clebsch_gordan`` read it
 _SPIN_SQUARED = _own("spin", _bad(UnsupportedDimension, 2**96, 1e29, match=_GIB))
+# an end past 1e150, where |alpha|^2 would overflow
+_PLANAR_RANGE = _own("range", _bad(InvalidParameter, (1e151, 3.0), (0.0, -1e151)))
 
 # row -> (callable, one valid keyword call, {parameter: kind or _own(...)}[, result reader])
 CALLS = {
@@ -288,7 +290,7 @@ CALLS = {
     "spin": (spin, dict(s=1, axis="z"), dict(s=_SPIN_SQUARED, axis="choice")),
     # phasespace
     "PlanarGrid": (PlanarGrid, dict(x_range=(-3.0, 3.0), y_range=(-2.0, 2.0), nx=5, ny=4),
-                   dict(x_range="range", y_range="range", nx="cutoff", ny="cutoff")),
+                   dict(x_range=_PLANAR_RANGE, y_range=_PLANAR_RANGE, nx="cutoff", ny="cutoff")),
     "SphericalGrid": (SphericalGrid, dict(theta_range=(0.0, 3.0), phi_range=(0.0, 6.0), ntheta=5,
                                           nphi=4), dict(
         theta_range=_own("range", _bad(InvalidParameter, (0.0, 4.0), (3.0, 1.0))),

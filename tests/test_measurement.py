@@ -25,6 +25,7 @@ from qmkit import (
     post_measurement_state,
     probabilities,
     random_haar,
+    run_tomography,
     sample_cdf_continuous,
     sample_cdf_discrete,
     sample_mc,
@@ -45,7 +46,7 @@ from qmkit.errors import (
 )
 import qmkit
 from qmkit import measurement
-from qmkit.measurement import _cumulative, _stratified_counts
+from qmkit.measurement import _stratified_counts
 from qmkit.qcore import _dimension, _fits, _qubit_count
 
 MUB_DIMS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -112,6 +113,14 @@ def test_measure_returns_outcome_bundle():
     for kraus in ([identity(2), identity(3)], [identity(3)]):
         with pytest.raises(DimensionMismatch):
             measure(ghz(1), kraus)
+
+
+def test_measure_refuses_kraus_products_that_overflow():
+    # M rho M^dag = 1e400 rho: refused as the products, not as a RuntimeWarning
+    for call in (lambda: measure(basis(2, 0), [1e200 * np.eye(2)]),
+                 lambda: post_measurement_state(basis(2, 0), 1e200 * np.eye(2))):
+        with pytest.raises(InvalidObject, match="Kraus products"):
+            call()
 
 
 def _pointer_mean(i, f, a, sigma):
@@ -431,6 +440,16 @@ def test_measure_and_sample_ungrouped_set():
     freqs = measure_and_sample(state, ms, backend, shots=50_000)
     probs = probabilities(state, ms)
     assert np.max(np.abs(freqs - probs)) < 0.01
+
+
+def test_cdf_refuses_a_group_of_zero_probability():
+    # the group {|0><0|} has probability 0 in |1>: nothing to normalise the cdf row by
+    ms = MeasurementSet("custom", [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], groups=[(0,)])
+    backend = SamplerBackend("cdf", seed=1)
+    with pytest.raises(InvalidDistribution, match="group 0 has total probability 0"):
+        measure_and_sample(basis(2, 1), ms, backend, shots=100)
+    with pytest.raises(InvalidDistribution, match="group 0 has total probability 0"):
+        run_tomography(basis(2, 1), ms, shots=100, backend=backend)
 
 
 def test_backends_converge_to_same_frequencies():
@@ -954,12 +973,13 @@ def _rows_block(rows):
 @pytest.mark.parametrize("rows", (
     [[0.5, 0.5], [1 / 8] * 8, [1e-4, 1 - 1e-4]],          # skipped, full, skipped from stratum 0
     [[1 / 8] * 8, [0.0, 1e-5, 0.2, 0.8 - 1e-5], [1 / 8] * 8, [2e-4, 0.0, 1 - 2e-4]],
+    [[1e-4, 1e-4, 1e-4, 1 - 3e-4]],         # three crossings within a stratum: seeks back
 ))
 def test_cdf_block_of_full_and_skipped_rows_matches_full_draw(rows, kind):
     p = _rows_block(rows)
     for seed in range(10):
         g, oracle = _generator(kind, seed), _generator(kind, seed)
-        np.testing.assert_array_equal(_stratified_counts(_cumulative(p), 3_500, g),
+        np.testing.assert_array_equal(_stratified_counts(p, 3_500, g),
                                       [_full_draw_counts(row, 3_500, oracle) for row in p])
         assert _same_state(g.bit_generator.state, oracle.bit_generator.state)
 
@@ -970,7 +990,7 @@ def test_cdf_blocks_of_rows_match_full_draw(block, seed, kind):
     shots, rows = block
     p = _rows_block(rows)
     g, oracle = _generator(kind, seed), _generator(kind, seed)
-    np.testing.assert_array_equal(_stratified_counts(_cumulative(p), shots, g),
+    np.testing.assert_array_equal(_stratified_counts(p, shots, g),
                                   [_full_draw_counts(row, shots, oracle) for row in p])
     assert _same_state(g.bit_generator.state, oracle.bit_generator.state)
 

@@ -225,6 +225,12 @@ def test_qfi_scores_only_states():
         quantum_fisher(identity(2), pauli("z"))
 
 
+def test_qfi_refuses_an_overflowing_result():
+    # 4 Var(H) = 4e400 overflows: refused, not returned as inf with a RuntimeWarning
+    with pytest.raises(InvalidParameter, match="quantum Fisher information overflows"):
+        quantum_fisher(basis(2, 0), 1e200 * pauli("x").data)
+
+
 def _qfi_loop(rho, h):
     """The spectral-form double loop over eigenvalue pairs."""
     q, v = np.linalg.eigh((rho + rho.conj().T) / 2)

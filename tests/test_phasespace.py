@@ -73,6 +73,12 @@ def test_cg_selection_rules():
     assert clebsch_gordan(2, 0, 1, 0, 0.5, 0) == 0.0  # parity violated
 
 
+def test_cg_projection_beyond_its_spin_vanishes():
+    assert clebsch_gordan(1, 2, 1, -1, 1, 1) == 0.0   # |m1| > j1
+    assert clebsch_gordan(1, -1, 1, 2, 1, 1) == 0.0   # |m2| > j2
+    assert clebsch_gordan(1, 1, 1, 1, 1, 2) == 0.0    # |M| > J
+
+
 def test_cg_rejects_non_half_integers():
     with pytest.raises(InvalidQuantumNumber):
         clebsch_gordan(0.3, 0.3, 1, 0, 1, 0.3)
@@ -598,6 +604,24 @@ def test_grid_validation():
                          (PlanarGrid, dict(x_range=(0, 1j)))):
         with pytest.raises(InvalidParameter, match="must be a pair of real numbers"):
             grid(**ranges)
+
+
+def test_husimi_planar_refuses_points_past_its_reach():
+    # e^{-|alpha|^2 / 2} is 0 past |alpha|^2 of about 1,490, so the norm would be 0 / 0
+    rho = coherent(40, 30)
+    with pytest.raises(InvalidParameter, match=r"underflows at \|alpha\|\^2 = 1600"):
+        husimi_planar(rho, PlanarGrid(x_range=(36.0, 42.0), y_range=(0.0, 1.0), nx=4, ny=2))
+    near = husimi_planar(rho, PlanarGrid(x_range=(36.0, 38.6), y_range=(0.0, 0.0), nx=4, ny=2))
+    assert np.isfinite(near.values).all()
+
+
+@pytest.mark.parametrize("ranges", [dict(x_range=(0.0, 1e151)), dict(y_range=(-1e151, 0.0))])
+def test_planar_grid_ends_stay_within_1e150(ranges):
+    # past about 1e154, |alpha|^2 overflows and both maps would be NaN
+    with pytest.raises(InvalidParameter, match=r"within \[-1e\+150, 1e\+150\]"):
+        PlanarGrid(**ranges)
+    edge = PlanarGrid(x_range=(-1e150, 1e150), y_range=(-1e150, 1e150), nx=2, ny=2)
+    assert np.isfinite(wigner_planar(basis(3, 1), edge).values).all()
 
 
 def test_planar_ranges_may_run_backwards_and_spherical_ones_may_not():
