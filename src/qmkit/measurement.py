@@ -33,7 +33,7 @@ from .errors import (
     RankDeficientSet,
     UnsupportedDimension,
 )
-from .qcore import (HERMITIAN_TOL, PSD_TOL, QuantumObject, _count, _dimension, _draws,
+from .qcore import (HERMITIAN_TOL, PSD_TOL, QuantumObject, _count, _dimension, _draws, _fits,
                     _qubit_count, _real, _reals, _require_state, _rng, _typed)
 
 COMPLETENESS_TOL = 1e-8
@@ -504,12 +504,14 @@ def sample_mc(p: float, iterations: int, rng=None) -> float:
     if (p == 0.0 or p == 1.0) and _can_skip(g):
         g.bit_generator.advance(iterations)     # every draw would agree
         return float(p == 1.0)
+    _fits(iterations, 1, "holding every draw")
     return float(np.count_nonzero(g.random(iterations) < p)) / iterations
 
 
 def sample_cdf_continuous(inverse_cdf: Callable, shots: int, rng=None) -> np.ndarray:
     """Inverse-transform draws y_i = F^{-1}(r_i) from i.i.d. uniforms."""
     inverse_cdf, shots = _typed(inverse_cdf, Callable, "inverse_cdf"), _draws(shots, "shots")
+    _fits(shots, 1, "holding every draw")
     return np.asarray(inverse_cdf(_rng(rng).random(shots)))
 
 
@@ -534,6 +536,7 @@ def _stratified_counts(p: np.ndarray, shots: int, g: np.random.Generator) -> np.
         # one that rounds up to t goes to the last outcome of nonzero probability
         m = bisect.bisect_left(row, t)
         if not (skip and m * SKIP <= shots):
+            _fits(shots, 1, "holding every draw")
             if base > pos:
                 bitgen.advance(base - pos)
             a = ((np.arange(shots) + random(shots)) / shots) * t

@@ -44,8 +44,8 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
     """Classical Fisher information of a measurement at phase phi.
 
     F = sum_k (d p_k / d phi)^2 / p_k with the derivative taken by central
-    differences of step ``dphi``; outcomes with p_k < 1e-12 are dropped.
-    ``mset`` is read by ``_set``.
+    differences of step ``dphi``, which phi +- dphi must not round away;
+    outcomes with p_k < 1e-12 are dropped.  ``mset`` is read by ``_set``.
 
     A MeasurementSet with several groups (e.g. MUB) is scored as the
     uniform mixture of its groups, one picked at random per shot: the mean
@@ -54,6 +54,8 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
     rho_of_phi, mset = _typed(rho_of_phi, Callable, "rho_of_phi"), _set(mset)
     phi = _real(phi, "phi")
     dphi = _real(dphi, "finite-difference step", math.ulp(0.0))   # least positive float: refuses 0
+    if phi + dphi == phi or phi - dphi == phi:
+        raise InvalidParameter(f"finite-difference step {dphi!r} rounds away at phi = {phi!r}")
     p0 = probabilities(rho_of_phi(phi), mset)
     p_plus = probabilities(rho_of_phi(phi + dphi), mset)
     p_minus = probabilities(rho_of_phi(phi - dphi), mset)

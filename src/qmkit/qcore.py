@@ -47,7 +47,7 @@ class Kind(enum.Enum):
     KET = "ket"
     OPER = "oper"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 
@@ -432,8 +432,6 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the largest-magnitude entry is real positive."""
     i = int(np.argmax(np.abs(v)))
     ph = v[i]
-    if abs(ph) == 0.0:
-        return v
     return v * (abs(ph) / ph)
 
 

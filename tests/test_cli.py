@@ -10,6 +10,7 @@ import pytest
 
 import qmkit
 from qmkit.cli import STATES, main
+from test_cli_corpus import _COMMANDS
 
 
 def run_cli(args):
@@ -74,39 +75,6 @@ def test_random_state_and_its_noise_share_one_generator(tmp_path):
     np.testing.assert_array_equal(got, np.stack([want.real, want.imag], axis=1))
 
 
-@pytest.mark.parametrize("noise",[["--noise-std", "nan"], ["--noise-mean", "nan"]])
-def test_state_nan_noise_exit_4(tmp_path, capsys, noise):
-    out = tmp_path / "s.csv"
-    assert run_cli(["state", "--name", "coherent", "--d", "3", "--alpha", "1", *noise,
-                    "--out", str(out)]) == 4
-    assert "InvalidParameter" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    "state --name coherent --d 3 --alpha=nan", "state --name spin-coherent --j 1 --theta nan",
-    "state --name squeezed --d 3 --alpha 0 --beta=inf", "state --name position --d 3 --x nan",
-    "phasespace --name coherent --d 3 --alpha=nan --map husimi --coords planar"])
-def test_non_finite_parameters_exit_4(tmp_path, capsys, argv):
-    out = tmp_path / "s.csv"
-    assert run_cli(argv.split() + ["--out", str(out)]) == 4
-    assert "InvalidParameter" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    "state --name ghz --n 1 --out {missing}/x.csv",
-    "phasespace --name coherent --d 3 --alpha 1 --map husimi --coords planar --nx 2 --ny 2 "
-    "--out {missing}/x.csv",
-    "metrology --j 1 --points 3 --thetas-pi 0 --out-dir {file}/sub"])
-def test_paths_that_cannot_be_written_exit_4(tmp_path, capsys, argv):
-    (tmp_path / "file").write_text("")
-    argv = argv.format(missing=tmp_path / "missing", file=tmp_path / "file")
-    assert run_cli(argv.split()) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("InvalidParameter: cannot") and str(tmp_path) in err
-
-
 def test_state_json_format(tmp_path):
     out = tmp_path / "w.json"
     assert run_cli(["state", "--name", "w", "--n", "2", "--format", "json",
@@ -123,17 +91,6 @@ def test_state_json_format(tmp_path):
     assert (payload["kind"], payload["dimension"], "amplitudes" in payload) == ("oper", 4, False)
     assert np.array(payload["matrix"]).shape == (4, 4, 2)
     assert payload["matrix"][1][2] == pytest.approx([0.45, 0.0])
-
-
-def test_state_unknown_name_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["state", "--name", "bogus"])
-    assert exc.value.code == 2
-
-
-def test_state_missing_parameter_is_usage_error(capsys):
-    assert run_cli(["state", "--name", "ghz"]) == 2
-    assert "requires --n" in capsys.readouterr().err
 
 
 # one valid value of each state flag, as the library takes it
@@ -211,26 +168,6 @@ def test_measure_sampled_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_measure_unsupported_dimension_exit_3(tmp_path, capsys):
-    code = run_cli(["measure", "--name", "random", "--d", "6", "--set", "mub",
-                    "--out", str(tmp_path / "x.csv")])
-    assert code == 3
-    assert "UnsupportedDimension" in capsys.readouterr().err
-
-
-def test_measure_pauli_on_non_qubit_dimension_exit_3(tmp_path, capsys):
-    code = run_cli(["measure", "--name", "random", "--d", "3", "--set", "pauli",
-                    "--out", str(tmp_path / "x.csv")])
-    assert code == 3
-
-
-def test_measure_xyz_on_non_qubit_dimension_exit_3(tmp_path, capsys):
-    code = run_cli(["measure", "--name", "coherent", "--d", "3", "--alpha", "1",
-                    "--set", "xyz", "--backend", "exact", "--out", str(tmp_path / "x.csv")])
-    assert code == 3
-    assert "UnsupportedDimension: xyz set needs a qubit" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # bench-povm / backend-compare
 # ---------------------------------------------------------------------------
@@ -268,31 +205,6 @@ def test_backend_compare_json_holds_the_csv_numbers(tmp_path):
     maes = dict(kv.split("=") for kv in header[2:].split())
     assert {k: float(v) for k, v in maes.items()} == {k: payload[k] for k in ("mc_mae", "cdf_mae")}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.json"]   # no timing file
-
-
-@pytest.mark.parametrize("argv", [
-    ["bench-povm", "--repeats", "0"],
-    ["bench-povm", "--repeats", "-1"],
-    ["bench-povm", "--repeats", "abc"],
-    ["backend-compare", "--samples", "-2"],
-    ["backend-compare", "--samples", "0"],
-    ["backend-compare", "--samples", "1.5"],
-    ["metrology", "--points", "-1"],
-    ["metrology", "--points", "0"],
-    ["tomography", "--name", "ghz", "--n", "1", "--set", "sic", "--repeats", "0"],
-    ["backend-compare", "--iterations", "0"],
-    ["measure", "--name", "ghz", "--n", "1", "--set", "xyz", "--shots", "0"],
-    ["state", "--name", "ghz", "--n", "2", "--seed", "-1"],
-], ids=" ".join)
-def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(argv + ["--out-dir" if argv[0] == "metrology" else "--out",
-                        str(tmp_path / "x")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    least = 0 if argv[-2] == "--seed" else 1
-    assert f"argument {argv[-2]}: must be an integer >= {least}, got '{argv[-1]}'" in err
-    assert not (tmp_path / "x").exists()
 
 
 def test_backend_compare_exact_column(tmp_path):
@@ -343,16 +255,15 @@ def test_backend_compare_columns_are_per_point_sampler_calls(tmp_path, samples, 
 
 def test_backend_compare_timing_table(tmp_path):
     out = tmp_path / "cmp.csv"
-    timing = tmp_path / "timing.csv"
-    assert run_cli(["backend-compare", "--samples", "5", "--iterations", "10",
-                    "--out", str(out), "--timing-out", str(timing)]) == 0
-    rows = [r.split(",") for r in data_lines(timing)]
-    assert [int(r[0]) for r in rows] == list(range(1000, 11000, 1000))
+    argv = ["backend-compare", "--samples", "5", "--iterations", "10", "--out", str(out)]
+    assert run_cli(argv + ["--timing-out", str(tmp_path / "timing.csv")]) == 0
     # without --timing-out the table goes beside --out, as cmp_timing.csv
-    assert run_cli(["backend-compare", "--samples", "5", "--iterations", "10",
-                    "--out", str(out)]) == 0
-    rows = [r.split(",") for r in data_lines(tmp_path / "cmp_timing.csv")]
-    assert [int(r[0]) for r in rows] == list(range(1000, 11000, 1000))
+    assert run_cli(argv) == 0
+    assert len(out.read_text().splitlines()) == 3 + 5    # three header lines, a row per sample
+    for timing in ("timing.csv", "cmp_timing.csv"):     # a header and 10 timing rows
+        lines = (tmp_path / timing).read_text().splitlines()
+        assert len(lines) == 1 + 10
+        assert [int(r.split(",")[0]) for r in lines[1:]] == list(range(1000, 11000, 1000))
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +301,15 @@ def test_phasespace_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("bound", [["--xmin", "nan"], ["--ymax", "inf"], ["--xmax=-inf"]])
-def test_phasespace_non_finite_planar_range_exit_4(tmp_path, capsys, bound):
-    out = tmp_path / "w.csv"
-    assert run_cli(["phasespace", "--name", "coherent", "--d", "10", "--alpha", "1",
-                    "--map", "wigner", "--coords", "planar", *bound, "--out", str(out)]) == 4
-    assert "InvalidParameter" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("state", ["coherent --d 30 --alpha 1+0.5j",
+                                   "spin-coherent --j 10 --theta 1.1 --phi 2.3"])
+@pytest.mark.parametrize("kind", ["husimi", "wigner"])
+@pytest.mark.parametrize("coords", ["planar", "spherical"])
+def test_phasespace_default_grid_rows(state, kind, coords, tmp_path):
+    out = tmp_path / "map.csv"
+    assert run_cli(["phasespace", "--name", *state.split(), "--map", kind, "--coords", coords,
+                    "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 61 * 61     # a header and 61 x 61 rows
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +328,19 @@ def test_tomography_exact_report(tmp_path):
     assert rep["shots"] == "exact"
 
 
+# grouped (pauli), ungrouped (stoke), multi-group (mub) and single-group (sic) sets;
+# MUB sets at a power of two past 4 (d = 8) and at an odd prime power (d = 9)
+@pytest.mark.parametrize("state", ["ghz --n 2 --set pauli", "ghz --n 2 --set stoke",
+                                   "ghz --n 2 --set mub", "ghz --n 2 --set sic",
+                                   "ghz --n 3 --set mub", "random --d 9 --set mub"])
+def test_tomography_every_built_in_set_reconstructs(state, tmp_path):
+    argv = ["tomography", "--name", *state.split(), "--format", "json"]
+    assert run_cli(argv + ["--shots", "exact", "--out", str(tmp_path / "t.json")]) == 0
+    assert json.loads((tmp_path / "t.json").read_text())["fidelity"] > 1 - 1e-9
+    assert run_cli(argv + ["--shots", "1000", "--backend", "cdf",
+                           "--out", str(tmp_path / "s.json")]) == 0
+
+
 def test_tomography_batch_rows(tmp_path):
     out = tmp_path / "batch.csv"
     assert run_cli(["tomography", "--name", "ghz", "--n", "1", "--set", "sic",
@@ -424,51 +350,6 @@ def test_tomography_batch_rows(tmp_path):
     assert len(rows) == 20
     seeds = [int(r.split(",")[4]) for r in rows]
     assert seeds == list(range(20))
-
-
-def test_tomography_shots_validation(tmp_path, capsys):
-    code = run_cli(["tomography", "--name", "ghz", "--n", "1", "--set", "sic",
-                    "--shots", "never", "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-
-
-def test_tomography_oversized_product_set_exit_3(tmp_path, capsys):
-    # the 6-qubit Pauli stack would take 2.85 GiB; it is refused before it is built
-    code = run_cli(["tomography", "--name", "ghz", "--n", "6", "--set", "pauli",
-                    "--shots", "exact", "--out", str(tmp_path / "x.csv")])
-    assert code == 3
-    assert "UnsupportedDimension" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("name", ["ghz", "w"])
-def test_state_past_the_qubit_limit_exit_3(name, capsys):
-    # 2^64 amplitudes: refused before anything is allocated
-    assert run_cli(["state", "--name", name, "--n", "64"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("UnsupportedDimension:") and "Traceback" not in err
-
-
-_HUGE = str(2**96)     # past what NumPy can index: refused by NumPy without allocating
-
-
-@pytest.mark.parametrize("argv", [
-    f"state --name basis --d {_HUGE} --k 0",
-    f"state --name coherent --d {_HUGE} --alpha 1",
-    f"state --name squeezed --d {_HUGE} --alpha 1 --beta 1",
-    "state --name zeeman --j 1e29 --m 0",
-    "state --name spin-coherent --j 1e29 --theta 1",
-    f"state --name random --d {_HUGE}",
-    f"phasespace --name coherent --d 3 --alpha 1 --map husimi --coords planar --nx {_HUGE}",
-    f"phasespace --name coherent --d 3 --alpha 1 --map husimi --coords spherical --nphi {_HUGE}",
-    f"metrology --j 1 --points {_HUGE} --out-dir {{tmp}}/m",
-    "metrology --j 1e29 --out-dir {tmp}/m",
-    f"backend-compare --samples {_HUGE} --no-timing",
-], ids=lambda argv: argv.replace(_HUGE, "HUGE").split(" --out-dir")[0])
-def test_sizes_past_the_size_limit_exit_3(argv, tmp_path, capsys):
-    assert run_cli(argv.format(tmp=tmp_path).split()) == 3
-    captured = capsys.readouterr()
-    assert captured.err.startswith("UnsupportedDimension:") and "over the 1 GiB limit" in captured.err
-    assert captured.out == "" and not (tmp_path / "m").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -506,31 +387,6 @@ def test_metrology_deterministic(tmp_path):
         assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_metrology_single_level_exit_4(tmp_path, capsys):
-    assert run_cli(["metrology", "--j", "0", "--out-dir", str(tmp_path)]) == 4
-    assert "InvalidParameter" in capsys.readouterr().err
-
-
-def test_metrology_one_point_grid_exit_4(tmp_path, capsys):
-    assert run_cli(["metrology", "--j", "2", "--points", "1", "--out-dir", str(tmp_path)]) == 4
-    assert "phase grid needs at least two points, got 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag", [["--format", "json"], ["--out", "x.json"], ["--seed", "3"]])
-def test_metrology_refuses_the_flags_it_does_not_read(flag, tmp_path, capsys):
-    # it writes CSV files into --out-dir and draws nothing; --out is not read as --out-dir
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["metrology", "--j", "1", "--points", "3", "--out-dir", str(tmp_path)] + flag)
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_metrology_bad_thetas_is_usage_error(tmp_path, capsys):
-    assert run_cli(["metrology", "--thetas-pi", "abc", "--out-dir", str(tmp_path)]) == 2
-    assert "--thetas-pi" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # stdout path
 # ---------------------------------------------------------------------------
@@ -543,12 +399,21 @@ def test_stdout_output(capsys):
 
 
 # ---------------------------------------------------------------------------
-# import cost
+# fresh interpreters: import cost and the module entry point
 # ---------------------------------------------------------------------------
+
+def _python(args, cwd, timeout):
+    """``python args`` in ``cwd`` on this checkout's qmkit, with RuntimeWarnings as errors."""
+    src = str(Path(qmkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
 
 _NO_SCIPY = """
 import sys
-import qmkit, qmkit.cli
+import qmkit as q, qmkit.cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -568,15 +433,52 @@ for argv in (["state", "--name", "ghz", "--n", "3"],
     assert not scipy_modules(), (argv[0], scipy_modules()[:5])
     # none of these commands draws random numbers
     assert not lazy_random or "numpy.random" not in sys.modules, argv
+
+# the library calls behind the maps, tomography and Fisher information
+p, s = q.squeezed(30, 0.5, 0.3), q.cat_state(10, 0.7, 0.4)
+q.displacement(30, 0.5), q.squeezing(30, 0.3)
+q.husimi_planar(p), q.wigner_planar(p), q.husimi_spherical(s), q.wigner_spherical(s)
+r, m = q.ghz(3), q.build_pauli_set(3)
+q.run_tomography(r, m, 1000, q.SamplerBackend("cdf", 1)), q.run_tomography(r, m)
+h, sic, psi = q.spin(2, "z"), q.build_sic_set(5), q.spin_coherent(2, 1.0, 0.3)
+q.classical_fisher(lambda phi: q.encode_phase(psi, h, phi), sic, 0.4)
+q.quantum_fisher(q.encode_phase(psi, h, 0.4), h)
+assert not scipy_modules(), scipy_modules()[:5]
 """
 
 
 def test_cli_commands_do_not_load_scipy(tmp_path):
-    src = str(Path(qmkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    res = subprocess.run([sys.executable, "-c", _NO_SCIPY], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=120)
+    res = _python(["-c", _NO_SCIPY], tmp_path, 120)
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "phasespace.csv").exists()
     assert len(list(tmp_path.glob("cat_theta_*.csv"))) == 4
+
+
+_LARGE_SPINS = """
+import sys, qmkit as q
+from qmkit.errors import UnsupportedDimension
+from qmkit.phasespace import spherical_multipole
+spherical_multipole(q.spin_coherent(200, 0.7, 0.3), 200, 3)
+q.clebsch_gordan(4095, 1, 4095, -1, 4094, 0)
+try:
+    q.clebsch_gordan(10**6, 0, 10**6, 0, 10**6, 0)
+    raise SystemExit("clebsch_gordan admitted j = 10**6")
+except UnsupportedDimension:
+    pass
+assert "scipy" not in sys.modules
+"""
+
+
+def test_large_spins_answer_quickly_without_scipy(tmp_path):
+    res = _python(["-c", _LARGE_SPINS], tmp_path, 20)
+    assert res.returncode == 0, res.stderr
+
+
+# one success row and one failing command of the corpus
+@pytest.mark.parametrize("argv", [" ".join(_COMMANDS["cli-state"]), "state --name ghz --n 64"])
+def test_module_entry_point_runs_main(argv, tmp_path, monkeypatch, capsys):
+    res = _python(["-m", "qmkit.cli", *argv.split()], tmp_path, 60)
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(argv.split())
+    assert (res.returncode, res.stdout, res.stderr) == (code, *capsys.readouterr())
+    assert "Traceback" not in res.stderr

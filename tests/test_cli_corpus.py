@@ -1,11 +1,11 @@
-"""Byte identity of CLI output across commits.
+"""CLI output across commits: the bytes of every success row, and the exit code
+and message of every failing command (``_FAILURES``, the one list of them).
 
-Each row runs one command through ``cli.main`` in a fresh directory and
-compares the SHA-256 of its stdout, its stderr and every file it wrote, and
-its exit code, with the values recorded below.  Criterion 10 only checks
-that two runs within one checkout agree; this table pins the bytes
-themselves, so a change that moves any of them must re-record its row and
-say which command moved and by how much.
+Each success row runs one command through ``cli.main`` in a fresh directory and
+compares the SHA-256 of its stdout and every file it wrote with the values
+recorded below.  Criterion 10 only checks that two runs within one checkout
+agree; this table pins the bytes themselves, so a change that moves any of them
+must re-record its row and say which command moved and by how much.
 
 Left out: ``bench-povm`` and ``backend-compare`` without ``--no-timing``,
 whose payloads are wall-clock times.
@@ -95,24 +95,6 @@ _COMMANDS = {
     "phasespace-wigner-planar-json": ["phasespace", "--name", "squeezed", "--d", "20", "--alpha",
                                       "0.5", "--beta", "0.3", "--map", "wigner", "--coords",
                                       "planar", "--nx", "15", "--ny", "15", "--format", "json"],
-    # library failures: exit 3 or 4 with a one-line message
-    "error-zeeman-nan": ["state", "--name", "zeeman", "--j", "nan", "--m", "0"],
-    "error-metrology-inf": ["metrology", "--j", "inf", "--out-dir", "out"],
-    "error-dicke-k": ["state", "--name", "dicke", "--n", "3", "--k", "4"],
-    "error-noise-std-nan": ["state", "--name", "coherent", "--d", "3", "--alpha", "1",
-                            "--noise-std", "nan"],
-    "error-noise-mean-nan": ["state", "--name", "coherent", "--d", "3", "--alpha", "1",
-                             "--noise-mean", "nan"],
-    "error-alpha-nan": ["state", "--name", "coherent", "--d", "3", "--alpha=nan"],
-    "error-theta-nan": ["state", "--name", "spin-coherent", "--j", "1", "--theta", "nan"],
-    "error-beta-inf": ["state", "--name", "squeezed", "--d", "3", "--alpha", "0", "--beta=inf"],
-    "error-position-nan": ["state", "--name", "position", "--d", "3", "--x", "nan"],
-    "error-phasespace-alpha-nan": ["phasespace", "--name", "coherent", "--d", "3", "--alpha=nan",
-                                   "--map", "husimi", "--coords", "planar"],
-    "error-pauli-d3": ["measure", "--name", "coherent", "--d", "3", "--alpha", "1",
-                       "--set", "pauli"],
-    "error-shots-past-2**53": ["measure", "--name", "ghz", "--n", "1", "--set", "pauli",
-                               "--backend", "cdf", "--shots", "36893488147419103232"],
 }
 
 
@@ -133,154 +115,118 @@ def _run(argv, tmp_path, monkeypatch, capsys) -> tuple[int, dict]:
 # _PLATFORM_DIGEST, before the tomography and Fisher paths stopped converting
 # each input more than once (the row state-ghz-overflowing-noise was added
 # when a ket whose squared norm overflows began to be rescaled, not zeroed);
-# rows: (exit code, {output: SHA-256})
+# rows: {output: SHA-256}, each of a command that exits 0
 _DIGESTS = {
-    "c10-backend-compare": (0, {
+    "c10-backend-compare": {
         "out": "39c5efd062766c4be69a7f062ccf4fdccf662db0e65507034b3a2ddf3b608ffd",
-    }),
-    "c10-measure-pauli-cdf": (0, {
+    },
+    "c10-measure-pauli-cdf": {
         "out": "631ad83f3a67efda7ccbceeb8a04934bf2aad3f5b7e645b779aee06675d40d10",
-    }),
-    "c10-measure-sic-mc": (0, {
+    },
+    "c10-measure-sic-mc": {
         "out": "8578e54daa7647238d09720c2817bfc26ba921d0d515cc519aaba466a083e2a3",
-    }),
-    "c10-metrology-j2": (0, {
+    },
+    "c10-metrology-j2": {
         "<stdout>": "8baa669c11f5f5586b810d6c2c4cafaf31849b2110fe3638888de17f32be6a82",
         "out/cat_theta_0.15pi.csv": "bed174757cbdbfbb34ee2702d9fb74fcd2d229397f714bd6e4f490d16feb0080",
         "out/cat_theta_0.25pi.csv": "589c16d401a88d0be120e4b0868f7b876db7ecb27e0e9ff258efc10e39f5e6ef",
         "out/cat_theta_0.35pi.csv": "07ff23801b88b155ed0af09c2d061ed44f7b58992b4c1cc554b8a4f1d1c91149",
         "out/cat_theta_0pi.csv": "73794613d489e4fc1a4950e49a1cbce17220f6653a1d0d9e6db75a08744bc2ee",
-    }),
-    "c10-phasespace-wigner-spherical": (0, {
+    },
+    "c10-phasespace-wigner-spherical": {
         "out": "5dec762bbd4aac56ca32ff34da54b6faf6385b45459da016b89f3f7e7ed8134e",
-    }),
-    "c10-state-ghz": (0, {
+    },
+    "c10-state-ghz": {
         "out": "97740d41a8f400d9e6286c14686c11afb7242879b21d6d935b5b642a9bb978e0",
-    }),
-    "c10-state-random": (0, {
+    },
+    "c10-state-random": {
         "out": "17ecee30978459c54481ad6a53fde958a2b384606fd1824ff7916f24da786c1c",
-    }),
-    "c10-tomography-mub-cdf-x3": (0, {
+    },
+    "c10-tomography-mub-cdf-x3": {
         "out": "8221a416945c860e065a5803269383c019820cec98d70e1a6313c3e074c749e7",
-    }),
-    "cli-backend-compare": (0, {
+    },
+    "cli-backend-compare": {
         "<stdout>": "9237ff086fab76fa40e4374edc01bc6bb1cb09e65d98a2e719fcb56056f5db34",
-    }),
-    "cli-measure": (0, {
+    },
+    "cli-measure": {
         "<stdout>": "f82507f1eab41dfa98b282b6dda47027c2095dc4a537a07178073cab1ea345b2",
-    }),
-    "cli-metrology-j10": (0, {
+    },
+    "cli-metrology-j10": {
         "<stdout>": "8baa669c11f5f5586b810d6c2c4cafaf31849b2110fe3638888de17f32be6a82",
         "out/cat_theta_0.15pi.csv": "82544efc9a3d8e05a0768dac757a588889da0374e192ffec3ea6b897dae145aa",
         "out/cat_theta_0.25pi.csv": "5b4c679dfea3b8d9b4b3775449e04b0973af47a76fa0639c4d5b55a22e97b00f",
         "out/cat_theta_0.35pi.csv": "b74cf92ca2ec6e0f766f04df97093e33a91bae10f49b45b9b4ea5a1c7a3dddf7",
         "out/cat_theta_0pi.csv": "ac69fc8af294209a05a684593d01164e224846af993a8646b43ca14670d33bc5",
-    }),
-    "cli-phasespace": (0, {
+    },
+    "cli-phasespace": {
         "<stdout>": "8c25c3043ecf0a22ff6f390bbbec50fe11577e5bf6c463d1dfce8afdbfada1d8",
-    }),
-    "cli-state": (0, {
+    },
+    "cli-state": {
         "<stdout>": "c26ff9930d2c8bb98f1cf70f7c77ff1f92496f71332bafd6c4d9e199ab1089fe",
-    }),
-    "cli-tomography-mub": (0, {
+    },
+    "cli-tomography-mub": {
         "<stdout>": "d041037136a8404d892eb502ad6728532eeb08c8f212ad7b8a8defc23980ac4b",
-    }),
-    "cli-tomography-pauli-exact": (0, {
+    },
+    "cli-tomography-pauli-exact": {
         "<stdout>": "371cf813c861cd220680165f33973a536205d2e7b1350ddab5ee6eadcc59a148",
-    }),
-    "error-alpha-nan": (4, {
-        "<stderr>": "9a5485b861c1badb4e20e555cfd0b4104c29d25dcb3c2a26ba08cce67611c287",
-    }),
-    "error-beta-inf": (4, {
-        "<stderr>": "c83268d084038366be24ddf288359c787059c8716bc2d9aee4a91e747a045ddc",
-    }),
-    "error-dicke-k": (4, {
-        "<stderr>": "a21cd0c0a942dd5f99023ab328e90d489a99dff6703b422c78dbf134958111a8",
-    }),
-    "error-metrology-inf": (4, {
-        "<stderr>": "bfb44ef87b94455b829e1b6e677969c97568c88206b4dfca6aba1a9bc641ebdf",
-    }),
-    "error-noise-mean-nan": (4, {
-        "<stderr>": "837541375c6b6acad6364f40b8dc996ec2809a0fe76f556af36c22cd71159812",
-    }),
-    "error-noise-std-nan": (4, {
-        "<stderr>": "69a688862dd242b450363d49fc6e68a2c4c835d3572a4336288daee32412cb7e",
-    }),
-    "error-pauli-d3": (3, {
-        "<stderr>": "8a2cdbf6debd1af56e87ae99ed802fbe59afdcd487d5969718cdb4216682cd88",
-    }),
-    "error-phasespace-alpha-nan": (4, {
-        "<stderr>": "9a5485b861c1badb4e20e555cfd0b4104c29d25dcb3c2a26ba08cce67611c287",
-    }),
-    "error-position-nan": (4, {
-        "<stderr>": "79dc09c465e02de60eaddcc44abf2a1bc443557715a93b8210bd97204fd272e0",
-    }),
-    "error-shots-past-2**53": (4, {
-        "<stderr>": "bf6f039e80038e774dbf7fb50b04333605825d8742ea35ec6ec1be179c4c76c0",
-    }),
-    "error-theta-nan": (4, {
-        "<stderr>": "9f57141e7dc25efe0dc49b1f42abb1fd4aa6d1f444f171602ae3ed9333f870c7",
-    }),
-    "error-zeeman-nan": (4, {
-        "<stderr>": "5c42ee4876e563c25b79a338184eebfb768e7fe9248daa7a81f4247be4531329",
-    }),
-    "measure-mub-mc": (0, {
+    },
+    "measure-mub-mc": {
         "<stdout>": "123153c9891410ddec675cfb480f0dace02311e81f2d4bc486aec67dc35033be",
-    }),
-    "measure-stoke-exact-json": (0, {
+    },
+    "measure-stoke-exact-json": {
         "<stdout>": "28cb898687b98527f7a9cd57c7c34ec3477f8200e2808252278c195b47947dd0",
-    }),
-    "measure-xyz": (0, {
+    },
+    "measure-xyz": {
         "out": "4ebe69bf01ae4db569a24513c5aeff58acab69e1f408d88032062f4179225fba",
-    }),
-    "phasespace-husimi-planar": (0, {
+    },
+    "phasespace-husimi-planar": {
         "out": "de76eda85510b8222d2c223e79b12f9084286916da27cc6dc3ebf970857d66a6",
-    }),
-    "phasespace-wigner-planar-json": (0, {
+    },
+    "phasespace-wigner-planar-json": {
         "<stdout>": "9e3b8c1641c68a80962a3393542f29fe43b7553c47ba8eab578e0da61bd75ea1",
-    }),
-    "state-basis": (0, {
+    },
+    "state-basis": {
         "<stdout>": "7393422264b3ed5edaeeb126d5a4fb9224145b8060360786618a5e78f626bd73",
-    }),
-    "state-coherent-amplitude-noise": (0, {
+    },
+    "state-coherent-amplitude-noise": {
         "<stdout>": "8d50eabae6f7409cb61b264730a54307543b4bc5c0d70e5c1925cb005982df41",
-    }),
-    "state-coherent-json": (0, {
+    },
+    "state-coherent-json": {
         "out": "72a740e6496e76e8e3207818074c4c46413a29a5e3578c9c601ad67816c8a4b0",
-    }),
-    "state-dicke-white-noise": (0, {
+    },
+    "state-dicke-white-noise": {
         "out": "a06dbded925de26d81efce51ed0eccbc68bf2f62d9e72ab0a9daa10538acd17c",
-    }),
-    "state-ghz-overflowing-noise": (0, {
+    },
+    "state-ghz-overflowing-noise": {
         "<stdout>": "9f59f37943c789f46d34409b64578e9e1758779ae4f928c84519c968b1a35bc9",
-    }),
-    "state-position": (0, {
+    },
+    "state-position": {
         "<stdout>": "c6175cf33f369e6d80c8dc8c272cac92a370b3ba41a75ed248aa140d4eaec926",
-    }),
-    "state-spin-coherent": (0, {
+    },
+    "state-spin-coherent": {
         "<stdout>": "4595447aed2ad587e00ef4ba885ae4ac97eb43e0c03212b32b105109bf092362",
-    }),
-    "state-squeezed": (0, {
+    },
+    "state-squeezed": {
         "<stdout>": "4667790628cdb7da5f38011972c160d0f6895ffccaafbc37bea530545463e1b7",
-    }),
-    "state-zeeman-json": (0, {
+    },
+    "state-zeeman-json": {
         "<stdout>": "86f82616d833d7530d39689c270c46cd941faa1cac1060d7177acc69c39cd36e",
-    }),
-    "tomography-pauli-cdf-csv-x3": (0, {
+    },
+    "tomography-pauli-cdf-csv-x3": {
         "out": "16db8a76e8e88e13bd224f300c01855cda6e202bbd0017902446ff9bee66bae3",
-    }),
-    "tomography-sic-exact-json": (0, {
+    },
+    "tomography-sic-exact-json": {
         "<stdout>": "9e67c4ed5f520e33dad4690d08cab1f829b806f8faa807811ae3b0fcaf684f89",
-    }),
-    "tomography-sic-mc-json-x3": (0, {
+    },
+    "tomography-sic-mc-json-x3": {
         "out": "9608e7e22abf8a0780dd852166a311bb55224fb0bca6b63221f2be17d142390a",
-    }),
-    "tomography-stoke-mc-csv": (0, {
+    },
+    "tomography-stoke-mc-csv": {
         "out": "6df19661d84c7b409a79653016b5ef3360a398492bf5dd6489822f6597d4acc2",
-    }),
-    "tomography-stoke-mc-json": (0, {
+    },
+    "tomography-stoke-mc-json": {
         "out": "d9958a74e465368486697024b9bb1b2610b400243fefaff66b75320e2d9e9930",
-    }),
+    },
 }
 
 
@@ -291,11 +237,165 @@ def test_corpus_covers_every_row():
 @pytest.mark.parametrize("row", sorted(_COMMANDS))
 def test_cli_output_keeps_its_recorded_bytes(row, tmp_path, monkeypatch, capsys):
     code, digests = _run(_COMMANDS[row], tmp_path, monkeypatch, capsys)
-    want_code, want = _DIGESTS[row]
-    assert code == want_code
-    # a failure's output is its message, which no BLAS or SIMD build moves;
-    # other bytes hold only where the platform digest matches, so they may be
+    assert code == 0
+    # the bytes hold only where the platform digest matches, so they may be
     # skipped elsewhere but never on the machine that recorded them
-    if code == 0 and _platform_digest() != _PLATFORM_DIGEST:
+    if _platform_digest() != _PLATFORM_DIGEST:
         pytest.skip("output bits depend on NumPy's SIMD math and the BLAS/LAPACK build")
-    assert digests == want
+    assert digests == _DIGESTS[row]
+
+
+_HUGE = str(2**96)     # past what NumPy can index: refused before anything is allocated
+_SPIN = "spin 1e+29 needs 199999999999999982866301714433"
+
+
+def _below(flag, value, least=1):
+    """argparse's refusal of a count below ``least``."""
+    return 2, f"error: argument {flag}: must be an integer >= {least}, got '{value}'"
+
+
+def _too_big(needs):
+    """The refusal of a size past the size limit, before anything is allocated."""
+    return 3, f"UnsupportedDimension: {needs} complex entries, over the 1 GiB limit"
+
+
+_DRAWS = _too_big("holding every draw needs 1000000000000")
+
+# argv -> (exit code, stderr).  A stderr that starts "error: " is argparse's
+# (SystemExit(2)), and only the start of what follows "<prog>: error: " is
+# pinned: argparse's wording and wrapping move with the Python version and
+# COLUMNS.  Any other stderr, a usage error that main returns (exit 2) or a
+# library failure (exit 3 or 4), is pinned whole; no BLAS or SIMD build moves it.
+_FAILURES = {
+    # argparse: a count below 1 (a seed below 0), a name outside the choices,
+    # and the flags that metrology does not read
+    "bench-povm --repeats 0": _below("--repeats", "0"),
+    "bench-povm --repeats -1": _below("--repeats", "-1"),
+    "bench-povm --repeats abc": _below("--repeats", "abc"),
+    "backend-compare --samples -2": _below("--samples", "-2"),
+    "backend-compare --samples 0": _below("--samples", "0"),
+    "backend-compare --samples 1.5": _below("--samples", "1.5"),
+    "backend-compare --samples 3 --iterations 0 --no-timing": _below("--iterations", "0"),
+    "metrology --points -1": _below("--points", "-1"),
+    "metrology --points 0": _below("--points", "0"),
+    "tomography --name ghz --n 1 --set sic --repeats 0": _below("--repeats", "0"),
+    "measure --name ghz --n 1 --set xyz --shots 0": _below("--shots", "0"),
+    "state --name ghz --n 2 --seed -1": _below("--seed", "-1", least=0),
+    "state --name bogus": (2, "error: argument --name: invalid choice: 'bogus'"),
+    # metrology writes CSV files into --out-dir and draws nothing; --out is not read as --out-dir
+    "metrology --format json": (2, "error: unrecognized arguments: --format json"),
+    "metrology --out x.json": (2, "error: unrecognized arguments: --out x.json"),
+    "metrology --seed 3": (2, "error: unrecognized arguments: --seed 3"),
+    # usage errors that main returns
+    "state --name ghz": (2, "usage error: state 'ghz' requires --n"),
+    "tomography --name ghz --n 1 --set sic --shots never --out x.csv": (
+        2, "usage error: --shots must be 'exact' or an integer >= 1, got 'never'"),
+    "metrology --thetas-pi abc": (2, "usage error: --thetas-pi must be a comma list of numbers, "
+                                     "got 'abc'"),
+    # sizes past the size limit
+    "state --name ghz --n 64": _too_big("a 64-qubit state needs 2**64"),
+    "state --name w --n 64": _too_big("a 64-qubit state needs 2**64"),
+    f"state --name basis --d {_HUGE} --k 0": _too_big(f"dimension {_HUGE} needs {_HUGE}"),
+    f"state --name coherent --d {_HUGE} --alpha 1": _too_big(f"dimension {_HUGE} needs {_HUGE}"),
+    f"state --name squeezed --d {_HUGE} --alpha 1 --beta 1": _too_big(
+        f"dimension {_HUGE} needs {_HUGE}**2"),
+    f"state --name random --d {_HUGE}": _too_big(f"dimension {_HUGE} needs {_HUGE}"),
+    "state --name zeeman --j 1e29 --m 0": _too_big(_SPIN),
+    "state --name spin-coherent --j 1e29 --theta 1": _too_big(_SPIN),
+    "metrology --j 1e29": _too_big(_SPIN + "**2"),
+    f"metrology --j 1 --points {_HUGE}": _too_big(
+        f"a phase grid of {_HUGE} points needs {3 * 2**96}"),
+    f"phasespace --name coherent --d 3 --alpha 1 --map husimi --coords planar --nx {_HUGE}": (
+        _too_big(f"a {_HUGE} x 61 grid needs {61 * 2**96}")),
+    f"phasespace --name coherent --d 3 --alpha 1 --map husimi --coords spherical --nphi {_HUGE}": (
+        _too_big(f"a 61 x {_HUGE} grid needs {61 * 2**96}")),
+    f"backend-compare --samples {_HUGE} --no-timing": _too_big(
+        f"a grid of {_HUGE} samples needs {_HUGE}"),
+    # the 6-qubit Pauli stack would take 2.85 GiB
+    "tomography --name ghz --n 6 --set pauli --shots exact --out x.csv": _too_big(
+        "a 6-qubit Pauli set needs 24**6"),
+    "measure --name random --d 97 --set mub": _too_big("dimension 97 needs 97**4"),
+    # shot counts the shots rule admits, but whose draws no sampler can hold
+    "measure --name ghz --n 1 --set pauli --backend mc --shots 1000000000000": _DRAWS,
+    "tomography --name ghz --n 1 --set sic --backend mc --shots 1000000000000": _DRAWS,
+    "backend-compare --iterations 1000000000000 --no-timing": _DRAWS,
+    # sets that the state's dimension does not admit
+    "measure --name coherent --d 3 --alpha 1 --set pauli": (
+        3, "UnsupportedDimension: pauli set needs a 2^n-dimensional state, got d=3"),
+    "measure --name random --d 3 --set pauli --out x.csv": (
+        3, "UnsupportedDimension: pauli set needs a 2^n-dimensional state, got d=3"),
+    "measure --name random --d 6 --set mub --out x.csv": (
+        3, "UnsupportedDimension: MUB sets need a prime-power dimension, got 6"),
+    "measure --name coherent --d 3 --alpha 1 --set xyz --backend exact --out x.csv": (
+        3, "UnsupportedDimension: xyz set needs a qubit (d=2), got d=3"),
+    # invalid quantum numbers and parameters
+    "state --name zeeman --j nan --m 0": (
+        4, "InvalidQuantumNumber: spin must be a non-negative half-integer, got nan"),
+    "metrology --j inf --out-dir out": (
+        4, "InvalidQuantumNumber: spin must be a non-negative half-integer, got inf"),
+    "state --name dicke --n 3 --k 4": (4, "InvalidQuantumNumber: excitation count 4 outside 0..3"),
+    "metrology --j 0": (4, "InvalidParameter: scenario dimension must be an integer >= 2, got 1"),
+    "metrology --j 2 --points 1": (
+        4, "InvalidParameter: phase grid needs at least two points, got 1"),
+    "measure --name ghz --n 1 --set pauli --backend cdf --shots 36893488147419103232": (
+        4, "InvalidParameter: iterations must be at most 2**53, got 36893488147419103232"),
+    # non-finite values
+    "state --name coherent --d 3 --alpha 1 --noise-std nan --out s.csv": (
+        4, "InvalidParameter: noise stdev must be finite and real within [0, inf], got nan"),
+    "state --name coherent --d 3 --alpha 1 --noise-mean nan --out s.csv": (
+        4, "InvalidParameter: noise mean must be finite and real, got nan"),
+    "state --name coherent --d 3 --alpha=nan --out s.csv": (
+        4, "InvalidParameter: alpha must be a finite number, got (nan+0j)"),
+    "state --name spin-coherent --j 1 --theta nan --out s.csv": (
+        4, "InvalidParameter: theta must be finite and real, got nan"),
+    "state --name squeezed --d 3 --alpha 0 --beta=inf --out s.csv": (
+        4, "InvalidParameter: beta must be a finite number, got (inf+0j)"),
+    "state --name position --d 3 --x nan --out s.csv": (
+        4, "InvalidParameter: x must be finite and real, got nan"),
+    "phasespace --name coherent --d 3 --alpha=nan --map husimi --coords planar --out s.csv": (
+        4, "InvalidParameter: alpha must be a finite number, got (nan+0j)"),
+    # planar grids: non-finite or far ends, and points whose Husimi norm underflows
+    "phasespace --name coherent --d 10 --alpha 1 --map wigner --coords planar "
+    "--xmin nan --out w.csv": (
+        4, "InvalidParameter: x_range must be finite and real within [-1e+150, 1e+150], got nan"),
+    "phasespace --name coherent --d 10 --alpha 1 --map wigner --coords planar "
+    "--ymax inf --out w.csv": (
+        4, "InvalidParameter: y_range must be finite and real within [-1e+150, 1e+150], got inf"),
+    "phasespace --name coherent --d 10 --alpha 1 --map wigner --coords planar "
+    "--xmax=-inf --out w.csv": (
+        4, "InvalidParameter: x_range must be finite and real within [-1e+150, 1e+150], got -inf"),
+    "phasespace --name coherent --d 3 --alpha 1 --map wigner --coords planar --xmin 1e200 "
+    "--xmax 1e201 --nx 2 --ny 2": (
+        4, "InvalidParameter: x_range must be finite and real within [-1e+150, 1e+150], "
+           "got 1e+200"),
+    "phasespace --name coherent --d 40 --alpha 30 --map husimi --coords planar --xmin 36 "
+    "--xmax 42 --ymin 0 --ymax 1 --nx 4 --ny 2": (
+        4, "InvalidParameter: Husimi norm underflows at |alpha|^2 = 1600"),
+    # paths that cannot be written: a missing directory, and a directory under a file
+    "state --name ghz --n 1 --out /dev/null/x.csv": (
+        4, "InvalidParameter: cannot write /dev/null/x.csv: [Errno 20] Not a directory: "
+           "'/dev/null/x.csv'"),
+    "phasespace --name coherent --d 3 --alpha 1 --map husimi --coords planar --nx 2 --ny 2 "
+    "--out missing/x.csv": (
+        4, "InvalidParameter: cannot write missing/x.csv: [Errno 2] No such file or directory: "
+           "'missing/x.csv'"),
+    "metrology --j 1 --points 3 --thetas-pi 0 --out-dir /dev/null/sub": (
+        4, "InvalidParameter: cannot create /dev/null/sub: [Errno 20] Not a directory: "
+           "'/dev/null/sub'"),
+}
+
+
+@pytest.mark.parametrize("argv", list(_FAILURES), ids=lambda argv: argv.replace(_HUGE, "HUGE"))
+def test_failing_command(argv, tmp_path, monkeypatch, capsys):
+    want_code, want = _FAILURES[argv]
+    monkeypatch.chdir(tmp_path)
+    try:
+        code, returned = main(argv.split()), True
+    except SystemExit as e:
+        code, returned = e.code, False
+    out, err = capsys.readouterr()
+    assert (code, out, list(tmp_path.iterdir())) == (want_code, "", [])
+    if want.startswith("error: "):
+        assert not returned and err.partition(": error: ")[2].startswith(want[len("error: "):])
+    else:
+        assert returned and err == want + "\n"

@@ -259,7 +259,7 @@ CALLS = {
                              _bad(NotHermitian, lambda p: [[0.5, 1.0], [0.0, 0.5]]),
                              same=[[lambda p: [1e200, 1e200], lambda p: [1.0, 1.0]]]),
                               mset="set", phi="real",
-                              dphi=_own("real", _bad(InvalidParameter, 0, -1e-3)))),
+                              dphi=_own("real", _bad(InvalidParameter, 0, -1e-3, 1e-17, 1e-300)))),
     "quantum_fisher": (quantum_fisher, dict(rho=_KET, generator=pauli("x")),
                        dict(rho="state", generator="generator")),
     "cramer_rao_bounds": (cramer_rao_bounds, dict(F=2.0, Q=3.0, N=3), dict(

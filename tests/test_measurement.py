@@ -886,6 +886,19 @@ def test_mc_endpoints_never_draw_the_whole_stream():
     assert g.bit_generator.state == skipped.bit_generator.state
 
 
+def test_samplers_that_hold_every_draw_refuse_more_than_fit():
+    # 10^12 draws pass the shots rule, but a sampler that holds them would need
+    # 8 TB; each is refused before it draws
+    mt = np.random.Generator(np.random.MT19937(1))        # no skip path
+    for call in (lambda: sample_mc(0.5, 10**12, 1),
+                 lambda: sample_cdf_discrete([0.5, 0.5], 10**12, mt),
+                 lambda: sample_cdf_continuous(lambda r: r, 10**12, 1),
+                 lambda: measure_and_sample(ghz(1), build_pauli_set(1), SamplerBackend("mc"),
+                                            10**12)):
+        with pytest.raises(UnsupportedDimension, match="holding every draw needs 1000000000000"):
+            call()
+
+
 def _full_draw_measure_and_sample(state, mset, shots, seed):
     probs = probabilities(state, mset)
     g = np.random.default_rng(seed)

@@ -12,6 +12,7 @@ from qmkit import (
     adjoint,
     basis,
     build_mub_set,
+    build_pauli_set,
     cat_state,
     classical_fisher,
     cramer_rao_bounds,
@@ -142,6 +143,11 @@ def test_classical_fisher_validates_step():
     for dphi in (math.nan, math.inf):
         with pytest.raises(InvalidParameter):
             classical_fisher(lambda phi: basis(2, 0), _sigma_x_set(), 0.1, dphi=dphi)
+    # a step that phi +- dphi rounds away would score every derivative 0
+    args = (lambda p: encode_phase(basis(2, 0), pauli("x"), p), build_pauli_set(1), 0.4)
+    assert classical_fisher(*args) == pytest.approx(2.666663, abs=1e-6)
+    with pytest.raises(InvalidParameter, match="rounds away at phi = 0.4"):
+        classical_fisher(*args, dphi=1e-17)
 
 
 def test_cfi_bounded_by_qfi(rng):

@@ -53,7 +53,7 @@ from qmkit.states import basis, dual_basis, ghz
 
 def test_classify_ket():
     kind, shape = classify(np.array([[1.0], [0.0]]))
-    assert kind is Kind.KET
+    assert kind is Kind.KET and str(kind) == "ket"
     assert shape == (2, 1)
 
 

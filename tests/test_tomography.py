@@ -338,7 +338,7 @@ def _noisy_frequencies(rng, mset):
 
 _ORACLE_SETS = ([(build_pauli_set, n) for n in (1, 2, 3)]
                 + [(build_stoke_set, n) for n in (1, 2, 3)]
-                + [(build_mub_set, d) for d in (2, 3, 4, 5, 7)]
+                + [(build_mub_set, d) for d in (2, 3, 4, 5, 7, 8, 9)]
                 + [(build_sic_set, d) for d in range(2, 9)])
 
 
