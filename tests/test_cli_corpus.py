@@ -266,6 +266,8 @@ _DRAWS = _too_big("holding every draw needs 1000000000000")
 # pinned: argparse's wording and wrapping move with the Python version and
 # COLUMNS.  Any other stderr, a usage error that main returns (exit 2) or a
 # library failure (exit 3 or 4), is pinned whole; no BLAS or SIMD build moves it.
+# Where rows share a long tail of flags, the flag that differs comes first, so
+# each row's test id stays distinct in reports that cut ids at 100 characters.
 _FAILURES = {
     # argparse: a count below 1 (a seed below 0), a name outside the choices,
     # and the flags that metrology does not read
@@ -305,9 +307,9 @@ _FAILURES = {
     "metrology --j 1e29": _too_big(_SPIN + "**2"),
     f"metrology --j 1 --points {_HUGE}": _too_big(
         f"a phase grid of {_HUGE} points needs {3 * 2**96}"),
-    f"phasespace --name coherent --d 3 --alpha 1 --map husimi --coords planar --nx {_HUGE}": (
+    f"phasespace --name coherent --d 3 --alpha 1 --nx {_HUGE} --map husimi --coords planar": (
         _too_big(f"a {_HUGE} x 61 grid needs {61 * 2**96}")),
-    f"phasespace --name coherent --d 3 --alpha 1 --map husimi --coords spherical --nphi {_HUGE}": (
+    f"phasespace --name coherent --d 3 --alpha 1 --nphi {_HUGE} --map husimi --coords spherical": (
         _too_big(f"a 61 x {_HUGE} grid needs {61 * 2**96}")),
     f"backend-compare --samples {_HUGE} --no-timing": _too_big(
         f"a grid of {_HUGE} samples needs {_HUGE}"),
@@ -339,30 +341,44 @@ _FAILURES = {
         4, "InvalidParameter: phase grid needs at least two points, got 1"),
     "measure --name ghz --n 1 --set pauli --backend cdf --shots 36893488147419103232": (
         4, "InvalidParameter: iterations must be at most 2**53, got 36893488147419103232"),
-    # non-finite values
+    # non-finite values, printed to stdout and written with --out: neither prints nor writes
+    "state --name coherent --d 3 --alpha 1 --noise-std nan": (
+        4, "InvalidParameter: noise stdev must be finite and real within [0, inf], got nan"),
     "state --name coherent --d 3 --alpha 1 --noise-std nan --out s.csv": (
         4, "InvalidParameter: noise stdev must be finite and real within [0, inf], got nan"),
+    "state --name coherent --d 3 --alpha 1 --noise-mean nan": (
+        4, "InvalidParameter: noise mean must be finite and real, got nan"),
     "state --name coherent --d 3 --alpha 1 --noise-mean nan --out s.csv": (
         4, "InvalidParameter: noise mean must be finite and real, got nan"),
+    "state --name coherent --d 3 --alpha=nan": (
+        4, "InvalidParameter: alpha must be a finite number, got (nan+0j)"),
     "state --name coherent --d 3 --alpha=nan --out s.csv": (
         4, "InvalidParameter: alpha must be a finite number, got (nan+0j)"),
+    "state --name spin-coherent --j 1 --theta nan": (
+        4, "InvalidParameter: theta must be finite and real, got nan"),
     "state --name spin-coherent --j 1 --theta nan --out s.csv": (
         4, "InvalidParameter: theta must be finite and real, got nan"),
+    "state --name squeezed --d 3 --alpha 0 --beta=inf": (
+        4, "InvalidParameter: beta must be a finite number, got (inf+0j)"),
     "state --name squeezed --d 3 --alpha 0 --beta=inf --out s.csv": (
         4, "InvalidParameter: beta must be a finite number, got (inf+0j)"),
+    "state --name position --d 3 --x nan": (
+        4, "InvalidParameter: x must be finite and real, got nan"),
     "state --name position --d 3 --x nan --out s.csv": (
         4, "InvalidParameter: x must be finite and real, got nan"),
-    "phasespace --name coherent --d 3 --alpha=nan --map husimi --coords planar --out s.csv": (
+    "phasespace --name coherent --d 3 --alpha=nan --map husimi --coords planar": (
+        4, "InvalidParameter: alpha must be a finite number, got (nan+0j)"),
+    "phasespace --name coherent --d 3 --alpha=nan --out s.csv --map husimi --coords planar": (
         4, "InvalidParameter: alpha must be a finite number, got (nan+0j)"),
     # planar grids: non-finite or far ends, and points whose Husimi norm underflows
-    "phasespace --name coherent --d 10 --alpha 1 --map wigner --coords planar "
-    "--xmin nan --out w.csv": (
+    "phasespace --name coherent --d 10 --alpha 1 --xmin nan --map wigner --coords planar "
+    "--out w.csv": (
         4, "InvalidParameter: x_range must be finite and real within [-1e+150, 1e+150], got nan"),
-    "phasespace --name coherent --d 10 --alpha 1 --map wigner --coords planar "
-    "--ymax inf --out w.csv": (
+    "phasespace --name coherent --d 10 --alpha 1 --ymax inf --map wigner --coords planar "
+    "--out w.csv": (
         4, "InvalidParameter: y_range must be finite and real within [-1e+150, 1e+150], got inf"),
-    "phasespace --name coherent --d 10 --alpha 1 --map wigner --coords planar "
-    "--xmax=-inf --out w.csv": (
+    "phasespace --name coherent --d 10 --alpha 1 --xmax=-inf --map wigner --coords planar "
+    "--out w.csv": (
         4, "InvalidParameter: x_range must be finite and real within [-1e+150, 1e+150], got -inf"),
     "phasespace --name coherent --d 3 --alpha 1 --map wigner --coords planar --xmin 1e200 "
     "--xmax 1e201 --nx 2 --ny 2": (
@@ -375,8 +391,8 @@ _FAILURES = {
     "state --name ghz --n 1 --out /dev/null/x.csv": (
         4, "InvalidParameter: cannot write /dev/null/x.csv: [Errno 20] Not a directory: "
            "'/dev/null/x.csv'"),
-    "phasespace --name coherent --d 3 --alpha 1 --map husimi --coords planar --nx 2 --ny 2 "
-    "--out missing/x.csv": (
+    "phasespace --name coherent --d 3 --alpha 1 --out missing/x.csv --map husimi --coords planar "
+    "--nx 2 --ny 2": (
         4, "InvalidParameter: cannot write missing/x.csv: [Errno 2] No such file or directory: "
            "'missing/x.csv'"),
     "metrology --j 1 --points 3 --thetas-pi 0 --out-dir /dev/null/sub": (
