@@ -117,6 +117,7 @@ class MeasurementSet:
     kind: str
     groups: tuple[tuple[int, ...], ...]
     stack: np.ndarray = field(repr=False)
+    dim: int = field(repr=False)
     group_of: np.ndarray = field(repr=False)
     # grouped element indices in group order, and the index rows the cdf
     # sampler draws: one (G, L) block when all groups have L elements
@@ -136,12 +137,19 @@ class MeasurementSet:
 
     def _adopt(self, kind: str, stack: np.ndarray, groups) -> None:
         """Freeze ``stack`` and store it with ``kind`` and the layout of ``groups``."""
+        self._lay_out(kind, *stack.shape[:2], groups)
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+
+    def _lay_out(self, kind: str, k: int, d: int, groups) -> None:
+        """Store ``kind``, the dimension ``d`` and the layout of ``groups`` over ``k``
+        elements: all a set knows without reading its stack."""
         try:
             groups = tuple(tuple(operator.index(i) for i in idx) for idx in groups)
             members = np.array([i for idx in groups for i in idx], dtype=int)
         except (TypeError, OverflowError):
             raise InvalidParameter("groups must be sequences of integer indices") from None
-        k, sizes = len(stack), [len(idx) for idx in groups]
+        sizes = [len(idx) for idx in groups]
         if 0 in sizes:
             raise InvalidParameter(f"group {sizes.index(0)} is empty")
         if (bad := members[(members < 0) | (members >= k)]).size:
@@ -152,9 +160,9 @@ class MeasurementSet:
         group_of[members] = np.repeat(np.arange(len(groups)), sizes)
         blocks = ((members.reshape(len(groups), -1),) if len(set(sizes)) == 1 else
                   tuple(np.array([idx]) for idx in groups))
-        for a in (stack, members, group_of, *blocks):
+        for a in (members, group_of, *blocks):
             a.flags.writeable = False
-        for name, value in (("kind", kind), ("stack", stack), ("groups", groups),
+        for name, value in (("kind", kind), ("dim", d), ("groups", groups),
                             ("group_of", group_of), ("_members", members), ("_blocks", blocks)):
             object.__setattr__(self, name, value)
 
@@ -178,9 +186,12 @@ class MeasurementSet:
         basis = _real_basis(d)
         real = self.stack.view(float).reshape(len(self), -1)
         gram = np.zeros((d * d - 1, d * d - 1))
-        for start in range(0, len(self), 64):      # row blocks: M is never held whole
-            m = real[start:start + 64] @ basis.T
-            gram += m.T @ m
+        with np.errstate(over="ignore", invalid="ignore"):    # an overflow is refused below
+            for start in range(0, len(self), 64):      # row blocks: M is never held whole
+                m = real[start:start + 64] @ basis.T
+                gram += m.T @ m
+        if not np.isfinite(gram).all():
+            raise InvalidObject(f"{self.kind} set's Gram matrix overflows the float range")
         full_rank = np.linalg.matrix_rank(gram, hermitian=True) == d * d - 1
         return (np.trace(self.stack, axis1=1, axis2=2).real / d,
                 np.linalg.inv(gram) if full_rank else None, real, basis)
@@ -196,7 +207,8 @@ class MeasurementSet:
     def _estimate(self, freqs: np.ndarray) -> np.ndarray:
         """Unprojected Hermitian least-squares rho of unit trace from K finite real
         frequencies, renormalised per group on a copy first; RankDeficientSet if the
-        elements do not span the traceless operators.  An overflow leaves rho not finite."""
+        elements do not span the traceless operators, InvalidObject if their Gram matrix
+        overflows.  An overflow of the frequencies leaves rho not finite."""
         offsets, gram_inv, real, basis = self._inversion
         d = self.dim
         if gram_inv is None:
@@ -221,11 +233,7 @@ class MeasurementSet:
         return np.bincount(self.group_of[m], weights=v[m], minlength=len(self.groups))
 
     def __len__(self) -> int:
-        return self.stack.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.stack.shape[1]
+        return len(self.group_of)
 
     def validate(self) -> None:
         """Check PSD-ness of every element and completeness of every group."""

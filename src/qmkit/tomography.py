@@ -74,8 +74,9 @@ def reconstruct_linear_inversion(freqs, mset) -> QuantumObject:
     Frequencies must be finite, and small enough that the estimate does not
     overflow (else :class:`InvalidDistribution`).  The set's ``_estimate``
     renormalizes those of each group and raises :class:`RankDeficientSet` unless
-    the elements span the traceless operators; the projection clips negative
-    eigenvalues to zero and renormalizes the trace.  The set keeps its inversion data,
+    the elements span the traceless operators (:class:`InvalidObject` if their Gram
+    matrix overflows); the projection clips negative eigenvalues to zero and
+    renormalizes the trace.  The set keeps its inversion data,
     so pass a :class:`MeasurementSet` to reuse it: a list or array is a new set each call.
     """
     mset = _set(mset)

@@ -36,8 +36,8 @@ from qmkit import (
 )
 from qmkit.errors import (
     DimensionMismatch, IndexOutOfRange, InvalidDistribution, InvalidObject, InvalidParameter,
-    InvalidQuantumNumber, NotDiagonalizable, NotHermitian, NotPositive, NotQubitSystem, QmkitError,
-    UnsupportedDimension, ZeroNorm,
+    InvalidQuantumNumber, NotDiagonalizable, NotHermitian, NotPositive, NotQubitSystem,
+    OutcomeImpossible, QmkitError, UnsupportedDimension, ZeroNorm,
 )
 from qmkit.phasespace import grid_lines, spherical_multipole
 
@@ -63,6 +63,12 @@ _NAN, _INF, _GIB = math.nan, math.inf, "over the 1 GiB limit"
 _KET, _MIXED, _WIDE, _SKEW = basis(2, 0), identity(2) / 2, np.ones((2, 3)), [[0, 1], [0, 0]]
 _PLANE, _SPHERE, _P1 = PlanarGrid(nx=5, ny=4), SphericalGrid(ntheta=5, nphi=4), build_pauli_set(1)
 _GRID_FILE = "# kind=husimi coords=planar n1=1 n2=2\n0,0,0.5\n0,1,{}\n"
+# no n1, no '=', a non-numeric cell, no text, two columns, no rows
+_MALFORMED_GRIDS = ("# kind=husimi coords=planar n2=1\n0,0,1\n",
+                    "# kind husimi coords=planar n1=1 n2=1\n0,0,1\n",
+                    "# kind=husimi coords=planar n1=1 n2=1\n0,x,1\n", "",
+                    "# kind=husimi coords=planar n1=1 n2=1\n0,0\n",
+                    "# kind=husimi coords=planar n1=0 n2=1\n")
 _PAIR = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
 
@@ -92,7 +98,8 @@ _OPERATORS = (
            [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]], [basis(2, 0), basis(2, 1)],
            [np.ones(2), np.ones(2)], [np.ones(2), np.ones(3)], (identity(2), identity(3)), ()))
 _REAL = _bad(InvalidParameter, _NAN, _INF, -_INF, "a", None, 10**400, 1j, 0.5 + 1e-3j)
-_REALS = _bad(InvalidParameter, *([0.3, v] for v in (_NAN, _INF, -_INF, "a", None, 1j)),
+_REALS = _bad(InvalidParameter,
+              *(w for v in (_NAN, _INF, -_INF, "a", None, 1j) for w in (v, [0.3, v])),
               [0.3, [0.3, 0.4]], "0.3", match="must be finite real numbers")
 _LABEL = _bad(InvalidQuantumNumber, 0.3, "a", None, _NAN, _INF)
 
@@ -137,8 +144,11 @@ KINDS = {
     "indices": (_bad(InvalidParameter, 1, None, [1.5], ["1"])
                 + _bad(IndexOutOfRange, [1, 1], [0], [3]),
                 lambda v: [[v, tuple(v), np.array(v), [np.int64(i) for i in v]]]),
-    "groups": (_bad(InvalidParameter, 5, None, [[0.5]], [[]], [[9]], [[-1]], [[0], [0]],
-                    [[2**70]]),
+    "groups": (_bad(InvalidParameter, 5, None, [[0.5]], [[2**70]], match="integer")
+               + _bad(InvalidParameter, [[]], match="group 0 is empty")
+               + _bad(InvalidParameter, [[0, 5]], match="index 5 is outside")
+               + _bad(InvalidParameter, [[-1]], match="index -1 is outside")
+               + _bad(InvalidParameter, [[0], [0]], match="element 0 is in more"),
                lambda v: [[v, tuple(map(tuple, v)), np.array(v)]]),
     "spin": (_LABEL + _bad(InvalidQuantumNumber, -1), _spins),
     "spin label": (_LABEL, _spins),
@@ -172,16 +182,20 @@ def _encode(phi):
     return encode_phase(_KET, pauli("x"), phi)
 
 
+_ALIGN = _bad(DimensionMismatch, [0.0, 0.5, 1.0], match="must align")    # three points, not two
 _SCENARIO = dict(probe=_KET, generator=pauli("z"), phis=[0, 1, 2], observable=pauli("x"))
 # a spin whose (2j + 1)**2 entries pass the size rule, as ``spin`` and ``clebsch_gordan`` read it
 _SPIN_SQUARED = _own("spin", _bad(UnsupportedDimension, 2**96, 1e29, match=_GIB))
+# a set whose Gram matrix overflows the float range, though its entries are finite
+_HUGE_SET = _own("set", _bad(InvalidObject, 1e200 * _P1.stack, match="Gram matrix"))
 # an end past 1e150, where |alpha|^2 would overflow
 _PLANAR_RANGE = _own("range", _bad(InvalidParameter, (1e151, 3.0), (0.0, -1e151)))
 
 # row -> (callable, one valid keyword call, {parameter: kind or _own(...)}[, result reader])
 CALLS = {
     # qcore
-    "QuantumObject": (QuantumObject, dict(data=[[1, 0], [0, 1]]), dict(data="operator")),
+    "QuantumObject": (QuantumObject, dict(data=[[1, 0], [0, 1]]),
+                      dict(data=_own("operator", _bad(InvalidObject, np.zeros((0, 0)))))),
     "QuantumObject * factor": (_KET.__mul__, dict(scalar=0.5 - 2j), dict(scalar="complex")),
     "QuantumObject / divisor": (_KET.__truediv__, dict(scalar=0.5 - 2j), dict(scalar="complex")),
     "QuantumObject.is_hermitian": (pauli("x").is_hermitian, dict(tol=1e-10),
@@ -214,13 +228,13 @@ CALLS = {
     "SamplerBackend": (SamplerBackend, dict(method="mc", seed=1, iterations=10), dict(
         method=_own("choice", _bad(InvalidParameter, None)), iterations="shots",
         seed=_own("seed", _bad(InvalidParameter, None, np.random.default_rng(1))))),
-    "build_pauli_set": (build_pauli_set, dict(n=1),
-                        dict(n=_own("dimension", _bad(UnsupportedDimension, 230, match=_GIB)))),
+    "build_pauli_set": (build_pauli_set, dict(n=1), dict(
+        n=_own("dimension", _bad(UnsupportedDimension, 6, 40, 230, match=_GIB)))),
     "build_stoke_set": (build_stoke_set, dict(n=1),
-                        dict(n=_own("dimension", _bad(UnsupportedDimension, 300, match=_GIB)))),
-    # 1, 6 and 12 are not prime powers; 97 is past the stack limit
+                        dict(n=_own("dimension", _bad(UnsupportedDimension, 7, 300, match=_GIB)))),
+    # 1, 6, 10 and 12 are not prime powers; 97 is past the stack limit
     "build_mub_set": (build_mub_set, dict(d=3), dict(d=_own(
-        "dimension", _bad(UnsupportedDimension, 1, 6, 12, match="prime-power"),
+        "dimension", _bad(UnsupportedDimension, 1, 6, 10, 12, match="prime-power"),
         _bad(UnsupportedDimension, 97, match=_GIB)))),
     "build_sic_set": (build_sic_set, dict(d=3),
                       dict(d=_own("count", _bad(UnsupportedDimension, 9, 2**96)))),
@@ -231,10 +245,11 @@ CALLS = {
                       dict(state="state", observables="set")),
     "timed_measurement": (timed_measurement, dict(state=_KET, mset=_P1),
                           dict(state="state", mset="set"), lambda r: r[0]),
-    "measure": (measure, dict(state=_KET, kraus_ops=_PAIR),
-                dict(state="state", kraus_ops="operators")),
+    "measure": (measure, dict(state=_KET, kraus_ops=_PAIR), dict(
+        state="state", kraus_ops=_own("operators", _bad(DimensionMismatch, [identity(3)])))),
     "post_measurement_state": (post_measurement_state, dict(state=_KET, kraus=_PAIR[0]), dict(
-        state="state", kraus=_own("square", _bad(DimensionMismatch, identity(3))))),
+        state="state", kraus=_own("square", _bad(DimensionMismatch, identity(3)),
+                                  _bad(OutcomeImpossible, _PAIR[1])))),
     **{f"measure_and_sample {m}": (measure_and_sample, dict(
         state=_KET, mset=_P1, backend=SamplerBackend(m, 1), shots=50), dict(
         state="state", mset="set", backend=_own("backend", _bad(InvalidParameter, None)),
@@ -242,7 +257,11 @@ CALLS = {
     "sample_mc": (sample_mc, dict(p=0.3, iterations=100, rng=1),
                   dict(p="probability", iterations="shots", rng="seed")),
     "sample_cdf_discrete": (sample_cdf_discrete, dict(probs=[0, 1, 0], shots=100, rng=1),
-                            dict(probs="frequencies", shots="shots", rng="seed")),
+                            dict(probs=_own("frequencies", _bad(InvalidDistribution, [0.5, 0.4],
+                                                                [1.5, -0.5]),
+                                            _bad(InvalidDistribution, [], [[0.5, 0.5]],
+                                                 match="1-d and non-empty")),
+                                 shots="shots", rng="seed")),
     "sample_cdf_continuous": (sample_cdf_continuous, dict(inverse_cdf=np.sqrt, shots=10, rng=1),
                               dict(inverse_cdf=_own("callable", _bad(InvalidParameter, None)),
                                    shots="shots", rng="seed")),
@@ -260,8 +279,10 @@ CALLS = {
                              same=[[lambda p: [1e200, 1e200], lambda p: [1.0, 1.0]]]),
                               mset="set", phi="real",
                               dphi=_own("real", _bad(InvalidParameter, 0, -1e-3, 1e-17, 1e-300)))),
-    "quantum_fisher": (quantum_fisher, dict(rho=_KET, generator=pauli("x")),
-                       dict(rho="state", generator="generator")),
+    # 4 Var(H) = 4e400 overflows
+    "quantum_fisher": (quantum_fisher, dict(rho=_KET, generator=pauli("x")), dict(
+        rho="state", generator=_own("generator", _bad(
+            InvalidParameter, 1e200 * pauli("x"), match="quantum Fisher information overflows")))),
     "cramer_rao_bounds": (cramer_rao_bounds, dict(F=2.0, Q=3.0, N=3), dict(
         F=_own("real", _bad(InvalidParameter, -1.0)), Q=_own("real", _bad(InvalidParameter, -1.0)),
         N="shots")),
@@ -271,8 +292,9 @@ CALLS = {
     # the last two invalid phase grids and moments overflow the derivative and the variance
     "error_propagation": (error_propagation, dict(phis=[0, 1], expectation=[0, 10**10],
                                                   second_moment=[1.0, 1e21]), dict(
-        phis=_own("reals", _bad(InvalidParameter, [[0, 1], [2, 3]], [0], [0, 1e-300])),
-        expectation=_own("reals", _bad(InvalidParameter, [1e200, 2e200])), second_moment="reals")),
+        phis=_own("reals", _bad(InvalidParameter, [[0, 1], [2, 3]], [0], [0, 1e-300]), _ALIGN),
+        expectation=_own("reals", _bad(InvalidParameter, [1e200, 2e200]), _ALIGN),
+        second_moment=_own("reals", _ALIGN))),
     "MetrologyScenario": (MetrologyScenario, _SCENARIO, dict(
         probe="state", generator="generator", observable="generator",
         phis=_own("reals", _bad(InvalidParameter, [[0, 1], [2, 3]]))), run_scenario),
@@ -309,7 +331,8 @@ CALLS = {
                    dict(grid=_own("grid", _bad(InvalidParameter, _PLANE)), path="path")),
     "read_grid": (read_grid, dict(path=_Path("grid.csv", _GRID_FILE.format(0.25))), dict(path=_own(
         "path", _bad(InvalidParameter, None, _Path("nan.csv", _GRID_FILE.format("nan")),
-                     _Path("inf.csv", _GRID_FILE.format("-inf")))))),
+                     _Path("inf.csv", _GRID_FILE.format("-inf")),
+                     *(_Path(f"bad{i}.csv", t) for i, t in enumerate(_MALFORMED_GRIDS)))))),
     # SciPy takes k as a 64-bit integer
     "spherical_harmonic": (spherical_harmonic, dict(k=2, q=1, theta=[0, 1, 3], phi=[0, 1, 6]), {
         "k": _own("integer label", _bad(InvalidQuantumNumber, -1, 10**400, 1e300)),
@@ -319,7 +342,9 @@ CALLS = {
         rho="state", k=_own("integer label", _bad(InvalidQuantumNumber, -1)), q="integer label")),
     # states
     **{f.__name__: (f, dict(d=3, k=1), dict(d="dimension", k=_own(
-        "index", _bad(IndexOutOfRange, -1, 3)))) for f in (basis, dual_basis)},
+        "index", _bad(IndexOutOfRange, -1, 3),
+        _bad(InvalidParameter, 1.5, 1.0, "1", None, match="index must be an integer, got"))))
+       for f in (basis, dual_basis)},
     "zeeman": (zeeman, dict(j=1, m=0), dict(
         j=_own("spin", _bad(UnsupportedDimension, 1e29, match=_GIB)),
         m=_own("spin label", _bad(InvalidQuantumNumber, 5, 0.5)))),
@@ -333,11 +358,13 @@ CALLS = {
     "w": (w, dict(n=2), dict(n=_own("dimension", _bad(UnsupportedDimension, 64, match=_GIB)))),
     "dicke": (dicke, dict(n=3, k=1), dict(
         n=_own("dimension", _bad(UnsupportedDimension, 64, match=_GIB)),
-        k=_own("index", _bad(InvalidQuantumNumber, -1, 4)))),
+        k=_own("index", _bad(InvalidQuantumNumber, -1, 4),
+               _bad(InvalidParameter, 1.5, match="excitation count must be an integer, got")))),
     "spin_coherent": (spin_coherent, dict(j=1, theta=1.1, phi=2.3), dict(
         j=_own("spin", _bad(UnsupportedDimension, 1e29, match=_GIB)), theta="real", phi="real")),
     "add_random_noise": (add_random_noise, dict(psi=_KET, mean=0.05, stdev=0.1, rng=1), dict(
-        psi=_own("operator", _bad(InvalidParameter, _MIXED)), mean="real",
+        psi=_own("operator", _bad(InvalidParameter, _KET.data.T, _MIXED, [[1.0]],
+                                  match="defined for kets")), mean="real",
         stdev=_own("real", _bad(InvalidParameter, -0.1)), rng="seed")),
     "add_white_noise": (add_white_noise, dict(state=_KET, p=0.25),
                         dict(state="state", p="probability")),
@@ -347,16 +374,18 @@ CALLS = {
        for f in (fidelity, trace_distance)},
     "trace_distance_pure": (trace_distance_pure, dict(psi=_KET, phi=basis(2, 1)), dict.fromkeys(
         ("psi", "phi"), _own("operator", _bad(DimensionMismatch, _MIXED, [[1.0]], _KET.data.T,
-                                         basis(3, 0))))),
+                                         match="expects two kets"),
+                       _bad(DimensionMismatch, basis(3, 0))))),
     # the last frequencies are a group whose sum overflows
     "reconstruct_linear_inversion": (reconstruct_linear_inversion, dict(
-        freqs=[1, 0, 1, 1, 0, 1], mset=_P1), dict(mset="set", freqs=_own(
+        freqs=[1, 0, 1, 1, 0, 1], mset=_P1), dict(mset=_HUGE_SET, freqs=_own(
             "frequencies", _bad(DimensionMismatch, 0.5, np.full((6, 1), 0.5)),
             _bad(InvalidDistribution, [1e308, 9e307, 1, 1, 1, 1])))),
     "run_tomography": (run_tomography, dict(true_state=_KET, mset=_P1, shots=40, estimator=None,
-                                            backend=SamplerBackend("cdf", 2)),
-                       dict(true_state="state", mset="set", shots="shots", backend="backend",
-                            estimator="callable")),
+                                            backend=SamplerBackend("cdf", 2)), dict(
+        true_state="state", mset=_HUGE_SET, shots="shots", backend="backend",
+        estimator=_own("callable", _bad(InvalidObject, lambda f, ms: identity(2)),
+                       _bad(DimensionMismatch, lambda f, ms: identity(3) / 3)))),
 }
 
 # public callables without a row, and why

@@ -88,11 +88,6 @@ def test_encode_phase_matches_expm(rng, d):
                                rtol=0, atol=1e-12)
 
 
-def test_encode_phase_requires_hermitian_generator():
-    with pytest.raises(NotHermitian):
-        encode_phase(_plus(), [[0, 1], [0, 0]], 0.3)
-
-
 def test_generator_keeps_its_eigendecomposition(rng):
     # a QuantumObject generator is decomposed once; later calls give the same bits
     # as a plain array generator, which keeps nothing
@@ -219,24 +214,6 @@ def test_qfi_invariant_under_encoding():
         assert q == pytest.approx(q0, abs=1e-8)
 
 
-def test_qfi_requires_hermitian_generator():
-    with pytest.raises(NotHermitian):
-        quantum_fisher(basis(2, 0), [[0, 1], [0, 0]])
-
-
-def test_qfi_scores_only_states():
-    with pytest.raises(NotHermitian):
-        quantum_fisher([[0.5, 1], [0, 0.5]], pauli("z"))
-    with pytest.raises(InvalidObject):
-        quantum_fisher(identity(2), pauli("z"))
-
-
-def test_qfi_refuses_an_overflowing_result():
-    # 4 Var(H) = 4e400 overflows: refused, not returned as inf with a RuntimeWarning
-    with pytest.raises(InvalidParameter, match="quantum Fisher information overflows"):
-        quantum_fisher(basis(2, 0), 1e200 * pauli("x").data)
-
-
 def _qfi_loop(rho, h):
     """The spectral-form double loop over eigenvalue pairs."""
     q, v = np.linalg.eigh((rho + rho.conj().T) / 2)
@@ -268,11 +245,6 @@ def test_cramer_rao_bounds():
     assert qcrb <= ccrb
     assert qcrb == pytest.approx(0.05)
     assert cramer_rao_bounds(0.0, 0.0, 1) == (math.inf, math.inf)
-    with pytest.raises(InvalidParameter):
-        cramer_rao_bounds(1.0, 1.0, 0)
-    for f, q in ((math.nan, 1.0), (1.0, math.nan)):
-        with pytest.raises(InvalidParameter):
-            cramer_rao_bounds(f, q)
 
 
 def test_cat_state_equator_degenerates():
@@ -294,8 +266,6 @@ def test_cat_state_poles_give_ghz_like():
 
 def test_cat_state_norm_and_domain():
     assert np.linalg.norm(cat_state(10, 0.15 * math.pi).data) == pytest.approx(1.0)
-    with pytest.raises(InvalidParameter):
-        cat_state(1, -0.1)
 
 
 def test_error_propagation_linear_signal():
@@ -327,13 +297,6 @@ def test_error_propagation_flags_undefined():
     second = np.ones(11)
     out = error_propagation(phis, mean, second)
     assert np.all(np.isnan(out))
-
-
-@pytest.mark.parametrize("sizes", [(3, 2, 3), (3, 3, 2), (3, 4, 4)])
-def test_error_propagation_refuses_misaligned_arrays(sizes):
-    phis, e1, e2 = (np.linspace(0.0, 1.0, n) for n in sizes)
-    with pytest.raises(DimensionMismatch, match="must align"):
-        error_propagation(phis, e1, e2)
 
 
 def test_central_difference_accuracy():

@@ -25,7 +25,6 @@ from qmkit import (
     zeeman,
 )
 from qmkit.errors import (
-    IndexOutOfRange,
     InvalidParameter,
     InvalidQuantumNumber,
 )
@@ -38,13 +37,6 @@ def test_basis_vectors():
     np.testing.assert_allclose(basis(3, 0).data.reshape(-1), [1, 0, 0])
     np.testing.assert_allclose(basis(3, 1).data.reshape(-1), [0, 1, 0])
     np.testing.assert_allclose(dual_basis(2, 1).data, [[0, 1]])
-    for k in (3, -1):
-        with pytest.raises(IndexOutOfRange):
-            basis(3, k)
-    for k in (1.5, 1.0, "1", None):
-        with pytest.raises(InvalidParameter, match="index must be an integer, got"):
-            basis(3, k)
-    np.testing.assert_array_equal(basis(3, np.int64(1)).data, basis(3, 1).data)
 
 
 def test_zeeman_index_rule():
@@ -233,24 +225,12 @@ def test_dicke_edges_and_w_identity():
         np.testing.assert_array_equal(dicke(n, n).data.reshape(-1),
                                       basis(2**n, 2**n - 1).data.reshape(-1))
         np.testing.assert_array_equal(w(n).data, dicke(n, 1).data)
-    for k in (4, -1):
-        with pytest.raises(InvalidQuantumNumber):
-            dicke(3, k)
-    with pytest.raises(InvalidParameter, match="excitation count must be an integer, got"):
-        dicke(3, 1.5)
 
 
 def test_add_random_noise_degenerate():
     psi = ghz(3)
     out = add_random_noise(psi, mean=0.0, stdev=0.0, rng=1)
     np.testing.assert_allclose(out.data, psi.data, atol=1e-15)
-
-
-@pytest.mark.parametrize("psi", [ghz(1).data.T, np.eye(2) / 2, [[1.0]]])
-def test_add_random_noise_is_for_kets_only(psi):
-    # a bra, a density matrix and a 1 x 1 operator are refused before any draw
-    with pytest.raises(InvalidParameter, match="defined for kets"):
-        add_random_noise(psi, 0.0, 0.1, rng=1)
 
 
 def test_add_random_noise_normalized():
@@ -276,11 +256,6 @@ def test_add_white_noise_examples():
     np.testing.assert_allclose(out.data, np.eye(2) / 2)
     np.testing.assert_allclose(add_white_noise(basis(2, 0), 0.1).data,
                                np.diag([0.95, 0.05]))
-
-
-def test_add_white_noise_validates_p():
-    with pytest.raises(InvalidParameter):
-        add_white_noise(basis(2, 0), 1.5)
 
 
 @settings(max_examples=25, deadline=None)
