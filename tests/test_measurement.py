@@ -36,10 +36,12 @@ from qmkit import (
     weyl_displacement,
 )
 from qmkit.errors import (
+    DimensionMismatch,
     InvalidDistribution,
     InvalidObject,
     InvalidParameter,
     NotHermitian,
+    OutcomeImpossible,
     UnsupportedDimension,
 )
 import qmkit
@@ -71,6 +73,11 @@ def test_maximally_mixed_pauli_set():
     np.testing.assert_allclose(probs, np.full(6, 0.5), atol=1e-12)
 
 
+def test_probabilities_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        probabilities(ghz(2), [pauli("x")])
+
+
 def test_post_measurement_projective():
     plus = ghz(1)
     state, p = post_measurement_state(plus, to_operator(basis(2, 0)))
@@ -90,6 +97,11 @@ def test_post_measurement_mixed_example():
     state, p = post_measurement_state(rho, to_operator(basis(2, 1)))
     assert p == pytest.approx(0.75)
     np.testing.assert_allclose(state.data, [[0, 0], [0, 1]], atol=1e-12)
+
+
+def test_post_measurement_impossible():
+    with pytest.raises(OutcomeImpossible):
+        post_measurement_state(basis(2, 0), to_operator(basis(2, 1)))
 
 
 def test_measure_returns_outcome_bundle():
@@ -206,6 +218,14 @@ def test_mub_d2_matches_pauli_projectors():
     assert remaining == []
 
 
+def test_mub_unsupported_dimension():
+    for d in (1, 6, 10, 12):
+        with pytest.raises(UnsupportedDimension, match="prime-power"):
+            build_mub_set(d)
+    with pytest.raises(UnsupportedDimension, match="over the 1 GiB limit"):
+        build_mub_set(97)
+
+
 def _earlier_mub_kets(d):
     """The kets, one per row, of the hand tables (d = 2, 4) and Gauss sums (d = 3, 5, 7)
     that the finite-field construction replaced."""
@@ -310,6 +330,11 @@ def test_sic_d2_bloch_tetrahedron():
             assert blochs[a] @ blochs[b] == pytest.approx(-1 / 3, abs=1e-8)
 
 
+def test_sic_unsupported_dimension():
+    with pytest.raises(UnsupportedDimension):
+        build_sic_set(9)
+
+
 @pytest.mark.parametrize("builder,params", [
     (build_pauli_set, (1, 2, 3)),
     (build_stoke_set, (1, 2, 3)),
@@ -365,6 +390,16 @@ def test_cdf_discrete_balanced():
     assert counts.sum() == 100_000
     assert abs(counts[0] - 50_000) < 500
     assert abs(counts[1] - 50_000) < 500
+
+
+def test_cdf_discrete_validates():
+    with pytest.raises(InvalidDistribution):
+        sample_cdf_discrete([0.5, 0.4], 10)
+    with pytest.raises(InvalidDistribution):
+        sample_cdf_discrete([1.5, -0.5], 10)
+    for probs in ([], [[0.5, 0.5]]):
+        with pytest.raises(InvalidDistribution, match="1-d and non-empty"):
+            sample_cdf_discrete(probs, 10)
 
 
 def test_cdf_never_samples_zero_probability():
@@ -514,6 +549,14 @@ def test_product_stacks_follow_itertools_kron_order(n):
     np.testing.assert_array_equal(build_stoke_set(n).stack, _product_projectors("HVDR", n))
 
 
+@pytest.mark.parametrize("build, n", [(build_pauli_set, 6), (build_stoke_set, 7),
+                                      (build_pauli_set, 40)])
+def test_product_sets_over_the_size_limit_are_refused(build, n):
+    # Pauli n = 6 would need 3.1 GB and Stoke n = 7 4.3 GB; nothing is allocated
+    with pytest.raises(UnsupportedDimension, match="GiB"):
+        build(n)
+
+
 def test_pauli_groups_pair_basis_outcomes():
     ms = build_pauli_set(2)
     for idx in ms.groups:
@@ -589,6 +632,17 @@ def test_sic_orbit_is_built_and_verified_once_per_dimension(monkeypatch):
     again = build_sic_set(5)
     np.testing.assert_array_equal(again.stack, first.stack)
     assert again.stack is not first.stack
+
+
+@pytest.mark.parametrize("groups, match", [(((0, 5),), "index 5 is outside"),
+                                           (((-1, 0),), "index -1 is outside"),
+                                           (((0, 1), (1, 0)), "element 0 is in more"),
+                                           (((),), "group 0 is empty"),
+                                           (((0.5, 1),), "integer")])
+def test_set_rejects_malformed_groups(groups, match):
+    with pytest.raises(InvalidParameter, match=match):
+        MeasurementSet(kind="custom", elements=(pauli("x"), pauli("y"), pauli("z")),
+                       groups=groups)
 
 
 def test_set_groups_accept_tuples_lists_or_an_int_array():
@@ -977,6 +1031,13 @@ def test_measure_and_sample_golden_digests(case):
                                10_000)
     digest = hashlib.sha256(np.ascontiguousarray(freqs, dtype="<f8").tobytes()).hexdigest()
     assert digest == _GOLDEN[case]
+
+
+@pytest.mark.parametrize("bad", ([np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 1.0],
+                                 [-np.inf, 1.0]))
+def test_cdf_rejects_non_finite_probabilities(bad):
+    with pytest.raises(InvalidDistribution):
+        sample_cdf_discrete(bad, 10, 1)
 
 
 @pytest.mark.parametrize("make_set", [lambda: build_pauli_set(1), lambda: build_stoke_set(1)])

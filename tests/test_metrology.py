@@ -88,6 +88,11 @@ def test_encode_phase_matches_expm(rng, d):
                                rtol=0, atol=1e-12)
 
 
+def test_encode_phase_requires_hermitian_generator():
+    with pytest.raises(NotHermitian):
+        encode_phase(_plus(), [[0, 1], [0, 0]], 0.3)
+
+
 def test_generator_keeps_its_eigendecomposition(rng):
     # a QuantumObject generator is decomposed once; later calls give the same bits
     # as a plain array generator, which keeps nothing
@@ -214,6 +219,24 @@ def test_qfi_invariant_under_encoding():
         assert q == pytest.approx(q0, abs=1e-8)
 
 
+def test_qfi_requires_hermitian_generator():
+    with pytest.raises(NotHermitian):
+        quantum_fisher(basis(2, 0), [[0, 1], [0, 0]])
+
+
+def test_qfi_scores_only_states():
+    with pytest.raises(NotHermitian):
+        quantum_fisher([[0.5, 1], [0, 0.5]], pauli("z"))
+    with pytest.raises(InvalidObject):
+        quantum_fisher(identity(2), pauli("z"))
+
+
+def test_qfi_refuses_an_overflowing_result():
+    # 4 Var(H) = 4e400 overflows: refused, not returned as inf with a RuntimeWarning
+    with pytest.raises(InvalidParameter, match="quantum Fisher information overflows"):
+        quantum_fisher(basis(2, 0), 1e200 * pauli("x").data)
+
+
 def _qfi_loop(rho, h):
     """The spectral-form double loop over eigenvalue pairs."""
     q, v = np.linalg.eigh((rho + rho.conj().T) / 2)
@@ -297,6 +320,13 @@ def test_error_propagation_flags_undefined():
     second = np.ones(11)
     out = error_propagation(phis, mean, second)
     assert np.all(np.isnan(out))
+
+
+@pytest.mark.parametrize("sizes", [(3, 2, 3), (3, 3, 2), (3, 4, 4)])
+def test_error_propagation_refuses_misaligned_arrays(sizes):
+    phis, e1, e2 = (np.linspace(0.0, 1.0, n) for n in sizes)
+    with pytest.raises(DimensionMismatch, match="must align"):
+        error_propagation(phis, e1, e2)
 
 
 def test_central_difference_accuracy():

@@ -35,7 +35,8 @@ from qmkit import (
     write_grid,
     zeeman,
 )
-from qmkit.errors import InvalidParameter, InvalidQuantumNumber, UnsupportedDimension
+from qmkit.errors import (DimensionMismatch, InvalidParameter, InvalidQuantumNumber,
+                          UnsupportedDimension)
 from qmkit.phasespace import (
     _axial_phases,
     _bits,
@@ -203,6 +204,16 @@ def test_y_validates_quantum_numbers():
         spherical_harmonic(1, 2, 0.3, 0.4)
     with pytest.raises(InvalidQuantumNumber):
         spherical_harmonic(-1, 0, 0.3, 0.4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", None, 1j])
+@pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [0.3, v]], ids=["scalar", "array"])
+@pytest.mark.parametrize("slot", [0, 1], ids=["theta", "phi"])
+def test_y_refuses_non_finite_or_non_real_angles(bad, wrap, slot):
+    angles = [[0.3, 0.4], [0.3, 0.4]]
+    angles[slot] = wrap(bad)
+    with pytest.raises(InvalidParameter):
+        spherical_harmonic(2, 1, *angles)
 
 
 @pytest.mark.parametrize("theta, phi", [(0.7, 1.9), (0, 3), (np.float32(1.1), -0.4),
@@ -626,6 +637,12 @@ def test_planar_ranges_may_run_backwards_and_spherical_ones_may_not():
     SphericalGrid(theta_range=(1.0, 1.0), phi_range=(0.0, 0.0))     # a single point is allowed
 
 
+@pytest.mark.parametrize("fn", [husimi_planar, wigner_planar, husimi_spherical, wigner_spherical])
+def test_maps_reject_non_square_operators(fn):
+    with pytest.raises(DimensionMismatch):
+        fn(np.ones((2, 3)) / 2)
+
+
 def test_grid_file_roundtrip(tmp_path):
     grid = SphericalGrid(ntheta=5, nphi=7)
     out = husimi_spherical(zeeman(2, 1), grid)
@@ -653,6 +670,19 @@ def test_grid_file_paths_that_cannot_be_used_raise_invalid_parameter(tmp_path):
     binary.write_bytes(b"\xff\xfe\x00")
     with pytest.raises(InvalidParameter):
         read_grid(binary)
+
+
+@pytest.mark.parametrize("text", ["# kind=husimi coords=planar n2=1\n0,0,1\n",      # no n1
+                                  "# kind husimi coords=planar n1=1 n2=1\n0,0,1\n",  # no '='
+                                  "# kind=husimi coords=planar n1=1 n2=1\n0,x,1\n",  # a cell
+                                  "",                                                 # empty
+                                  "# kind=husimi coords=planar n1=1 n2=1\n0,0\n",     # 2 columns
+                                  "# kind=husimi coords=planar n1=0 n2=1\n"])         # no rows
+def test_malformed_grid_file_raises_invalid_parameter(tmp_path, text):
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidParameter):
+        read_grid(path)
 
 
 @settings(max_examples=10, deadline=None)

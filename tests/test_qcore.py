@@ -41,8 +41,11 @@ from qmkit.errors import (
     IndexOutOfRange,
     InvalidObject,
     InvalidParameter,
+    NotDiagonalizable,
     NotHermitian,
+    NotPositive,
     NotQubitSystem,
+    ZeroNorm,
 )
 from qmkit.operators import identity, pauli
 from qmkit.states import basis, dual_basis, ghz
@@ -61,6 +64,11 @@ def test_classify_bra_and_oper():
 
 def test_classify_scalar_is_oper():
     assert classify([[5.0]])[0] is Kind.OPER
+
+
+def test_empty_matrix_rejected():
+    with pytest.raises(InvalidObject):
+        QuantumObject(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("data", ["a", [[1, "x"]], [[1, 2], [3]], {"a": 1}, [1, 2**1100]])
@@ -124,6 +132,11 @@ def test_trace_examples():
     assert trace(to_operator(basis(2, 0))) == pytest.approx(1)
 
 
+def test_trace_rejects_vectors():
+    with pytest.raises(InvalidObject):
+        trace(basis(2, 0))
+
+
 def test_eigen_sigma_z():
     dec = eigen(pauli("z"))
     np.testing.assert_allclose(dec.values, [1.0, -1.0])
@@ -142,6 +155,11 @@ def test_ground_sigma_z():
     np.testing.assert_allclose(np.abs(g.data.reshape(-1)), [0, 1], atol=1e-12)
 
 
+def test_ground_requires_hermitian():
+    with pytest.raises(NotHermitian):
+        ground([[0, 1], [0, 0]])
+
+
 def test_mat_exp_zero():
     np.testing.assert_allclose(mat_exp(np.zeros((3, 3))).data, np.eye(3), atol=1e-14)
 
@@ -156,6 +174,11 @@ def test_mat_sqrt_diagonal():
                                np.diag([2.0, 3.0]), atol=1e-12)
 
 
+def test_mat_sqrt_rejects_negative():
+    with pytest.raises(NotPositive):
+        mat_sqrt(np.diag([1.0, -1.0]))
+
+
 def test_normalize_ket_and_norm():
     out = normalize([1.0, 1.0])
     np.testing.assert_allclose(out.data.reshape(-1), np.ones(2) / np.sqrt(2))
@@ -165,6 +188,13 @@ def test_normalize_ket_and_norm():
 def test_normalize_oper_unit_trace():
     out = normalize(2 * identity(2))
     np.testing.assert_allclose(out.data, np.eye(2) / 2)
+
+
+def test_normalize_zero_raises():
+    with pytest.raises(ZeroNorm):
+        normalize(np.zeros(3))
+    with pytest.raises(ZeroNorm):
+        normalize(pauli("x"))  # traceless oper
 
 
 @pytest.mark.parametrize("big, small", [([1e200, 1e200], [1.0, 1.0]),
@@ -297,6 +327,11 @@ def test_diagonalize_examples():
     plus_proj = to_operator(normalize([1.0, 1.0]))
     np.testing.assert_allclose(diagonalize(plus_proj).data, np.diag([1.0, 0.0]),
                                atol=1e-12)
+
+
+def test_diagonalize_defective():
+    with pytest.raises(NotDiagonalizable):
+        diagonalize([[0, 1], [0, 0]])
 
 
 def test_quantum_object_immutable():

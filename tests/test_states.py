@@ -233,6 +233,13 @@ def test_add_random_noise_degenerate():
     np.testing.assert_allclose(out.data, psi.data, atol=1e-15)
 
 
+@pytest.mark.parametrize("psi", [ghz(1).data.T, np.eye(2) / 2, [[1.0]]])
+def test_add_random_noise_is_for_kets_only(psi):
+    # a bra, a density matrix and a 1 x 1 operator are refused before any draw
+    with pytest.raises(InvalidParameter, match="defined for kets"):
+        add_random_noise(psi, 0.0, 0.1, rng=1)
+
+
 def test_add_random_noise_normalized():
     out = add_random_noise(ghz(2), mean=0.1, stdev=0.3, rng=3)
     assert l2norm(out) == pytest.approx(1.0, abs=1e-12)
@@ -256,6 +263,11 @@ def test_add_white_noise_examples():
     np.testing.assert_allclose(out.data, np.eye(2) / 2)
     np.testing.assert_allclose(add_white_noise(basis(2, 0), 0.1).data,
                                np.diag([0.95, 0.05]))
+
+
+def test_add_white_noise_validates_p():
+    with pytest.raises(InvalidParameter):
+        add_white_noise(basis(2, 0), 1.5)
 
 
 @settings(max_examples=25, deadline=None)

@@ -44,7 +44,9 @@ from qmkit.errors import (
     DimensionMismatch,
     InvalidDistribution,
     InvalidObject,
+    NotHermitian,
     NotPositive,
+    QmkitError,
     RankDeficientSet,
     ZeroNorm,
 )
@@ -64,6 +66,13 @@ def test_trace_distance_pure_cases(rng):
     from qmkit import normalize
     phi = normalize([1.0, 1.0])
     assert trace_distance_pure(basis(2, 0), phi) == pytest.approx(1 / math.sqrt(2))
+
+
+@pytest.mark.parametrize("pair", [(identity(2) / 2, basis(2, 0)), (basis(2, 0), [[1.0]]),
+                                  (basis(2, 0).data.T, basis(2, 0))])
+def test_trace_distance_pure_takes_two_kets_only(pair):
+    with pytest.raises(DimensionMismatch, match="expects two kets"):
+        trace_distance_pure(*pair)
 
 
 def test_trace_distance_cases():
@@ -259,6 +268,14 @@ def test_run_scores_equal_public_metrics_bitwise(rng):
         run = run_tomography(rho, mset, shots, SamplerBackend("cdf", 1))
         assert run.fidelity == fidelity(rho, run.reconstructed)
         assert run.trace_distance == trace_distance(rho, run.reconstructed)
+
+
+def test_run_tomography_refuses_a_non_state_estimate():
+    with pytest.raises(InvalidObject):
+        run_tomography(basis(2, 0), build_pauli_set(1), estimator=lambda f, ms: identity(2))
+    with pytest.raises(DimensionMismatch):
+        run_tomography(basis(2, 0), build_pauli_set(1),
+                       estimator=lambda f, ms: identity(3) / 3)
 
 
 def test_metric_axioms_random_triples(rng):
@@ -499,6 +516,19 @@ def test_fuchs_relation_on_runs():
         assert 1 - run.fidelity <= run.trace_distance + 1e-8
 
 
+@pytest.mark.parametrize("operator, error", [
+    (np.diag([2.0, 0.0]), InvalidObject),                # trace 2
+    (np.diag([1.5, -0.5]), NotPositive),                 # unit trace, not PSD
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitian),  # unit trace, not Hermitian
+    (np.zeros(2), ZeroNorm),                             # zero ket
+])
+def test_run_tomography_rejects_non_states(operator, error):
+    assert issubclass(error, QmkitError)
+    for shots in (None, 100):
+        with pytest.raises(error):
+            run_tomography(operator, build_pauli_set(1), shots=shots)
+
+
 def test_run_tomography_state_tolerances():
     ket = 2.0 * basis(2, 0)                              # kets are normalized first
     assert run_tomography(ket, build_pauli_set(1)).fidelity == pytest.approx(1.0)
@@ -508,6 +538,14 @@ def test_run_tomography_state_tolerances():
         run_tomography(np.diag([0.5 + 2e-8, 0.5]), build_pauli_set(1))
     with pytest.raises(NotPositive):
         run_tomography(np.diag([1.0 + 2e-10, -2e-10]), build_pauli_set(1))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_inversion_rejects_non_finite_frequencies(bad):
+    freqs = np.full(6, 0.5)
+    freqs[3] = bad
+    with pytest.raises(InvalidDistribution):
+        reconstruct_linear_inversion(freqs, build_pauli_set(1))
 
 
 @pytest.mark.parametrize("freqs, make_set", [
