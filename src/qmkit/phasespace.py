@@ -266,9 +266,9 @@ def _husimi_terms(d: int, xs: tuple, ys: tuple) -> tuple:
 
 @functools.lru_cache(maxsize=_KERNELS)
 def _diagonal_layout(d: int) -> tuple:
-    """The planar maps' state-independent arrays, [k, m] over (d, d) by broadcasting:
+    """State-independent arrays over rho's diagonals, [k, m] over (d, d) by broadcasting:
     row m, column min(m + k, d - 1), mask m + k < d, weight w_k (w_0 = 1, w_{k>0} = 2),
-    Husimi's sqrt(m! k! / (m+k)!) and Wigner's (-1)^m."""
+    and the planar maps' Husimi sqrt(m! k! / (m+k)!) and Wigner (-1)^m."""
     k, m = np.ogrid[:d, :d]
     ratios = np.cumprod(np.sqrt(np.where(m > 0, m / np.maximum(m + k, 1), 1.0)), axis=1)
     return _frozen(m, np.minimum(m + k, d - 1), m + k < d, np.where(k > 0, 2.0, 1.0), ratios,
@@ -393,31 +393,40 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=_KERNELS)
-def _axial_phases(d: int, phis: tuple) -> np.ndarray:
-    """e^{-ik phi} for k = 1-d .. d-1 (rows) on the ``_bits`` phis (columns)."""
-    return _frozen(np.exp(-1j * np.outer(np.arange(1 - d, d), _axis(phis))))[0]
+def _axial_phases(d: int, phis: tuple) -> tuple:
+    """w_k cos k phi and w_k sin k phi for k < d (rows) on the ``_bits`` phis
+    (columns), with the weights w_k of ``_diagonal_layout``."""
+    angles, weights = np.outer(np.arange(d), _axis(phis)), _diagonal_layout(d)[3]
+    return _frozen(weights * np.cos(angles), weights * np.sin(angles))
 
 
-def _axial_map(dm: np.ndarray, diagonals: tuple, phis: tuple) -> np.ndarray:
-    """Re sum_ab rho_ab G_ab(theta) e^{-i(b-a) phi} on the grid with ``_bits``
-    phis, for a real kernel G(theta) given by its diagonals k = 1-d .. d-1,
-    each of shape (ntheta, d-|k|).  As phi enters through b - a alone, the
-    diagonals of rho o G(theta) are summed first, each into its column of one
-    array; G stays real, so each sum is the BLAS product that g @ v makes."""
+def _axial_map(kind: str, rho, grid, kernel) -> PhaseSpaceGrid:
+    """Re sum_ab rho_ab G_ab(theta) e^{-i(b-a) phi} on a spherical grid, for a
+    real symmetric G(theta) whose upper diagonals ``kernel`` gives as
+    kernel[k, t, a] = G_{a,a+k}(theta_t).  Only the Hermitian part h of rho
+    counts, and its diagonal -k is diagonal k conjugated, so the map is
+    Re sum_k w_k s_k e^{-ik phi} with s_k = sum_a G_{a,a+k} h_{a,a+k}: one
+    batched product gives every s_k, and two real products place them in phi."""
+    dm, (thetas, phis) = density_matrix(rho), _typed(grid, SphericalGrid, "grid")._keys
     d = len(dm)
-    sums = np.empty((len(diagonals[0]), 2 * d - 1), dtype=complex)
-    for i, g in enumerate(diagonals):
-        sums[:, i] = np.dot(g, dm.diagonal(i + 1 - d))
-    return np.real(sums @ _axial_phases(d, phis))
+    _fits(grid.ntheta * d * d, 1, f"a spin kernel of {grid.ntheta} x {d} x {d}")
+    rows, cols, inside = _diagonal_layout(d)[:3]
+    upper = np.where(inside, dm[rows, cols] + dm[cols, rows].conj(), 0.0) / 2     # h_{a,a+k}
+    sums = kernel(d - 1, thetas) @ np.stack([upper.real, upper.imag], axis=2)
+    cos, sin = _axial_phases(d, phis)
+    vals = sums[:, :, 0].T @ cos + sums[:, :, 1].T @ sin
+    return PhaseSpaceGrid(kind, "spherical", grid.thetas, grid.phis, vals)
 
 
 @functools.lru_cache(maxsize=_KERNELS)
-def _husimi_diagonals(two_j: int, thetas: tuple) -> tuple:
-    """Diagonals k = -2j .. 2j of G(theta) = c c^T / pi on the ``_bits``
-    thetas.  G is symmetric bit for bit, so diagonal -k is diagonal k."""
+def _husimi_diagonals(two_j: int, thetas: tuple) -> np.ndarray:
+    """Upper diagonals of G(theta) = c c^T / pi on the ``_bits`` thetas, laid
+    out for :func:`_axial_map`."""
     c = _spin_coherent_magnitudes(two_j, _axis(thetas))
-    upper = _frozen(*((c[:, :two_j + 1 - k] * c[:, k:]) / math.pi for k in range(two_j + 1)))
-    return upper[:0:-1] + upper
+    kernel = np.zeros((two_j + 1, *c.shape))
+    for k in range(two_j + 1):
+        kernel[k, :, :two_j + 1 - k] = c[:, :two_j + 1 - k] * c[:, k:] / math.pi
+    return _frozen(kernel)[0]
 
 
 def husimi_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGrid:
@@ -425,9 +434,7 @@ def husimi_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
     integrating to 4/(2j+1) over the sphere (dOmega = sin(theta) dtheta dphi).
     The amplitudes of ``spin_coherent`` are c_i(theta) e^{-i i phi}, so Q is
     :func:`_axial_map` with G(theta) = c c^T / pi."""
-    dm, (thetas, phis) = density_matrix(rho), _typed(grid, SphericalGrid, "grid")._keys
-    vals = _axial_map(dm, _husimi_diagonals(len(dm) - 1, thetas), phis)
-    return PhaseSpaceGrid("husimi", "spherical", grid.thetas, grid.phis, vals)
+    return _axial_map("husimi", rho, grid, _husimi_diagonals)
 
 
 def spherical_multipole(rho, k: int, q: int) -> complex:
@@ -463,14 +470,16 @@ def _stratonovich_kernel(two_j: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=_KERNELS)
-def _wigner_diagonals(two_j: int, thetas: tuple) -> tuple:
-    """Diagonals k = -2j .. 2j of G(theta) = d Delta_0 d^T on the ``_bits``
-    thetas.  Both triangles are kept: they differ in rounding."""
+def _wigner_diagonals(two_j: int, thetas: tuple) -> np.ndarray:
+    """Upper diagonals of G(theta) = d Delta_0 d^T on the ``_bits`` thetas,
+    laid out for :func:`_axial_map`."""
     lam, vec, delta0 = _stratonovich_kernel(two_j)
     rot = np.real((vec * np.exp(-1j * _axis(thetas)[:, None, None] * lam)) @ vec.conj().T)
-    kernel = (rot * delta0) @ rot.transpose(0, 2, 1)
-    return _frozen(*(np.diagonal(kernel, k, axis1=1, axis2=2).copy()
-                     for k in range(-two_j, two_j + 1)))
+    full = (rot * delta0) @ rot.transpose(0, 2, 1)
+    kernel = np.zeros((two_j + 1, *full.shape[:2]))
+    for k in range(two_j + 1):
+        kernel[k, :, :two_j + 1 - k] = np.diagonal(full, k, axis1=1, axis2=2)
+    return _frozen(kernel)[0]
 
 
 def wigner_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGrid:
@@ -484,6 +493,4 @@ def wigner_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGr
     :func:`spherical_multipole`); it integrates to sqrt(4 pi/(2j+1)) over the
     sphere.  It is :func:`_axial_map` with G = d Delta_0 d^T, d = exp(-i theta J_y).
     """
-    dm, (thetas, phis) = density_matrix(rho), _typed(grid, SphericalGrid, "grid")._keys
-    vals = _axial_map(dm, _wigner_diagonals(len(dm) - 1, thetas), phis)
-    return PhaseSpaceGrid("wigner", "spherical", grid.thetas, grid.phis, vals)
+    return _axial_map("wigner", rho, grid, _wigner_diagonals)

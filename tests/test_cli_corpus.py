@@ -114,7 +114,9 @@ def _run(argv, tmp_path, monkeypatch, capsys) -> tuple[int, dict]:
 # recorded on NumPy 2.4.6 / x86-64 (AVX-512), where _platform_digest() equals
 # _PLATFORM_DIGEST, before the tomography and Fisher paths stopped converting
 # each input more than once (the row state-ghz-overflowing-noise was added
-# when a ket whose squared norm overflows began to be rescaled, not zeroed);
+# when a ket whose squared norm overflows began to be rescaled, not zeroed;
+# cli-phasespace was re-recorded when the spherical maps became one batched
+# product, and moved by <= 2.3e-16);
 # rows: {output: SHA-256}, each of a command that exits 0
 _DIGESTS = {
     "c10-backend-compare": {
@@ -159,7 +161,7 @@ _DIGESTS = {
         "out/cat_theta_0pi.csv": "ac69fc8af294209a05a684593d01164e224846af993a8646b43ca14670d33bc5",
     },
     "cli-phasespace": {
-        "<stdout>": "8c25c3043ecf0a22ff6f390bbbec50fe11577e5bf6c463d1dfce8afdbfada1d8",
+        "<stdout>": "87ab26a2b88ad04584ff2d391535d2ba611c283c76e43c423c51003839fe235d",
     },
     "cli-state": {
         "<stdout>": "c26ff9930d2c8bb98f1cf70f7c77ff1f92496f71332bafd6c4d9e199ab1089fe",

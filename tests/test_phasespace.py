@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -35,8 +36,8 @@ from qmkit import (
     write_grid,
     zeeman,
 )
-from qmkit.errors import (DimensionMismatch, InvalidParameter, InvalidQuantumNumber,
-                          UnsupportedDimension)
+from qmkit import qcore
+from qmkit.errors import InvalidParameter, InvalidQuantumNumber, UnsupportedDimension
 from qmkit.phasespace import (
     _axial_phases,
     _bits,
@@ -52,6 +53,7 @@ from qmkit.phasespace import (
     _wigner_terms,
     spherical_multipole,
 )
+from qmkit.states import _spin_coherent_magnitudes
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +639,26 @@ def test_planar_ranges_may_run_backwards_and_spherical_ones_may_not():
     SphericalGrid(theta_range=(1.0, 1.0), phi_range=(0.0, 0.0))     # a single point is allowed
 
 
-@pytest.mark.parametrize("fn", [husimi_planar, wigner_planar, husimi_spherical, wigner_spherical])
-def test_maps_reject_non_square_operators(fn):
-    with pytest.raises(DimensionMismatch):
-        fn(np.ones((2, 3)) / 2)
+def test_spherical_kernels_are_bounded_by_the_size_rule(monkeypatch):
+    # the grid passes, but ntheta x d x d kernel entries of 16 bytes do not fit in 1 MiB
+    monkeypatch.setattr(qcore, "MAX_STACK_BYTES", 2**20)
+    for fn in (husimi_spherical, wigner_spherical):
+        with pytest.raises(UnsupportedDimension, match=r"4096 x 41 x 41 needs 6885376 complex"):
+            fn(zeeman(20, 3), SphericalGrid(ntheta=4096, nphi=2))
+
+
+def test_a_spherical_kernel_past_the_size_rule_is_refused_before_it_is_built():
+    # the Wigner rotation stack alone would take 4096 x 201**2 x 16 bytes = 2.47 GiB
+    rho, grid = density_matrix(zeeman(100, 3)), SphericalGrid(ntheta=4096, nphi=2)
+    tracemalloc.start()
+    try:
+        for fn in (husimi_spherical, wigner_spherical):
+            with pytest.raises(UnsupportedDimension, match=r"4096 x 201 x 201 needs 165482496 "):
+                fn(rho, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
 
 
 def test_grid_file_roundtrip(tmp_path):
@@ -740,7 +758,9 @@ def _platform_digest() -> str:
 
 # recorded, with the maps' axes and values, on NumPy 2.4.6 / x86-64 (AVX-512)
 # before the grid kernels were cached; the two wigner_planar digests again when
-# that map moved to the two-parity Laguerre basis (it moved by <= 2.8e-16)
+# that map moved to the two-parity Laguerre basis (it moved by <= 2.8e-16), and
+# the six non-Zeeman spherical digests again when both spherical maps became one
+# batched product over the Hermitian half of rho (they moved by <= 2.3e-15)
 _PLATFORM_DIGEST = "9f77b20025423ab47be60b0ac130b5130c583c67c2bbb5ef53916d5076fbd044"
 _DIGEST_STATES = {
     "coherent": lambda: coherent(30, 1 + 0.5j),
@@ -760,21 +780,21 @@ _MAP_DIGESTS = {
     "wigner_planar:squeezed":
         "eed1ce10df558ca4a66a7c5dfe3861039964c7dcdc9904cf1699d9560e9ba133",
     "husimi_spherical:spin_coherent10":
-        "f7e25be80e5efb00e0286bf8506fdaef05fcabd5ced2989b6360124528f3af73",
+        "6ff7dc50cd55f16bb1e774820207d1958a2f1c3c80703278c5314c8e8c4212ae",
     "wigner_spherical:spin_coherent10":
-        "0c4f2b32718cad02152052c4a52091333ecf5f99aa74a83070e1f8bde32b85b0",
+        "2d90af8c3d754206cdcedb47fb406d05f5e55e79ba0756e91c500667f8377155",
     "husimi_spherical:cat10":
-        "820c3cdb5a8e9fa95b8c54a37b13b3c0a4bc53be989ee67e560e0dca9dfe1061",
+        "a3132ee4b9a444ca95f40260d9077852001104ada6b26a77d545d26127adae07",
     "wigner_spherical:cat10":
-        "a1cfb97fe2c86ba345b801f1cf32034afa894c43337d88ece3fceab533ba304a",
+        "f6c270cc6e0d926a1fb071974356b71898c3728d37bbf4e4116992bfea4363d0",
     "husimi_spherical:zeeman10":
         "aa2c44c36da862b0700574a5fd45e01dbb44fc1ee0c0b4382d544de3a15fb1b8",
     "wigner_spherical:zeeman10":
         "ba70622c3296c9333599404c61be7d0cc99ef64a8d11d66d3e8b89b7c577fc08",
     "husimi_spherical:cat20":
-        "3501d8045e5c7c5a8c7d17561bfb017bb117fdeb15e2feacb39ac3eea595eeda",
+        "3bf50f3da12e80485603040255af7e8368cd4552e23cffacbe8c7ccecc072f19",
     "wigner_spherical:cat20":
-        "ce25373a75df6b942825107c6cd00b0f1a6336b6ae6705a742ae51af8caf75b5",
+        "56024f17c31efe8a2b29d858b98d191a7b838f4ce0c39120f185858477fed9e0",
 }
 
 
@@ -820,9 +840,9 @@ def test_cached_kernels_are_read_only():
     xs, ys, thetas = _bits(pgrid.xs), _bits(pgrid.ys), _bits(sgrid.thetas)
     cached = [*_radial(xs, ys), *_husimi_terms(6, xs, ys),
               _laguerre_basis(6), *_wigner_terms(6, xs, ys), *_diagonal_layout(6),
-              *_husimi_diagonals(4, thetas), *_wigner_diagonals(4, thetas),
-              _axial_phases(5, _bits(sgrid.phis))]
-    assert len(cached) == 3 + 2 + 1 + 2 + 6 + 9 + 9 + 1
+              _husimi_diagonals(4, thetas), _wigner_diagonals(4, thetas),
+              *_axial_phases(5, _bits(sgrid.phis))]
+    assert len(cached) == 3 + 2 + 1 + 2 + 6 + 1 + 1 + 2
     for arr in cached:
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -954,10 +974,14 @@ def _reference_wigner_planar(dm, grid):
 def _reference_axial_map(kernel):
     def evaluate(dm, grid):
         thetas = _linspace_bits(grid.theta_range, grid.ntheta)
-        phis = _linspace_bits(grid.phi_range, grid.nphi)
-        diagonals, offsets = kernel(len(dm) - 1, thetas), range(1 - len(dm), len(dm))
-        sums = np.stack([g @ np.diagonal(dm, k) for g, k in zip(diagonals, offsets)], axis=1)
-        return np.real(sums @ _axial_phases(len(dm), phis))
+        phis, d = np.linspace(*grid.phi_range, grid.nphi), len(dm)
+        k, m = np.ogrid[:d, :d]
+        cols = np.minimum(m + k, d - 1)
+        upper = np.where(m + k < d, dm[m, cols] + dm[cols, m].conj(), 0.0) / 2
+        sums = kernel(d - 1, thetas) @ np.stack([upper.real, upper.imag], axis=2)
+        angles, weights = np.outer(np.arange(d), phis), np.where(k > 0, 2.0, 1.0)
+        return (sums[:, :, 0].T @ (weights * np.cos(angles))
+                + sums[:, :, 1].T @ (weights * np.sin(angles)))
     return evaluate
 
 
@@ -985,6 +1009,53 @@ def test_maps_equal_their_uncached_formulas_bitwise(fn):
             for grid in grids:
                 want = reference(density_matrix(state), grid)
                 assert np.array_equal(fn(state, grid).values, want), (d, grid)
+
+
+# ---------------------------------------------------------------------------
+# the spherical maps against the per-diagonal loop they replaced: each diagonal
+# k = 1-d .. d-1 of rho o G(theta), both triangles, placed by e^{-ik phi}
+# ---------------------------------------------------------------------------
+
+def _husimi_kernel(two_j, thetas):
+    c = _spin_coherent_magnitudes(two_j, thetas)
+    return c[:, :, None] * c[:, None, :] / math.pi
+
+
+def _wigner_kernel(two_j, thetas):
+    lam, vec, delta0 = _stratonovich_kernel(two_j)
+    rot = np.real((vec * np.exp(-1j * thetas[:, None, None] * lam)) @ vec.conj().T)
+    return (rot * delta0) @ rot.transpose(0, 2, 1)
+
+
+def _per_diagonal_map(dm, grid, kernel):
+    g, offsets = kernel(len(dm) - 1, grid.thetas), np.arange(1 - len(dm), len(dm))
+    sums = np.stack([np.diagonal(g, k, axis1=1, axis2=2) @ np.diagonal(dm, k) for k in offsets],
+                    axis=1)
+    return np.real(sums @ np.exp(-1j * np.outer(offsets, grid.phis)))
+
+
+def _hermitian_to_1e10(rng, d):
+    """A full-rank state with 9e-11 i added above the diagonal, which the
+    state rule accepts: Hermitian to 1e-10 only."""
+    rho = density_matrix(random_density(rng, d)) + 9e-11j * np.triu(np.ones((d, d)), 1)
+    assert np.abs(rho - rho.conj().T).max() > 8e-11
+    return rho
+
+
+@pytest.mark.parametrize("fn, kernel", [(husimi_spherical, _husimi_kernel),
+                                        (wigner_spherical, _wigner_kernel)],
+                         ids=["husimi_spherical", "wigner_spherical"])
+def test_spherical_maps_match_the_per_diagonal_loop(fn, kernel):
+    rng = np.random.default_rng(2039)
+    for d in range(1, 42):
+        states = ((random_ket(rng, d), random_density(rng, d)) if d > 1
+                  else (basis(1, 0), np.exp(0.7j) * np.ones(1)))
+        if d == 12:
+            states += (_hermitian_to_1e10(rng, d),)
+        for state in states:
+            for grid in _SPHERICAL[1]:
+                want = _per_diagonal_map(density_matrix(state), grid, kernel)
+                assert np.abs(fn(state, grid).values - want).max() <= 1e-14, (d, grid)
 
 
 # ---------------------------------------------------------------------------
