@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .measurement import _set, probabilities
-from .qcore import (Kind, QuantumObject, _count, _draws, _evolution, _real, _reals,
+from .measurement import COMPLETENESS_TOL, _set, probabilities
+from .qcore import (Kind, QuantumObject, _count, _draws, _evolution, _fits, _real, _reals,
                     _require_state, _spectrum, _square, _typed, _unit, density_matrix, normalize)
 from .states import spin_coherent
 
@@ -47,9 +47,11 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
     differences of step ``dphi``, which phi +- dphi must not round away;
     outcomes with p_k < 1e-12 are dropped.  ``mset`` is read by ``_set``.
 
-    A MeasurementSet with several groups (e.g. MUB) is scored as the
-    uniform mixture of its groups, one picked at random per shot: the mean
-    of the per-group values, each of which is at most the quantum one.
+    A set is scored as the mean of F over its measurements, each at most the
+    quantum value: its declared groups (e.g. the bases of a MUB set, one
+    picked at random per shot), elements outside them not counted, or else
+    the whole set, refused with InvalidParameter unless its probabilities at
+    phi sum to 1 within ``COMPLETENESS_TOL``.
     """
     rho_of_phi, mset = _typed(rho_of_phi, Callable, "rho_of_phi"), _set(mset)
     phi = _real(phi, "phi")
@@ -57,13 +59,14 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
     if phi + dphi == phi or phi - dphi == phi:
         raise InvalidParameter(f"finite-difference step {dphi!r} rounds away at phi = {phi!r}")
     p0 = probabilities(rho_of_phi(phi), mset)
+    if not mset.groups and abs(p0.sum() - 1.0) > COMPLETENESS_TOL:
+        raise InvalidParameter(f"a set without groups is scored as one measurement, but its "
+                               f"probabilities sum to {p0.sum():.6g}")
     p_plus = probabilities(rho_of_phi(phi + dphi), mset)
     p_minus = probabilities(rho_of_phi(phi - dphi), mset)
     dp = (p_plus - p_minus) / (2 * dphi)
     terms = np.divide(dp**2, p0, out=np.zeros_like(p0), where=p0 > 1e-12)
-    if len(mset.groups) > 1:
-        return float(np.mean(mset.group_sums(terms)))
-    return float(np.sum(terms))
+    return float(np.mean(mset.group_sums(terms) if mset.groups else np.sum(terms)))
 
 
 def quantum_fisher(rho, generator) -> float:
@@ -160,8 +163,10 @@ class MetrologyScenario:
         _square(a, "observable", probe.dim, hermitian=True)
         _count(probe.dim, "scenario dimension", least=2)
         _require_state(probe)
-        for name, value in (("probe", probe), ("generator", h), ("observable", a),
-                            ("phis", _phase_grid(self.phis))):
+        phis = _phase_grid(self.phis)
+        # run_scenario holds the phases of each level at each point
+        _fits(phis.size * probe.dim, 1, f"a phase grid of {phis.size} points")
+        for name, value in (("probe", probe), ("generator", h), ("observable", a), ("phis", phis)):
             object.__setattr__(self, name, value)
 
 

@@ -45,17 +45,21 @@ def spin(s, axis: str | None = None):
     without it returns the (Sx, Sy, Sz) triple.
     """
     two_s = _twice_spin(s, 2)
+    if axis is None:
+        return tuple(spin(s, a) for a in "xyz")
+    if not (isinstance(axis, str) and axis in _AXES):
+        raise InvalidParameter(f"axis must be one of {_AXES}, got {axis!r}")
     s = two_s / 2                      # the half-integer that _twice accepted
     ms = s - np.arange(two_s + 1)
-    sz = np.diag(ms).astype(complex)
+    if axis == "z":
+        return QuantumObject(np.diag(ms).astype(complex))
     sp = np.diag(np.sqrt(s * (s + 1) - ms[1:] * (ms[1:] + 1)), 1).astype(complex)
+    if axis == "+":
+        return QuantumObject(sp)
     sm = sp.conj().T
-    ops = {"x": (sp + sm) / 2, "y": (sp - sm) / 2j, "z": sz, "+": sp, "-": sm}
-    if axis is None:
-        return tuple(QuantumObject(ops[a]) for a in "xyz")
-    if isinstance(axis, str) and axis in ops:
-        return QuantumObject(ops[axis])
-    raise InvalidParameter(f"axis must be one of {_AXES}, got {axis!r}")
+    if axis == "-":
+        return QuantumObject(sm)
+    return QuantumObject((sp + sm) / 2 if axis == "x" else (sp - sm) / 2j)
 
 
 def pauli(axis: str) -> QuantumObject:

@@ -255,6 +255,7 @@ def _husimi_terms(d: int, xs: tuple, ys: tuple) -> tuple:
     """terms[m] = e^{-x/2} x^m / m! for m < d on the radii x of ``_radial``,
     and pi times their sum (the truncation norm) at each grid point."""
     _, radii, inverse = _radial(xs, ys)
+    _fits(d * radii.size, 1, f"a planar kernel of {d} x {radii.size} radii")   # as the map's sums
     terms = np.empty((d, radii.size))
     terms[0] = np.exp(-radii / 2)
     for m in range(1, d):
@@ -329,6 +330,7 @@ def _laguerre_basis(d: int) -> np.ndarray:
     psi_n^k(x) = sqrt(n!/(n+k)!) x^(k/2) e^(-x/2) L_n^(k)(x).  Each row is a
     unit vector, built exactly by psi_n^(a+2) = (sqrt(n+a+1) psi_n^a
     - sqrt(n+1) psi_(n+1)^a + sqrt(n) psi_(n-1)^(a+2)) / sqrt(n+a+2)."""
+    _fits(d, 3, f"a Laguerre basis of {d} x {d} x {d}")     # the map's product reads it as complex
     g = np.zeros((d, d, d))
     g[0] = np.eye(d)
     g[1:2, :d - 1] = np.eye(d - 1, d)
@@ -347,6 +349,7 @@ def _wigner_terms(d: int, xs: tuple, ys: tuple) -> tuple:
     times the radii of ``_radial``, by the three-term recurrence in i, and the
     unit phase e^{i arg alpha} at each grid point (1 at alpha = 0)."""
     alphas, radii, _ = _radial(xs, ys)
+    _fits(d * radii.size, 1, f"a planar kernel of {d} x {radii.size} radii")   # two reals each
     radii = 4 * radii
     table = np.empty((2, d, radii.size))
     table[0, 0] = np.exp(-radii / 2)

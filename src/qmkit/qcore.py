@@ -424,7 +424,9 @@ def tensor(*factors: ArrayLike) -> QuantumObject:
         raise InvalidObject("tensor expects at least two factors")
     acc = QuantumObject(factors[0]).data
     for f in factors[1:]:
-        acc = np.kron(acc, QuantumObject(f).data)
+        f = QuantumObject(f).data
+        _fits(acc.size * f.size, 1, f"a {acc.shape} x {f.shape} tensor product")
+        acc = np.kron(acc, f)
     return QuantumObject(acc)
 
 

@@ -70,6 +70,7 @@ _MALFORMED_GRIDS = ("# kind=husimi coords=planar n2=1\n0,0,1\n",
                     "# kind=husimi coords=planar n1=1 n2=1\n0,0\n",
                     "# kind=husimi coords=planar n1=0 n2=1\n")
 _PAIR = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+_Z_BASIS = MeasurementSet("custom", _PAIR, groups=[[0, 1]])
 
 
 def _ints(v):
@@ -188,6 +189,8 @@ _SCENARIO = dict(probe=_KET, generator=pauli("z"), phis=[0, 1, 2], observable=pa
 _SPIN_SQUARED = _own("spin", _bad(UnsupportedDimension, 2**96, 1e29, match=_GIB))
 # a set whose Gram matrix overflows the float range, though its entries are finite
 _HUGE_SET = _own("set", _bad(InvalidObject, 1e200 * _P1.stack, match="Gram matrix"))
+# 407 levels, whose 407**3-entry Laguerre basis the Wigner map reads as complex: past 1 GiB
+_LAGUERRE_STATE = _own("state", _bad(UnsupportedDimension, basis(407, 0), match=_GIB))
 # an end past 1e150, where |alpha|^2 would overflow
 _PLANAR_RANGE = _own("range", _bad(InvalidParameter, (1e151, 3.0), (0.0, -1e151)))
 
@@ -269,7 +272,10 @@ CALLS = {
     "encode_phase": (encode_phase, dict(state=_KET, generator=pauli("x"), phi=0.9),
                      dict(state="state", generator="generator", phi="real")),
     # the state that rho_of_phi returns is read by the state rule
-    "classical_fisher": (classical_fisher, dict(rho_of_phi=_encode, mset=_P1, phi=0.4, dphi=1e-3),
+    # a set that declares no groups is scored as one measurement: _P1's ungrouped
+    # copy, six projectors summing to 3 I, is not one
+    "classical_fisher": (classical_fisher, dict(rho_of_phi=_encode, mset=_Z_BASIS, phi=0.4,
+                                                dphi=1e-3),
                          dict(rho_of_phi=_own(
                              "callable", _bad(InvalidParameter, None),
                              _bad(InvalidObject, lambda p: identity(2)),
@@ -277,7 +283,9 @@ CALLS = {
                              _bad(DimensionMismatch, lambda p: _WIDE),
                              _bad(NotHermitian, lambda p: [[0.5, 1.0], [0.0, 0.5]]),
                              same=[[lambda p: [1e200, 1e200], lambda p: [1.0, 1.0]]]),
-                              mset="set", phi="real",
+                              mset=_own("set", _bad(InvalidParameter, build_stoke_set(1),
+                                                    _P1.stack, match="one measurement")),
+                              phi="real",
                               dphi=_own("real", _bad(InvalidParameter, 0, -1e-3, 1e-17, 1e-300)))),
     # 4 Var(H) = 4e400 overflows
     "quantum_fisher": (quantum_fisher, dict(rho=_KET, generator=pauli("x")), dict(
@@ -321,8 +329,9 @@ CALLS = {
     "clebsch_gordan": (clebsch_gordan, dict(j1=1, m1=0, j2=1, m2=0, J=2, M=0), dict(
         j1=_SPIN_SQUARED, m1="spin label", j2=_SPIN_SQUARED, m2="spin label", J=_SPIN_SQUARED,
         M="spin label")),
-    **{f.__name__: (f, dict(rho=_KET, grid=_PLANE), dict(rho="state", grid=_own(
-        "grid", _bad(InvalidParameter, _SPHERE)))) for f in (husimi_planar, wigner_planar)},
+    **{f.__name__: (f, dict(rho=_KET, grid=_PLANE), dict(rho=rho, grid=_own(
+        "grid", _bad(InvalidParameter, _SPHERE)))) for f, rho in (
+            (husimi_planar, "state"), (wigner_planar, _LAGUERRE_STATE))},
     **{f.__name__: (f, dict(rho=_KET, grid=_SPHERE), dict(rho="state", grid=_own(
         "grid", _bad(InvalidParameter, _PLANE)))) for f in (husimi_spherical, wigner_spherical)},
     "grid_lines": (grid_lines, dict(grid=husimi_planar(_KET, _PLANE)),

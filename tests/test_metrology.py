@@ -13,6 +13,8 @@ from qmkit import (
     basis,
     build_mub_set,
     build_pauli_set,
+    build_sic_set,
+    build_stoke_set,
     cat_state,
     classical_fisher,
     cramer_rao_bounds,
@@ -22,6 +24,7 @@ from qmkit import (
     identity,
     normalize,
     pauli,
+    probabilities,
     quantum_fisher,
     run_scenario,
     spin,
@@ -30,7 +33,9 @@ from qmkit import (
     to_operator,
     zeeman,
 )
-from qmkit.errors import DimensionMismatch, InvalidObject, InvalidParameter, NotHermitian
+from qmkit import qcore
+from qmkit.errors import (DimensionMismatch, InvalidObject, InvalidParameter, NotHermitian,
+                          UnsupportedDimension)
 from qmkit.cli import main as cli_main
 
 
@@ -180,6 +185,52 @@ def test_grouped_cfi_is_mean_of_group_cfis(rng):
         f = classical_fisher(rho_of, mub2, phi, dphi=1e-4)
         assert f == pytest.approx(np.mean(per_group), abs=1e-12)
         assert max(per_group) <= q + 1e-6 + 1e-4
+
+
+def test_a_set_is_scored_by_its_declared_groups_alone(rng):
+    # the Z basis declared as the one group, D, A, L and R left outside it: those
+    # four would see a z rotation, and counting them once scored 2x the QFI
+    pauli1, h = build_pauli_set(1), spin(0.5, "z")
+    one = MeasurementSet("custom", pauli1.stack, groups=[(0, 1)])
+    alone = MeasurementSet("custom", pauli1.stack[:2], groups=[(0, 1)])
+    probes = [(spin_coherent(0.5, 1.0, 0.3), 0.4)]
+    probes += [(random_ket(rng, 2), float(rng.uniform(0.0, 3.0))) for _ in range(30)]
+    for psi, phi in probes:
+        def rho_of(p):
+            return encode_phase(psi, h, p)
+        f = classical_fisher(rho_of, one, phi)
+        assert f == classical_fisher(rho_of, alone, phi)
+        assert f <= quantum_fisher(rho_of(phi), h) + 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_set_without_groups_must_be_one_measurement(n):
+    # Stoke elements sum to more than the identity: scored as one measurement
+    # they gave 1.7x (n = 1) and 2.7x (n = 2) the QFI
+    j = (2**n - 1) / 2
+    psi, h = spin_coherent(j, 1.0, 0.3), spin(j, "z")
+    with pytest.raises(InvalidParameter, match="one measurement, but its probabilities sum"):
+        classical_fisher(lambda p: encode_phase(psi, h, p), build_stoke_set(n), 0.4)
+
+
+def test_a_single_group_set_keeps_the_elementwise_sum(rng):
+    # a SIC set's one group is added in element order, where the sum over every
+    # element it used to be scored by was added in pairs: the values move by rounding
+    def elementwise(rho_of, mset, phi, dphi=1e-3):
+        p0, p_plus, p_minus = (probabilities(rho_of(p), mset) for p in (phi, phi + dphi,
+                                                                         phi - dphi))
+        dp = (p_plus - p_minus) / (2 * dphi)
+        return float(np.sum(np.divide(dp**2, p0, out=np.zeros_like(p0), where=p0 > 1e-12)))
+
+    for d in range(2, 9):
+        sic, h = build_sic_set(d), spin((d - 1) / 2, "z")
+        for _ in range(20):
+            psi, phi = random_ket(rng, d), float(rng.uniform(0.0, 3.0))
+
+            def rho_of(p):
+                return encode_phase(psi, h, p)
+            want = elementwise(rho_of, sic, phi)
+            assert classical_fisher(rho_of, sic, phi) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_qfi_pure_equals_four_variance(rng):
@@ -434,6 +485,14 @@ def test_scenario_validation():
     with pytest.raises(InvalidParameter, match="scenario dimension must be an integer >= 2"):
         MetrologyScenario(probe=cat_state(0, 0.3), generator=spin(0, "z"),
                           phis=np.array([0.0, 0.1]), observable=spin(0, "y"))
+
+
+def test_a_scenario_phase_table_is_bounded_by_the_size_rule(monkeypatch):
+    # run_scenario would hold 10**5 phases of 21 levels: 33.6 MB, past a 1 MiB limit
+    monkeypatch.setattr(qcore, "MAX_STACK_BYTES", 2**20)
+    with pytest.raises(UnsupportedDimension, match="a phase grid of 100000 points needs 2100000 "):
+        MetrologyScenario(probe=spin_coherent(10, 1.0, 0.0), generator=spin(10, "z"),
+                          phis=np.linspace(0.0, 1.0, 10**5), observable=spin(10, "y"))
 
 
 def test_curve_csv_lines_mark_undefined_empty(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,40 @@ def test_spin_casimir():
 
 def test_spin_ladder_adjoint():
     np.testing.assert_array_equal(spin(3, "+").data, spin(3, "-").data.conj().T)
+
+
+def _all_spin_operators(two_s: int) -> dict:
+    """Every spin operator built the way ``spin`` once built them all on each call."""
+    s = two_s / 2
+    ms = s - np.arange(two_s + 1)
+    sp = np.diag(np.sqrt(s * (s + 1) - ms[1:] * (ms[1:] + 1)), 1).astype(complex)
+    sm = sp.conj().T
+    return {"x": (sp + sm) / 2, "y": (sp - sm) / 2j, "z": np.diag(ms).astype(complex),
+            "+": sp, "-": sm}
+
+
+def test_spin_builds_each_axis_as_the_full_set_did():
+    for two_s in range(61):
+        ops = _all_spin_operators(two_s)
+        for axis, want in ops.items():
+            got = spin(two_s / 2, axis).data
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape, (two_s, axis)
+        assert [m.data.tobytes() for m in spin(two_s / 2)] == [ops[a].tobytes() for a in "xyz"]
+
+
+def test_spin_builds_only_the_operator_it_returns():
+    # the full set of five (2j+1)^2 matrices peaked at 6x the result
+    for axis in "xyz+-":
+        spin(200, axis)
+        tracemalloc.start()
+        try:
+            out = spin(200, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * out.data.nbytes, axis
+    with pytest.raises(InvalidQuantumNumber):        # the label is read before the axis
+        spin(0.3, "q")
 
 
 def test_spin_rejects_bad_inputs():

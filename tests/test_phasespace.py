@@ -647,6 +647,20 @@ def test_spherical_kernels_are_bounded_by_the_size_rule(monkeypatch):
             fn(zeeman(20, 3), SphericalGrid(ntheta=4096, nphi=2))
 
 
+def test_planar_kernels_are_bounded_by_the_size_rule(monkeypatch):
+    # the 250 x 250 grid passes, but 60 levels on its 12,335 radii, or a 60 x 60 x 60
+    # Laguerre basis, do not fit in 1 MiB; a kernel already kept would skip the check
+    monkeypatch.setattr(qcore, "MAX_STACK_BYTES", 2**20)
+    for kernel in (_husimi_terms, _wigner_terms, _laguerre_basis):
+        kernel.cache_clear()
+    rho = coherent(60, 1 + 0.5j)
+    for fn in (husimi_planar, wigner_planar):
+        with pytest.raises(UnsupportedDimension, match="kernel of 60 x 12335 radii needs 740100 "):
+            fn(rho, PlanarGrid(nx=250, ny=250))
+    with pytest.raises(UnsupportedDimension, match=r"basis of 60 x 60 x 60 needs 60\*\*3 complex"):
+        wigner_planar(rho, PlanarGrid(nx=2, ny=2))
+
+
 def test_a_spherical_kernel_past_the_size_rule_is_refused_before_it_is_built():
     # the Wigner rotation stack alone would take 4096 x 201**2 x 16 bytes = 2.47 GiB
     rho, grid = density_matrix(zeeman(100, 3)), SphericalGrid(ntheta=4096, nphi=2)
