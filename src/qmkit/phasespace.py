@@ -11,14 +11,17 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidParameter, InvalidQuantumNumber
+from . import qcore
 from .operators import _twice, _twice_spin, spin
-from .qcore import _count, _fits, _real, _reals, _typed, _write_lines, density_matrix
+from .qcore import (Kind, QuantumObject, _count, _fits, _kind, _real, _reals, _typed, _unit,
+                    _write_lines, density_matrix)
 from .states import _spin_coherent_magnitudes
 
 
@@ -241,6 +244,24 @@ def _frozen(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
+def _kernel_cache(build):
+    """``functools.lru_cache(maxsize=_KERNELS)`` of ``build`` whose entries hold at
+    most MAX_STACK_BYTES in all: it is emptied before it keeps an entry that would
+    take the bytes built since it was last empty past that bound."""
+    lock = threading.Lock()                         # every miss reads and writes held
+
+    def counted(*key):
+        out = build(*key)
+        size = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+        with lock:
+            if cached.cache_info().currsize and cached.held + size > qcore.MAX_STACK_BYTES:
+                cached.cache_clear()                # with its hit and miss counts
+            cached.held = size + (cached.held if cached.cache_info().currsize else 0)
+        return out
+    cached = functools.lru_cache(maxsize=_KERNELS)(functools.wraps(build)(counted))
+    return cached
+
+
 @functools.lru_cache(maxsize=_KERNELS)
 def _radial(xs: tuple, ys: tuple) -> tuple:
     """alpha at each point of the grid with axes ``_bits`` xs, ys (row-major),
@@ -250,10 +271,12 @@ def _radial(xs: tuple, ys: tuple) -> tuple:
     return _frozen(alphas, radii, inverse)
 
 
-@functools.lru_cache(maxsize=_KERNELS)
+@_kernel_cache
 def _husimi_terms(d: int, xs: tuple, ys: tuple) -> tuple:
     """terms[m] = e^{-x/2} x^m / m! for m < d on the radii x of ``_radial``,
-    and pi times their sum (the truncation norm) at each grid point."""
+    pi times their sum (the truncation norm) at each grid point, and there
+    1 / sqrt(N(x)), N(x) = sum_{m<d} x^m / m!, summed over binary exponents
+    (log space in base 2), since e^{-x/2} is subnormal near the reach."""
     _, radii, inverse = _radial(xs, ys)
     _fits(d * radii.size, 1, f"a planar kernel of {d} x {radii.size} radii")   # as the map's sums
     terms = np.empty((d, radii.size))
@@ -262,7 +285,13 @@ def _husimi_terms(d: int, xs: tuple, ys: tuple) -> tuple:
         terms[m] = terms[m - 1] * radii / m
     if not (norm := terms.sum(axis=0)).all():       # e^{-x/2} is 0 past x of about 1,490
         raise InvalidParameter(f"Husimi norm underflows at |alpha|^2 = {radii[norm.argmin()]:g}")
-    return _frozen(terms, math.pi * norm[inverse])
+    mant, exps = np.ones((d, radii.size)), np.zeros((d, radii.size), dtype=int)
+    for m in range(1, d):               # x^m / m! = mant[m] 2^exps[m], exactly split
+        mant[m], step = np.frexp(mant[m - 1] * radii / m)
+        exps[m] = exps[m - 1] + step
+    half, odd = np.divmod(top := exps.max(axis=0), 2)
+    scale = np.ldexp(1 / np.sqrt(np.ldexp(np.ldexp(mant, exps - top).sum(axis=0), odd)), -half)
+    return _frozen(terms, math.pi * norm[inverse], scale[inverse])
 
 
 @functools.lru_cache(maxsize=_KERNELS)
@@ -307,23 +336,35 @@ def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
 
     Coherent states are truncated at the state's own dimension and
     renormalized, so the caller controls accuracy through the cutoff of
-    ``rho``: with x = |alpha|^2, Q = Re sum_k w_k alpha^k D_k(x) / (pi sum_{n<d}
-    x^n / n!), D_k(x) = sum_m rho_{m,m+k} x^m / sqrt(m! (m+k)!), w_0 = 1 and
-    w_{k>0} = 2.  Each D_k is taken once per radius; Horner's rule nests them.
+    ``rho``: with x = |alpha|^2 and N(x) = sum_{n<d} x^n / n!, a ket psi gives
+    Q = |sum_n conj(psi_n) alpha^n / sqrt(n!)|^2 / (pi N(x)) by Horner's rule
+    with scalar coefficients.  A density matrix gives Q = Re sum_k w_k alpha^k
+    D_k(x) / (pi N(x)), D_k(x) = sum_m rho_{m,m+k} x^m / sqrt(m! (m+k)!),
+    w_0 = 1 and w_{k>0} = 2, each D_k once per radius, nested by Horner's rule.
     """
-    dm = density_matrix(rho)
-    d = len(dm)
+    state = rho if isinstance(rho, QuantumObject) else QuantumObject(rho)
+    if pure := _kind(state) is not Kind.OPER:       # the entries of <psi|, conj(psi_n)
+        bra = _unit(state).ravel() if state.kind is Kind.BRA else _unit(state).conj().ravel()
+    d = len(bra) if pure else len(dm := density_matrix(state))
     xs, ys = _typed(grid, PlanarGrid, "grid")._keys
     alphas, _, inverse = _radial(xs, ys)
-    terms, norm = _husimi_terms(d, xs, ys)
-    c, ratios, _ = _weighted_diagonals(dm)
-    coeffs = c * ratios                             # w_k rho_{m,m+k} sqrt(m! k! / (m+k)!)
-    sums = _complex_product(coeffs, terms)          # w_k sqrt(k!) D_k e^{-x/2}
-    q = np.real(_horner(sums, inverse, lambda k: alphas * (1.0 / math.sqrt(k + 1)))) / norm
+    terms, norm, scale = _husimi_terms(d, xs, ys)
+    if pure:
+        acc = np.full(alphas.shape, bra[-1])
+        for n in range(d - 2, -1, -1):
+            acc *= alphas
+            acc *= 1.0 / math.sqrt(n + 1)
+            acc += bra[n]
+        acc *= scale
+        q = np.abs(acc) ** 2 / math.pi
+    else:
+        c, ratios, _ = _weighted_diagonals(dm)
+        sums = _complex_product(c * ratios, terms)  # w_k sqrt(k!) D_k e^{-x/2}
+        q = np.real(_horner(sums, inverse, lambda k: alphas * (1.0 / math.sqrt(k + 1)))) / norm
     return PhaseSpaceGrid("husimi", "planar", grid.ys, grid.xs, q.reshape(grid.ny, grid.nx))
 
 
-@functools.lru_cache(maxsize=_KERNELS)
+@_kernel_cache
 def _laguerre_basis(d: int) -> np.ndarray:
     """G of shape (d, d, d) with psi_n^k = sum_i G[k, n, i] psi_i^(k mod 2)
     for n + k < d (other rows zero), for the orthonormal Laguerre functions
@@ -343,7 +384,7 @@ def _laguerre_basis(d: int) -> np.ndarray:
     return _frozen(g)[0]
 
 
-@functools.lru_cache(maxsize=_KERNELS)
+@_kernel_cache
 def _wigner_terms(d: int, xs: tuple, ys: tuple) -> tuple:
     """table[p, i] = psi_i^p for p = 0, 1 and i < d on x = |2 alpha|^2, four
     times the radii of ``_radial``, by the three-term recurrence in i, and the
@@ -421,7 +462,7 @@ def _axial_map(kind: str, rho, grid, kernel) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(kind, "spherical", grid.thetas, grid.phis, vals)
 
 
-@functools.lru_cache(maxsize=_KERNELS)
+@_kernel_cache
 def _husimi_diagonals(two_j: int, thetas: tuple) -> np.ndarray:
     """Upper diagonals of G(theta) = c c^T / pi on the ``_bits`` thetas, laid
     out for :func:`_axial_map`."""
@@ -472,7 +513,7 @@ def _stratonovich_kernel(two_j: int) -> tuple:
     return _frozen(lam, vec, delta0)
 
 
-@functools.lru_cache(maxsize=_KERNELS)
+@_kernel_cache
 def _wigner_diagonals(two_j: int, thetas: tuple) -> np.ndarray:
     """Upper diagonals of G(theta) = d Delta_0 d^T on the ``_bits`` thetas,
     laid out for :func:`_axial_map`."""

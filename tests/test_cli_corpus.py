@@ -116,7 +116,8 @@ def _run(argv, tmp_path, monkeypatch, capsys) -> tuple[int, dict]:
 # each input more than once (the row state-ghz-overflowing-noise was added
 # when a ket whose squared norm overflows began to be rescaled, not zeroed;
 # cli-phasespace was re-recorded when the spherical maps became one batched
-# product, and moved by <= 2.3e-16);
+# product, and moved by <= 2.3e-16; phasespace-husimi-planar when a ket's
+# planar Husimi map took its own Horner pass, and moved by <= 1.7e-16);
 # rows: {output: SHA-256}, each of a command that exits 0
 _DIGESTS = {
     "c10-backend-compare": {
@@ -182,7 +183,7 @@ _DIGESTS = {
         "out": "4ebe69bf01ae4db569a24513c5aeff58acab69e1f408d88032062f4179225fba",
     },
     "phasespace-husimi-planar": {
-        "out": "de76eda85510b8222d2c223e79b12f9084286916da27cc6dc3ebf970857d66a6",
+        "out": "c11234c3099714d1aeaefc59c7db08459e907b0f9af9cf1e1850ff14eab3ab5b",
     },
     "phasespace-wigner-planar-json": {
         "<stdout>": "9e3b8c1641c68a80962a3393542f29fe43b7553c47ba8eab578e0da61bd75ea1",

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import decimal
 import hashlib
 import itertools
 import math
@@ -37,7 +38,7 @@ from qmkit import (
     zeeman,
 )
 from qmkit import qcore
-from qmkit.errors import InvalidParameter, InvalidQuantumNumber, UnsupportedDimension
+from qmkit.errors import InvalidParameter, InvalidQuantumNumber, UnsupportedDimension, ZeroNorm
 from qmkit.phasespace import (
     _axial_phases,
     _bits,
@@ -261,6 +262,80 @@ def test_husimi_planar_matches_coherent_state_loop(d, grid):
             ket = coherent(d, complex(x, y)).data[:, 0]
             ref[iy, ix] = np.real(np.vdot(ket, rho @ ket)) / math.pi
     assert np.max(np.abs(husimi_planar(rho, grid).values - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("grid", [
+    PlanarGrid(),
+    PlanarGrid(x_range=(-2.0, 3.5), y_range=(-4.0, 1.0), nx=23, ny=17),
+])
+def test_husimi_planar_of_a_ket_equals_the_map_of_its_projector(grid):
+    # a ket or bra takes one Horner pass with scalar coefficients, its projector the
+    # diagonal sums; an unnormalised input is read as its unit vector by both
+    rng = np.random.default_rng(41)
+    for d in range(1, 41):
+        psi = (2.0 - 1.0j) * random_ket(rng, d).data.ravel()
+        for state in ([psi] if d == 1 else [psi, psi[:, None], psi[None, :]]):  # 1-d, ket, bra
+            got = husimi_planar(state, grid).values
+            want = husimi_planar(to_operator(state), grid).values
+            assert np.abs(got - want).max() <= 1e-15, (d, np.shape(state))
+
+
+_PI_50 = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582")
+
+
+def _exact_husimi(psi, alpha):
+    """|<alpha_d|psi>|^2 / pi at 50 digits from the float entries of psi and
+    alpha: |sum_n conj(psi_n) alpha^n / sqrt(n!)|^2 / (pi |psi|^2 N(|alpha|^2))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        dec = decimal.Decimal
+        x, y = dec(alpha.real), dec(alpha.imag)
+        f_re = f_im = total = size = dec(0)
+        power_re, power_im, factorial = dec(1), dec(0), 1          # alpha^n and n!
+        for n, c in enumerate(psi):
+            c_re, c_im, root = dec(c.real), -dec(c.imag), dec(factorial).sqrt()
+            f_re += (c_re * power_re - c_im * power_im) / root
+            f_im += (c_re * power_im + c_im * power_re) / root
+            total += (power_re * power_re + power_im * power_im) / factorial
+            size += c_re * c_re + c_im * c_im
+            power_re, power_im = power_re * x - power_im * y, power_re * y + power_im * x
+            factorial *= n + 1
+        return (f_re * f_re + f_im * f_im) / (_PI_50 * size * total)
+
+
+@pytest.mark.parametrize("state, grid", [
+    (coherent(30, 1 + 0.5j), PlanarGrid(nx=3, ny=3)),        # Q is 1.7e-13 at a corner
+    (squeezed(30, 0.3 - 0.2j, 0.4), PlanarGrid(x_range=(-3.0, 2.0), y_range=(2.5, -1.0), nx=3, ny=2)),
+    (coherent(40, 30), PlanarGrid(x_range=(36.0, 38.6), y_range=(0.0, 0.0), nx=4, ny=2)),  # reach
+])
+def test_husimi_planar_of_a_ket_matches_an_exact_decimal_sum(state, grid):
+    psi = state.data.ravel()
+    got = husimi_planar(state, grid).values
+    for iy, y in enumerate(grid.ys):
+        for ix, x in enumerate(grid.xs):
+            exact = _exact_husimi(psi, complex(x, y))
+            assert abs(decimal.Decimal(got[iy, ix]) - exact) <= exact * decimal.Decimal("1e-12")
+
+
+def _refusal(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_husimi_planar_refuses_a_ket_as_it_refuses_its_projector(monkeypatch):
+    ket, far = coherent(40, 30), PlanarGrid(x_range=(36.0, 42.0), y_range=(0.0, 1.0), nx=4, ny=2)
+    for state, grid in ((ket, far), (ket, "grid"), (ket.data.T, far)):     # ket, ket, bra
+        assert (_refusal(lambda: husimi_planar(state, grid))
+                == _refusal(lambda: husimi_planar(to_operator(state), grid)))
+    assert _refusal(lambda: husimi_planar(np.zeros(3))) == _refusal(lambda: density_matrix(np.zeros(3)))
+    assert _refusal(lambda: husimi_planar(np.zeros(3)))[0] is ZeroNorm
+    monkeypatch.setattr(qcore, "MAX_STACK_BYTES", 2**20)
+    _husimi_terms.cache_clear()
+    ket = coherent(60, 1 + 0.5j)
+    refusals = [_refusal(lambda: husimi_planar(state, PlanarGrid(nx=250, ny=250)))
+                for state in (ket, to_operator(ket))]
+    assert refusals[0] == refusals[1] and refusals[0][0] is UnsupportedDimension
 
 
 def test_wigner_vacuum_gaussian():
@@ -774,7 +849,10 @@ def _platform_digest() -> str:
 # before the grid kernels were cached; the two wigner_planar digests again when
 # that map moved to the two-parity Laguerre basis (it moved by <= 2.8e-16), and
 # the six non-Zeeman spherical digests again when both spherical maps became one
-# batched product over the Hermitian half of rho (they moved by <= 2.3e-15)
+# batched product over the Hermitian half of rho (they moved by <= 2.3e-15), and
+# the two husimi_planar digests when kets took their own Horner pass (they moved
+# by <= 3.4e-16; by up to 7.6e-9 relative where the map is tiny, towards the
+# exact map)
 _PLATFORM_DIGEST = "9f77b20025423ab47be60b0ac130b5130c583c67c2bbb5ef53916d5076fbd044"
 _DIGEST_STATES = {
     "coherent": lambda: coherent(30, 1 + 0.5j),
@@ -786,11 +864,11 @@ _DIGEST_STATES = {
 }
 _MAP_DIGESTS = {
     "husimi_planar:coherent":
-        "c576806f204af504dc693f646f013914f0ea4deb002cc4dea588f18b4847b8ce",
+        "2560e3ca0088da15784f0428310ae8cd63380f1da3b4050bd7d1c6c600392860",
     "wigner_planar:coherent":
         "601154364857fb109d5f15190fc02d6b5056e8fde34888886180c9d1b91eeeca",
     "husimi_planar:squeezed":
-        "7de2e455cf0e8cc781998b209f36d9d760b5e2c33a3fcde29717490dfa1218c0",
+        "55760a6d1af068a6ece33d0bbb5562fee0718d171c322521fea688ae2b9f6284",
     "wigner_planar:squeezed":
         "eed1ce10df558ca4a66a7c5dfe3861039964c7dcdc9904cf1699d9560e9ba133",
     "husimi_spherical:spin_coherent10":
@@ -856,7 +934,7 @@ def test_cached_kernels_are_read_only():
               _laguerre_basis(6), *_wigner_terms(6, xs, ys), *_diagonal_layout(6),
               _husimi_diagonals(4, thetas), _wigner_diagonals(4, thetas),
               *_axial_phases(5, _bits(sgrid.phis))]
-    assert len(cached) == 3 + 2 + 1 + 2 + 6 + 1 + 1 + 2
+    assert len(cached) == 3 + 3 + 1 + 2 + 6 + 1 + 1 + 2
     for arr in cached:
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -873,6 +951,35 @@ def test_caches_stay_at_their_bound():
     for cache in _KERNEL_CACHES:
         info = cache.cache_info()
         assert info.currsize == info.maxsize == 4
+
+
+def _kernel_bytes(out):
+    return sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+
+
+_PKEYS, _SKEYS = PlanarGrid()._keys, SphericalGrid()._keys
+
+
+@pytest.mark.parametrize("kernel, keys", [
+    (_laguerre_basis, [(d,) for d in range(29, 37)]),
+    (_husimi_terms, [(d, *_PKEYS) for d in range(26, 34)]),
+    (_wigner_terms, [(d, *_PKEYS) for d in range(10, 18)]),
+    (_husimi_diagonals, [(two_j, _SKEYS[0]) for two_j in range(18, 26)]),
+    (_wigner_diagonals, [(two_j, _SKEYS[0]) for two_j in range(18, 26)]),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_kernel_caches_hold_at_most_the_size_rule_in_all(monkeypatch, kernel, keys):
+    # each entry fits in 1 MiB, but four of them would not: the cache is emptied
+    # before it keeps one that would take what it holds past the bound
+    monkeypatch.setattr(qcore, "MAX_STACK_BYTES", 2**20)
+    kernel.cache_clear()
+    sizes, held = [], []
+    for key in keys:
+        sizes.append(_kernel_bytes(kernel(*key)))
+        held.append(kernel.cache_info().currsize)       # the newest entries, each built once
+        assert sum(sizes[-held[-1]:]) <= 2**20, held
+    assert max(held) >= 3 and 1 in held[1:]
+    assert max(sum(sizes[i:i + 4]) for i in range(len(sizes) - 3)) > 2**20
+    assert _kernel_bytes(kernel(*keys[-1])) == sizes[-1] and kernel.cache_info().hits == 1
 
 
 def test_grids_share_a_kernel_only_with_bitwise_equal_axes():
@@ -963,12 +1070,24 @@ def _reference_diagonals(dm):
 def _reference_husimi_planar(dm, grid):
     xs, ys = _linspace_bits(grid.x_range, grid.nx), _linspace_bits(grid.y_range, grid.ny)
     alphas, _, inverse = _radial(xs, ys)
-    terms, norm = _husimi_terms(len(dm), xs, ys)
+    terms, norm, _ = _husimi_terms(len(dm), xs, ys)
     k, m, c = _reference_diagonals(dm)
     coeffs = c * np.cumprod(np.sqrt(np.where(m > 0, m / np.maximum(m + k, 1), 1.0)), axis=1)
     sums = _complex_product(coeffs, terms)
     q = np.real(_horner(sums, inverse, lambda k: alphas * (1.0 / math.sqrt(k + 1)))) / norm
     return q.reshape(grid.ny, grid.nx)
+
+
+def _reference_husimi_planar_ket(state, grid):
+    psi = qcore.QuantumObject(state).data.ravel()
+    bra = (psi / np.linalg.norm(psi)).conj()
+    xs, ys = _linspace_bits(grid.x_range, grid.nx), _linspace_bits(grid.y_range, grid.ny)
+    alphas = _radial(xs, ys)[0]
+    scale = _husimi_terms(len(bra), xs, ys)[2]
+    acc = np.full(alphas.shape, bra[-1])
+    for n in range(len(bra) - 2, -1, -1):
+        acc = acc * alphas * (1.0 / math.sqrt(n + 1)) + bra[n]
+    return (np.abs(acc * scale) ** 2 / math.pi).reshape(grid.ny, grid.nx)
 
 
 def _reference_wigner_planar(dm, grid):
@@ -1009,6 +1128,7 @@ _REFERENCES = {   # map -> (reference, (dimensions, grids))
     husimi_spherical: (_reference_axial_map(_husimi_diagonals), _SPHERICAL),
     wigner_spherical: (_reference_axial_map(_wigner_diagonals), _SPHERICAL),
 }
+_KET_REFERENCES = {husimi_planar: _reference_husimi_planar_ket}    # for kets and bras
 
 
 @pytest.mark.parametrize("fn", MAPS, ids=lambda fn: fn.__name__)
@@ -1020,8 +1140,10 @@ def test_maps_equal_their_uncached_formulas_bitwise(fn):
         states = ((random_ket(rng, d), random_density(rng, d)) if d > 1
                   else (basis(1, 0), np.exp(0.7j) * np.ones(1)))
         for state in states:
+            pure = qcore._kind(qcore.QuantumObject(state)) is not qcore.Kind.OPER
             for grid in grids:
-                want = reference(density_matrix(state), grid)
+                want = (_KET_REFERENCES[fn](state, grid) if pure and fn in _KET_REFERENCES
+                        else reference(density_matrix(state), grid))
                 assert np.array_equal(fn(state, grid).values, want), (d, grid)
 
 
