@@ -279,16 +279,17 @@ def _husimi_terms(d: int, xs: tuple, ys: tuple) -> tuple:
     (log space in base 2), since e^{-x/2} is subnormal near the reach."""
     _, radii, inverse = _radial(xs, ys)
     _fits(d * radii.size, 1, f"a planar kernel of {d} x {radii.size} radii")   # as the map's sums
-    terms = np.empty((d, radii.size))
-    terms[0] = np.exp(-radii / 2)
-    for m in range(1, d):
-        terms[m] = terms[m - 1] * radii / m
+    terms, mant = np.empty((d, radii.size)), np.ones((d, radii.size))
+    exps = np.zeros((d, radii.size), dtype=np.intc)
+    np.exp(-radii / 2, out=terms[0])
+    for m in range(1, d):               # x^m / m! = mant[m] 2^exps[m], exactly split
+        for row in (terms, mant):
+            np.multiply(row[m - 1], radii, out=row[m])
+            row[m] /= m
+        np.frexp(mant[m], out=(mant[m], exps[m]))
+        exps[m] += exps[m - 1]
     if not (norm := terms.sum(axis=0)).all():       # e^{-x/2} is 0 past x of about 1,490
         raise InvalidParameter(f"Husimi norm underflows at |alpha|^2 = {radii[norm.argmin()]:g}")
-    mant, exps = np.ones((d, radii.size)), np.zeros((d, radii.size), dtype=int)
-    for m in range(1, d):               # x^m / m! = mant[m] 2^exps[m], exactly split
-        mant[m], step = np.frexp(mant[m - 1] * radii / m)
-        exps[m] = exps[m - 1] + step
     half, odd = np.divmod(top := exps.max(axis=0), 2)
     scale = np.ldexp(1 / np.sqrt(np.ldexp(np.ldexp(mant, exps - top).sum(axis=0), odd)), -half)
     return _frozen(terms, math.pi * norm[inverse], scale[inverse])
@@ -347,20 +348,24 @@ def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
         bra = _unit(state).ravel() if state.kind is Kind.BRA else _unit(state).conj().ravel()
     d = len(bra) if pure else len(dm := density_matrix(state))
     xs, ys = _typed(grid, PlanarGrid, "grid")._keys
-    alphas, _, inverse = _radial(xs, ys)
-    terms, norm, scale = _husimi_terms(d, xs, ys)
-    if pure:
-        acc = np.full(alphas.shape, bra[-1])
-        for n in range(d - 2, -1, -1):
-            acc *= alphas
-            acc *= 1.0 / math.sqrt(n + 1)
-            acc += bra[n]
-        acc *= scale
-        q = np.abs(acc) ** 2 / math.pi
-    else:
-        c, ratios, _ = _weighted_diagonals(dm)
-        sums = _complex_product(c * ratios, terms)  # w_k sqrt(k!) D_k e^{-x/2}
-        q = np.real(_horner(sums, inverse, lambda k: alphas * (1.0 / math.sqrt(k + 1)))) / norm
+    alphas, radii, inverse = _radial(xs, ys)
+    with np.errstate(over="ignore", invalid="ignore"):     # refused below, as not finite
+        terms, norm, scale = _husimi_terms(d, xs, ys)
+        if pure:
+            acc = np.full(alphas.shape, bra[-1])
+            for n in range(d - 2, -1, -1):
+                acc *= alphas
+                acc *= 1.0 / math.sqrt(n + 1)
+                acc += bra[n]
+            acc *= scale
+            q = np.abs(acc) ** 2 / math.pi
+        else:
+            c, ratios, _ = _weighted_diagonals(dm)
+            sums = _complex_product(c * ratios, terms)  # w_k sqrt(k!) D_k e^{-x/2}
+            q = np.real(_horner(sums, inverse, lambda k: alphas * (1.0 / math.sqrt(k + 1)))) / norm
+    if not (finite := np.isfinite(q)).all():
+        raise InvalidParameter(f"Husimi map of dimension {d} overflows at |alpha|^2 = "
+                               f"{radii[inverse[~finite].min()]:g}")
     return PhaseSpaceGrid("husimi", "planar", grid.ys, grid.xs, q.reshape(grid.ny, grid.nx))
 
 
@@ -375,12 +380,12 @@ def _laguerre_basis(d: int) -> np.ndarray:
     g = np.zeros((d, d, d))
     g[0] = np.eye(d)
     g[1:2, :d - 1] = np.eye(d - 1, d)
-    for k in range(2, d):
-        for n in range(d - k):
-            row = math.sqrt(n + k - 1) * g[k - 2, n] - math.sqrt(n + 1) * g[k - 2, n + 1]
-            if n:
-                row += math.sqrt(n) * g[k, n - 1]
-            g[k, n] = row / math.sqrt(n + k)
+    rows, roots = g.reshape(d * d, d), np.sqrt(np.arange(d))
+    for s in range(2, d):       # row k of rows[s::d - 1] is g[k, s - k], on anti-diagonal s
+        two, one = rows[s - 2::d - 1], rows[s - 1::d - 1]
+        row = roots[s - 1] * two[:s - 1] - roots[s - 1:0:-1, None] * one[:s - 1]
+        row[:-1] += roots[s - 2:0:-1, None] * one[2:s]
+        rows[s::d - 1][2:s + 1] = row / roots[s]
     return _frozen(g)[0]
 
 
@@ -456,7 +461,7 @@ def _axial_map(kind: str, rho, grid, kernel) -> PhaseSpaceGrid:
     _fits(grid.ntheta * d * d, 1, f"a spin kernel of {grid.ntheta} x {d} x {d}")
     rows, cols, inside = _diagonal_layout(d)[:3]
     upper = np.where(inside, dm[rows, cols] + dm[cols, rows].conj(), 0.0) / 2     # h_{a,a+k}
-    sums = kernel(d - 1, thetas) @ np.stack([upper.real, upper.imag], axis=2)
+    sums = kernel(d - 1, thetas) @ upper.view(float).reshape(d, d, 2)     # (re, im) last
     cos, sin = _axial_phases(d, phis)
     vals = sums[:, :, 0].T @ cos + sums[:, :, 1].T @ sin
     return PhaseSpaceGrid(kind, "spherical", grid.thetas, grid.phis, vals)
@@ -473,12 +478,35 @@ def _husimi_diagonals(two_j: int, thetas: tuple) -> np.ndarray:
     return _frozen(kernel)[0]
 
 
+@_kernel_cache
+def _spin_magnitudes(two_j: int, thetas: tuple) -> np.ndarray:
+    """c[t, i] = c_i(theta_t) of ``spin_coherent`` on the ``_bits`` thetas."""
+    return _frozen(_spin_coherent_magnitudes(two_j, _axis(thetas)))[0]
+
+
+@_kernel_cache
+def _spin_phases(two_j: int, phis: tuple) -> np.ndarray:
+    """e^{i i phi} for i <= 2j (rows) on the ``_bits`` phis (columns)."""
+    return _frozen(np.exp(1j * np.outer(np.arange(two_j + 1), _axis(phis))))[0]
+
+
 def husimi_spherical(rho, grid: SphericalGrid = SphericalGrid()) -> PhaseSpaceGrid:
     """Spin Husimi function Q(theta, phi) = <theta,phi|rho|theta,phi> / pi,
     integrating to 4/(2j+1) over the sphere (dOmega = sin(theta) dtheta dphi).
-    The amplitudes of ``spin_coherent`` are c_i(theta) e^{-i i phi}, so Q is
-    :func:`_axial_map` with G(theta) = c c^T / pi."""
-    return _axial_map("husimi", rho, grid, _husimi_diagonals)
+    The amplitudes of ``spin_coherent`` are c_i(theta) e^{-i i phi}, so a ket
+    psi gives Q = |f|^2 / pi with f = sum_i c_i(theta) psi_i e^{i i phi}, one
+    real product of c with the (re, im) columns of psi_i e^{i i phi}, and a
+    density matrix gives :func:`_axial_map` with G(theta) = c c^T / pi."""
+    state = rho if isinstance(rho, QuantumObject) else QuantumObject(rho)
+    if _kind(state) is Kind.OPER:
+        return _axial_map("husimi", state, grid, _husimi_diagonals)
+    psi = _unit(state).conj().ravel() if state.kind is Kind.BRA else _unit(state).ravel()
+    (thetas, phis), d = _typed(grid, SphericalGrid, "grid")._keys, len(psi)
+    _fits(d * (grid.ntheta + grid.nphi), 1, f"spin tables of {d} x ({grid.ntheta} + {grid.nphi})")
+    f = _spin_magnitudes(d - 1, thetas) @ (psi[:, None] * _spin_phases(d - 1, phis)).view(float)
+    f *= f                                          # re^2 and im^2, interleaved
+    vals = (f[:, ::2] + f[:, 1::2]) / math.pi
+    return PhaseSpaceGrid("husimi", "spherical", grid.thetas, grid.phis, vals)
 
 
 def spherical_multipole(rho, k: int, q: int) -> complex:

@@ -116,8 +116,9 @@ def _run(argv, tmp_path, monkeypatch, capsys) -> tuple[int, dict]:
 # each input more than once (the row state-ghz-overflowing-noise was added
 # when a ket whose squared norm overflows began to be rescaled, not zeroed;
 # cli-phasespace was re-recorded when the spherical maps became one batched
-# product, and moved by <= 2.3e-16; phasespace-husimi-planar when a ket's
-# planar Husimi map took its own Horner pass, and moved by <= 1.7e-16);
+# product, and moved by <= 2.3e-16, and again when a ket's spherical Husimi
+# map took its own real product, moving by <= 2.8e-16; phasespace-husimi-planar
+# when a ket's planar Husimi map took its own Horner pass, and moved by <= 1.7e-16);
 # rows: {output: SHA-256}, each of a command that exits 0
 _DIGESTS = {
     "c10-backend-compare": {
@@ -162,7 +163,7 @@ _DIGESTS = {
         "out/cat_theta_0pi.csv": "ac69fc8af294209a05a684593d01164e224846af993a8646b43ca14670d33bc5",
     },
     "cli-phasespace": {
-        "<stdout>": "87ab26a2b88ad04584ff2d391535d2ba611c283c76e43c423c51003839fe235d",
+        "<stdout>": "03bbdff2a2edd3997fb4542f22d5b967284e952ed78a7eaed3e794316b1a5f15",
     },
     "cli-state": {
         "<stdout>": "c26ff9930d2c8bb98f1cf70f7c77ff1f92496f71332bafd6c4d9e199ab1089fe",
@@ -390,6 +391,10 @@ _FAILURES = {
     "phasespace --name coherent --d 40 --alpha 30 --map husimi --coords planar --xmin 36 "
     "--xmax 42 --ymin 0 --ymax 1 --nx 4 --ny 2": (
         4, "InvalidParameter: Husimi norm underflows at |alpha|^2 = 1600"),
+    # and points where the map of a large cutoff overflows
+    "phasespace --name coherent --d 1500 --alpha 38 --xmin 37.9 --xmax 38 --ymin 0 --ymax 0 "
+    "--nx 2 --ny 2 --map husimi --coords planar": (
+        4, "InvalidParameter: Husimi map of dimension 1500 overflows at |alpha|^2 = 1436.41"),
     # paths that cannot be written: a missing directory, and a directory under a file
     "state --name ghz --n 1 --out /dev/null/x.csv": (
         4, "InvalidParameter: cannot write /dev/null/x.csv: [Errno 20] Not a directory: "

@@ -49,6 +49,8 @@ from qmkit.phasespace import (
     _husimi_terms,
     _laguerre_basis,
     _radial,
+    _spin_magnitudes,
+    _spin_phases,
     _stratonovich_kernel,
     _wigner_diagonals,
     _wigner_terms,
@@ -401,6 +403,47 @@ def test_laguerre_basis_gives_every_laguerre_function(d):
                               / math.sqrt((n + 1) * (n + k + 1)))
 
 
+def _loop_laguerre_basis(d):
+    """The Laguerre basis row by row, as it was built before the anti-diagonal form."""
+    g = np.zeros((d, d, d))
+    g[0] = np.eye(d)
+    g[1:2, :d - 1] = np.eye(d - 1, d)
+    for k in range(2, d):
+        for n in range(d - k):
+            row = math.sqrt(n + k - 1) * g[k - 2, n] - math.sqrt(n + 1) * g[k - 2, n + 1]
+            if n:
+                row += math.sqrt(n) * g[k, n - 1]
+            g[k, n] = row / math.sqrt(n + k)
+    return g
+
+
+def _loop_husimi_terms(d, xs, ys):
+    """``_husimi_terms`` as it was built before its recurrences ran in place."""
+    _, radii, inverse = _radial(xs, ys)
+    terms = np.empty((d, radii.size))
+    terms[0] = np.exp(-radii / 2)
+    for m in range(1, d):
+        terms[m] = terms[m - 1] * radii / m
+    norm = terms.sum(axis=0)
+    mant, exps = np.ones((d, radii.size)), np.zeros((d, radii.size), dtype=int)
+    for m in range(1, d):
+        mant[m], step = np.frexp(mant[m - 1] * radii / m)
+        exps[m] = exps[m - 1] + step
+    half, odd = np.divmod(top := exps.max(axis=0), 2)
+    scale = np.ldexp(1 / np.sqrt(np.ldexp(np.ldexp(mant, exps - top).sum(axis=0), odd)), -half)
+    return terms, math.pi * norm[inverse], scale[inverse]
+
+
+def test_kernel_builders_equal_their_loops_bitwise():
+    for d in (*range(1, 8), 30, 61, 100):
+        assert _laguerre_basis(d).tobytes() == _loop_laguerre_basis(d).tobytes(), d
+    for grid in (PlanarGrid(), PlanarGrid(x_range=(36.0, 38.6), y_range=(0.0, 0.0), nx=4, ny=2),
+                 PlanarGrid(x_range=(-8, 8), y_range=(-8, 8), nx=41, ny=41)):
+        for d in (1, 2, 5, 30, 61, 200):
+            built, loop = _husimi_terms(d, *grid._keys), _loop_husimi_terms(d, *grid._keys)
+            assert [a.tobytes() for a in built] == [a.tobytes() for a in loop], (d, grid)
+
+
 def test_wigner_planar_coherent_analytic_whole_grid():
     # the Laguerre series is exact for the truncated state, so the default
     # grid's corners (|alpha - alpha0| up to 4.6) are as good as its centre
@@ -522,6 +565,44 @@ def test_husimi_spherical_matches_coherent_state_loop(j):
             v = spin_coherent(j, th, ph).data.reshape(-1)
             loop[a, b] = np.real(v.conj() @ rho @ v) / math.pi
     assert np.max(np.abs(husimi_spherical(rho, grid).values - loop)) <= 1e-14
+
+
+def test_husimi_spherical_of_a_ket_equals_the_map_of_its_projector():
+    # a ket or bra takes one real product with the magnitudes, its projector the
+    # batched product over rho's diagonals; an unnormalised input is read as its unit vector
+    rng = np.random.default_rng(42)
+    for d in range(1, 82):
+        psi = (2.0 - 1.0j) * random_ket(rng, d).data.ravel()
+        for state in ([psi] if d == 1 else [psi, psi[:, None], psi[None, :]]):  # 1-d, ket, bra
+            for grid in _SPHERICAL[1]:
+                got = husimi_spherical(state, grid).values
+                want = husimi_spherical(to_operator(state), grid).values
+                assert np.abs(got - want).max() <= 1e-15, (d, np.shape(state), grid)
+
+
+def test_husimi_spherical_of_a_ket_past_the_kernel_size_rule_matches_a_coherent_state_loop():
+    # at j = 600 the density path would need a 61 x 1201 x 1201 kernel; a ket needs none
+    psi = random_ket(np.random.default_rng(600), 1201)
+    with pytest.raises(UnsupportedDimension, match=r"61 x 1201 x 1201 needs"):
+        husimi_spherical(to_operator(psi), SphericalGrid())
+    assert husimi_spherical(psi).values.shape == (61, 61)
+    grid = SphericalGrid(theta_range=(0.2, 2.9), ntheta=19, nphi=23)
+    got = husimi_spherical(psi, grid).values
+    v = psi.data.ravel()
+    for a, th in enumerate(grid.thetas):
+        for b, ph in enumerate(grid.phis):
+            want = abs(np.vdot(spin_coherent(600, th, ph).data.ravel(), v)) ** 2 / math.pi
+            assert abs(got[a, b] - want) <= 1e-14, (a, b)
+
+
+def test_husimi_spherical_refuses_a_ket_as_it_refuses_its_projector():
+    ket = zeeman(3, 1)
+    for state, grid in ((ket, "grid"), (ket.data.T, PlanarGrid()), (ket.data.ravel(), None)):
+        assert (_refusal(lambda: husimi_spherical(state, grid))
+                == _refusal(lambda: husimi_spherical(to_operator(state), grid)))
+    assert (_refusal(lambda: husimi_spherical(np.zeros(3)))
+            == _refusal(lambda: density_matrix(np.zeros(3))))
+    assert _refusal(lambda: husimi_spherical(np.zeros(3)))[0] is ZeroNorm
 
 
 def test_spherical_maps_place_a_coherent_state_at_the_same_point():
@@ -692,6 +773,21 @@ def test_husimi_planar_refuses_points_past_its_reach():
     assert np.isfinite(near.values).all()
 
 
+def test_husimi_planar_refuses_a_map_that_overflows():
+    # near the reach, e^{-x/2} x^m / m! and the ket's Horner sums pass 1.8e308 once d
+    # reaches past x: both paths refuse alike, and no warning escapes
+    ket = coherent(1500, 38)
+    grid = PlanarGrid(x_range=(37.9, 38.0), y_range=(0.0, 0.0), nx=2, ny=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        refusals = [_refusal(lambda: husimi_planar(state, grid))
+                    for state in (ket, ket.data.T, to_operator(ket))]
+    assert refusals[0] == refusals[1] == refusals[2] == (
+        InvalidParameter, "Husimi map of dimension 1500 overflows at |alpha|^2 = 1436.41")
+    below = husimi_planar(ket, PlanarGrid(x_range=(30.0, 35.0), nx=3, ny=2))
+    assert np.isfinite(below.values).all()
+
+
 @pytest.mark.parametrize("ranges", [dict(x_range=(0.0, 1e151)), dict(y_range=(-1e151, 0.0))])
 def test_planar_grid_ends_stay_within_1e150(ranges):
     # past about 1e154, |alpha|^2 overflows and both maps would be NaN
@@ -719,7 +815,19 @@ def test_spherical_kernels_are_bounded_by_the_size_rule(monkeypatch):
     monkeypatch.setattr(qcore, "MAX_STACK_BYTES", 2**20)
     for fn in (husimi_spherical, wigner_spherical):
         with pytest.raises(UnsupportedDimension, match=r"4096 x 41 x 41 needs 6885376 complex"):
-            fn(zeeman(20, 3), SphericalGrid(ntheta=4096, nphi=2))
+            fn(to_operator(zeeman(20, 3)), SphericalGrid(ntheta=4096, nphi=2))
+
+
+def test_spherical_husimi_tables_of_a_ket_are_bounded_by_the_size_rule(monkeypatch):
+    # a ket reads d x ntheta magnitudes and d x nphi phases: 41 x 4098 entries do not
+    # fit in 1 MiB, and neither table is built
+    monkeypatch.setattr(qcore, "MAX_STACK_BYTES", 2**20)
+    _clear_caches()
+    with pytest.raises(UnsupportedDimension, match=r"tables of 41 x \(4096 \+ 2\) needs 168018 "):
+        husimi_spherical(zeeman(20, 3), SphericalGrid(ntheta=4096, nphi=2))
+    assert _spin_magnitudes.cache_info().misses == _spin_phases.cache_info().misses == 0
+    fits = husimi_spherical(zeeman(20, 3), SphericalGrid(ntheta=1500, nphi=2))
+    assert fits.values.shape == (1500, 2)
 
 
 def test_planar_kernels_are_bounded_by_the_size_rule(monkeypatch):
@@ -779,19 +887,6 @@ def test_grid_file_paths_that_cannot_be_used_raise_invalid_parameter(tmp_path):
         read_grid(binary)
 
 
-@pytest.mark.parametrize("text", ["# kind=husimi coords=planar n2=1\n0,0,1\n",      # no n1
-                                  "# kind husimi coords=planar n1=1 n2=1\n0,0,1\n",  # no '='
-                                  "# kind=husimi coords=planar n1=1 n2=1\n0,x,1\n",  # a cell
-                                  "",                                                 # empty
-                                  "# kind=husimi coords=planar n1=1 n2=1\n0,0\n",     # 2 columns
-                                  "# kind=husimi coords=planar n1=0 n2=1\n"])         # no rows
-def test_malformed_grid_file_raises_invalid_parameter(tmp_path, text):
-    path = tmp_path / "grid.csv"
-    path.write_text(text)
-    with pytest.raises(InvalidParameter):
-        read_grid(path)
-
-
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_husimi_nonnegative_random_states(seed):
@@ -809,7 +904,8 @@ def test_husimi_nonnegative_random_states(seed):
 
 MAPS = (husimi_planar, wigner_planar, husimi_spherical, wigner_spherical)
 _KERNEL_CACHES = (_radial, _husimi_terms, _laguerre_basis, _wigner_terms, _diagonal_layout,
-                  _husimi_diagonals, _wigner_diagonals, _axial_phases)
+                  _husimi_diagonals, _wigner_diagonals, _axial_phases, _spin_magnitudes,
+                  _spin_phases)
 
 
 def _clear_caches():
@@ -852,7 +948,8 @@ def _platform_digest() -> str:
 # batched product over the Hermitian half of rho (they moved by <= 2.3e-15), and
 # the two husimi_planar digests when kets took their own Horner pass (they moved
 # by <= 3.4e-16; by up to 7.6e-9 relative where the map is tiny, towards the
-# exact map)
+# exact map), and the four husimi_spherical digests when kets took their own
+# real product (they moved by <= 4.9e-16)
 _PLATFORM_DIGEST = "9f77b20025423ab47be60b0ac130b5130c583c67c2bbb5ef53916d5076fbd044"
 _DIGEST_STATES = {
     "coherent": lambda: coherent(30, 1 + 0.5j),
@@ -872,19 +969,19 @@ _MAP_DIGESTS = {
     "wigner_planar:squeezed":
         "eed1ce10df558ca4a66a7c5dfe3861039964c7dcdc9904cf1699d9560e9ba133",
     "husimi_spherical:spin_coherent10":
-        "6ff7dc50cd55f16bb1e774820207d1958a2f1c3c80703278c5314c8e8c4212ae",
+        "6ec9078a8dab5f9a2f2b4e4d2a34f3e51de4411a945c600405fe4cdb3471d218",
     "wigner_spherical:spin_coherent10":
         "2d90af8c3d754206cdcedb47fb406d05f5e55e79ba0756e91c500667f8377155",
     "husimi_spherical:cat10":
-        "a3132ee4b9a444ca95f40260d9077852001104ada6b26a77d545d26127adae07",
+        "c80dc067b33e139a865cc0c95badfb93d85e3e8d94291878b40e1f318c9b3634",
     "wigner_spherical:cat10":
         "f6c270cc6e0d926a1fb071974356b71898c3728d37bbf4e4116992bfea4363d0",
     "husimi_spherical:zeeman10":
-        "aa2c44c36da862b0700574a5fd45e01dbb44fc1ee0c0b4382d544de3a15fb1b8",
+        "44800c90cca1d92284138d9d3361e062317bccdf0aada8796a570bb5da376dc7",
     "wigner_spherical:zeeman10":
         "ba70622c3296c9333599404c61be7d0cc99ef64a8d11d66d3e8b89b7c577fc08",
     "husimi_spherical:cat20":
-        "3bf50f3da12e80485603040255af7e8368cd4552e23cffacbe8c7ccecc072f19",
+        "6b00edcc635599c7207f319f29bd679d1051f906c64d494311c365729870b3e3",
     "wigner_spherical:cat20":
         "56024f17c31efe8a2b29d858b98d191a7b838f4ce0c39120f185858477fed9e0",
 }
@@ -929,12 +1026,12 @@ def test_cached_kernels_are_read_only():
         fn(rho, pgrid)
     for fn in MAPS[2:]:
         fn(spin_rho, sgrid)
-    xs, ys, thetas = _bits(pgrid.xs), _bits(pgrid.ys), _bits(sgrid.thetas)
+    xs, ys, thetas, phis = _bits(pgrid.xs), _bits(pgrid.ys), _bits(sgrid.thetas), _bits(sgrid.phis)
     cached = [*_radial(xs, ys), *_husimi_terms(6, xs, ys),
               _laguerre_basis(6), *_wigner_terms(6, xs, ys), *_diagonal_layout(6),
               _husimi_diagonals(4, thetas), _wigner_diagonals(4, thetas),
-              *_axial_phases(5, _bits(sgrid.phis))]
-    assert len(cached) == 3 + 3 + 1 + 2 + 6 + 1 + 1 + 2
+              *_axial_phases(5, phis), _spin_magnitudes(4, thetas), _spin_phases(4, phis)]
+    assert len(cached) == 3 + 3 + 1 + 2 + 6 + 1 + 1 + 2 + 1 + 1
     for arr in cached:
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -946,8 +1043,9 @@ def test_caches_stay_at_their_bound():
         pgrid, sgrid = PlanarGrid(nx=n, ny=3), SphericalGrid(ntheta=n, nphi=3)
         for fn in MAPS[:2]:
             fn(basis(n, 1), pgrid)
-        for fn in MAPS[2:]:
-            fn(zeeman(n / 2, n / 2), sgrid)
+        for fn in MAPS[2:]:             # the density path of husimi_spherical
+            fn(to_operator(zeeman(n / 2, n / 2)), sgrid)
+        husimi_spherical(zeeman(n / 2, n / 2), sgrid)                   # and its ket path
     for cache in _KERNEL_CACHES:
         info = cache.cache_info()
         assert info.currsize == info.maxsize == 4
@@ -966,6 +1064,8 @@ _PKEYS, _SKEYS = PlanarGrid()._keys, SphericalGrid()._keys
     (_wigner_terms, [(d, *_PKEYS) for d in range(10, 18)]),
     (_husimi_diagonals, [(two_j, _SKEYS[0]) for two_j in range(18, 26)]),
     (_wigner_diagonals, [(two_j, _SKEYS[0]) for two_j in range(18, 26)]),
+    (_spin_magnitudes, [(two_j, _SKEYS[0]) for two_j in range(540, 700, 20)]),
+    (_spin_phases, [(two_j, _SKEYS[1]) for two_j in range(270, 350, 10)]),
 ], ids=lambda v: getattr(v, "__name__", ""))
 def test_kernel_caches_hold_at_most_the_size_rule_in_all(monkeypatch, kernel, keys):
     # each entry fits in 1 MiB, but four of them would not: the cache is emptied
@@ -995,8 +1095,14 @@ def test_grids_share_a_kernel_only_with_bitwise_equal_axes():
     assert wigner_planar(rho, neg).axis2[-1].tobytes() == np.float64(-0.0).tobytes()
     # the spherical G(theta) kernels depend on theta alone
     for phi_range in ((0.0, 1.0), (0.5, 2.0)):
-        husimi_spherical(zeeman(2, 1), SphericalGrid(ntheta=4, nphi=3, phi_range=phi_range))
+        husimi_spherical(to_operator(zeeman(2, 1)),
+                         SphericalGrid(ntheta=4, nphi=3, phi_range=phi_range))
     assert _husimi_diagonals.cache_info()[:2] == (1, 1)
+    # a ket's magnitudes depend on theta alone, and its phases on phi alone
+    for ranges in (dict(phi_range=(0.0, 1.0)), dict(phi_range=(0.5, 2.0)),
+                   dict(theta_range=(0.0, 1.0), phi_range=(0.5, 2.0))):
+        husimi_spherical(zeeman(2, 1), SphericalGrid(ntheta=4, nphi=3, **ranges))
+    assert _spin_magnitudes.cache_info()[:2] == _spin_phases.cache_info()[:2] == (1, 2)
 
 
 def test_planar_maps_share_one_radial_entry_per_grid():
@@ -1090,6 +1196,17 @@ def _reference_husimi_planar_ket(state, grid):
     return (np.abs(acc * scale) ** 2 / math.pi).reshape(grid.ny, grid.nx)
 
 
+def _reference_husimi_spherical_ket(state, grid):
+    q = qcore.QuantumObject(state)
+    psi = q.data.ravel() / np.linalg.norm(q.data)
+    psi = psi.conj() if q.kind is qcore.Kind.BRA else psi
+    thetas, phis = (np.linspace(*grid.theta_range, grid.ntheta),
+                    np.linspace(*grid.phi_range, grid.nphi))
+    phases = np.exp(1j * np.outer(np.arange(len(psi)), phis))
+    f = _spin_coherent_magnitudes(len(psi) - 1, thetas) @ (psi[:, None] * phases).view(float)
+    return (f[:, ::2] ** 2 + f[:, 1::2] ** 2) / math.pi
+
+
 def _reference_wigner_planar(dm, grid):
     d = len(dm)
     xs, ys = _linspace_bits(grid.x_range, grid.nx), _linspace_bits(grid.y_range, grid.ny)
@@ -1128,7 +1245,8 @@ _REFERENCES = {   # map -> (reference, (dimensions, grids))
     husimi_spherical: (_reference_axial_map(_husimi_diagonals), _SPHERICAL),
     wigner_spherical: (_reference_axial_map(_wigner_diagonals), _SPHERICAL),
 }
-_KET_REFERENCES = {husimi_planar: _reference_husimi_planar_ket}    # for kets and bras
+_KET_REFERENCES = {husimi_planar: _reference_husimi_planar_ket,     # for kets and bras
+                   husimi_spherical: _reference_husimi_spherical_ket}
 
 
 @pytest.mark.parametrize("fn", MAPS, ids=lambda fn: fn.__name__)
