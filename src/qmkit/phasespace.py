@@ -262,7 +262,7 @@ def _kernel_cache(build):
     return cached
 
 
-@functools.lru_cache(maxsize=_KERNELS)
+@_kernel_cache
 def _radial(xs: tuple, ys: tuple) -> tuple:
     """alpha at each point of the grid with axes ``_bits`` xs, ys (row-major),
     the unique values of |alpha|^2, and the index with radii[inverse] = |alphas|^2."""
@@ -273,29 +273,26 @@ def _radial(xs: tuple, ys: tuple) -> tuple:
 
 @_kernel_cache
 def _husimi_terms(d: int, xs: tuple, ys: tuple) -> tuple:
-    """terms[m] = e^{-x/2} x^m / m! for m < d on the radii x of ``_radial``,
-    pi times their sum (the truncation norm) at each grid point, and there
-    1 / sqrt(N(x)), N(x) = sum_{m<d} x^m / m!, summed over binary exponents
-    (log space in base 2), since e^{-x/2} is subnormal near the reach."""
+    """terms[m] = x^m / (m! N(x)) for m < d on the radii x of ``_radial``,
+    N(x) = sum_{m<d} x^m / m!, and 1 / sqrt(N(x)) at each grid point: each
+    x^m / m! is split exactly into a mantissa and a binary exponent, so
+    neither table under- nor overflows at any x."""
     _, radii, inverse = _radial(xs, ys)
     _fits(d * radii.size, 1, f"a planar kernel of {d} x {radii.size} radii")   # as the map's sums
-    terms, mant = np.empty((d, radii.size)), np.ones((d, radii.size))
-    exps = np.zeros((d, radii.size), dtype=np.intc)
-    np.exp(-radii / 2, out=terms[0])
-    for m in range(1, d):               # x^m / m! = mant[m] 2^exps[m], exactly split
-        for row in (terms, mant):
-            np.multiply(row[m - 1], radii, out=row[m])
-            row[m] /= m
+    mant, exps = np.ones((d, radii.size)), np.zeros((d, radii.size), dtype=np.intc)
+    for m in range(1, d):               # x^m / m! = mant[m] 2^exps[m]
+        np.multiply(mant[m - 1], radii, out=mant[m])
+        mant[m] /= m
         np.frexp(mant[m], out=(mant[m], exps[m]))
         exps[m] += exps[m - 1]
-    if not (norm := terms.sum(axis=0)).all():       # e^{-x/2} is 0 past x of about 1,490
-        raise InvalidParameter(f"Husimi norm underflows at |alpha|^2 = {radii[norm.argmin()]:g}")
     half, odd = np.divmod(top := exps.max(axis=0), 2)
-    scale = np.ldexp(1 / np.sqrt(np.ldexp(np.ldexp(mant, exps - top).sum(axis=0), odd)), -half)
-    return _frozen(terms, math.pi * norm[inverse], scale[inverse])
+    terms = np.ldexp(mant, exps - top, out=mant)
+    total = terms.sum(axis=0)
+    terms /= total
+    return _frozen(terms, np.ldexp(1 / np.sqrt(np.ldexp(total, odd)), -half)[inverse])
 
 
-@functools.lru_cache(maxsize=_KERNELS)
+@_kernel_cache
 def _diagonal_layout(d: int) -> tuple:
     """State-independent arrays over rho's diagonals, [k, m] over (d, d) by broadcasting:
     row m, column min(m + k, d - 1), mask m + k < d, weight w_k (w_0 = 1, w_{k>0} = 2),
@@ -350,7 +347,7 @@ def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     xs, ys = _typed(grid, PlanarGrid, "grid")._keys
     alphas, radii, inverse = _radial(xs, ys)
     with np.errstate(over="ignore", invalid="ignore"):     # refused below, as not finite
-        terms, norm, scale = _husimi_terms(d, xs, ys)
+        terms, scale = _husimi_terms(d, xs, ys)
         if pure:
             acc = np.full(alphas.shape, bra[-1])
             for n in range(d - 2, -1, -1):
@@ -361,8 +358,8 @@ def husimi_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
             q = np.abs(acc) ** 2 / math.pi
         else:
             c, ratios, _ = _weighted_diagonals(dm)
-            sums = _complex_product(c * ratios, terms)  # w_k sqrt(k!) D_k e^{-x/2}
-            q = np.real(_horner(sums, inverse, lambda k: alphas * (1.0 / math.sqrt(k + 1)))) / norm
+            sums = _complex_product(c * ratios, terms)  # w_k sqrt(k!) D_k / N(x)
+            q = np.real(_horner(sums, inverse, lambda k: alphas * (1.0 / math.sqrt(k + 1)))) / math.pi
     if not (finite := np.isfinite(q)).all():
         raise InvalidParameter(f"Husimi map of dimension {d} overflows at |alpha|^2 = "
                                f"{radii[inverse[~finite].min()]:g}")
@@ -441,7 +438,7 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
 # spherical maps
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=_KERNELS)
+@_kernel_cache
 def _axial_phases(d: int, phis: tuple) -> tuple:
     """w_k cos k phi and w_k sin k phi for k < d (rows) on the ``_bits`` phis
     (columns), with the weights w_k of ``_diagonal_layout``."""
@@ -520,7 +517,7 @@ def spherical_multipole(rho, k: int, q: int) -> complex:
                 for i in range(tj + 1) if 0 <= i + q <= tj), 0.0 + 0.0j)
 
 
-@functools.lru_cache(maxsize=8)
+@_kernel_cache
 def _stratonovich_kernel(two_j: int) -> tuple:
     """(lam, vec, delta0): J_y = vec diag(lam) vec^dag, and the Wigner kernel
     at the north pole, delta0_m = (-1)^{j-m} sum_k sqrt((2k+1)/4pi)

@@ -370,13 +370,15 @@ def _require_state(x: ArrayLike) -> QuantumObject:
 
 
 def _spectrum(x: ArrayLike, name: str, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The ``eigh`` (ascending eigenvalues, eigenvector columns) of a
-    Hermitian ``x``, d x d when ``d`` is given: the one place an input is
-    decomposed.  A QuantumObject keeps it, so the next call skips both the
+    """The ``eigh`` (ascending eigenvalues, eigenvector columns) of the
+    Hermitian part (m + m^dag) / 2 of a Hermitian ``x``, d x d when ``d`` is
+    given: the one place an input is decomposed.  ``eigh`` of m would read one
+    triangle only.  A QuantumObject keeps it, so the next call skips both the
     Hermitian check and the solver."""
     q = x if isinstance(x, QuantumObject) else QuantumObject(x)
     if q._eigh is None:
-        lam, v = np.linalg.eigh(_square(q, name, d, hermitian=True))
+        m = _square(q, name, d, hermitian=True)
+        lam, v = np.linalg.eigh((m + m.conj().T) / 2)
         lam.flags.writeable = v.flags.writeable = False
         q._eigh = lam, v
     elif d is not None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDistribution, NotPositive
+from .errors import DimensionMismatch, InvalidDistribution
 from .measurement import MeasurementSet, SamplerBackend, _set, measure_and_sample, probabilities
 from .qcore import (Kind, QuantumObject, _kind, _psd_sqrt, _reals, _require_state, _spectrum,
                     _square, _typed, _unit)
@@ -61,8 +61,6 @@ def _fidelity(sq: np.ndarray, b: np.ndarray) -> float:
     """Fidelity from sqrt(rho) and sigma."""
     inner = sq @ b @ sq
     vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    if vals[0] < -1e-8:                                   # eigvalsh sorts ascending
-        raise NotPositive(f"fidelity operand has eigenvalue {vals[0]:.3e}")
     f = float(np.sqrt(np.maximum(vals, 0.0)).sum())
     return min(max(f, 0.0), 1.0)
 

@@ -11,12 +11,14 @@ Left out: ``bench-povm`` and ``backend-compare`` without ``--no-timing``,
 whose payloads are wall-clock times.
 """
 
+import decimal
 import hashlib
 
 import pytest
 
+from qmkit import coherent
 from qmkit.cli import main
-from test_phasespace import _PLATFORM_DIGEST, _platform_digest
+from test_phasespace import _PLATFORM_DIGEST, _exact_husimi, _platform_digest
 
 _OUT = ["--out", "out"]
 
@@ -374,7 +376,7 @@ _FAILURES = {
         4, "InvalidParameter: alpha must be a finite number, got (nan+0j)"),
     "phasespace --name coherent --d 3 --alpha=nan --out s.csv --map husimi --coords planar": (
         4, "InvalidParameter: alpha must be a finite number, got (nan+0j)"),
-    # planar grids: non-finite or far ends, and points whose Husimi norm underflows
+    # planar grids: non-finite or far ends
     "phasespace --name coherent --d 10 --alpha 1 --xmin nan --map wigner --coords planar "
     "--out w.csv": (
         4, "InvalidParameter: x_range must be finite and real within [-1e+150, 1e+150], got nan"),
@@ -388,9 +390,6 @@ _FAILURES = {
     "--xmax 1e201 --nx 2 --ny 2": (
         4, "InvalidParameter: x_range must be finite and real within [-1e+150, 1e+150], "
            "got 1e+200"),
-    "phasespace --name coherent --d 40 --alpha 30 --map husimi --coords planar --xmin 36 "
-    "--xmax 42 --ymin 0 --ymax 1 --nx 4 --ny 2": (
-        4, "InvalidParameter: Husimi norm underflows at |alpha|^2 = 1600"),
     # and points where the map of a large cutoff overflows
     "phasespace --name coherent --d 1500 --alpha 38 --xmin 37.9 --xmax 38 --ymin 0 --ymax 0 "
     "--nx 2 --ny 2 --map husimi --coords planar": (
@@ -423,3 +422,20 @@ def test_failing_command(argv, tmp_path, monkeypatch, capsys):
         assert not returned and err.partition(": error: ")[2].startswith(want[len("error: "):])
     else:
         assert returned and err == want + "\n"
+
+
+def test_planar_husimi_command_maps_points_past_the_old_reach(tmp_path, monkeypatch, capsys):
+    # |alpha|^2 reaches 1,765 on this grid, past the 1,490 where e^{-|alpha|^2 / 2}
+    # is 0: the map is the 50-digit sum at every point, about 1/pi
+    argv = ("phasespace --name coherent --d 40 --alpha 30 --map husimi --coords planar "
+            "--xmin 36 --xmax 42 --ymin 0 --ymax 1 --nx 4 --ny 2")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert (err, lines[0], len(lines)) == ("", "# kind=husimi coords=planar n1=2 n2=4", 9)
+    psi = coherent(40, 30).data.ravel()
+    for line in lines[1:]:
+        y, x, value = map(float, line.split(","))
+        exact = _exact_husimi(psi, complex(x, y))
+        assert abs(decimal.Decimal(value) - exact) <= exact * decimal.Decimal("1e-13")

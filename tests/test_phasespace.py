@@ -327,9 +327,11 @@ def _refusal(call):
 
 def test_husimi_planar_refuses_a_ket_as_it_refuses_its_projector(monkeypatch):
     ket, far = coherent(40, 30), PlanarGrid(x_range=(36.0, 42.0), y_range=(0.0, 1.0), nx=4, ny=2)
-    for state, grid in ((ket, far), (ket, "grid"), (ket.data.T, far)):     # ket, ket, bra
-        assert (_refusal(lambda: husimi_planar(state, grid))
-                == _refusal(lambda: husimi_planar(to_operator(state), grid)))
+    assert (_refusal(lambda: husimi_planar(ket, "grid"))
+            == _refusal(lambda: husimi_planar(to_operator(ket), "grid")))
+    for state in (ket, ket.data.T):         # past |alpha|^2 = 1,490 both paths map alike
+        np.testing.assert_allclose(husimi_planar(state, far).values,
+                                   husimi_planar(to_operator(state), far).values, rtol=1e-14, atol=0)
     assert _refusal(lambda: husimi_planar(np.zeros(3))) == _refusal(lambda: density_matrix(np.zeros(3)))
     assert _refusal(lambda: husimi_planar(np.zeros(3)))[0] is ZeroNorm
     monkeypatch.setattr(qcore, "MAX_STACK_BYTES", 2**20)
@@ -418,30 +420,64 @@ def _loop_laguerre_basis(d):
 
 
 def _loop_husimi_terms(d, xs, ys):
-    """``_husimi_terms`` as it was built before its recurrences ran in place."""
+    """``_husimi_terms`` as it was built before its recurrence ran in place; its
+    scale is the expression kets read before the table was normalised."""
     _, radii, inverse = _radial(xs, ys)
-    terms = np.empty((d, radii.size))
-    terms[0] = np.exp(-radii / 2)
-    for m in range(1, d):
-        terms[m] = terms[m - 1] * radii / m
-    norm = terms.sum(axis=0)
     mant, exps = np.ones((d, radii.size)), np.zeros((d, radii.size), dtype=int)
     for m in range(1, d):
         mant[m], step = np.frexp(mant[m - 1] * radii / m)
         exps[m] = exps[m - 1] + step
     half, odd = np.divmod(top := exps.max(axis=0), 2)
-    scale = np.ldexp(1 / np.sqrt(np.ldexp(np.ldexp(mant, exps - top).sum(axis=0), odd)), -half)
-    return terms, math.pi * norm[inverse], scale[inverse]
+    total = np.ldexp(mant, exps - top).sum(axis=0)
+    scale = np.ldexp(1 / np.sqrt(np.ldexp(total, odd)), -half)
+    return np.ldexp(mant, exps - top) / total, scale[inverse]
 
 
 def test_kernel_builders_equal_their_loops_bitwise():
     for d in (*range(1, 8), 30, 61, 100):
         assert _laguerre_basis(d).tobytes() == _loop_laguerre_basis(d).tobytes(), d
-    for grid in (PlanarGrid(), PlanarGrid(x_range=(36.0, 38.6), y_range=(0.0, 0.0), nx=4, ny=2),
+    for grid in (PlanarGrid(), PlanarGrid(x_range=(36.0, 60.0), y_range=(0.0, 0.0), nx=4, ny=2),
                  PlanarGrid(x_range=(-8, 8), y_range=(-8, 8), nx=41, ny=41)):
         for d in (1, 2, 5, 30, 61, 200):
             built, loop = _husimi_terms(d, *grid._keys), _loop_husimi_terms(d, *grid._keys)
             assert [a.tobytes() for a in built] == [a.tobytes() for a in loop], (d, grid)
+
+
+_SUBNORMAL = decimal.Decimal(2) ** -1074
+
+
+def _log_norm(x: float, d: int) -> decimal.Decimal:
+    """ln N(x), N(x) = sum_{m<d} x^m / m!, from the float x by a 40-digit log-sum-exp."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        if x == 0:
+            return decimal.Decimal(0)
+        ln_x, ln_factorial, logs = decimal.Decimal(x).ln(), decimal.Decimal(0), []
+        for m in range(d):
+            ln_factorial += decimal.Decimal(max(m, 1)).ln()
+            logs.append(m * ln_x - ln_factorial)
+        top = max(logs)
+        return top + sum((v - top).exp() for v in logs).ln()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 300), st.floats(0.0, 1e6))
+def test_husimi_terms_are_normalised_at_any_radius(d, reach):
+    # x^m / (m! N(x)) from x = 0 to 1e6, where x^m / m! alone passes 1e308 and
+    # e^{-x/2} is 0: every column is a distribution, and scale^2 N(x) = 1 while
+    # scale is a normal float (past N(x) = 2^2044 it is subnormal, and is read to
+    # its spacing 2^-1074)
+    grid = PlanarGrid(x_range=(0.0, math.sqrt(reach)), y_range=(0.0, 0.0), nx=4, ny=2)
+    _husimi_terms.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        terms, scale = _husimi_terms(d, *grid._keys)
+    assert terms.shape[0] == d and np.isfinite(terms).all() and terms.min() >= 0.0
+    assert np.abs(terms.sum(axis=0) - 1.0).max() <= 1e-13
+    _, radii, inverse = _radial(*grid._keys)
+    for x, s in zip(radii[inverse], scale):
+        want = (-_log_norm(x, d) / 2).exp()                             # 1 / sqrt(N(x))
+        assert abs(decimal.Decimal(s) - want) <= want * decimal.Decimal("5e-14") + _SUBNORMAL, (x, d)
 
 
 def test_wigner_planar_coherent_analytic_whole_grid():
@@ -764,26 +800,34 @@ def test_grid_validation():
             grid(**ranges)
 
 
-def test_husimi_planar_refuses_points_past_its_reach():
-    # e^{-|alpha|^2 / 2} is 0 past |alpha|^2 of about 1,490, so the norm would be 0 / 0
-    rho = coherent(40, 30)
-    with pytest.raises(InvalidParameter, match=r"underflows at \|alpha\|\^2 = 1600"):
-        husimi_planar(rho, PlanarGrid(x_range=(36.0, 42.0), y_range=(0.0, 1.0), nx=4, ny=2))
-    near = husimi_planar(rho, PlanarGrid(x_range=(36.0, 38.6), y_range=(0.0, 0.0), nx=4, ny=2))
-    assert np.isfinite(near.values).all()
+def test_husimi_planar_maps_points_past_the_old_reach():
+    # the table is normalised at each radius, so it does not underflow past
+    # |alpha|^2 = 1,490, where e^{-|alpha|^2 / 2} is 0
+    ket = coherent(40, 30)
+    grid = PlanarGrid(x_range=(36.0, 60.0), y_range=(-1.0, 1.0), nx=5, ny=3)
+    psi = ket.data.ravel()
+    for state in (ket, ket.data.T, to_operator(ket)):       # ket, bra, projector
+        got = husimi_planar(state, grid).values
+        for iy, y in enumerate(grid.ys):
+            for ix, x in enumerate(grid.xs):
+                exact = _exact_husimi(psi, complex(x, y))
+                assert abs(decimal.Decimal(got[iy, ix]) - exact) <= exact * decimal.Decimal("1e-13")
 
 
 def test_husimi_planar_refuses_a_map_that_overflows():
-    # near the reach, e^{-x/2} x^m / m! and the ket's Horner sums pass 1.8e308 once d
-    # reaches past x: both paths refuse alike, and no warning escapes
+    # near x = 1,440 a ket's Horner sums pass 1.8e308 once d reaches past x: a ket and
+    # its bra refuse alike, while the projector's normalised table stays finite; no
+    # warning escapes
     ket = coherent(1500, 38)
     grid = PlanarGrid(x_range=(37.9, 38.0), y_range=(0.0, 0.0), nx=2, ny=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        refusals = [_refusal(lambda: husimi_planar(state, grid))
-                    for state in (ket, ket.data.T, to_operator(ket))]
-    assert refusals[0] == refusals[1] == refusals[2] == (
+        refusals = [_refusal(lambda: husimi_planar(state, grid)) for state in (ket, ket.data.T)]
+        projected = husimi_planar(to_operator(ket), grid).values
+    assert refusals[0] == refusals[1] == (
         InvalidParameter, "Husimi map of dimension 1500 overflows at |alpha|^2 = 1436.41")
+    assert np.isfinite(projected).all()
+    assert projected[:, 1] == pytest.approx([1 / math.pi] * 2, rel=0, abs=1e-12)    # Q(38)
     below = husimi_planar(ket, PlanarGrid(x_range=(30.0, 35.0), nx=3, ny=2))
     assert np.isfinite(below.values).all()
 
@@ -905,11 +949,11 @@ def test_husimi_nonnegative_random_states(seed):
 MAPS = (husimi_planar, wigner_planar, husimi_spherical, wigner_spherical)
 _KERNEL_CACHES = (_radial, _husimi_terms, _laguerre_basis, _wigner_terms, _diagonal_layout,
                   _husimi_diagonals, _wigner_diagonals, _axial_phases, _spin_magnitudes,
-                  _spin_phases)
+                  _spin_phases, _stratonovich_kernel)
 
 
 def _clear_caches():
-    for cache in (*_KERNEL_CACHES, _stratonovich_kernel):
+    for cache in _KERNEL_CACHES:
         cache.cache_clear()
 
 
@@ -1031,7 +1075,7 @@ def test_cached_kernels_are_read_only():
               _laguerre_basis(6), *_wigner_terms(6, xs, ys), *_diagonal_layout(6),
               _husimi_diagonals(4, thetas), _wigner_diagonals(4, thetas),
               *_axial_phases(5, phis), _spin_magnitudes(4, thetas), _spin_phases(4, phis)]
-    assert len(cached) == 3 + 3 + 1 + 2 + 6 + 1 + 1 + 2 + 1 + 1
+    assert len(cached) == 3 + 2 + 1 + 2 + 6 + 1 + 1 + 2 + 1 + 1
     for arr in cached:
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -1060,7 +1104,8 @@ _PKEYS, _SKEYS = PlanarGrid()._keys, SphericalGrid()._keys
 
 @pytest.mark.parametrize("kernel, keys", [
     (_laguerre_basis, [(d,) for d in range(29, 37)]),
-    (_husimi_terms, [(d, *_PKEYS) for d in range(26, 34)]),
+    (_radial, [PlanarGrid(nx=n, ny=n)._keys for n in range(100, 140, 5)]),
+    (_husimi_terms, [(d, *_PKEYS) for d in range(33, 41)]),
     (_wigner_terms, [(d, *_PKEYS) for d in range(10, 18)]),
     (_husimi_diagonals, [(two_j, _SKEYS[0]) for two_j in range(18, 26)]),
     (_wigner_diagonals, [(two_j, _SKEYS[0]) for two_j in range(18, 26)]),
@@ -1176,11 +1221,11 @@ def _reference_diagonals(dm):
 def _reference_husimi_planar(dm, grid):
     xs, ys = _linspace_bits(grid.x_range, grid.nx), _linspace_bits(grid.y_range, grid.ny)
     alphas, _, inverse = _radial(xs, ys)
-    terms, norm, _ = _husimi_terms(len(dm), xs, ys)
+    terms, _ = _husimi_terms(len(dm), xs, ys)
     k, m, c = _reference_diagonals(dm)
     coeffs = c * np.cumprod(np.sqrt(np.where(m > 0, m / np.maximum(m + k, 1), 1.0)), axis=1)
     sums = _complex_product(coeffs, terms)
-    q = np.real(_horner(sums, inverse, lambda k: alphas * (1.0 / math.sqrt(k + 1)))) / norm
+    q = np.real(_horner(sums, inverse, lambda k: alphas * (1.0 / math.sqrt(k + 1)))) / math.pi
     return q.reshape(grid.ny, grid.nx)
 
 
@@ -1189,7 +1234,7 @@ def _reference_husimi_planar_ket(state, grid):
     bra = (psi / np.linalg.norm(psi)).conj()
     xs, ys = _linspace_bits(grid.x_range, grid.nx), _linspace_bits(grid.y_range, grid.ny)
     alphas = _radial(xs, ys)[0]
-    scale = _husimi_terms(len(bra), xs, ys)[2]
+    scale = _husimi_terms(len(bra), xs, ys)[1]
     acc = np.full(alphas.shape, bra[-1])
     for n in range(len(bra) - 2, -1, -1):
         acc = acc * alphas * (1.0 / math.sqrt(n + 1)) + bra[n]

@@ -91,15 +91,17 @@ def test_fidelity_cases():
 
 
 def test_fidelity_refuses_a_state_whose_hermitian_part_is_not_positive():
-    # b passes the state rule: it is Hermitian to 1e-10 and eigh reads only its lower
-    # triangle, |1><1|; on the uniform ket u over 2..d-1, <u|b|u> = -0.9e-10 (d - 3) / 2
+    # b is Hermitian to 1e-10 and its lower triangle is |1><1|, but its Hermitian part
+    # is not a state: on the uniform ket u over 2..d-1, <u|b|u> = -0.9e-10 (d - 3) / 2,
+    # and the state rule, which reads that part, refuses b for both scores
     d = 400
     b = np.triu(np.full((d, d), -0.9e-10), 1)
     b[:2] = 0.0
     b[1, 1] = 1.0
     u = np.r_[0.0, 0.0, np.ones(d - 2)] / np.sqrt(d - 2)
-    with pytest.raises(NotPositive, match="fidelity operand has eigenvalue -1.787e-08"):
-        fidelity(u, b)
+    for score in (fidelity, trace_distance):
+        with pytest.raises(NotPositive, match="state has eigenvalue -1.787e-08 < -1e-10"):
+            score(u, b)
 
 
 def test_metric_dimension_mismatch():
