@@ -27,20 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrology, phasespace, qcore, states, tomography
+# measurement, tomography, phasespace and metrology are imported by the commands that
+# call them, so that each command compiles only its own modules
+from . import qcore, states
 from .errors import InvalidParameter, QmkitError, UnsupportedDimension
-from .measurement import (
-    MeasurementSet,
-    SamplerBackend,
-    _independent_frequencies,
-    build_mub_set,
-    build_pauli_set,
-    build_sic_set,
-    build_stoke_set,
-    measure_and_sample,
-    probabilities,
-    timed_measurement,
-)
 from .operators import pauli, spin
 from .qcore import Kind, QuantumObject, _rng
 from .qcore import _write_lines as _emit   # perfbench/tracing.py wraps cli._emit by name
@@ -143,20 +133,20 @@ def _qubits(name: str, dim: int) -> int:
     return n
 
 
-def _xyz(dim: int) -> MeasurementSet:
-    if dim != 2:
-        raise UnsupportedDimension(f"xyz set needs a qubit (d=2), got d={dim}")
-    return MeasurementSet(kind="custom", elements=(pauli("x"), pauli("y"), pauli("z")))
+SETS = ("pauli", "stoke", "mub", "sic", "xyz")
 
 
-# set name -> set constructor, called with the dimension
-SETS = {
-    "pauli": lambda d: build_pauli_set(_qubits("pauli", d)),
-    "stoke": lambda d: build_stoke_set(_qubits("stoke", d)),
-    "mub": build_mub_set,
-    "sic": build_sic_set,
-    "xyz": _xyz,
-}
+def _named_set(name: str, dim: int):
+    """The built-in set ``name`` for a ``dim``-dimensional state."""
+    from . import measurement
+    if name == "xyz":
+        if dim != 2:
+            raise UnsupportedDimension(f"xyz set needs a qubit (d=2), got d={dim}")
+        return measurement.MeasurementSet(kind="custom",
+                                          elements=(pauli("x"), pauli("y"), pauli("z")))
+    if name in ("pauli", "stoke"):
+        dim = _qubits(name, dim)
+    return getattr(measurement, f"build_{name}_set")(dim)     # e.g. build_mub_set
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +175,9 @@ def cmd_state(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    from .measurement import SamplerBackend, measure_and_sample, probabilities
     st = _build_state(args)
-    mset = SETS[args.set](st.dim)
+    mset = _named_set(args.set, st.dim)
     cols = {"element_index": range(len(mset)),
             "group": [None if g < 0 else g for g in mset.group_of.tolist()],
             "probability": probabilities(st, mset)}
@@ -215,8 +206,9 @@ BENCH_SETS = (("pauli", 2), ("stoke", 2), ("pauli", 4), ("stoke", 4), ("pauli", 
 
 
 def cmd_bench_povm(args) -> int:
+    from .measurement import timed_measurement
     rng = _rng(args.seed)
-    jobs = [(kind, d, SETS[kind](d)) for kind, d in BENCH_SETS]
+    jobs = [(kind, d, _named_set(kind, d)) for kind, d in BENCH_SETS]
     rows = [(kind, d, sum(timed_measurement(states.random_haar(d, rng), mset)[1]
                           for _ in range(args.repeats)) / args.repeats)
             for kind, d, mset in jobs]
@@ -232,6 +224,7 @@ def cmd_bench_povm(args) -> int:
 
 
 def cmd_backend_compare(args) -> int:
+    from .measurement import _independent_frequencies
     qcore._fits(args.samples, 1, f"a grid of {args.samples} samples")
     xs = np.linspace(0.0, 5.0, args.samples)
     exact = np.exp(-xs)
@@ -273,6 +266,7 @@ def cmd_backend_compare(args) -> int:
 
 
 def cmd_phasespace(args) -> int:
+    from . import phasespace
     st = _build_state(args)
     if args.coords == "planar":
         grid = phasespace.PlanarGrid(
@@ -299,8 +293,10 @@ def cmd_phasespace(args) -> int:
 
 
 def cmd_tomography(args) -> int:
+    from . import tomography
+    from .measurement import SamplerBackend
     st = _build_state(args)
-    mset = SETS[args.set](st.dim)
+    mset = _named_set(args.set, st.dim)
     try:
         shots = None if args.shots == "exact" else _count(args.shots)
     except argparse.ArgumentTypeError:
@@ -317,6 +313,7 @@ def cmd_tomography(args) -> int:
 
 
 def cmd_metrology(args) -> int:
+    from . import metrology
     try:
         thetas = [float(t) for t in args.thetas_pi.split(",")]
     except ValueError:
@@ -373,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="measure a state with a built-in set")
     common(p)
     _add_state_args(p)
-    p.add_argument("--set", required=True, choices=tuple(SETS))
+    p.add_argument("--set", required=True, choices=SETS)
     p.add_argument("--backend", choices=("exact", "mc", "cdf"), default="exact")
     p.add_argument("--shots", type=_count, default=1000)
     p.set_defaults(func=cmd_measure)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .measurement import COMPLETENESS_TOL, _set, probabilities
 from .qcore import (Kind, QuantumObject, _count, _draws, _evolution, _fits, _real, _reals,
                     _require_state, _spectrum, _square, _typed, _unit, density_matrix, normalize)
 from .states import spin_coherent
@@ -53,6 +52,7 @@ def classical_fisher(rho_of_phi: Callable[[float], object], mset, phi: float,
     the whole set, refused with InvalidParameter unless its probabilities at
     phi sum to 1 within ``COMPLETENESS_TOL``.
     """
+    from .measurement import COMPLETENESS_TOL, _set, probabilities  # not loaded by run_scenario
     rho_of_phi, mset = _typed(rho_of_phi, Callable, "rho_of_phi"), _set(mset)
     phi = _real(phi, "phi")
     dphi = _real(dphi, "finite-difference step", math.ulp(0.0))   # least positive float: refuses 0

@@ -59,14 +59,16 @@ class QuantumObject:
     as a column vector, and the object records that it was (see :func:`_kind`).
     The wrapped array is copied and frozen, so a QuantumObject can be shared
     freely between threads.  A Hermitian object keeps its eigendecomposition
-    once :func:`_spectrum` has made it, and a wrapper of it shares that.
+    once :func:`_spectrum` has made it, and a wrapper of it shares that and
+    the mark ``_state`` of a projector built as a state (see :func:`_projector`).
     """
 
-    __slots__ = ("_data", "_eigh", "_flat")
+    __slots__ = ("_data", "_eigh", "_flat", "_state")
 
     def __init__(self, data: ArrayLike):
         if isinstance(data, QuantumObject):
-            self._data, self._eigh, self._flat = data._data, data._eigh, data._flat
+            self._data, self._eigh, self._flat, self._state = (data._data, data._eigh, data._flat,
+                                                               data._state)
             return
         try:
             arr = np.asarray(data, dtype=complex)
@@ -82,7 +84,7 @@ class QuantumObject:
             raise InvalidObject("matrix entries must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
-        self._data, self._eigh, self._flat = arr, None, flat
+        self._data, self._eigh, self._flat, self._state = arr, None, flat, False
 
     @classmethod
     def _view(cls, arr: np.ndarray) -> "QuantumObject":
@@ -90,7 +92,7 @@ class QuantumObject:
         array computed from checked operands."""
         arr.flags.writeable = False
         q = cls.__new__(cls)
-        q._data, q._eigh, q._flat = arr, None, False
+        q._data, q._eigh, q._flat, q._state = arr, None, False, False
         return q
 
     @property
@@ -238,11 +240,14 @@ def _kind(q: QuantumObject) -> Kind:
 
 
 def _projector(q: QuantumObject) -> QuantumObject:
-    """|v><v| for the unit vector v of ``q``'s entries (conjugated for a bra)."""
+    """|v><v| for the unit vector v of ``q``'s entries (conjugated for a bra),
+    marked as a state so that :func:`_require_state` need not decompose it."""
     v = _unit(q).reshape(-1)
     if q.kind is Kind.BRA:
         v = v.conj()
-    return QuantumObject._view(np.outer(v, v.conj()))
+    p = QuantumObject._view(np.outer(v, v.conj()))
+    p._state = True
+    return p
 
 
 def density_matrix(x: ArrayLike) -> np.ndarray:
@@ -355,12 +360,15 @@ def _complex(value, name: str) -> complex:
 
 def _require_state(x: ArrayLike) -> QuantumObject:
     """The density matrix of ``x``.  A ket or bra (see :func:`_kind`) becomes its
-    projector, a state by construction; an operator must be Hermitian,
+    projector, a state by construction, and so passes a projector that
+    :func:`_projector` marked; any other operator must be Hermitian,
     unit-trace and PSD, read off the eigendecomposition that :func:`_spectrum`
     keeps on it."""
     q = x if isinstance(x, QuantumObject) else QuantumObject(x)
     if _kind(q) is not Kind.OPER:
         return _projector(q)
+    if q._state:
+        return q
     vals = _spectrum(q, "state")[0]
     if abs((tr := q.data.trace().real) - 1.0) > 1e-8:
         raise InvalidObject(f"a state must have unit trace, got {tr:.6g}")

@@ -454,6 +454,37 @@ def test_cli_commands_do_not_load_scipy(tmp_path):
     assert len(list(tmp_path.glob("cat_theta_*.csv"))) == 4
 
 
+_LOADED = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "qmkit")
+
+import qmkit
+print(json.dumps(loaded()), file=sys.stderr)
+import qmkit.cli
+print(json.dumps(loaded()), file=sys.stderr)
+assert qmkit.cli.main(sys.argv[1:]) == 0
+print(json.dumps(loaded()), file=sys.stderr)
+"""
+
+_CLI = ["qmkit", "qmkit.cli", "qmkit.errors", "qmkit.operators", "qmkit.qcore", "qmkit.states"]
+
+
+# a command loads the modules it calls, and a map or a precision curve never loads measurement
+@pytest.mark.parametrize("argv, own", [
+    ("state --name ghz --n 3", []),
+    ("phasespace --name zeeman --j 2 --m 1 --map wigner --coords spherical --ntheta 5 --nphi 5",
+     ["qmkit.phasespace"]),
+    ("metrology --j 2 --points 5 --out-dir .", ["qmkit.metrology"]),
+])
+def test_each_command_loads_only_its_own_modules(argv, own, tmp_path):
+    res = _python(["-c", _LOADED, *argv.split()], tmp_path, 60)
+    assert res.returncode == 0, res.stderr
+    assert [json.loads(line) for line in res.stderr.splitlines()] == [
+        ["qmkit", "qmkit.errors"], _CLI, sorted(_CLI + own)]
+
+
 _LARGE_SPINS = """
 import sys, qmkit as q
 from qmkit.errors import UnsupportedDimension

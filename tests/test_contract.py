@@ -453,6 +453,47 @@ def test_the_walker_fails_on_an_unlisted_parameter(monkeypatch):
                                     ("QuantumObject.scaled", "factor")]
 
 
+# what ``from qmkit import *`` binds: the flat API and the public submodules
+_STAR = set("""
+    errors measurement metrology operators phasespace qcore states tomography
+    MeasurementOutcome MeasurementSet SamplerBackend build_mub_set build_pauli_set build_sic_set
+    build_stoke_set measure measure_and_sample post_measurement_state probabilities
+    sample_cdf_continuous sample_cdf_discrete sample_mc timed_measurement weyl_displacement
+    MetrologyScenario PrecisionCurve cat_state classical_fisher cramer_rao_bounds encode_phase
+    error_propagation quantum_fisher run_scenario
+    displacement identity lowering pauli raising spin squeezing
+    PhaseSpaceGrid PlanarGrid SphericalGrid clebsch_gordan husimi_planar husimi_spherical
+    read_grid spherical_harmonic wigner_planar wigner_spherical write_grid
+    EigenDecomposition Kind QuantumObject adjoint classify conjugate density_matrix diagonalize
+    dot eigen ground l2norm mat_exp mat_sqrt normalize partial_trace tensor to_operator trace
+    transpose
+    add_random_noise add_white_noise basis coherent dicke dual_basis ghz position_state
+    random_haar spin_coherent squeezed w zeeman
+    TomographyRun fidelity reconstruct_linear_inversion run_tomography trace_distance
+    trace_distance_pure
+""".split())
+
+
+def test_the_flat_namespace_binds_each_name_to_its_defining_module_object():
+    assert len(_STAR) == 90 and sorted(qmkit.__all__) == sorted(_STAR)
+    assert _STAR <= set(dir(qmkit))
+    star: dict = {}
+    exec("from qmkit import *", star)
+    assert set(star) - {"__builtins__"} == _STAR
+    for name in _STAR:
+        obj = star[name]
+        home = importlib.import_module(obj.__name__ if inspect.ismodule(obj) else obj.__module__)
+        assert home.__name__.startswith("qmkit.") and getattr(qmkit, name) is obj
+        assert obj is home or vars(home)[name] is obj
+
+
+def test_a_submodule_resolves_on_access_and_an_unknown_name_is_refused(monkeypatch):
+    monkeypatch.delattr(qmkit, "phasespace")        # as before anything imported it
+    assert qmkit.phasespace is importlib.import_module("qmkit.phasespace")
+    with pytest.raises(AttributeError, match=r"^module 'qmkit' has no attribute 'nonesuch'$"):
+        qmkit.nonesuch
+
+
 def test_rows_list_exactly_the_parameters_of_their_call_by_known_kinds():
     for call, _, kinds, *_ in CALLS.values():
         assert set(kinds) == set(inspect.signature(call).parameters), call

@@ -43,6 +43,7 @@ from qmkit.errors import (
     InvalidObject,
     InvalidParameter,
     NotHermitian,
+    NotPositive,
     NotQubitSystem,
     UnsupportedDimension,
     ZeroNorm,
@@ -221,6 +222,25 @@ def test_to_operator_converts_a_ket_once(rng):
         np.testing.assert_array_equal(rho.data, np.outer(w, w.conj()))
         assert not rho.data.flags.writeable
         assert not density_matrix(x).flags.writeable
+
+
+def test_a_projector_of_a_ket_is_a_state_without_a_decomposition(monkeypatch):
+    solver, calls = np.linalg.eigh, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solver(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    p = to_operator(normalize([1.0, 1.0]))
+    assert density_matrix(p) is p.data and density_matrix(QuantumObject(p)) is p.data
+    assert calls == []
+    # the same matrix from outside, or one built from it by arithmetic, is decomposed
+    np.testing.assert_array_equal(density_matrix(p.data), p.data)
+    with pytest.raises(InvalidObject, match="unit trace"):
+        density_matrix(p + p)
+    with pytest.raises(NotPositive):
+        density_matrix(p.data + np.diag([0.1, -0.1]))
+    assert len(calls) == 3
 
 
 def test_dot_evolution_example():
