@@ -4,10 +4,10 @@ built-in measurement sets, and the two stochastic simulation back-ends.
 A measurement set is an ordered collection of PSD operators with optional
 grouping metadata; each declared group is one complete POVM (its elements
 resolve the identity).  The mc back-end estimates every outcome frequency
-by accept/reject over uniform draws; the cdf back-end draws outcomes by
-inverse-transform sampling of the per-group distribution using stratified
-uniforms, which is what makes it the more accurate of the two at equal
-shot budget.
+by accept/reject over uniform draws (one binomial variate per outcome);
+the cdf back-end draws outcomes by inverse-transform sampling of the
+per-group distribution using stratified uniforms, which is what makes it
+the more accurate of the two at equal shot budget.
 """
 
 from __future__ import annotations
@@ -268,10 +268,10 @@ class SamplerBackend:
     """Configuration of an outcome simulator.
 
     method 'mc' runs accept/reject with ``iterations`` uniform draws per
-    element; method 'cdf' inverse-transform samples each group.  The seed
-    fixes the whole sampling stream, so equal configuration and inputs
-    replay bit-exactly.  ``iterations`` doubles as the default shot budget
-    when the caller does not pass one.
+    element (one binomial variate); method 'cdf' inverse-transform samples
+    each group.  The seed fixes the whole sampling stream, so equal
+    configuration and inputs replay bit-exactly.  ``iterations`` doubles as
+    the default shot budget when the caller does not pass one.
     """
 
     method: str
@@ -503,17 +503,13 @@ def _can_skip(g: np.random.Generator) -> bool:
 def sample_mc(p: float, iterations: int, rng=None) -> float:
     """Accept/reject frequency estimate of a probability p.
 
-    Draws ``iterations`` uniforms and returns the fraction falling below
-    p.  The endpoints are exact: p = 0 gives 0.0 and p = 1 gives 1.0.
+    The fraction of ``iterations`` uniforms below p, its count drawn as one
+    Binomial(iterations, p) variate, so none is held.  The endpoints are
+    exact and draw nothing: p = 0 gives 0.0 and p = 1 gives 1.0.
     """
     p = _real(p, "probability", 0.0, 1.0)
     iterations = _draws(iterations, "iterations")
-    g = _rng(rng)
-    if (p == 0.0 or p == 1.0) and _can_skip(g):
-        g.bit_generator.advance(iterations)     # every draw would agree
-        return float(p == 1.0)
-    _fits(iterations, 1, "holding every draw")
-    return float(np.count_nonzero(g.random(iterations) < p)) / iterations
+    return float(_independent_frequencies("mc", p, iterations, _rng(rng)))
 
 
 def sample_cdf_continuous(inverse_cdf: Callable, shots: int, rng=None) -> np.ndarray:
@@ -587,10 +583,11 @@ def sample_cdf_discrete(probs, shots: int, rng=None) -> np.ndarray:
 
 def _independent_frequencies(method: str, probs, n: int, g: np.random.Generator) -> np.ndarray:
     """Each of the non-empty ``probs``, clipped to [0, 1], estimated on its own from n
-    draws of g in turn: by :func:`sample_mc` for 'mc', else as {1 - p, p} cdf counts."""
+    draws of g in turn: one binomial variate each for 'mc', else {1 - p, p} cdf counts."""
     p = np.clip(probs, 0.0, 1.0)
     if method == "mc":
-        return np.array([sample_mc(x, n, g) for x in p.tolist()])
+        # NumPy draws a uniform even for Binomial(n, 1) = n, so p = 1 draws from n = 0
+        return g.binomial(n * (p < 1.0), p) / n + (p == 1.0)
     return _stratified_counts(np.stack([1.0 - p, p], axis=1), n, g)[:, 1] / n
 
 
@@ -602,8 +599,9 @@ def measure_and_sample(state, mset, backend: SamplerBackend,
     'mc' estimates each element independently; 'cdf' samples each declared
     group as one discrete distribution (ungrouped elements fall back to a
     two-outcome {1-E, E} distribution).  ``shots`` defaults to the
-    backend's iteration count.  The stream runs over the groups, then the
-    ungrouped elements, ``shots`` uniforms each.
+    backend's iteration count.  'mc' draws one binomial variate per element
+    in turn; 'cdf' runs the stream over the groups, then the ungrouped
+    elements, ``shots`` uniforms each.
     """
     backend, mset = _typed(backend, SamplerBackend, "backend"), _set(mset)
     probs = probabilities(state, mset)

@@ -120,17 +120,19 @@ def _run(argv, tmp_path, monkeypatch, capsys) -> tuple[int, dict]:
 # cli-phasespace was re-recorded when the spherical maps became one batched
 # product, and moved by <= 2.3e-16, and again when a ket's spherical Husimi
 # map took its own real product, moving by <= 2.8e-16; phasespace-husimi-planar
-# when a ket's planar Husimi map took its own Horner pass, and moved by <= 1.7e-16);
+# when a ket's planar Husimi map took its own Horner pass, and moved by <= 1.7e-16;
+# every row that samples mc, and backend-compare's cdf column drawn after it, when
+# mc became one binomial draw per element: new draws of the same distribution);
 # rows: {output: SHA-256}, each of a command that exits 0
 _DIGESTS = {
     "c10-backend-compare": {
-        "out": "39c5efd062766c4be69a7f062ccf4fdccf662db0e65507034b3a2ddf3b608ffd",
+        "out": "cbeb064f5c36da24a0308fc7293c8c0696b4d5bbeccb3b02dee61ae7a1a74d3a",
     },
     "c10-measure-pauli-cdf": {
         "out": "631ad83f3a67efda7ccbceeb8a04934bf2aad3f5b7e645b779aee06675d40d10",
     },
     "c10-measure-sic-mc": {
-        "out": "8578e54daa7647238d09720c2817bfc26ba921d0d515cc519aaba466a083e2a3",
+        "out": "dc5110cd798c62ff3e2468cebe789cd6100e284fd0f9039c4c1535a9977bdf90",
     },
     "c10-metrology-j2": {
         "<stdout>": "8baa669c11f5f5586b810d6c2c4cafaf31849b2110fe3638888de17f32be6a82",
@@ -152,7 +154,7 @@ _DIGESTS = {
         "out": "8221a416945c860e065a5803269383c019820cec98d70e1a6313c3e074c749e7",
     },
     "cli-backend-compare": {
-        "<stdout>": "9237ff086fab76fa40e4374edc01bc6bb1cb09e65d98a2e719fcb56056f5db34",
+        "<stdout>": "3444e44d7f40d529c654d57dc687490a05f3a51cbdb1476e797213954d5ed01d",
     },
     "cli-measure": {
         "<stdout>": "f82507f1eab41dfa98b282b6dda47027c2095dc4a537a07178073cab1ea345b2",
@@ -177,7 +179,7 @@ _DIGESTS = {
         "<stdout>": "371cf813c861cd220680165f33973a536205d2e7b1350ddab5ee6eadcc59a148",
     },
     "measure-mub-mc": {
-        "<stdout>": "123153c9891410ddec675cfb480f0dace02311e81f2d4bc486aec67dc35033be",
+        "<stdout>": "92726c9b558f655c0be87a7f47a46531d9aa31a3066de4ba4c8a6e9e12a60055",
     },
     "measure-stoke-exact-json": {
         "<stdout>": "28cb898687b98527f7a9cd57c7c34ec3477f8200e2808252278c195b47947dd0",
@@ -225,13 +227,13 @@ _DIGESTS = {
         "<stdout>": "9e67c4ed5f520e33dad4690d08cab1f829b806f8faa807811ae3b0fcaf684f89",
     },
     "tomography-sic-mc-json-x3": {
-        "out": "9608e7e22abf8a0780dd852166a311bb55224fb0bca6b63221f2be17d142390a",
+        "out": "6a39465d39836ffe36bd99eae62c258caf37c5b2422607b39dca3904c9f7eafd",
     },
     "tomography-stoke-mc-csv": {
-        "out": "6df19661d84c7b409a79653016b5ef3360a398492bf5dd6489822f6597d4acc2",
+        "out": "353f9a99afd4153795a1a475c9c4c38a8084e0ead61f5e1145e5b9cffbbdb664",
     },
     "tomography-stoke-mc-json": {
-        "out": "d9958a74e465368486697024b9bb1b2610b400243fefaff66b75320e2d9e9930",
+        "out": "a4a289b85109f79ded9b4f8ddf4cc7338c13bf7d4484b5998c894702ebe7d869",
     },
 }
 
@@ -264,8 +266,6 @@ def _too_big(needs):
     """The refusal of a size past the size limit, before anything is allocated."""
     return 3, f"UnsupportedDimension: {needs} complex entries, over the 1 GiB limit"
 
-
-_DRAWS = _too_big("holding every draw needs 1000000000000")
 
 # argv -> (exit code, stderr).  A stderr that starts "error: " is argparse's
 # (SystemExit(2)), and only the start of what follows "<prog>: error: " is
@@ -323,10 +323,6 @@ _FAILURES = {
     "tomography --name ghz --n 6 --set pauli --shots exact --out x.csv": _too_big(
         "a 6-qubit Pauli set needs 24**6"),
     "measure --name random --d 97 --set mub": _too_big("dimension 97 needs 97**4"),
-    # shot counts the shots rule admits, but whose draws no sampler can hold
-    "measure --name ghz --n 1 --set pauli --backend mc --shots 1000000000000": _DRAWS,
-    "tomography --name ghz --n 1 --set sic --backend mc --shots 1000000000000": _DRAWS,
-    "backend-compare --iterations 1000000000000 --no-timing": _DRAWS,
     # sets that the state's dimension does not admit
     "measure --name coherent --d 3 --alpha 1 --set pauli": (
         3, "UnsupportedDimension: pauli set needs a 2^n-dimensional state, got d=3"),
@@ -422,6 +418,31 @@ def test_failing_command(argv, tmp_path, monkeypatch, capsys):
         assert not returned and err.partition(": error: ")[2].startswith(want[len("error: "):])
     else:
         assert returned and err == want + "\n"
+
+
+# mc draws one binomial variate per element, so it takes shot counts whose
+# uniforms no sampler could hold: command -> (estimate, target) pairs of one
+# output row, each within 1e-5 (10^12 shots put the noise near 1e-6)
+_ANY_SHOTS = {
+    "measure --name ghz --n 1 --set pauli --backend mc --shots 1000000000000":
+        lambda row: [(row["frequency"], row["probability"])],
+    "tomography --name ghz --n 1 --set sic --backend mc --shots 1000000000000":
+        lambda row: [(row["fidelity"], "1"), (row["trace_distance"], "0")],
+    "backend-compare --iterations 1000000000000 --no-timing":
+        lambda row: [(row["mc"], row["exact"])],
+}
+
+
+@pytest.mark.parametrize("argv", list(_ANY_SHOTS), ids=lambda argv: argv.split()[0])
+def test_mc_takes_any_shot_count(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    *_, head = (line[2:].split(",") for line in out.splitlines() if line.startswith("# "))
+    rows = [dict(zip(head, line.split(","))) for line in out.splitlines() if line[:1] != "#"]
+    pairs = [pair for row in rows for pair in _ANY_SHOTS[argv](row)]
+    assert pairs and all(abs(float(got) - float(want)) <= 1e-5 for got, want in pairs)
 
 
 def test_planar_husimi_command_maps_points_past_the_old_reach(tmp_path, monkeypatch, capsys):

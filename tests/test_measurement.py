@@ -863,33 +863,64 @@ def test_cdf_skip_path_never_draws_the_whole_stream():
 
 
 @pytest.mark.parametrize("kind", _GENERATORS)
-@pytest.mark.parametrize("p", (0.0, 1.0, -0.0, 0.5))
-def test_mc_endpoints_leave_the_stream_of_a_full_draw(kind, p):
+@pytest.mark.parametrize("p", (1e-3, 0.3, 0.97, 0.999))
+def test_mc_is_one_binomial_draw(kind, p):
+    # NumPy inverts small n p (or n (1 - p)) and runs BTPE otherwise: both, from either side
     g, oracle = _generator(kind, 9), _generator(kind, 9)
-    f = sample_mc(p, 12_345, g)
-    assert f == float(np.count_nonzero(oracle.random(12_345) < p)) / 12_345
+    for n in (1, 7, 12_345, 10**12):
+        f = sample_mc(p, n, g)
+        assert f.hex() == (float(oracle.binomial(n, p)) / n).hex()
     assert _same_state(g.bit_generator.state, oracle.bit_generator.state)
 
 
+@pytest.mark.parametrize("kind", _GENERATORS)
+def test_mc_frequencies_are_a_loop_of_sample_mc(kind):
+    # one vector draw of every element, clipped to [0, 1], takes the stream in element order
+    p = np.random.default_rng(3).random(500)
+    p[:8] = (0.0, -0.0, 1.0, 1e-9, 1 - 1e-9, 0.5, -1e-17, 1 + 2e-16)
+    for n in (1, 7, 1_000, 10_000, 10**6):
+        g, oracle = _generator(kind, 5), _generator(kind, 5)
+        freqs = measurement._independent_frequencies("mc", p, n, g)
+        loop = [sample_mc(x, n, oracle) for x in np.clip(p, 0.0, 1.0).tolist()]
+        assert freqs.tobytes() == np.array(loop).tobytes()
+        assert _same_state(g.bit_generator.state, oracle.bit_generator.state)
+
+
 def test_mc_endpoints_never_draw_the_whole_stream():
-    g = np.random.default_rng(6)
-    assert sample_mc(1.0, 10**12, g) == 1.0 and sample_mc(0.0, 10**12, g) == 0.0
-    skipped = np.random.default_rng(6)
-    skipped.bit_generator.advance(2 * 10**12)
-    assert g.bit_generator.state == skipped.bit_generator.state
+    # p = 0 and p = 1 are exact and draw nothing, at any shot count, on any generator
+    for kind in _GENERATORS:
+        g, untouched = _generator(kind, 6), _generator(kind, 6)
+        for p in (0.0, -0.0, 1.0):
+            assert sample_mc(p, 10**12, g).hex() == float(p == 1.0).hex()
+        freqs = measurement._independent_frequencies("mc", [0.0, -0.0, 1.0], 10**12, g)
+        assert freqs.tobytes() == np.array([0.0, 0.0, 1.0]).tobytes()
+        assert _same_state(g.bit_generator.state, untouched.bit_generator.state)
+
+
+@pytest.mark.parametrize("p", (0.01, 0.3, 0.5, 0.97))
+def test_mc_has_the_accept_reject_statistics(p):
+    # the frequency of N accept/reject draws has mean p and variance p (1 - p) / N;
+    # over S seeds, each within 4 standard errors (the variance's from the fourth
+    # central moment of Binomial(N, p) / N)
+    n, seeds = 1_000, 2_000
+    f = np.array([sample_mc(p, n, seed) for seed in range(seeds)])
+    var = p * (1 - p) / n
+    mu4 = n * p * (1 - p) * (1 + 3 * (n - 2) * p * (1 - p)) / n**4
+    var_of_var = (mu4 - var**2 * (seeds - 3) / (seeds - 1)) / seeds
+    assert abs(f.mean() - p) <= 4 * math.sqrt(var / seeds)
+    assert abs(f.var(ddof=1) - var) <= 4 * math.sqrt(var_of_var)
 
 
 def test_samplers_that_hold_every_draw_refuse_more_than_fit():
-    # 10^12 draws pass the shots rule, but a sampler that holds them would need
-    # 8 TB; each is refused before it draws
-    mt = np.random.Generator(np.random.MT19937(1))        # no skip path
-    for call in (lambda: sample_mc(0.5, 10**12, 1),
-                 lambda: sample_cdf_discrete([0.5, 0.5], 10**12, mt),
-                 lambda: sample_cdf_continuous(lambda r: r, 10**12, 1),
-                 lambda: measure_and_sample(ghz(1), build_pauli_set(1), SamplerBackend("mc"),
-                                            10**12)):
-        with pytest.raises(UnsupportedDimension, match="holding every draw needs 1000000000000"):
-            call()
+    # an inverse-CDF draw and a cdf row off a generator that cannot skip hold every
+    # uniform: past 2**26 of them (1 GiB) each is refused before it draws
+    for shots in (2**26 + 1, 10**12):
+        mt, untouched = _generator("mt19937", 1), _generator("mt19937", 1)
+        for call in (lambda: sample_cdf_discrete([0.5, 0.5], shots, mt),
+                     lambda: sample_cdf_continuous(lambda r: r, shots, mt)):
+            with pytest.raises(UnsupportedDimension, match=f"holding every draw needs {shots} "):
+                call()
+        assert _same_state(mt.bit_generator.state, untouched.bit_generator.state)
 
 
 def _full_draw_measure_and_sample(state, mset, shots, seed):
@@ -1002,17 +1033,18 @@ def test_cdf_blocks_of_rows_match_full_draw(block, seed, kind):
 
 
 # sha256 of the float64 little-endian frequencies, recorded before the skip
-# paths existed: a change to any sampled stream shows here
+# paths existed (the mc rows again when mc became one binomial draw per
+# element): a change to any sampled stream shows here
 _GOLDEN = {
-    ("pauli3", "mc"): "cba57626a0c2e98f073f2424d75a90b4db111670b58e651c8af0a1b1da3fe92a",
+    ("pauli3", "mc"): "e5fe48eec45b994bd974a0046c4be615abb43070ac86912fcc7b44d170bc75fe",
     ("pauli3", "cdf"): "2e25aaea275f65bd2ab74d369963799482f133dce6bcbf81a2adb28ec8054bb4",
-    ("stoke3", "mc"): "ed9fa334bf2c51e7dd69d7ac3c35c429a9fb7e6e781860caad1f447ce4579826",
+    ("stoke3", "mc"): "b2d4afef989747b3f769702e4ab4ebe72cac653b4df94a6bf78de212a2f305c5",
     ("stoke3", "cdf"): "665aa4fe3e543eb858604adfdc808846fa7bb1e0c422aa954728a773d86fc92d",
-    ("mub7", "mc"): "34707c49f8ce2d9065ff6073787e2821cf8c301df1bbde9134b852c1616a3d5c",
+    ("mub7", "mc"): "01a469190864cdb949c7a44ef510e4a0d7597b58fff121d4ecd5cac5628cf1ec",
     ("mub7", "cdf"): "ad8cd44faff77b8c18e5886ed22516b5dfb59ef3fb6c3e143ac8f5859aa5ac15",
-    ("sic8", "mc"): "9750336fca8e42bd422e27b2862d7917b6443c0e3b43a56ef57a783533e27d95",
+    ("sic8", "mc"): "1c3411a28759fb0132e34d496b4a80acf1e819881860f7ee0242d1f0fa2acfb8",
     ("sic8", "cdf"): "0bddb39e62d3363bdbe0dbf0dbddeea5da843142666b1f094db60b836e52dbd4",
-    ("pauli4", "mc"): "1effbad7922434c8686ec095822bad107b051c1842912aebabb444dcafbae941",
+    ("pauli4", "mc"): "84c52d8521eba461b2358cdab941f68500a575af860c5bab499f4a97b83413cf",
     ("pauli4", "cdf"): "298566d0255331b00fabedabc6d29df51df6169c2d8a15d0ca5eec03311a4d6e",
 }
 _GOLDEN_CASES = {
