@@ -226,10 +226,11 @@ def cmd_bench_povm(args) -> int:
 def cmd_backend_compare(args) -> int:
     from .measurement import _independent_frequencies
     qcore._fits(args.samples, 1, f"a grid of {args.samples} samples")
+    n = qcore._draws(args.iterations, "iterations")
     xs = np.linspace(0.0, 5.0, args.samples)
     exact = np.exp(-xs)
     rng = _rng(args.seed)      # both columns by measure_and_sample's per-element rule, mc first
-    mc_est, cdf_est = (_independent_frequencies(m, exact, args.iterations, rng)
+    mc_est, cdf_est = (_independent_frequencies(m, exact, n, rng)
                        for m in ("mc", "cdf"))
     mc_mae, cdf_mae = (float(np.mean(np.abs(est - exact))) for est in (mc_est, cdf_est))
     if args.format == "json":

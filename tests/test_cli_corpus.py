@@ -343,6 +343,10 @@ _FAILURES = {
         4, "InvalidParameter: phase grid needs at least two points, got 1"),
     "measure --name ghz --n 1 --set pauli --backend cdf --shots 36893488147419103232": (
         4, "InvalidParameter: iterations must be at most 2**53, got 36893488147419103232"),
+    "backend-compare --iterations 9007199254740993 --no-timing": (
+        4, "InvalidParameter: iterations must be at most 2**53, got 9007199254740993"),
+    "backend-compare --iterations 36893488147419103232 --no-timing": (
+        4, "InvalidParameter: iterations must be at most 2**53, got 36893488147419103232"),
     # non-finite values, printed to stdout and written with --out: neither prints nor writes
     "state --name coherent --d 3 --alpha 1 --noise-std nan": (
         4, "InvalidParameter: noise stdev must be finite and real within [0, inf], got nan"),
