@@ -12,7 +12,6 @@ the more accurate of the two at equal shot budget.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
@@ -37,9 +36,6 @@ from .qcore import (HERMITIAN_TOL, PSD_TOL, QuantumObject, _count, _dimension, _
                     _qubit_count, _real, _reals, _require_state, _rng, _typed)
 
 COMPLETENESS_TOL = 1e-8
-# cost of one CDF crossing on the cdf sampler's skip path, in draws of its full
-# path; a row with more than shots / SKIP crossings is drawn in full
-SKIP = 640
 
 # single-qubit polarization kets: horizontal/vertical, diagonal/antidiagonal,
 # left/right circular
@@ -494,12 +490,6 @@ def build_sic_set(d: int) -> MeasurementSet:
     return MeasurementSet._built("sic", _projectors(_sic_orbit(d)) / d, (tuple(range(d * d)),))
 
 
-def _can_skip(g: np.random.Generator) -> bool:
-    """Whether advance(n) leaves g where n random() doubles would (PCG64, no half-word)."""
-    return (type(g) is np.random.Generator and type(g.bit_generator) is np.random.PCG64
-            and not g.bit_generator.state["has_uint32"])
-
-
 def sample_mc(p: float, iterations: int, rng=None) -> float:
     """Accept/reject frequency estimate of a probability p.
 
@@ -522,50 +512,24 @@ def sample_cdf_continuous(inverse_cdf: Callable, shots: int, rng=None) -> np.nda
 def _stratified_counts(p: np.ndarray, shots: int, g: np.random.Generator) -> np.ndarray:
     """Counts of the stratified uniforms r_i = (i + u_i)/shots under the CDF of each
     row of the (R, K) distributions ``p`` (finite, non-negative, summing to 1 within
-    1e-8: a CDF ends at its own total t, by which the r_i scale), rows taking ``shots``
-    uniforms each from g.  The r_i are sorted, so below[k] = #{i: r_i * t < cum[k]}
-    is where they cross cum[k]; if g can skip, a sparse row draws only around there."""
+    1e-8: a CDF ends at its own total t, by which the r_i scale).  Boundary cum[k]
+    falls in stratum s = floor(x) of x = shots * (cum[k] / t), so s + [u_s < x - s]
+    of the r_i lie below it, or all shots once s = shots.  Only those u_s are drawn,
+    one per distinct stratum of a row, rows in order, in one g.random call."""
     if not p.min() >= -1e-12:
         raise InvalidDistribution(f"negative or NaN probability {p.min():.3e}")
     total = p.sum(axis=1)
     if (off := np.abs(total - 1.0)).max() > 1e-8:
         raise InvalidDistribution(f"probabilities sum to {total[off.argmax()]:.10f}, not 1")
     cum = np.cumsum(np.maximum(p, 0.0), axis=1)
-    below = np.full(cum.shape, shots)
-    bitgen, random, skip = g.bit_generator, g.random, _can_skip(g)
-    pos = 0                                  # draws taken
-    for r, row in enumerate(cum.tolist()):
-        base, t = r * shots, row[-1]
-        # cum[:m] < t are the crossed boundaries; the rest count every draw, so
-        # one that rounds up to t goes to the last outcome of nonzero probability
-        m = bisect.bisect_left(row, t)
-        if not (skip and m * SKIP <= shots):
-            _fits(shots, 1, "holding every draw")
-            if base > pos:
-                bitgen.advance(base - pos)
-            a = ((np.arange(shots) + random(shots)) / shots) * t
-            below[r, :m] = np.searchsorted(a, cum[r, :m], side="left")
-            pos = base + shots
-            continue
-        for k, c in enumerate(row[:m]):
-            # r_i * t < c exactly when i + u_i < x = c / t * shots: the crossing
-            # is at floor(x) or one past it.  Rounding moves x and i + u_i by a
-            # few ulps of shots, far below a stratum, so [est - 2, est + 3)
-            # holds it with a draw on either side; both sides are checked.
-            est = int(c / t * shots)
-            lo = est - 2 if est > 2 else 0
-            hi = est + 3 if est + 3 < shots else shots
-            # seek draw base + lo: modulo 2**128, a window overlapping the last goes back
-            bitgen.advance((base + lo - pos) % 2**128)
-            a = [((i + u) / shots) * t for i, u in enumerate(random(hi - lo).tolist(), lo)]
-            pos = base + hi
-            if (lo and not a[0] < c) or (hi < shots and not a[-1] >= c):
-                raise RuntimeError(f"stratified draws do not cross {c!r} inside [{lo}, {hi})")
-            below[r, k] = lo + bisect.bisect_left(a, c)
-    if pos < len(cum) * shots:
-        bitgen.advance(len(cum) * shots - pos)
-    below[:, 1:] -= below[:, :-1]       # NumPy buffers the overlapping operands
-    return below
+    x = shots * (cum / cum[:, -1:])
+    s = np.floor(x)
+    inside = s < shots
+    fresh = inside & (np.diff(s, axis=1, prepend=-1.0) > 0)     # s never falls along a row
+    taken = np.cumsum(fresh)                 # row-major: each boundary's draw, 0 before any
+    u = np.concatenate(([1.0], g.random(taken[-1])))[taken].reshape(x.shape)
+    below = np.where(inside, s + (u < x - s), shots).astype(np.int64)
+    return np.diff(below, axis=1, prepend=0)
 
 
 def sample_cdf_discrete(probs, shots: int, rng=None) -> np.ndarray:
@@ -583,7 +547,7 @@ def sample_cdf_discrete(probs, shots: int, rng=None) -> np.ndarray:
 
 def _independent_frequencies(method: str, probs, n: int, g: np.random.Generator) -> np.ndarray:
     """Each of the non-empty ``probs``, clipped to [0, 1], estimated on its own from n
-    draws of g in turn: one binomial variate each for 'mc', else {1 - p, p} cdf counts."""
+    shots off g in turn: one binomial variate each for 'mc', else {1 - p, p} cdf counts."""
     p = np.clip(probs, 0.0, 1.0)
     if method == "mc":
         # NumPy draws a uniform even for Binomial(n, 1) = n, so p = 1 draws from n = 0
@@ -601,7 +565,7 @@ def measure_and_sample(state, mset, backend: SamplerBackend,
     two-outcome {1-E, E} distribution).  ``shots`` defaults to the
     backend's iteration count.  'mc' draws one binomial variate per element
     in turn; 'cdf' runs the stream over the groups, then the ungrouped
-    elements, ``shots`` uniforms each.
+    elements, one uniform per stratum that holds a CDF boundary.
     """
     backend, mset = _typed(backend, SamplerBackend, "backend"), _set(mset)
     probs = probabilities(state, mset)

@@ -7,6 +7,7 @@ built from the pure functions defined here.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import enum
 import math
@@ -334,8 +335,11 @@ def _real(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> floa
     """``value`` as a float (NumPy scalars pass) if it is a real number in [lo, hi]
     and within the float range; else InvalidParameter: NaN, +-inf, a complex,
     a string, None."""
-    if isinstance(value, numbers.Real) and lo <= value <= hi and abs(value) <= sys.float_info.max:
-        return float(value)
+    try:                                # in float64, where a narrow NumPy float cannot overflow
+        if isinstance(value, numbers.Real) and lo <= (x := float(value)) <= hi and math.isfinite(x):
+            return x
+    except OverflowError:               # an int past the float range
+        pass
     span = "" if (lo, hi) == (-math.inf, math.inf) else f" within [{lo:g}, {hi:g}]"
     raise InvalidParameter(f"{name} must be finite and real{span}, got {value!r}")
 
@@ -352,9 +356,11 @@ def _reals(values, name: str, error=InvalidParameter) -> np.ndarray:
 def _complex(value, name: str) -> complex:
     """``value`` as a complex (NumPy scalars pass) if both its parts are within
     the float range; else InvalidParameter."""
-    big = sys.float_info.max
-    if isinstance(value, numbers.Complex) and abs(value.real) <= big and abs(value.imag) <= big:
-        return complex(value)
+    try:                                # in float64, where a narrow NumPy float cannot overflow
+        if isinstance(value, numbers.Complex) and cmath.isfinite(z := complex(value)):
+            return z
+    except OverflowError:               # an int past the float range
+        pass
     raise InvalidParameter(f"{name} must be a finite number, got {value!r}")
 
 

@@ -122,11 +122,14 @@ def _run(argv, tmp_path, monkeypatch, capsys) -> tuple[int, dict]:
 # map took its own real product, moving by <= 2.8e-16; phasespace-husimi-planar
 # when a ket's planar Husimi map took its own Horner pass, and moved by <= 1.7e-16;
 # every row that samples mc, and backend-compare's cdf column drawn after it, when
-# mc became one binomial draw per element: new draws of the same distribution);
+# mc became one binomial draw per element, and the cdf rows c10-backend-compare,
+# cli-backend-compare, cli-tomography-mub and tomography-pauli-cdf-csv-x3 when
+# cdf came to draw one uniform per boundary stratum: new draws of the same
+# distribution);
 # rows: {output: SHA-256}, each of a command that exits 0
 _DIGESTS = {
     "c10-backend-compare": {
-        "out": "cbeb064f5c36da24a0308fc7293c8c0696b4d5bbeccb3b02dee61ae7a1a74d3a",
+        "out": "861dcdf5a706722a637a9c3309c42098b275fd8c0b31fb666492e454d05ddcbc",
     },
     "c10-measure-pauli-cdf": {
         "out": "631ad83f3a67efda7ccbceeb8a04934bf2aad3f5b7e645b779aee06675d40d10",
@@ -154,7 +157,7 @@ _DIGESTS = {
         "out": "8221a416945c860e065a5803269383c019820cec98d70e1a6313c3e074c749e7",
     },
     "cli-backend-compare": {
-        "<stdout>": "3444e44d7f40d529c654d57dc687490a05f3a51cbdb1476e797213954d5ed01d",
+        "<stdout>": "56c2050bf8d88489b7b7371522b8d2ff4cd551a988390ada4f9c6f9eddcc41d8",
     },
     "cli-measure": {
         "<stdout>": "f82507f1eab41dfa98b282b6dda47027c2095dc4a537a07178073cab1ea345b2",
@@ -173,7 +176,7 @@ _DIGESTS = {
         "<stdout>": "c26ff9930d2c8bb98f1cf70f7c77ff1f92496f71332bafd6c4d9e199ab1089fe",
     },
     "cli-tomography-mub": {
-        "<stdout>": "d041037136a8404d892eb502ad6728532eeb08c8f212ad7b8a8defc23980ac4b",
+        "<stdout>": "939d61e3850ce62331aeb51c4fb59224611c579489237a88f7e3b4f813626f30",
     },
     "cli-tomography-pauli-exact": {
         "<stdout>": "371cf813c861cd220680165f33973a536205d2e7b1350ddab5ee6eadcc59a148",
@@ -221,7 +224,7 @@ _DIGESTS = {
         "<stdout>": "86f82616d833d7530d39689c270c46cd941faa1cac1060d7177acc69c39cd36e",
     },
     "tomography-pauli-cdf-csv-x3": {
-        "out": "16db8a76e8e88e13bd224f300c01855cda6e202bbd0017902446ff9bee66bae3",
+        "out": "cf7210c08aeafcfa86b8ab6c6c85ca5e96253a3c2346cf8b50fe6352c95bb6db",
     },
     "tomography-sic-exact-json": {
         "<stdout>": "9e67c4ed5f520e33dad4690d08cab1f829b806f8faa807811ae3b0fcaf684f89",

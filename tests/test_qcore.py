@@ -30,6 +30,7 @@ from qmkit import (
     normalize,
     partial_trace,
     probabilities,
+    sample_mc,
     tensor,
     to_operator,
     trace,
@@ -194,6 +195,21 @@ def test_a_ket_whose_squared_norm_overflows_is_rescaled_first(big, small):
     pset = build_pauli_set(1)
     np.testing.assert_array_equal(probabilities(big, pset), probabilities(small, pset))
     np.testing.assert_array_equal(husimi_planar(big).values, husimi_planar(small).values)
+
+
+def test_narrow_numpy_scalars_are_range_checked_in_float64():
+    # the float range is compared in float64, never cast to a narrow type
+    # (which overflows, and warns, at 1.8e308)
+    assert qcore._real(np.float16(0.5), "x") == 0.5
+    assert qcore._real(np.float32(0.25), "p", 0.0, 1.0) == 0.25
+    assert qcore._complex(np.complex64(1 + 2j), "z") == 1 + 2j
+    assert 0.0 <= sample_mc(np.float32(0.25), 100, 3) <= 1.0
+    for bad in (np.float16("nan"), np.float32("inf"), np.float32("-inf"), 10**400):
+        with pytest.raises(InvalidParameter):
+            qcore._real(bad, "x")
+    for bad in (np.complex64(complex("nan+1j")), np.complex64(complex("1+infj")), 10**400):
+        with pytest.raises(InvalidParameter):
+            qcore._complex(bad, "z")
 
 
 def test_l2norm_of_entries_whose_squares_overflow():

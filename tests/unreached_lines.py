@@ -18,8 +18,6 @@ _ROOT = str(SOURCE)
 ALLOWED = {
     'raise InvalidParameter(f"embedded d={d} fiducial fails the SIC condition: "':
         "_sic_orbit checks the embedded fiducials, and every one of them passes",
-    'raise RuntimeError(f"stratified draws do not cross {c!r} inside [{lo}, {hi})")':
-        "a defensive check: the window's two-draw margin exceeds the rounding it guards",
     "sys.exit(main())": "entry_point runs only in test_module_entry_point_runs_main's subprocess",
     "entry_point()": "cli.py's __main__ guard runs only when the module is run as a script",
 }
