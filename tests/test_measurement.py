@@ -827,9 +827,26 @@ def _rows_block(rows):
     return p / p.sum(axis=1, keepdims=True)
 
 
+@pytest.mark.parametrize("kind", _GENERATORS)
+@pytest.mark.parametrize("rows", (
+    [[0.5, 0.5], [1 / 8] * 8, [1e-4, 1 - 1e-4]],          # one, seven, then stratum-0 boundary
+    [[1 / 8] * 8, [0.0, 1e-5, 0.2, 0.8 - 1e-5], [1 / 8] * 8, [2e-4, 0.0, 1 - 2e-4]],
+    [[1e-4, 1e-4, 1e-4, 1 - 3e-4]],         # three boundaries in two strata: two uniforms
+))
+def test_cdf_block_of_full_and_skipped_rows_matches_full_draw(rows, kind):
+    # fixed blocks of rows with one, several and shared boundary strata at
+    # 3,500 shots: counts and final state equal the full-draw oracle's, row by row
+    p = _rows_block(rows)
+    for seed in range(10):
+        g, twin = _generator(kind, seed), _generator(kind, seed)
+        np.testing.assert_array_equal(_stratified_counts(p, 3_500, g),
+                                      [_full_draw_counts(row, 3_500, twin) for row in p])
+        assert _same_state(g.bit_generator.state, twin.bit_generator.state)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_blocks(), st.integers(0, 2**31 - 1), st.sampled_from(_GENERATORS))
-def test_cdf_blocks_match_full_draw_oracle(block, seed, kind):
+def test_cdf_blocks_of_rows_match_full_draw(block, seed, kind):
     shots, rows = block
     p = _rows_block(rows)
     g, twin = _generator(kind, seed), _generator(kind, seed)
