@@ -71,35 +71,14 @@ def _stack(ops) -> np.ndarray:
     return stack
 
 
-def _real_basis(d: int) -> np.ndarray:
-    """Orthonormal (Hilbert-Schmidt) basis B_a of traceless Hermitian d x d
-    matrices, one row per element with its entries as interleaved (re, im)
-    pairs; taking any complex X the same way, Re tr(X B_a) = row_a . X.
-
-    Rows: for each pair i < j the symmetric element (|i><j| + |j><i|)/sqrt2
-    and the antisymmetric one (-i|i><j| + i|j><i|)/sqrt2, then the d - 1
-    diagonal elements (1, ..., 1, -l, 0, ..., 0)/sqrt(l(l+1)).
-    """
-    i, j = np.triu_indices(d, 1)
-    sym, anti = 2 * np.arange(len(i)), 2 * np.arange(len(i)) + 1
-    basis = np.zeros((d * d - 1, d, d), dtype=complex)
-    basis[sym, i, j] = basis[sym, j, i] = 1 / np.sqrt(2)
-    basis[anti, i, j], basis[anti, j, i] = -1j / np.sqrt(2), 1j / np.sqrt(2)
-    l, p = np.arange(1, d)[:, None], np.arange(d)
-    basis[2 * len(i):, p, p] = np.where(p < l, 1.0, np.where(p == l, -l, 0.0)) / np.sqrt(l * (l + 1))
-    real = basis.view(float).reshape(d * d - 1, 2 * d * d)
-    real.flags.writeable = False
-    return real
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class MeasurementSet:
     """Ordered POVM elements plus the partition into completeness groups.
 
     The elements live in one read-only (K, d, d) complex array ``stack``, which
     the constructor copies from a sequence of d x d operators or a (K, d, d)
-    array; ``elements``, a tuple of views into it, and ``_inversion``, the
-    linear-inversion data, are made on first read and kept.  Other modules ask a set
+    array; ``elements``, a tuple of views into it, and ``_inversion``, the bordered
+    inverse and coordinate gather of linear inversion, are made on first read and kept.  Other modules ask a set
     for tr(E_k rho) and a least-squares rho only by :meth:`_forward` and :meth:`_estimate`.
 
     ``groups`` lists disjoint, non-empty index tuples whose elements sum to
@@ -169,28 +148,41 @@ class MeasurementSet:
     @functools.cached_property
     def _inversion(self) -> tuple:
         """What :meth:`_estimate` needs of the set, made on first use and kept:
-        (offsets, gram_inv, real stack, real basis).
+        (inverse, at, ta, sign, half).
 
-        With off_k = tr(E_k)/d and M[k, a] = Re tr(E_k B_a) over the basis B_a
-        of :func:`_real_basis`, rho - 1/d has the least-squares coordinates
-        x = (M^T M)^{-1} M^T (f - off), and M^T (f - off) = Re tr(A B_a) with
-        A = sum_k (f_k - off_k) E_k, so M is never kept.  ``gram_inv`` is
-        (M^T M)^{-1}, or None when M^T M is singular.  The real stack is a
-        (K, 2 d^2) view of the C-ordered stack with interleaved (re, im) entries.
+        rho has the real coordinates y_a = tr(C_a rho) in the orthonormal Hermitian
+        basis C_a: |i><i|, (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2 for
+        i < j.  Re tr(X C_a) = (v[at] + sign v[ta]) half for any complex d x d X with
+        (re, im) entries v, so M[k, a] = Re tr(E_k C_a) is one gather from the stack.
+        The unit trace t.y = 1, t marking the d diagonal coordinates, borders the
+        normal equations: [[M^T M, s t], [s t^T, 0]] [y; l] = [M^T f; s], with s the
+        largest diagonal entry of M^T M.  ``inverse`` is the first d^2 rows of that
+        system's inverse with its last column times s, so y = inverse @ [M^T f; 1];
+        None when the system is singular, i.e. the elements do not span the
+        traceless operators.  Refused by the size rule before anything is allocated.
         """
-        d = self.dim
-        basis = _real_basis(d)
+        d, n = self.dim, self.dim ** 2
+        _fits(n + 1, 2, f"the {self.kind} set's inversion system")
+        i, j = np.triu_indices(d, 1)
+        diag, upper, lower = 2 * (d + 1) * np.arange(d), 2 * (d * i + j), 2 * (d * j + i)
+        at = np.concatenate([diag, upper, upper + 1])
+        ta = np.concatenate([diag, lower, lower + 1])
+        sign = np.repeat([1.0, 1.0, -1.0], [d, len(i), len(i)])
+        half = np.repeat([0.5, np.sqrt(0.5)], [d, 2 * len(i)])
         real = self.stack.view(float).reshape(len(self), -1)
-        gram = np.zeros((d * d - 1, d * d - 1))
+        system = np.zeros((n + 1, n + 1))
         with np.errstate(over="ignore", invalid="ignore"):    # an overflow is refused below
             for start in range(0, len(self), 64):      # row blocks: M is never held whole
-                m = real[start:start + 64] @ basis.T
-                gram += m.T @ m
-        if not np.isfinite(gram).all():
+                m = (real[start:start + 64, at] + sign * real[start:start + 64, ta]) * half
+                system[:n, :n] += m.T @ m
+        if not np.isfinite(system).all():
             raise InvalidObject(f"{self.kind} set's Gram matrix overflows the float range")
-        full_rank = np.linalg.matrix_rank(gram, hermitian=True) == d * d - 1
-        return (np.trace(self.stack, axis1=1, axis2=2).real / d,
-                np.linalg.inv(gram) if full_rank else None, real, basis)
+        system[:d, n] = system[n, :d] = s = system.diagonal().max()
+        inverse = None
+        if np.linalg.matrix_rank(system, hermitian=True) == n + 1:
+            system = np.linalg.inv(system)     # in its place: the build holds two systems at most
+            inverse = system[:n] * np.append(np.ones(n), s)
+        return inverse, at, ta, sign, half
 
     def _forward(self, rho: np.ndarray) -> np.ndarray:
         """Complex tr(E_k rho) for each element E_k of a d x d matrix ``rho``."""
@@ -201,13 +193,13 @@ class MeasurementSet:
         return np.einsum("kij,ji->k", self.stack, rho)
 
     def _estimate(self, freqs: np.ndarray) -> np.ndarray:
-        """Unprojected Hermitian least-squares rho of unit trace from K finite real
-        frequencies, renormalised per group on a copy first; RankDeficientSet if the
-        elements do not span the traceless operators, InvalidObject if their Gram matrix
-        overflows.  An overflow of the frequencies leaves rho not finite."""
-        offsets, gram_inv, real, basis = self._inversion
+        """Unprojected least-squares rho of unit trace from K finite real frequencies,
+        renormalised per group on a copy first, and Hermitian by construction as U + U^dag;
+        RankDeficientSet if the elements do not span the traceless operators, InvalidObject
+        if their Gram matrix overflows.  An overflow of the frequencies leaves rho not finite."""
+        inverse, at, ta, sign, half = self._inversion
         d = self.dim
-        if gram_inv is None:
+        if inverse is None:
             raise RankDeficientSet(f"{self.kind} set with {len(self)} elements does not "
                                    f"determine a {d}-dimensional state")
         f = freqs.astype(float)                               # a copy, renormalised in place
@@ -216,9 +208,12 @@ class MeasurementSet:
         sums[sums == np.inf] = np.nan       # a sum past the float range leaves rho not finite
         # each element over its group's sum; an ungrouped one (group -1) over the trailing 1.0
         f /= np.append(sums, 1.0)[self.group_of]
-        x = gram_inv @ (basis @ ((f - offsets) @ real))    # (f - offsets) @ real is A, interleaved
-        rho = np.eye(d, dtype=complex) / d + (x @ basis).view(complex).reshape(d, d)
-        return (rho + rho.conj().T) / 2
+        a = f @ self.stack.view(float).reshape(len(self), -1)    # sum_k f_k E_k, interleaved
+        y = inverse @ np.append((a[at] + sign * a[ta]) * half, 1.0)
+        u = np.zeros(2 * d * d)
+        u[at] = half * y                    # rho = U + U^dag, U upper with half its diagonal
+        u = u.view(complex).reshape(d, d)
+        return u + u.conj().T
 
     def group_sums(self, values) -> np.ndarray:
         """(G,) sums of ``values`` (one per element) over each group, each

@@ -125,7 +125,12 @@ def _run(argv, tmp_path, monkeypatch, capsys) -> tuple[int, dict]:
 # mc became one binomial draw per element, and the cdf rows c10-backend-compare,
 # cli-backend-compare, cli-tomography-mub and tomography-pauli-cdf-csv-x3 when
 # cdf came to draw one uniform per boundary stratum: new draws of the same
-# distribution);
+# distribution; the tomography rows c10-tomography-mub-cdf-x3, cli-tomography-mub,
+# cli-tomography-pauli-exact, tomography-stoke-mc-csv, tomography-stoke-mc-json,
+# tomography-sic-mc-json-x3, tomography-pauli-cdf-csv-x3 and tomography-sic-exact-json
+# when linear inversion came to solve in the natural Hermitian coordinates: trace
+# distances moved by <= 9.7e-16 and fidelities by <= 1.3e-8, the sqrt of rounding
+# noise of a ket truth);
 # rows: {output: SHA-256}, each of a command that exits 0
 _DIGESTS = {
     "c10-backend-compare": {
@@ -154,7 +159,7 @@ _DIGESTS = {
         "out": "17ecee30978459c54481ad6a53fde958a2b384606fd1824ff7916f24da786c1c",
     },
     "c10-tomography-mub-cdf-x3": {
-        "out": "8221a416945c860e065a5803269383c019820cec98d70e1a6313c3e074c749e7",
+        "out": "ecb0acf629f3116eb88382ec32deb7ccf0215ffd5693d3b01c56cee283774948",
     },
     "cli-backend-compare": {
         "<stdout>": "56c2050bf8d88489b7b7371522b8d2ff4cd551a988390ada4f9c6f9eddcc41d8",
@@ -176,10 +181,10 @@ _DIGESTS = {
         "<stdout>": "c26ff9930d2c8bb98f1cf70f7c77ff1f92496f71332bafd6c4d9e199ab1089fe",
     },
     "cli-tomography-mub": {
-        "<stdout>": "939d61e3850ce62331aeb51c4fb59224611c579489237a88f7e3b4f813626f30",
+        "<stdout>": "7f7c7b8eb15b1a099d428f7cdf810a3bd731b5ec56f74037f4b273776cfaa71f",
     },
     "cli-tomography-pauli-exact": {
-        "<stdout>": "371cf813c861cd220680165f33973a536205d2e7b1350ddab5ee6eadcc59a148",
+        "<stdout>": "5005b26099e10708ca33aa5f0aefa036c8efcd0bb7cd65fb93f29223f49a20e5",
     },
     "measure-mub-mc": {
         "<stdout>": "92726c9b558f655c0be87a7f47a46531d9aa31a3066de4ba4c8a6e9e12a60055",
@@ -224,19 +229,19 @@ _DIGESTS = {
         "<stdout>": "86f82616d833d7530d39689c270c46cd941faa1cac1060d7177acc69c39cd36e",
     },
     "tomography-pauli-cdf-csv-x3": {
-        "out": "cf7210c08aeafcfa86b8ab6c6c85ca5e96253a3c2346cf8b50fe6352c95bb6db",
+        "out": "cb45cf8ca59f49112aca98b1a67c3f09fe9605a2f7086e1c7ca7e970646d5b97",
     },
     "tomography-sic-exact-json": {
-        "<stdout>": "9e67c4ed5f520e33dad4690d08cab1f829b806f8faa807811ae3b0fcaf684f89",
+        "<stdout>": "1769ad2737a7c0ed9527a69c663f0f673aa783aa74acf6a75bdf121623e5b87e",
     },
     "tomography-sic-mc-json-x3": {
-        "out": "6a39465d39836ffe36bd99eae62c258caf37c5b2422607b39dca3904c9f7eafd",
+        "out": "9eeba52bdbd7a3fab2001e6d3a5a21381bf9c9d4883d166b576cc12821991a21",
     },
     "tomography-stoke-mc-csv": {
-        "out": "353f9a99afd4153795a1a475c9c4c38a8084e0ead61f5e1145e5b9cffbbdb664",
+        "out": "84a6f9513b10986396e6273eb2229a4fa62f0d8bb669d41db137b50cc719d42d",
     },
     "tomography-stoke-mc-json": {
-        "out": "a4a289b85109f79ded9b4f8ddf4cc7338c13bf7d4484b5998c894702ebe7d869",
+        "out": "76eb1f175a23bff1a047913be450dc4e5e0be007915e8b7978602b8330fd7c0c",
     },
 }
 

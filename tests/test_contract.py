@@ -188,7 +188,10 @@ _SCENARIO = dict(probe=_KET, generator=pauli("z"), phis=[0, 1, 2], observable=pa
 # a spin whose (2j + 1)**2 entries pass the size rule, as ``spin`` and ``clebsch_gordan`` read it
 _SPIN_SQUARED = _own("spin", _bad(UnsupportedDimension, 2**96, 1e29, match=_GIB))
 # a set whose Gram matrix overflows the float range, though its entries are finite
-_HUGE_SET = _own("set", _bad(InvalidObject, 1e200 * _P1.stack, match="Gram matrix"))
+_HUGE = _bad(InvalidObject, 1e200 * _P1.stack, match="Gram matrix")
+_HUGE_SET = _own("set", _HUGE)
+# and six 91 x 91 elements, whose (91**2 + 1)**2-entry inversion system is past 1 GiB
+_INVERTED_SET = _own("set", _HUGE, _bad(UnsupportedDimension, np.zeros((6, 91, 91)), match=_GIB))
 # 407 levels, whose 407**3-entry Laguerre basis the Wigner map reads as complex: past 1 GiB
 _LAGUERRE_STATE = _own("state", _bad(UnsupportedDimension, basis(407, 0), match=_GIB))
 # an end past 1e150, where |alpha|^2 would overflow
@@ -387,7 +390,7 @@ CALLS = {
                        _bad(DimensionMismatch, basis(3, 0))))),
     # the last frequencies are a group whose sum overflows
     "reconstruct_linear_inversion": (reconstruct_linear_inversion, dict(
-        freqs=[1, 0, 1, 1, 0, 1], mset=_P1), dict(mset=_HUGE_SET, freqs=_own(
+        freqs=[1, 0, 1, 1, 0, 1], mset=_P1), dict(mset=_INVERTED_SET, freqs=_own(
             "frequencies", _bad(DimensionMismatch, 0.5, np.full((6, 1), 0.5)),
             _bad(InvalidDistribution, [1e308, 9e307, 1, 1, 1, 1])))),
     "run_tomography": (run_tomography, dict(true_state=_KET, mset=_P1, shots=40, estimator=None,

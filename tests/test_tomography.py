@@ -30,6 +30,7 @@ from qmkit import (
     identity,
     measure_and_sample,
     normalize,
+    pauli,
     probabilities,
     quantum_fisher,
     reconstruct_linear_inversion,
@@ -49,6 +50,7 @@ from qmkit.errors import (
     NotPositive,
     QmkitError,
     RankDeficientSet,
+    UnsupportedDimension,
     ZeroNorm,
 )
 from qmkit.cli import main as cli_main
@@ -427,10 +429,52 @@ def test_inversion_map_is_kept_per_set(rng):
             np.testing.assert_allclose(reconstruct_linear_inversion(f, mset).data,
                                        _lstsq_reconstruction(f, mset), rtol=0, atol=1e-12)
             assert mset._inversion is mset._inversion           # made once, kept on the set
-    # each set's data is its own, the orthonormal traceless basis included
-    basis = pauli2._inversion[3]
-    assert basis is not shuffled._inversion[3] and np.array_equal(basis, shuffled._inversion[3])
-    np.testing.assert_allclose(basis @ basis.T, np.eye(15), rtol=0, atol=1e-15)
+    # each set keeps its own inverse, none of its data is a view of the stack, and it keeps
+    # no more than the (d^2, d^2 + 1) inverse and the four d^2-entry gather arrays
+    assert not np.shares_memory(pauli2._inversion[0], shuffled._inversion[0])
+    np.testing.assert_allclose(pauli2._inversion[0], shuffled._inversion[0], rtol=0, atol=1e-12)
+    for mset in sets:
+        n, kept = mset.dim ** 2, mset._inversion
+        assert not any(np.shares_memory(a, mset.stack) for a in kept)
+        owners = {id(a if a.base is None else a.base): a if a.base is None else a.base
+                  for a in kept}
+        assert sum(a.nbytes for a in owners.values()) <= 8 * n * (n + 1) + 4 * 8 * n
+
+
+def test_inversion_recovers_qubit_states_from_the_xyz_set(rng):
+    # the CLI's xyz set spans the traceless operators but not the identity
+    xyz = MeasurementSet(kind="xyz", elements=[pauli("x"), pauli("y"), pauli("z")])
+    for _ in range(5):
+        rho = random_density(rng, 2)
+        rec = reconstruct_linear_inversion(probabilities(rho, xyz), xyz)
+        np.testing.assert_allclose(rec.data, rho.data, rtol=0, atol=1e-14)
+
+
+def test_non_hermitian_set_reconstructs_as_its_hermitian_parts(rng):
+    d = 3
+    stack = rng.normal(size=(d * d + 3, d, d)) + 1j * rng.normal(size=(d * d + 3, d, d))
+    parts = (stack + stack.conj().transpose(0, 2, 1)) / 2
+    rho = random_density(rng, d).data
+    freqs = np.einsum("kij,ji->k", parts, rho).real
+    recs = [reconstruct_linear_inversion(freqs, MeasurementSet(kind="custom", elements=e)).data
+            for e in (stack, parts)]
+    np.testing.assert_allclose(recs[0], recs[1], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(recs[0], rho, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-20, 1e20, 1e150])
+def test_inversion_takes_a_scaled_set(scale, rng):
+    pauli1 = build_pauli_set(1)
+    scaled = MeasurementSet(kind="custom", elements=scale * pauli1.stack)
+    rho = random_density(rng, 2)
+    rec = reconstruct_linear_inversion(scale * probabilities(rho, pauli1), scaled)
+    np.testing.assert_allclose(rec.data, rho.data, rtol=0, atol=1e-14)
+
+
+def test_inversion_refuses_a_system_past_the_size_rule():
+    # the (d^2 + 1)^2 bordered system of d = 3000 would need about 1.3 PB
+    with pytest.raises(UnsupportedDimension, match="over the 1 GiB limit"):
+        reconstruct_linear_inversion([1.0], [np.eye(3000) / 3000])
 
 
 def test_rank_deficient_set_rejected_on_every_call():
