@@ -78,8 +78,9 @@ class MeasurementSet:
     The elements live in one read-only (K, d, d) complex array ``stack``, which
     the constructor copies from a sequence of d x d operators or a (K, d, d)
     array; ``elements``, a tuple of views into it, and ``_inversion``, the bordered
-    inverse and coordinate gather of linear inversion, are made on first read and kept.  Other modules ask a set
-    for tr(E_k rho) and a least-squares rho only by :meth:`_forward` and :meth:`_estimate`.
+    inverse and coordinate gather of linear inversion (no view of the stack), are made
+    on first read and kept.  Other modules ask a set for tr(E_k rho) and a least-squares
+    rho only by :meth:`_forward` and :meth:`_estimate`.
 
     ``groups`` lists disjoint, non-empty index tuples whose elements sum to
     the identity (none for sets without that structure, e.g. Stoke); any
@@ -156,10 +157,11 @@ class MeasurementSet:
         (re, im) entries v, so M[k, a] = Re tr(E_k C_a) is one gather from the stack.
         The unit trace t.y = 1, t marking the d diagonal coordinates, borders the
         normal equations: [[M^T M, s t], [s t^T, 0]] [y; l] = [M^T f; s], with s the
-        largest diagonal entry of M^T M.  ``inverse`` is the first d^2 rows of that
-        system's inverse with its last column times s, so y = inverse @ [M^T f; 1];
-        None when the system is singular, i.e. the elements do not span the
-        traceless operators.  Refused by the size rule before anything is allocated.
+        largest diagonal entry of M^T M: the row keeps the set's scale, so the rank test
+        reads a set scaled by 1e-150 as at 1.  ``inverse`` is the first d^2 rows of the
+        system's inverse with its last column times s, so y = inverse @ [M^T f; 1]; None
+        when the system is singular, i.e. the elements do not span the traceless
+        operators.  Refused by the size rule before anything is allocated.
         """
         d, n = self.dim, self.dim ** 2
         _fits(n + 1, 2, f"the {self.kind} set's inversion system")
@@ -196,7 +198,8 @@ class MeasurementSet:
         """Unprojected least-squares rho of unit trace from K finite real frequencies,
         renormalised per group on a copy first, and Hermitian by construction as U + U^dag;
         RankDeficientSet if the elements do not span the traceless operators, InvalidObject
-        if their Gram matrix overflows.  An overflow of the frequencies leaves rho not finite."""
+        if their Gram matrix overflows, UnsupportedDimension if their inversion system is past
+        the size rule.  An overflow of the frequencies leaves rho not finite."""
         inverse, at, ta, sign, half = self._inversion
         d = self.dim
         if inverse is None:

@@ -436,9 +436,8 @@ def test_inversion_map_is_kept_per_set(rng):
     for mset in sets:
         n, kept = mset.dim ** 2, mset._inversion
         assert not any(np.shares_memory(a, mset.stack) for a in kept)
-        owners = {id(a if a.base is None else a.base): a if a.base is None else a.base
-                  for a in kept}
-        assert sum(a.nbytes for a in owners.values()) <= 8 * n * (n + 1) + 4 * 8 * n
+        owners = {id(b): b for b in (a if a.base is None else a.base for a in kept)}
+        assert sum(b.nbytes for b in owners.values()) <= 8 * n * (n + 1) + 4 * 8 * n
 
 
 def test_inversion_recovers_qubit_states_from_the_xyz_set(rng):
