@@ -373,7 +373,7 @@ def _laguerre_basis(d: int) -> np.ndarray:
     psi_n^k(x) = sqrt(n!/(n+k)!) x^(k/2) e^(-x/2) L_n^(k)(x).  Each row is a
     unit vector, built exactly by psi_n^(a+2) = (sqrt(n+a+1) psi_n^a
     - sqrt(n+1) psi_(n+1)^a + sqrt(n) psi_(n-1)^(a+2)) / sqrt(n+a+2)."""
-    _fits(d, 3, f"a Laguerre basis of {d} x {d} x {d}")     # the map's product reads it as complex
+    _fits(d, 3, f"a Laguerre basis of {d} x {d} x {d}")     # counted as complex, as every rule is
     g = np.zeros((d, d, d))
     g[0] = np.eye(d)
     g[1:2, :d - 1] = np.eye(d - 1, d)
@@ -388,14 +388,15 @@ def _laguerre_basis(d: int) -> np.ndarray:
 
 @_kernel_cache
 def _wigner_terms(d: int, xs: tuple, ys: tuple) -> tuple:
-    """table[p, i] = psi_i^p for p = 0, 1 and i < d on x = |2 alpha|^2, four
-    times the radii of ``_radial``, by the three-term recurrence in i, and the
+    """table[p, i] = psi_i^p for p = 0, 1 and i < d on x = 4 |alpha|^2 at the
+    ``_radial`` radii, by the three-term recurrence in i at 2^s per radius, and the
     unit phase e^{i arg alpha} at each grid point (1 at alpha = 0)."""
     alphas, radii, _ = _radial(xs, ys)
     _fits(d * radii.size, 1, f"a planar kernel of {d} x {radii.size} radii")   # two reals each
     radii = 4 * radii
     table = np.empty((2, d, radii.size))
-    table[0, 0] = np.exp(-radii / 2)
+    shift = np.clip(np.ceil(radii / (2 * math.log(2))) - 1020, 0, 1000)   # e^{-x/2} 2^s stays normal
+    table[0, 0] = np.exp(shift * math.log(2) - radii / 2)
     table[1, 0] = np.sqrt(radii) * table[0, 0]
     p, n = np.arange(2.0)[:, None], np.arange(1.0, d)[:, None, None]   # both parities at once
     steps = zip(2 * n + p - 1, np.sqrt(n * (n + p)), np.sqrt((n - 1) * (n + p - 1) / (n * (n + p))))
@@ -403,6 +404,7 @@ def _wigner_terms(d: int, xs: tuple, ys: tuple) -> tuple:
         table[:, i] = (lead - radii) * table[:, i - 1] / root
         if i > 1:
             table[:, i] -= back * table[:, i - 2]
+    table *= np.ldexp(1.0, -shift.astype(int))     # 2^-s, exactly
     size = np.abs(alphas)
     return _frozen(table, np.divide(alphas, size, out=np.ones_like(alphas), where=size > 0))
 
@@ -414,9 +416,9 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     integrate to 1 over the plane.
 
     With x = |2 alpha|^2 and k = n - m, a term is rho_mn (-1)^m e^{ik arg alpha}
-    psi_m^k(x), and :func:`_laguerre_basis` writes each diagonal k as a sum
-    over the psi_i^(k mod 2): two matrix products with a table of psi_i^0 and
-    psi_i^1 on the radii give every diagonal, and Horner's rule nests them in
+    psi_m^k(x).  Two real products with :func:`_laguerre_basis` (never complex)
+    write each diagonal k over the psi_i^(k mod 2), two with their table from
+    :func:`_wigner_terms` give every diagonal, and Horner's rule nests them in
     e^{i arg alpha}.  The series is exact for the truncated state at any alpha.
     """
     dm = density_matrix(rho)
@@ -426,7 +428,7 @@ def wigner_planar(rho, grid: PlanarGrid = PlanarGrid()) -> PhaseSpaceGrid:
     table, phase = _wigner_terms(d, xs, ys)
     c, _, signs = _weighted_diagonals(dm)
     # coeffs[k] = sum_m c[k, m] (-1)^m G[k, m]: diagonal k in the psi^(k mod 2)
-    coeffs = ((c * signs)[:, None, :] @ _laguerre_basis(d))[:, 0]
+    coeffs = _complex_product((c * signs)[:, None, :], _laguerre_basis(d))[:, 0]
     sums = np.empty((d, table.shape[2]), dtype=complex)
     for p in (0, 1):
         sums[p::2] = _complex_product(coeffs[p::2], table[p])

@@ -387,6 +387,65 @@ def test_wigner_planar_matches_an_exact_rational_laguerre_sum(grid):
         assert abs(out.values[iy, ix] - _rational_laguerre_wigner(rho, alpha)) <= 1e-14
 
 
+def _decimal_laguerre_wigner(psi, alpha: float) -> decimal.Decimal:
+    """W(alpha) of the ket psi at a real alpha >= 0 by the Laguerre series at
+    40 digits from the float entries of psi and alpha: each L_m^(k)(x) at
+    x = 4 alpha^2 by its three-term recurrence in m, and e^{-x/2} in decimals,
+    which do not underflow where floats do."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        dec, d = decimal.Decimal, len(psi)
+        x, re, im = 4 * dec(alpha) ** 2, [dec(c.real) for c in psi], [dec(c.imag) for c in psi]
+        total = dec(0)
+        for k in range(d):
+            prev, lag, ratio, part = dec(0), dec(1), 1 / dec(math.factorial(k)), dec(0)
+            for m in range(d - k):           # lag = L_m^(k)(x), ratio = m! / (m + k)!
+                rho = re[m] * re[m + k] + im[m] * im[m + k]
+                part += (-1) ** m * rho * ratio.sqrt() * lag
+                prev, lag = lag, ((2 * m + k + 1 - x) * lag - (m + k) * prev) / (m + 1)
+                ratio = ratio * (m + 1) / (m + k + 1)
+            total += (1 if k == 0 else 2) * part * x.sqrt() ** k
+        size = sum(a * a + b * b for a, b in zip(re, im))
+        return 2 * total * (-x / 2).exp() / (_PI_50 * size)
+
+
+@pytest.mark.parametrize("alpha", [19.3, 19.6])
+def test_wigner_planar_matches_a_decimal_laguerre_sum_at_the_top_of_its_cutoff(alpha):
+    # x = |2 alpha|^2 is 1,490 and 1,537: e^{-x/2} is subnormal or 0 in floats
+    state = coherent(406, alpha)
+    grid = PlanarGrid(x_range=(alpha - 0.1, alpha + 0.1), y_range=(0, 0), nx=3, ny=2)
+    got = wigner_planar(state, grid).values[0, 1]
+    exact = _decimal_laguerre_wigner(state.data.ravel(), grid.xs[1])
+    assert abs(decimal.Decimal(got) - exact) <= decimal.Decimal("1e-12")
+
+
+def _traced(call) -> tuple:
+    """call() and the tracemalloc peak it reached."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wigner_planar_stays_within_its_bound_to_the_top_of_its_cutoff():
+    # each map after the first is warm: it keeps far under the 511 MiB basis
+    grid = PlanarGrid(x_range=(17, 21), y_range=(0, 0), nx=41, ny=2)
+    try:
+        for alpha in (18, 19, 19.3, 19.6, 20):
+            values, peak = _traced(lambda: wigner_planar(coherent(406, alpha), grid).values)
+            assert np.isfinite(values).all() and np.abs(values).max() <= 2 / math.pi + 1e-12, alpha
+            assert alpha == 18 or peak < 64 * 2**20, alpha
+    finally:
+        _laguerre_basis.cache_clear()
+
+
+def test_a_warm_wigner_planar_map_never_copies_its_laguerre_basis():
+    rho, grid = coherent(100, 1 + 0.5j), PlanarGrid(nx=5, ny=5)
+    wigner_planar(rho, grid)
+    assert _traced(lambda: wigner_planar(rho, grid))[1] < _laguerre_basis(100).nbytes / 4
+
+
 @pytest.mark.parametrize("d", [2, 5, 30])
 def test_laguerre_basis_gives_every_laguerre_function(d):
     g = _laguerre_basis(d)
@@ -992,8 +1051,10 @@ def _platform_digest() -> str:
 # batched product over the Hermitian half of rho (they moved by <= 2.3e-15), and
 # the two husimi_planar digests when kets took their own Horner pass (they moved
 # by <= 3.4e-16; by up to 7.6e-9 relative where the map is tiny, towards the
-# exact map), and the four husimi_spherical digests when kets took their own
-# real product (they moved by <= 4.9e-16)
+# exact map), the four husimi_spherical digests when kets took their own
+# real product (they moved by <= 4.9e-16), and the two wigner_planar digests when
+# its Laguerre coefficients became two real products (coherent moved by
+# <= 1.67e-16 at 1,273 of 3,721 values, squeezed by <= 1.11e-16 at 1,699)
 _PLATFORM_DIGEST = "9f77b20025423ab47be60b0ac130b5130c583c67c2bbb5ef53916d5076fbd044"
 _DIGEST_STATES = {
     "coherent": lambda: coherent(30, 1 + 0.5j),
@@ -1007,11 +1068,11 @@ _MAP_DIGESTS = {
     "husimi_planar:coherent":
         "2560e3ca0088da15784f0428310ae8cd63380f1da3b4050bd7d1c6c600392860",
     "wigner_planar:coherent":
-        "601154364857fb109d5f15190fc02d6b5056e8fde34888886180c9d1b91eeeca",
+        "717cdf798cfacebc087a18af1a8b66587fa69e9d8c526f8c4648faa7485b83fe",
     "husimi_planar:squeezed":
         "55760a6d1af068a6ece33d0bbb5562fee0718d171c322521fea688ae2b9f6284",
     "wigner_planar:squeezed":
-        "eed1ce10df558ca4a66a7c5dfe3861039964c7dcdc9904cf1699d9560e9ba133",
+        "e4412a03fa536cbe8e2a5dc7927de4a1c1ff58cf32fbf4045b81d39de75f3777",
     "husimi_spherical:spin_coherent10":
         "6ec9078a8dab5f9a2f2b4e4d2a34f3e51de4411a945c600405fe4cdb3471d218",
     "wigner_spherical:spin_coherent10":
@@ -1258,7 +1319,7 @@ def _reference_wigner_planar(dm, grid):
     _, _, inverse = _radial(xs, ys)
     table, phase = _wigner_terms(d, xs, ys)
     _, m, c = _reference_diagonals(dm)
-    coeffs = ((c * (-1.0) ** m)[:, None, :] @ _laguerre_basis(d))[:, 0]
+    coeffs = _complex_product((c * (-1.0) ** m)[:, None, :], _laguerre_basis(d))[:, 0]
     sums = np.empty((d, table.shape[2]), dtype=complex)
     for p in (0, 1):
         sums[p::2] = _complex_product(coeffs[p::2], table[p])
